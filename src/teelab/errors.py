@@ -84,6 +84,3 @@ class InvalidGeometry(TeeLabError):
 class ConfigError(TeeLabError):
     """A scenario configuration is invalid; the CLI exits with status 2."""
 
-
-class CheckFailure(TeeLabError):
-    """A report contains a failing check; the CLI exits with status 1."""

@@ -444,6 +444,19 @@ def star(p: AnyonDistribution, q: AnyonDistribution, fp: FusionProbabilities) ->
     return AnyonDistribution(fp.labels, out)
 
 
+def _power_iterate(M: np.ndarray, what: str) -> tuple[np.ndarray, int]:
+    """Stationary row vector of M by power iteration from uniform, with the step count."""
+    v = np.full(M.shape[0], 1.0 / M.shape[0])
+    for it in range(1, ITERATION_CAP + 1):
+        nxt = v @ M
+        nxt = nxt / nxt.sum()
+        step = float(np.abs(nxt - v).max())
+        v = nxt
+        if step < FIXED_POINT_STEP_TOL:
+            return v, it
+    raise NonConvergence(f"{what} did not converge in {ITERATION_CAP} steps")
+
+
 def fixed_point_iterative(fp: FusionProbabilities) -> FixedPoint:
     """Unique distribution q with  p_uniform * q = q, by iterating the convolution.
 
@@ -451,7 +464,6 @@ def fixed_point_iterative(fp: FusionProbabilities) -> FixedPoint:
     positive; then the Perron-Frobenius theorem guarantees existence and
     uniqueness of q, and q is strictly positive.
     """
-    n = fp.n_labels
     M = fp.p.mean(axis=0)  # M[a, b]
     zeros = np.argwhere(M <= 0.0)
     if len(zeros):
@@ -460,16 +472,8 @@ def fixed_point_iterative(fp: FusionProbabilities) -> FixedPoint:
             f"averaged fusion matrix entry M[{fp.labels[a]},{fp.labels[b]}] = 0: "
             "no string label connects these sectors"
         )
-    q = np.full(n, 1.0 / n)
-    for it in range(1, ITERATION_CAP + 1):
-        nxt = q @ M  # (p_uniform * q)_b = sum_a M[a,b] q_a
-        nxt = nxt / nxt.sum()
-        step = float(np.abs(nxt - q).max())
-        q = nxt
-        if step < FIXED_POINT_STEP_TOL:
-            break
-    else:
-        raise NonConvergence(f"fixed-point iteration did not converge in {ITERATION_CAP} steps")
+    # (p_uniform * q)_b = sum_a M[a,b] q_a
+    q, it = _power_iterate(M, "fixed-point iteration")
     residual = float(np.abs(np.einsum("sab,s->ab", fp.p, q) - q[None, :]).max())
     return FixedPoint(
         distribution=AnyonDistribution(fp.labels, q),
@@ -541,17 +545,7 @@ def defect_fixed_point(sys: DefectFusionSystem) -> DefectFusionSystem:
         raise ConditionOneViolated(
             f"induced sector matrix entry M[{sys.sector_labels[b]},{sys.sector_labels[a]}] = 0"
         )
-    nA = len(sys.sector_labels)
-    pi = np.full(nA, 1.0 / nA)
-    for it in range(1, ITERATION_CAP + 1):
-        nxt = pi @ M
-        nxt = nxt / nxt.sum()
-        step = float(np.abs(nxt - pi).max())
-        pi = nxt
-        if step < FIXED_POINT_STEP_TOL:
-            break
-    else:
-        raise NonConvergence(f"defect fixed point did not converge in {ITERATION_CAP} steps")
+    pi, it = _power_iterate(M, "defect fixed point")
     residual = float(np.abs(M - pi[None, :]).max())
     return DefectFusionSystem(
         string_labels=sys.string_labels,

@@ -118,12 +118,11 @@ def nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     if m.size == 0:
         return np.eye(ncols, dtype=np.int64)
     red, pivots = rref_mod_p(m, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = (-red[r, fc]) % p
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    basis = np.zeros((int(free.sum()), ncols), dtype=np.int64)
+    basis[:, free] = np.eye(len(basis), dtype=np.int64)
+    basis[:, pivots] = (-red[:, free]).T % p
     return basis
 
 
@@ -171,6 +170,10 @@ def phased_rref(rows: list[tuple[np.ndarray, int]], n: int, p: int) -> list[tupl
     every row operation, then sorts by pivot column.  Two commuting phased
     row sets generate the same phased group iff their canonical forms are
     identical.
+
+    Test-only reference implementation: the library compares reductions by
+    the linear phase test on a phase-free basis (`stabilizer.reduction_relation`),
+    and the tests use this form as its oracle.
     """
     work = [(np.array(v, dtype=np.int64) % p, int(f) % p) for v, f in rows]
     work = [(v, f) for v, f in work if v.any() or f]

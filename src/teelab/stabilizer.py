@@ -47,8 +47,8 @@ from .gfp import (
     left_nullspace_mod_p,
     pauli_mul,
     pauli_pow,
-    phased_rref,
     rank_mod_p,
+    rref_mod_p,
 )
 
 SectorLabel = tuple[int, int]  # (electric charge, magnetic flux) in Z_p x Z_p
@@ -503,16 +503,25 @@ def annulus_cmi(state: StabilizerState, part: AnnulusPartition) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reductions: canonical forms, comparisons, dense export
+# reductions: restricted bases, the phase test, dense export
 
 
-def restricted_canonical(state: StabilizerState, region: tuple[int, ...]):
-    """Canonical phased basis of the stabilizer subgroup supported in a region."""
+def restricted_canonical(
+    state: StabilizerState, region: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-free canonical basis (vecs, coeffs) of the stabilizer subgroup in a region.
+
+    The group is N_R @ gens with N_R the left nullspace of the generators'
+    off-region columns.  `vecs` is the RREF of its Pauli vectors, unique for
+    the group, and `coeffs[r]` the generator coefficients with
+    vecs[r] = coeffs[r] @ gens mod p (unique, as the generators are
+    independent).  Neither depends on the phases, so one basis serves every
+    state on the same generator matrix.
+    """
     p = state.lattice.prime
-    cols = _outside_columns(state, region)
-    coeffs = left_nullspace_mod_p(state.gens[:, cols], p)
-    elements = [combine_rows(state.gens, state.phases, c, state.n, p) for c in coeffs]
-    return phased_rref(elements, state.n, p)
+    null = left_nullspace_mod_p(state.gens[:, _outside_columns(state, region)], p)
+    red, _ = rref_mod_p(np.hstack([null @ state.gens, null]), p)
+    return red[:, : 2 * state.n], red[:, 2 * state.n:]
 
 
 def pauli_repr(state: StabilizerState, vec: np.ndarray) -> str:
@@ -533,43 +542,42 @@ def pauli_repr(state: StabilizerState, vec: np.ndarray) -> str:
     return " ".join(parts) if parts else "I"
 
 
+def _shared_gens(states) -> StabilizerState:
+    """The first state, after checking that all states share its generator matrix."""
+    first, *rest = states
+    for state in rest:
+        if state.lattice != first.lattice or not np.array_equal(state.gens, first.gens):
+            raise MalformedInput("states do not share one generator matrix; only phases may differ")
+    return first
+
+
+def _phase_test(basis, state1: StabilizerState, state2: StabilizerState) -> tuple[str, str | None]:
+    """'orthogonal' with the first basis element whose phases differ, else 'equal'.
+
+    The element c @ gens carries the phase c . phases + Q(c), where Q depends
+    on the generators alone, so two states on one generator matrix disagree
+    on it iff c . (phases1 - phases2) != 0 mod p.
+    """
+    vecs, coeffs = basis
+    hit = np.flatnonzero(coeffs @ (state1.phases - state2.phases) % state1.lattice.prime)
+    if hit.size == 0:
+        return "equal", None
+    return "orthogonal", pauli_repr(state1, vecs[hit[0]])
+
+
 def reduction_relation(
     state1: StabilizerState, state2: StabilizerState, region: tuple[int, ...]
 ) -> tuple[str, str | None]:
-    """Relation between two reductions on a region: 'equal', 'orthogonal', or 'overlap'.
+    """Relation between two reductions on a region: 'equal' or 'orthogonal'.
 
-    Reductions of stabilizer states with the same restricted group are equal
-    iff the phase assignments agree on a basis, and orthogonal otherwise
-    (the phase difference is a character of the group, so the cross trace
-    sums to zero).  With different restricted groups the decision happens on
-    the intersection.  The witness is the first group element whose phases
-    disagree.
+    Both states must share one generator matrix, as every sector state does,
+    so their restricted groups coincide.  The reductions are then equal iff
+    the phase assignments agree on a basis, and orthogonal otherwise (the
+    phase difference is a character of the group, so the cross trace sums to
+    zero).  The witness is the first basis element whose phases disagree.
     """
-    k1 = restricted_canonical(state1, region)
-    k2 = restricted_canonical(state2, region)
-    p = state1.lattice.prime
-    n = state1.n
-    if len(k1) == len(k2) and all(np.array_equal(a[0], b[0]) for a, b in zip(k1, k2)):
-        for (vec, f1), (_, f2) in zip(k1, k2):
-            if f1 != f2:
-                return "orthogonal", pauli_repr(state1, vec)
-        return "equal", None
-    # different restricted groups: compare phases on the intersection
-    if not k1 or not k2:
-        return "overlap", None
-    v1 = np.array([v for v, _ in k1], dtype=np.int64)
-    v2 = np.array([v for v, _ in k2], dtype=np.int64)
-    stacked = np.vstack([v1, v2])
-    combos = left_nullspace_mod_p(stacked, p)
-    ph1 = np.array([f for _, f in k1], dtype=np.int64)
-    ph2 = np.array([f for _, f in k2], dtype=np.int64)
-    for combo in combos:
-        c, d = combo[: len(k1)], combo[len(k1):]
-        vec_a, f_a = combine_rows(v1, ph1, c, n, p)
-        _, f_b = combine_rows(v2, ph2, (-d) % p, n, p)
-        if f_a != f_b:
-            return "orthogonal", pauli_repr(state1, vec_a)
-    return "overlap", None
+    _shared_gens((state1, state2))
+    return _phase_test(restricted_canonical(state1, region), state1, state2)
 
 
 DENSE_GROUP_CAP = 2**16
@@ -585,10 +593,11 @@ def region_density(state: StabilizerState, region) -> DensityOperator:
     dim = p ** len(region)
     if dim > 2**14:
         raise DimensionCap(f"p^|R| = {dim} exceeds the dense operator cap")
-    basis = restricted_canonical(state, region)
-    if p ** len(basis) > DENSE_GROUP_CAP:
+    _, coeffs = restricted_canonical(state, region)
+    if p ** len(coeffs) > DENSE_GROUP_CAP:
         raise DimensionCap("restricted group too large to enumerate")
     E = state.n
+    basis = [combine_rows(state.gens, state.phases, c, E, p) for c in coeffs]
     omega = np.exp(2j * np.pi / p)
     xmat = np.zeros((p, p), dtype=complex)
     for j in range(p):
@@ -754,36 +763,38 @@ def verify_assumptions(
     2. Local indistinguishability: reductions on AB and on BC are pairwise equal.
     3. Fusion: conjugating sector a by the string for s and reducing to A'BC
        (one thinning step) equals the reduction of sector s x a.
-    Violations carry the mismatching group element as a witness.
+    Violations carry the mismatching group element as a witness.  All states
+    share one generator matrix, so each region's restricted basis is computed
+    once and every pair is decided by the linear phase test.
     """
     p = next(iter(states.values())).lattice.prime
     expected = {(c, f) for c in range(p) for f in range(p)}
     if set(states) != expected:
         raise MalformedInput(f"need all {p * p} sectors, got {len(states)}")
+    base = _shared_gens(states.values())
     rule = rule or FusionStringRule()
     order = sorted(states)
 
-    abc = part.region_edges("ABC")
+    basis = restricted_canonical(base, part.region_edges("ABC"))
     viol1 = []
     for i, a in enumerate(order):
         for b in order[i + 1:]:
-            relation, witness = reduction_relation(states[a], states[b], abc)
+            relation, witness = _phase_test(basis, states[a], states[b])
             if relation != "orthogonal":
                 viol1.append((a, b, relation, witness))
     prop1 = PropertyResult("global_distinguishability", not viol1, tuple(viol1))
 
     viol2 = []
     for name in ("AB", "BC"):
-        region = part.region_edges(name)
+        basis = restricted_canonical(base, part.region_edges(name))
         for i, a in enumerate(order):
             for b in order[i + 1:]:
-                relation, witness = reduction_relation(states[a], states[b], region)
+                relation, witness = _phase_test(basis, states[a], states[b])
                 if relation != "equal":
                     viol2.append((name, a, b, relation, witness))
     prop2 = PropertyResult("local_indistinguishability", not viol2, tuple(viol2))
 
-    thin = part.thin(1)
-    apbc = thin.region_edges("ABC")
+    basis = restricted_canonical(base, part.thin(1).region_edges("ABC"))
     viol3 = []
     for s in order:
         if s == (0, 0):
@@ -792,7 +803,7 @@ def verify_assumptions(
             target = ((s[0] + a[0]) % p, (s[1] + a[1]) % p)
             t = fusion_string(states[a], part, s, rule)
             conjugated = conjugate_by_string(states[a], t)
-            relation, witness = reduction_relation(conjugated, states[target], apbc)
+            relation, witness = _phase_test(basis, conjugated, states[target])
             if relation != "equal":
                 viol3.append((s, a, relation, witness))
     prop3 = PropertyResult("fusion", not viol3, tuple(viol3))
@@ -811,6 +822,7 @@ def nested_annulus_table(
 
     Level i uses the partition thinned n+1-i times (one edge-column per
     side per step); the full partition must be wide enough for n+1 steps.
+    Ranks never see phases, so one CMI per level fills all p^2 sector rows.
     """
     if n < 1:
         raise MalformedInput("need n >= 1 intermediate levels")
@@ -818,16 +830,12 @@ def nested_annulus_table(
         raise InsufficientWidth(
             f"A width {part.a_width} allows {part.a_width - 1} thinnings, need {n + 1}"
         )
-    base = next(iter(states.values()))
-    p = base.lattice.prime
-    order = [(c, f) for c in range(p) for f in range(p)]
-    if set(states) != set(order):
+    p = next(iter(states.values())).lattice.prime
+    if set(states) != {(c, f) for c in range(p) for f in range(p)}:
         raise MalformedInput(f"need all {p * p} sectors")
-    table = np.empty((p * p, n + 2))
-    for i in range(n + 2):
-        level_part = part.thin(n + 1 - i) if i < n + 1 else part
-        for row, sec in enumerate(order):
-            table[row, i] = annulus_cmi(states[sec], level_part)
+    base = _shared_gens(states.values())
+    levels = [annulus_cmi(base, part.thin(n + 1 - i) if i < n + 1 else part) for i in range(n + 2)]
+    table = np.tile(levels, (p * p, 1))
     cat = double_zn_category(p)
     dims = quantum_dimensions(cat)
     fp = fusion_probabilities(cat, dims)

@@ -194,15 +194,14 @@ def _arcs_config(tmp_path):
     return cfg
 
 
-class TestThreadedSweep:
-    def test_thread_count_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TEELAB_THREADS", "3")
+class TestSweepOrder:
+    def test_reports_follow_grid_order(self, tmp_path):
         out = tmp_path / "sweep.json"
         code = cli.main(["sweep", "--grid-scenario", "ring", "--q", "2,3,5,7",
                          "--out", str(out)])
         assert code == 0
         bundle = json.loads(out.read_text())
-        # deterministic ordering regardless of threading
+        # one report per grid point, in grid order
         assert [r["scenario"]["q"] for r in bundle["reports"]] == [2, 3, 5, 7]
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from teelab import audit, dense, stabilizer as st
+from teelab import audit, dense, gfp, stabilizer as st
 from teelab.errors import (
     DimensionCap,
     InsufficientWidth,
@@ -326,6 +326,135 @@ class TestAssumptions:
             conj = st.conjugate_by_string(fam[a], st.fusion_string(fam[a], part, s, rule))
             relation, _ = st.reduction_relation(conj, fam[target], region)
             assert relation == "equal", (s, a)
+
+
+def _phased_canonical(state, region):
+    """Oracle: canonical form of the phased restricted group, built element by element."""
+    p, n = state.lattice.prime, state.n
+    outside = np.setdiff1d(np.arange(n), region)
+    coeffs = gfp.left_nullspace_mod_p(state.gens[:, np.concatenate([outside, outside + n])], p)
+    return gfp.phased_rref([gfp.combine_rows(state.gens, state.phases, c, n, p) for c in coeffs], n, p)
+
+
+def _oracle_relation(k1, k2, state):
+    """Compare two phased canonical forms of one restricted group."""
+    assert len(k1) == len(k2)
+    for (v1, f1), (v2, f2) in zip(k1, k2):
+        np.testing.assert_array_equal(v1, v2)
+        if f1 != f2:
+            return "orthogonal", st.pauli_repr(state, v1)
+    return "equal", None
+
+
+def _assumption_pairs(fam, part, rule):
+    """Every comparison verify_assumptions makes: (region name, labels, state1, state2)."""
+    p = part.lattice.prime
+    order = sorted(fam)
+    pairs = [
+        (name, (a, b), fam[a], fam[b])
+        for name in ("ABC", "AB", "BC")
+        for i, a in enumerate(order)
+        for b in order[i + 1:]
+    ]
+    for s in order[1:]:
+        for a in order:
+            target = ((s[0] + a[0]) % p, (s[1] + a[1]) % p)
+            conj = st.conjugate_by_string(fam[a], st.fusion_string(fam[a], part, s, rule))
+            pairs.append(("A'BC", (s, a), conj, fam[target]))
+    return pairs
+
+
+def _against_oracle(fam, part, rule=None, sample=False):
+    """Assert reduction_relation == the phased-canonical comparison on the
+    assumption pairs (or three per region); returns (name, labels, relation)."""
+    rule = rule or st.FusionStringRule()
+    regions = {name: part.region_edges(name) for name in ("ABC", "AB", "BC")}
+    regions["A'BC"] = part.thin(1).region_edges("ABC")
+    pairs = _assumption_pairs(fam, part, rule)
+    if sample:
+        picked = []
+        for name in regions:
+            group = [pair for pair in pairs if pair[0] == name]
+            picked += [group[0], group[len(group) // 2], group[-1]]
+        pairs = picked
+    cache = {}
+
+    def oracle(state, name):
+        key = (id(state), name)
+        if key not in cache:
+            cache[key] = _phased_canonical(state, regions[name])
+        return cache[key]
+
+    out = []
+    for name, labels, s1, s2 in pairs:
+        want = _oracle_relation(oracle(s1, name), oracle(s2, name), s1)
+        assert st.reduction_relation(s1, s2, regions[name]) == want, (name, labels)
+        out.append((name, labels, want))
+    return out
+
+
+class TestPhaseTestOracle:
+    """The linear phase test against the phased canonical forms it replaced."""
+
+    @staticmethod
+    def _report_matches(report, results):
+        def viol(names, ok):
+            return tuple(
+                ((name,) if len(names) > 1 else ()) + labels + rel
+                for name, labels, rel in results
+                if name in names and rel[0] != ok
+            )
+
+        assert report.distinguishability.violations == viol(("ABC",), "orthogonal")
+        assert report.indistinguishability.violations == viol(("AB", "BC"), "equal")
+        assert report.fusion.violations == viol(("A'BC",), "equal")
+
+    def test_p2_widths2_every_pair(self, toric12, toric12_sectors):
+        _, _, part = toric12
+        results = _against_oracle(toric12_sectors, part)
+        assert len(results) == 30
+        self._report_matches(st.verify_assumptions(toric12_sectors, part), results)
+
+    def test_p2_displaced_anchor_every_pair(self):
+        lat = st.Lattice(width=12, height=12, prime=2)
+        ground = st.build_ground_state(lat)
+        displaced = st.AnnulusPartition(lattice=lat, origin=(6, 6), hole=(5, 5, 8, 8), width=3)
+        fam = {sec: st.create_sector(ground, sec, origin=(3, 6)) for sec in
+               ((0, 0), (0, 1), (1, 0), (1, 1))}
+        results = _against_oracle(fam, displaced)
+        assert any(rel[1] for name, _, rel in results if name == "AB")
+        self._report_matches(st.verify_assumptions(fam, displaced), results)
+
+    def test_p2_inside_a_prime_sample(self):
+        lat = st.Lattice(width=14, height=12, prime=2)
+        part = st.centered_annulus(lat, width=3)
+        fam = st.sector_family(st.build_ground_state(lat), part)
+        rule = st.FusionStringRule(endpoint="inside_a_prime")
+        results = _against_oracle(fam, part, rule, sample=True)
+        assert [rel[0] for name, _, rel in results if name == "A'BC"] == ["orthogonal"] * 3
+
+    def test_p3_widths2_sample(self):
+        lat = st.Lattice(width=10, height=10, prime=3)
+        part = st.centered_annulus(lat, width=2)
+        fam = st.sector_family(st.build_ground_state(lat), part)
+        results = _against_oracle(fam, part, sample=True)
+        assert {name: rel[0] for name, _, rel in results} == {
+            "ABC": "orthogonal", "AB": "equal", "BC": "equal", "A'BC": "equal"
+        }
+
+
+class TestSharedGenerators:
+    def test_states_from_two_lattices_rejected(self, toric12, toric12_sectors):
+        lat, ground, part = toric12
+        other = st.build_ground_state(st.Lattice(width=14, height=12, prime=2))
+        for s1, s2 in ((ground, other), (other, ground)):
+            with pytest.raises(MalformedInput):
+                st.reduction_relation(s1, s2, part.region_edges("AB"))
+        mixed = {**toric12_sectors, (1, 1): other}
+        with pytest.raises(MalformedInput):
+            st.verify_assumptions(mixed, part)
+        with pytest.raises(MalformedInput):
+            st.nested_annulus_table(mixed, st.centered_annulus(lat, width=2, a_width=3), n=1)
 
 
 class TestNestedTable:
