@@ -53,6 +53,8 @@ class AuditTrace:
         object.__setattr__(self, "table", table)
         if table.ndim != 2 or table.shape[0] != len(self.labels):
             raise MalformedInput(f"table shape {table.shape} does not match {len(self.labels)} labels")
+        if not np.isfinite(table).all():
+            raise MalformedInput("conditional mutual information table must be finite")
         if table.shape[1] < 3:
             raise MalformedInput("need at least 3 levels (n >= 1)")
         if float(table.min()) < -MARGIN_TOL:

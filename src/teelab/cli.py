@@ -123,10 +123,10 @@ def _ring_scenario(cfg: dict) -> tuple[list[dict], dict]:
         raise ConfigError(f"ring needs 'q' and four 'arcs': {exc}") from exc
     spec = ring.RingSpec(q=q, sites_a=a, sites_b1=b1, sites_c=c, sites_b2=b2)
     cmi = ring.exact_cmi(spec)
+    coeff = ring.cmi_coefficient(spec)
     margin = ring.saturation_margin(spec)
     checks = [
-        _check("cmi_equals_log_q", abs(cmi - math.log(q)) == 0.0 or abs(cmi - math.log(q)) < 1e-15,
-               value=cmi),
+        _check("cmi_equals_log_q", coeff == 1, value=cmi, coefficient=coeff),
         _check("saturation_margin_zero", abs(margin) < 1e-12, value=margin),
     ]
     data = {

@@ -92,6 +92,8 @@ class FusionProbabilities:
         n = len(self.labels)
         if p.shape != (n, n, n):
             raise MalformedInput(f"probability tensor shape {p.shape}, expected {(n, n, n)}")
+        if not np.isfinite(p).all():
+            raise MalformedInput("fusion probabilities must be finite")
         if float(np.abs(p.sum(axis=2) - 1.0).max()) > 1e-9:
             raise MalformedInput("fusion probability rows must sum to 1")
         p.setflags(write=False)
@@ -120,6 +122,8 @@ class AnyonDistribution:
         object.__setattr__(self, "probs", probs)
         if probs.shape != (len(self.labels),):
             raise MalformedInput("distribution length does not match labels")
+        if not np.isfinite(probs).all():
+            raise MalformedInput("distribution entries must be finite")
         if probs.min() < -STRUCT_TOL:
             raise MalformedInput(f"negative probability {probs.min():g}")
         if abs(probs.sum() - 1.0) > STRUCT_TOL:

@@ -1,8 +1,8 @@
 """Exact linear algebra over prime fields F_p, plus phase-tracked Pauli rows.
 
-Matrices are numpy integer arrays with entries reduced mod p.  Ranks and
-nullspaces are exact (no floating point anywhere).  For p = 2 the plain rank
-computation uses bit-packed python ints, one per row.
+Matrices are numpy integer arrays with entries reduced mod p.  Ranks,
+nullspaces and canonical bases all come from one exact elimination,
+`rref_mod_p` (no floating point anywhere).
 
 A qudit Pauli on n sites is stored as a length-2n vector v = (x | z) over F_p
 together with a phase exponent phi in Z_p, and denotes the operator
@@ -23,72 +23,21 @@ from __future__ import annotations
 import numpy as np
 
 
-
 def inverse_mod_p(a: int, p: int) -> int:
     """Multiplicative inverse of a nonzero residue mod prime p."""
     return pow(int(a) % p, p - 2, p)
 
 
-def _rank_gf2_bitpacked(mat: np.ndarray) -> int:
-    """Rank over GF(2) using one python int per row."""
-    ncols = mat.shape[1]
-    rows = []
-    for r in mat:
-        acc = 0
-        for j in np.nonzero(r)[0]:
-            acc |= 1 << int(j)
-        rows.append(acc)
-    rank = 0
-    for col in range(ncols):
-        bit = 1 << col
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i] & bit:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and (rows[i] & bit):
-                rows[i] ^= rows[rank]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def rank_mod_p(mat: np.ndarray, p: int) -> int:
     """Exact rank of an integer matrix over F_p."""
-    m = np.asarray(mat, dtype=np.int64) % p
-    if m.size == 0:
+    if np.size(mat) == 0:
         return 0
-    if p == 2:
-        return _rank_gf2_bitpacked(m)
-    m = m.copy()
-    nrows, ncols = m.shape
-    rank = 0
-    for col in range(ncols):
-        pivots = np.nonzero(m[rank:, col])[0]
-        if pivots.size == 0:
-            continue
-        piv = rank + int(pivots[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        m[rank] = (m[rank] * inverse_mod_p(m[rank, col], p)) % p
-        below = m[rank + 1:, col]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            m[rank + 1 + nz] = (m[rank + 1 + nz] - np.outer(below[nz], m[rank])) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return len(rref_mod_p(mat, p)[1])
 
 
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_p; returns (rref with zero rows dropped, pivot columns)."""
-    m = (np.asarray(mat, dtype=np.int64) % p).copy()
+    m = np.asarray(mat, dtype=np.int64) % p
     nrows, ncols = m.shape
     pivots: list[int] = []
     rank = 0

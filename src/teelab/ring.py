@@ -142,17 +142,20 @@ def counting_entropy(spec: RingSpec, n_region_sites: int) -> float:
     return entropy_coefficient(spec, n_region_sites) * math.log(spec.q)
 
 
-def exact_cmi(spec: RingSpec) -> float:
-    """I(A:C|B) by exact counting; the integer combination collapses to 1,
-    so the value is exactly log q with zero floating accumulation."""
+def cmi_coefficient(spec: RingSpec) -> int:
+    """I(A:C|B) / log q by exact counting: the integer entropy combination, always 1."""
     n_a, n_b, n_c = spec.sites_a, spec.sites_b1 + spec.sites_b2, spec.sites_c
-    coeff = (
+    return (
         entropy_coefficient(spec, n_a + n_b)
         + entropy_coefficient(spec, n_b + n_c)
         - entropy_coefficient(spec, n_b)
         - entropy_coefficient(spec, n_a + n_b + n_c)
     )
-    return coeff * math.log(spec.q)
+
+
+def exact_cmi(spec: RingSpec) -> float:
+    """I(A:C|B) in nats: the integer coefficient times log q, with the log applied last."""
+    return cmi_coefficient(spec) * math.log(spec.q)
 
 
 def saturation_margin(spec: RingSpec) -> float:

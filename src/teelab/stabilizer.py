@@ -19,7 +19,9 @@ and X^{-1} on incoming edges; a plaquette operator takes Z around its
 boundary counterclockwise.
 
 Every region entropy is (|R| - g_R) log p with g_R the rank of the subgroup
-of stabilizers supported inside R: an exact integer multiple of log p.
+of stabilizers supported inside R: an exact integer multiple of log p.  For
+a pure state g_R = 2|R| - rank(G|_R), so each rank is one elimination over
+F_p on the region's own 2|R| columns, not on the complement's.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ SectorLabel = tuple[int, int]  # (electric charge, magnetic flux) in Z_p x Z_p
 
 _PRIMES = {2, 3, 5, 7, 11, 13}
 
+# Byte cap on the dense E x 2E int64 generator matrix (16 E^2 bytes); it
+# admits square lattices up to 44 x 44.
+GENS_BYTES_CAP = 2**28
+
 
 def _check_prime(p: int) -> None:
     if p in _PRIMES:
@@ -78,6 +84,11 @@ class Lattice:
         if self.width < 4 or self.height < 4:
             raise MalformedInput("lattice must be at least 4 x 4 plaquettes")
         _check_prime(self.prime)
+        if 16 * self.n_edges**2 > GENS_BYTES_CAP:
+            raise DimensionCap(
+                f"{self.width} x {self.height} lattice: the dense generator matrix would take "
+                f"{16 * self.n_edges**2} bytes, over the {GENS_BYTES_CAP}-byte cap"
+            )
 
     @property
     def n_h_edges(self) -> int:
@@ -457,10 +468,23 @@ def _outside_columns(state: StabilizerState, region: tuple[int, ...]) -> np.ndar
     return np.concatenate([outside, outside + E])
 
 
+def _region_columns(state: StabilizerState, region: tuple[int, ...]) -> np.ndarray:
+    """The region's X columns then its Z columns, over its sorted, unique edges."""
+    edges = np.unique(np.asarray(region, dtype=np.int64))
+    return np.concatenate([edges, edges + state.n])
+
+
 def region_rank(state: StabilizerState, region: tuple[int, ...]) -> int:
-    """g_R: rank of the subgroup of stabilizers supported inside the region."""
-    cols = _outside_columns(state, region)
-    return state.gens.shape[0] - rank_mod_p(state.gens[:, cols], state.lattice.prime)
+    """g_R: rank of the subgroup of stabilizers supported inside the region.
+
+    Computed from the region's own columns as g_R = 2|R| - rank(G|_R), where
+    G|_R keeps the X and Z columns of R's edges; equivalently
+    S_R = (rank(G|_R) - |R|) log p (Fattal et al., quant-ph/0406168).  The
+    identity needs a pure state (S_R = S_{R^c}), which the commutation and
+    full-rank checks of `build_ground_state` guarantee.
+    """
+    cols = _region_columns(state, region)
+    return len(cols) - rank_mod_p(state.gens[:, cols], state.lattice.prime)
 
 
 def region_entropy(state: StabilizerState, region) -> float:
@@ -516,12 +540,16 @@ def restricted_canonical(
     the group, and `coeffs[r]` the generator coefficients with
     vecs[r] = coeffs[r] @ gens mod p (unique, as the generators are
     independent).  Neither depends on the phases, so one basis serves every
-    state on the same generator matrix.
+    state on the same generator matrix.  N_R @ gens vanishes off the region,
+    so it is formed and reduced on the region's columns only.
     """
     p = state.lattice.prime
     null = left_nullspace_mod_p(state.gens[:, _outside_columns(state, region)], p)
-    red, _ = rref_mod_p(np.hstack([null @ state.gens, null]), p)
-    return red[:, : 2 * state.n], red[:, 2 * state.n:]
+    cols = _region_columns(state, region)
+    red, _ = rref_mod_p(np.hstack([null @ state.gens[:, cols], null]), p)
+    vecs = np.zeros((len(red), 2 * state.n), dtype=np.int64)
+    vecs[:, cols] = red[:, : len(cols)]
+    return vecs, red[:, len(cols):]
 
 
 def pauli_repr(state: StabilizerState, vec: np.ndarray) -> str:

@@ -47,6 +47,8 @@ class TestRingCommand:
         assert abs(report["data"]["cmi"]["nats"] - math.log(3)) < 1e-12
         names = {c["name"] for c in report["results"]}
         assert "enumeration_agrees" in names
+        check = next(c for c in report["results"] if c["name"] == "cmi_equals_log_q")
+        assert check["passed"] and check["coefficient"] == 1
 
     def test_levels_run_the_audit(self, tmp_path):
         code, report = run_json(["ring", "--q", "2", "--arcs", "5,1,1,1", "--levels", "3"], tmp_path)
@@ -63,6 +65,10 @@ class TestStabilizerCommand:
         assert abs(report["data"]["gamma"]["nats"] - math.log(2)) < 1e-12
         assert report["data"]["certificates"]["0,0"]["coefficient"] == 2
         assert len(report["data"]["sectors"]) == 4
+
+    def test_oversize_lattice_is_config_error(self, capsys):
+        assert cli.main(["stabilizer", "--p", "2", "--size", "200"]) == 2
+        assert "cap" in capsys.readouterr().err
 
     def test_single_sector(self, tmp_path):
         code, report = run_json(
@@ -96,6 +102,25 @@ class TestAuditCommand:
 
     def test_missing_trace_is_config_error(self, capsys):
         assert cli.main(["audit", "--trace", "does-not-exist.json"]) == 2
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("p_star", (0,), math.nan),
+        ("I", (1, 2), math.nan),
+        ("I", (0, 3), math.inf),
+        ("fusion_probabilities", (1, 0, 1), math.nan),
+    ])
+    def test_non_finite_trace_is_config_error(self, tmp_path, capsys, field, index, value):
+        spec = ring.RingSpec(q=2, sites_a=4, sites_b1=1, sites_c=1, sites_b2=1)
+        path = tmp_path / "trace.json"
+        audit.save_trace(ring.nested_annulus_table(spec, n=2), path)
+        doc = json.loads(path.read_text())
+        row = doc[field]
+        for i in index[:-1]:
+            row = row[i]
+        row[index[-1]] = value
+        path.write_text(json.dumps(doc))
+        assert cli.main(["audit", "--trace", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestDeterminism:

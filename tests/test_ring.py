@@ -65,6 +65,7 @@ class TestExactCmi:
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_equals_log_q(self, q):
         spec = ring.RingSpec(q=q, sites_a=2, sites_b1=1, sites_c=2, sites_b2=1)
+        assert ring.cmi_coefficient(spec) == 1
         assert abs(ring.exact_cmi(spec) - math.log(q)) < 1e-15
         assert abs(ring.saturation_margin(spec)) < 1e-15
 

@@ -54,6 +54,14 @@ class TestLattice:
         with pytest.raises(MalformedInput):
             st.Lattice(width=4, height=4, prime=4)
 
+    def test_oversize_lattice_rejected_at_construction(self):
+        # the dense generator matrix takes 16 E^2 bytes: 44 x 44 fits under
+        # the cap, 45 x 45 and 200 x 200 (about 100 GB) do not
+        for size in (200, 45):
+            with pytest.raises(DimensionCap):
+                st.Lattice(width=size, height=size, prime=2)
+        st.Lattice(width=44, height=44, prime=2)
+
 
 class TestGroundState:
     def test_generator_count_equals_edges(self):
