@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -55,11 +56,21 @@ def _check(name: str, passed: bool, **extra) -> dict:
     return entry
 
 
+@contextmanager
+def _stage(timings: dict, name: str):
+    """Record the seconds spent in the block under timings["stages"][name]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings.setdefault("stages", {})[name] = time.perf_counter() - start
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 
 
-def _fusion_scenario(cfg: dict) -> tuple[list[dict], dict]:
+def _fusion_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     name = cfg.get("category")
     path = cfg.get("category_file")
     if bool(name) == bool(path):
@@ -114,7 +125,7 @@ def _fusion_scenario(cfg: dict) -> tuple[list[dict], dict]:
     return checks, data
 
 
-def _ring_scenario(cfg: dict) -> tuple[list[dict], dict]:
+def _ring_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     try:
         q = int(cfg["q"])
         arcs = cfg.get("arcs", [2, 2, 2, 2])
@@ -183,7 +194,7 @@ def _parse_sector(text: str, p: int) -> tuple[int, int]:
     return (c, f)
 
 
-def _stabilizer_scenario(cfg: dict) -> tuple[list[dict], dict]:
+def _stabilizer_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     try:
         p = int(cfg["p"])
         width = int(cfg.get("width", cfg.get("size", 12)))
@@ -194,20 +205,26 @@ def _stabilizer_scenario(cfg: dict) -> tuple[list[dict], dict]:
     hole = int(cfg.get("hole", 3))
     a_width = cfg.get("a_width")
     lat = stabilizer.Lattice(width=width, height=height, prime=p)
-    ground = stabilizer.build_ground_state(lat)
-    part = stabilizer.centered_annulus(
-        lat, width=bar, hole_size=hole, a_width=int(a_width) if a_width else None
-    )
-    if cfg.get("all_sectors", True) and not cfg.get("sector"):
-        sectors = [(c, f) for c in range(p) for f in range(p)]
-    else:
-        sectors = [_parse_sector(cfg["sector"], p)]
-    states = {
-        sec: stabilizer.create_sector(ground, sec, avoid=part) for sec in sectors
-    }
+    if cfg.get("assumptions"):
+        # restricted bases need the dense generator matrix: refuse before building
+        stabilizer.check_dense_cap(lat.n_edges, 2 * lat.n_edges)
+    with _stage(timings, "build"):
+        ground = stabilizer.build_ground_state(lat)
+        part = stabilizer.centered_annulus(
+            lat, width=bar, hole_size=hole, a_width=int(a_width) if a_width else None
+        )
+        if cfg.get("all_sectors", True) and not cfg.get("sector"):
+            sectors = [(c, f) for c in range(p) for f in range(p)]
+        else:
+            sectors = [_parse_sector(cfg["sector"], p)]
+        states = {
+            sec: stabilizer.create_sector(ground, sec, avoid=part) for sec in sectors
+        }
+    timings["gens_bytes"] = ground.gens.nbytes
     # sector states differ from the ground state only in phases, which ranks
     # never see: one certificate is every sector's
-    value, cert = stabilizer.annulus_cmi_certificate(ground, part)
+    with _stage(timings, "entropies"):
+        value, cert = stabilizer.annulus_cmi_certificate(ground, part)
     cert_entry = {"coefficient": cert.coefficient, "ranks": cert.ranks, "sizes": cert.sizes}
     gamma = value / 2
     checks = [
@@ -229,7 +246,8 @@ def _stabilizer_scenario(cfg: dict) -> tuple[list[dict], dict]:
     if cfg.get("assumptions"):
         if len(sectors) != p * p:
             raise ConfigError("assumption checks need all sectors")
-        rep = stabilizer.verify_assumptions(states, part)
+        with _stage(timings, "assumptions"):
+            rep = stabilizer.verify_assumptions(states, part)
         checks.extend(
             _check(f"assumption_{r.name}", r.passed, violations=len(r.violations))
             for r in (rep.distinguishability, rep.indistinguishability, rep.fusion)
@@ -238,18 +256,19 @@ def _stabilizer_scenario(cfg: dict) -> tuple[list[dict], dict]:
     if levels:
         if len(sectors) != p * p:
             raise ConfigError("nested tables need all sectors")
-        trace = stabilizer.nested_annulus_table(states, part, int(levels))
-        try:
-            rep = audit.assemble_bound(trace)
-            checks.append(_check("audit_passed", rep.passed,
-                                 final_margin=rep.checks["final_bound"]["margin"]))
-            data["audit"] = rep.to_dict()
-        except PremiseViolated as exc:
-            checks.append(_check("audit_passed", False, error=str(exc)))
+        with _stage(timings, "audit"):
+            trace = stabilizer.nested_annulus_table(states, part, int(levels))
+            try:
+                rep = audit.assemble_bound(trace)
+                checks.append(_check("audit_passed", rep.passed,
+                                     final_margin=rep.checks["final_bound"]["margin"]))
+                data["audit"] = rep.to_dict()
+            except PremiseViolated as exc:
+                checks.append(_check("audit_passed", False, error=str(exc)))
     return checks, data
 
 
-def _audit_scenario(cfg: dict) -> tuple[list[dict], dict]:
+def _audit_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     path = cfg.get("trace")
     if not path:
         raise ConfigError("audit needs 'trace' (path to a trace JSON file)")
@@ -281,7 +300,7 @@ def _audit_scenario(cfg: dict) -> tuple[list[dict], dict]:
     return checks, data
 
 
-def _selftest_scenario(cfg: dict) -> tuple[list[dict], dict]:
+def _selftest_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     checks = []
     for name in fu.bundled_category_names():
         cat = fu.bundled_category(name)
@@ -333,9 +352,10 @@ def run(config: dict) -> dict:
     kind = config.get("scenario")
     if kind not in _SCENARIOS:
         raise ConfigError(f"unknown scenario {kind!r}; choose from {sorted(_SCENARIOS)}")
+    timings: dict = {}
     t0 = time.perf_counter()
     try:
-        checks, data = _SCENARIOS[kind](config)
+        checks, data = _SCENARIOS[kind](config, timings)
     except ConfigError:
         raise
     except TeeLabError as exc:
@@ -349,7 +369,7 @@ def run(config: dict) -> dict:
         "results": checks,
         "data": data,
         "all_passed": all(c["passed"] for c in checks),
-        "timings": {"wall_seconds": elapsed},
+        "timings": {"wall_seconds": elapsed, **timings},
     }
 
 

@@ -18,10 +18,21 @@ conventions: edges point +x / +y; a vertex operator uses X^{+1} on outgoing
 and X^{-1} on incoming edges; a plaquette operator takes Z around its
 boundary counterclockwise.
 
+Generators.  Every generator acts on at most four edges, so the generator
+matrix is stored as local supports (`SparseGenerators`): O(E) memory, and
+`build_ground_state` certifies it with two local checks.  Commutation is
+the symplectic form accumulated only over generator pairs that share an
+edge.  Full rank is certified by peeling: a row that is the only remaining
+nonzero in some column is independent of the other remaining rows, so it is
+removed, and if every row goes the rows are independent.  Peeling is
+sufficient, not necessary; for the toric code it always succeeds.  The dense
+E x 2E matrix, with its Gram product and dense rank, is the tests' oracle
+and is built only on request (`SparseGenerators.dense`).
+
 Every region entropy is (|R| - g_R) log p with g_R the rank of the subgroup
 of stabilizers supported inside R: an exact integer multiple of log p.  For
 a pure state g_R = 2|R| - rank(G|_R), so each rank is one elimination over
-F_p on the region's own 2|R| columns, not on the complement's.
+F_p on the region's own 2|R| columns and on the generators that touch R.
 """
 
 from __future__ import annotations
@@ -57,9 +68,25 @@ SectorLabel = tuple[int, int]  # (electric charge, magnetic flux) in Z_p x Z_p
 
 _PRIMES = {2, 3, 5, 7, 11, 13}
 
-# Byte cap on the dense E x 2E int64 generator matrix (16 E^2 bytes); it
-# admits square lattices up to 44 x 44.
+# Byte cap on generator storage.  A lattice is refused when its sparse
+# supports exceed it (square lattices up to 1447 x 1447 fit); the dense
+# E x 2E matrix, needed only by restricted bases and dense export, is
+# refused above it too (square lattices up to 44 x 44).
 GENS_BYTES_CAP = 2**28
+
+# Every toric-code generator acts on at most this many edges.
+MAX_SUPPORT = 4
+
+
+def check_dense_cap(n_rows: int, n_cols: int) -> None:
+    """Raise DimensionCap when a dense n_rows x n_cols int64 generator matrix
+    would exceed GENS_BYTES_CAP."""
+    nbytes = 8 * n_rows * n_cols
+    if nbytes > GENS_BYTES_CAP:
+        raise DimensionCap(
+            f"the dense {n_rows} x {n_cols} generator matrix would take {nbytes} bytes, "
+            f"over the {GENS_BYTES_CAP}-byte cap"
+        )
 
 
 def _check_prime(p: int) -> None:
@@ -84,10 +111,11 @@ class Lattice:
         if self.width < 4 or self.height < 4:
             raise MalformedInput("lattice must be at least 4 x 4 plaquettes")
         _check_prime(self.prime)
-        if 16 * self.n_edges**2 > GENS_BYTES_CAP:
+        storage = 16 * MAX_SUPPORT * self.n_edges  # two (E, MAX_SUPPORT) int64 arrays
+        if storage > GENS_BYTES_CAP:
             raise DimensionCap(
-                f"{self.width} x {self.height} lattice: the dense generator matrix would take "
-                f"{16 * self.n_edges**2} bytes, over the {GENS_BYTES_CAP}-byte cap"
+                f"{self.width} x {self.height} lattice: the sparse generators would take "
+                f"{storage} bytes, over the {GENS_BYTES_CAP}-byte cap"
             )
 
     @property
@@ -169,17 +197,97 @@ class StringPath:
                 raise MalformedInput("path signs must be +-1")
 
 
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner i, index j) for every j in every half-open range [lo[i], hi[i])."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    index = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts) + lo[owner]
+    return owner, index
+
+
+@dataclass(frozen=True, eq=False)
+class SparseGenerators:
+    """Generator rows over F_p stored as local supports, in symplectic layout.
+
+    Row i is sum_k vals[i, k] * e_{cols[i, k]} over 2 * n_edges columns:
+    column e is X on edge e and column n_edges + e is Z on edge e.  A row
+    has at most MAX_SUPPORT entries, on distinct columns; unused slots hold
+    the padding (column 0, value 0).
+    """
+
+    cols: np.ndarray  # (rows, MAX_SUPPORT) int64
+    vals: np.ndarray  # (rows, MAX_SUPPORT) int64 mod p, 0 = padding
+    n_edges: int
+
+    def __post_init__(self):
+        self.cols.setflags(write=False)
+        self.vals.setflags(write=False)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.vals)
+
+    @property
+    def nbytes(self) -> int:
+        return self.cols.nbytes + self.vals.nbytes
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SparseGenerators)
+            and self.n_edges == other.n_edges
+            and np.array_equal(self.cols, other.cols)
+            and np.array_equal(self.vals, other.vals)
+        )
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, column, value) of every nonzero entry, in row order."""
+        rows, slots = np.nonzero(self.vals)
+        return rows, self.cols[rows, slots], self.vals[rows, slots]
+
+    def dense(self) -> np.ndarray:
+        """The full n_rows x 2 n_edges matrix, refused above GENS_BYTES_CAP."""
+        check_dense_cap(self.n_rows, 2 * self.n_edges)
+        out = np.zeros((self.n_rows, 2 * self.n_edges), dtype=np.int64)
+        rows, cols, vals = self.entries()
+        out[rows, cols] = vals
+        return out
+
+    def _on_edges(self, rows, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For the rows' slots: the position of each slot's edge in the sorted
+        `edges`, and whether the slot is a nonzero entry on one of them."""
+        cols, vals = self.cols[rows], self.vals[rows]
+        edge = cols % self.n_edges
+        pos = np.searchsorted(edges, edge)
+        if not len(edges):
+            return pos, np.zeros(cols.shape, dtype=bool)
+        return pos, (vals != 0) & (edges[np.minimum(pos, len(edges) - 1)] == edge)
+
+    def rows_on(self, edges: np.ndarray) -> np.ndarray:
+        """Rows with a nonzero entry on any of the sorted edges."""
+        _, hit = self._on_edges(slice(None), edges)
+        return np.flatnonzero(hit.any(axis=1))
+
+    def block(self, rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """The given rows on the sorted edges' X then Z columns, shape
+        (len(rows), 2 len(edges)); entries on other edges are dropped."""
+        pos, hit = self._on_edges(rows, edges)
+        r, k = np.nonzero(hit)
+        out = np.zeros((len(hit), 2 * len(edges)), dtype=np.int64)
+        is_z = self.cols[rows][r, k] >= self.n_edges
+        out[r, pos[r, k] + len(edges) * is_z] = self.vals[rows][r, k]
+        return out
+
+
 @dataclass(frozen=True)
 class StabilizerState:
     """Full-rank phased stabilizer generators over F_p."""
 
     lattice: Lattice
-    gens: np.ndarray  # (n_edges, 2 n_edges) mod p
+    gens: SparseGenerators  # n_edges rows
     phases: np.ndarray  # (n_edges,) mod p
     row_labels: tuple[tuple, ...]
 
     def __post_init__(self):
-        self.gens.setflags(write=False)
         self.phases.setflags(write=False)
 
     @property
@@ -190,42 +298,101 @@ class StabilizerState:
         return replace(self, phases=np.asarray(phases, dtype=np.int64) % self.lattice.prime)
 
 
+def _check_commutation(gens: SparseGenerators, p: int) -> None:
+    """Raise RankDeficiency unless every pair of rows has symplectic form 0 mod p.
+
+    omega(a, b) = sum_e x_a[e] z_b[e] - z_a[e] x_b[e] can only be nonzero for
+    rows that share an edge, so it is accumulated from the pairs (X entry,
+    Z entry) on a common edge: linear in the number of entries after one
+    sort, with no Gram product.
+    """
+    E = gens.n_edges
+    rows, cols, vals = gens.entries()
+    is_x = cols < E
+    xr, xe, xv = rows[is_x], cols[is_x], vals[is_x]
+    order = np.argsort(cols[~is_x], kind="stable")
+    zr, ze, zv = rows[~is_x][order], cols[~is_x][order] - E, vals[~is_x][order]
+    xi, zi = _ranges(np.searchsorted(ze, xe, "left"), np.searchsorted(ze, xe, "right"))
+    a, b, v = xr[xi], zr[zi], xv[xi] * zv[zi]
+    # the pair adds +v to omega(a, b) and -v to omega(b, a); a == b adds 0
+    keep = a != b
+    a, b, v = a[keep], b[keep], v[keep]
+    keys, inv = np.unique(np.minimum(a, b) * gens.n_rows + np.maximum(a, b), return_inverse=True)
+    form = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(form, inv, np.where(a < b, v, -v))
+    bad = np.flatnonzero(form % p)
+    if bad.size:
+        i, j = divmod(int(keys[bad[0]]), gens.n_rows)
+        raise RankDeficiency(f"generators do not commute: rows {i} and {j}")
+
+
+def _check_independent(gens: SparseGenerators) -> None:
+    """Raise RankDeficiency unless peeling certifies the rows independent.
+
+    A row that is the only remaining nonzero in some column is independent
+    of the other remaining rows and is removed; each round removes every
+    such row.  If every row goes, the rows are independent.  The certificate
+    is sufficient, not necessary: a stall is reported as rank deficiency.
+    """
+    rows, cols, _ = gens.entries()
+    count = np.bincount(cols, minlength=2 * gens.n_edges)
+    col_rows = rows[np.argsort(cols, kind="stable")]  # rows grouped by column
+    start = np.concatenate([[0], np.cumsum(count)])
+    alive = np.ones(gens.n_rows, dtype=bool)
+    left = gens.n_rows
+    frontier = np.flatnonzero(count == 1)
+    while frontier.size:
+        _, idx = _ranges(start[frontier], start[frontier + 1])
+        candidates = col_rows[idx]
+        peel = np.unique(candidates[alive[candidates]])
+        alive[peel] = False
+        left -= len(peel)
+        touched = gens.cols[peel][gens.vals[peel] != 0]
+        np.subtract.at(count, touched, 1)
+        touched = np.unique(touched)
+        frontier = touched[count[touched] == 1]
+    if left:
+        raise RankDeficiency(
+            f"generator matrix is not full rank: peeling stalls with {left} of {gens.n_rows} rows left"
+        )
+
+
 def build_ground_state(lat: Lattice) -> StabilizerState:
     """Ground state: all plaquette operators plus all vertex operators but one.
 
     The product of all vertex operators is the identity (each edge enters
     twice with opposite signs), so one vertex generator is redundant and the
     remaining V - 1 + P generators are exactly n_edges independent rows.
+    Both facts are checked, not assumed, and both checks are local: the
+    symplectic form is accumulated only over generators that share an edge,
+    and full rank is certified by peeling (see `_check_independent`), which
+    is sufficient, not necessary.  The dense Gram product and dense rank of
+    `gens.dense()` are the tests' oracles for both.
     """
     p = lat.prime
     E = lat.n_edges
-    rows = []
-    labels = []
-    for y in range(lat.height):
-        for x in range(lat.width):
-            vec = np.zeros(2 * E, dtype=np.int64)
-            for e, sign in lat.plaquette_boundary(x, y):
-                vec[E + e] = sign % p
-            rows.append(vec)
-            labels.append(("plaquette", x, y))
-    for y in range(lat.height + 1):
-        for x in range(lat.width + 1):
-            if (x, y) == (0, 0):
-                continue  # the one redundant vertex generator
-            vec = np.zeros(2 * E, dtype=np.int64)
-            for e, sign in lat.vertex_star(x, y):
-                vec[e] = sign % p
-            rows.append(vec)
-            labels.append(("vertex", x, y))
-    gens = np.array(rows, dtype=np.int64)
-    if gens.shape[0] != E:
-        raise RankDeficiency(f"{gens.shape[0]} generators for {E} edges")
-    gx, gz = gens[:, :E], gens[:, E:]
-    gram = (gx @ gz.T - gz @ gx.T) % p
-    if gram.any():
-        raise RankDeficiency("generators do not commute")
-    if rank_mod_p(gens, p) != E:
-        raise RankDeficiency("generator matrix is not full rank")
+    labels = [("plaquette", x, y) for y in range(lat.height) for x in range(lat.width)]
+    labels += [
+        ("vertex", x, y)
+        for y in range(lat.height + 1)
+        for x in range(lat.width + 1)
+        if (x, y) != (0, 0)  # the one redundant vertex generator
+    ]
+    if len(labels) != E:
+        raise RankDeficiency(f"{len(labels)} generators for {E} edges")
+    cols = np.zeros((E, MAX_SUPPORT), dtype=np.int64)
+    vals = np.zeros((E, MAX_SUPPORT), dtype=np.int64)
+    for i, (kind, x, y) in enumerate(labels):
+        if kind == "plaquette":
+            support, offset = lat.plaquette_boundary(x, y), E  # Z-type
+        else:
+            support, offset = lat.vertex_star(x, y), 0  # X-type
+        for k, (e, sign) in enumerate(support):
+            cols[i, k] = offset + e
+            vals[i, k] = sign % p
+    gens = SparseGenerators(cols=cols, vals=vals, n_edges=E)
+    _check_commutation(gens, p)
+    _check_independent(gens)
     return StabilizerState(
         lattice=lat, gens=gens, phases=np.zeros(E, dtype=np.int64), row_labels=tuple(labels)
     )
@@ -387,11 +554,10 @@ def flux_path_east(lat: Lattice, px: int, py: int, detour_column: int | None = N
 
 def conjugate_by_string(state: StabilizerState, t: np.ndarray) -> StabilizerState:
     """Conjugate the state by the Pauli string with symplectic vector t."""
-    p = state.lattice.prime
     E = state.n
-    tx, tz = t[:E], t[E:]
-    gx, gz = state.gens[:, :E], state.gens[:, E:]
-    shift = (gx @ tz - gz @ tx) % p
+    # the phase shift gx @ tz - gz @ tx, summed over each row's own entries
+    w = np.concatenate([t[E:], -t[:E]])
+    shift = (state.gens.vals * w[state.gens.cols]).sum(axis=1)
     return state.with_phases(state.phases + shift)
 
 
@@ -481,10 +647,12 @@ def region_rank(state: StabilizerState, region: tuple[int, ...]) -> int:
     G|_R keeps the X and Z columns of R's edges; equivalently
     S_R = (rank(G|_R) - |R|) log p (Fattal et al., quant-ph/0406168).  The
     identity needs a pure state (S_R = S_{R^c}), which the commutation and
-    full-rank checks of `build_ground_state` guarantee.
+    full-rank checks of `build_ground_state` guarantee.  Only the generators
+    that touch R enter G|_R: the others are zero on its columns.
     """
-    cols = _region_columns(state, region)
-    return len(cols) - rank_mod_p(state.gens[:, cols], state.lattice.prime)
+    edges = np.unique(np.asarray(region, dtype=np.int64))
+    block = state.gens.block(state.gens.rows_on(edges), edges)
+    return 2 * len(edges) - rank_mod_p(block, state.lattice.prime)
 
 
 def region_entropy(state: StabilizerState, region) -> float:
@@ -541,12 +709,14 @@ def restricted_canonical(
     vecs[r] = coeffs[r] @ gens mod p (unique, as the generators are
     independent).  Neither depends on the phases, so one basis serves every
     state on the same generator matrix.  N_R @ gens vanishes off the region,
-    so it is formed and reduced on the region's columns only.
+    so it is formed and reduced on the region's columns only.  The nullspace
+    needs the dense generator matrix, so the lattice must fit its cap.
     """
     p = state.lattice.prime
-    null = left_nullspace_mod_p(state.gens[:, _outside_columns(state, region)], p)
+    gens = state.gens.dense()
+    null = left_nullspace_mod_p(gens[:, _outside_columns(state, region)], p)
     cols = _region_columns(state, region)
-    red, _ = rref_mod_p(np.hstack([null @ state.gens[:, cols], null]), p)
+    red, _ = rref_mod_p(np.hstack([null @ gens[:, cols], null]), p)
     vecs = np.zeros((len(red), 2 * state.n), dtype=np.int64)
     vecs[:, cols] = red[:, : len(cols)]
     return vecs, red[:, len(cols):]
@@ -574,7 +744,7 @@ def _shared_gens(states) -> StabilizerState:
     """The first state, after checking that all states share its generator matrix."""
     first, *rest = states
     for state in rest:
-        if state.lattice != first.lattice or not np.array_equal(state.gens, first.gens):
+        if state.lattice != first.lattice or state.gens != first.gens:
             raise MalformedInput("states do not share one generator matrix; only phases may differ")
     return first
 
@@ -625,7 +795,8 @@ def region_density(state: StabilizerState, region) -> DensityOperator:
     if p ** len(coeffs) > DENSE_GROUP_CAP:
         raise DimensionCap("restricted group too large to enumerate")
     E = state.n
-    basis = [combine_rows(state.gens, state.phases, c, E, p) for c in coeffs]
+    gens = state.gens.dense()
+    basis = [combine_rows(gens, state.phases, c, E, p) for c in coeffs]
     omega = np.exp(2j * np.pi / p)
     xmat = np.zeros((p, p), dtype=complex)
     for j in range(p):
@@ -661,13 +832,20 @@ def region_density(state: StabilizerState, region) -> DensityOperator:
 
 
 def _combine_label_rows(state: StabilizerState, wanted: set) -> tuple[np.ndarray, int]:
-    idx = [i for i, lab in enumerate(state.row_labels) if lab in wanted]
+    """Product of the labelled rows, in row order, formed on their own edges."""
+    idx = np.array([i for i, lab in enumerate(state.row_labels) if lab in wanted], dtype=np.int64)
     if len(idx) != len(wanted):
         missing = wanted - {state.row_labels[i] for i in idx}
         raise MalformedInput(f"rows not present: {sorted(missing)[:3]}")
-    coeffs = np.zeros(len(state.row_labels), dtype=np.int64)
-    coeffs[idx] = 1
-    return combine_rows(state.gens, state.phases, coeffs, state.n, state.lattice.prime)
+    gens = state.gens
+    edges = np.unique(gens.cols[idx][gens.vals[idx] != 0] % state.n)
+    local, phase = combine_rows(
+        gens.block(idx, edges), state.phases[idx], np.ones(len(idx), dtype=np.int64),
+        len(edges), state.lattice.prime,
+    )
+    vec = np.zeros(2 * state.n, dtype=np.int64)
+    vec[_region_columns(state, edges)] = local
+    return vec, phase
 
 
 def charge_detector(state: StabilizerState, part: AnnulusPartition) -> tuple[np.ndarray, int]:
@@ -700,7 +878,7 @@ def sector_witness_phases(state: StabilizerState, part: AnnulusPartition) -> dic
     for name, builder in (("charge", charge_detector), ("flux", flux_detector)):
         vec, phase = builder(state, part)
         E = state.n
-        support = {e for e in range(E) if vec[e] or vec[E + e]}
+        support = set(np.flatnonzero(vec[:E] | vec[E:]).tolist())
         if not support <= abc:
             raise InvalidGeometry(f"{name} detector leaks outside the annulus")
         out[name] = int(phase)

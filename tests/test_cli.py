@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from teelab import audit, cli, ring
+from teelab import audit, cli, ring, stabilizer
 from teelab.errors import ConfigError
 
 
@@ -66,9 +66,34 @@ class TestStabilizerCommand:
         assert report["data"]["certificates"]["0,0"]["coefficient"] == 2
         assert len(report["data"]["sectors"]) == 4
 
-    def test_oversize_lattice_is_config_error(self, capsys):
-        assert cli.main(["stabilizer", "--p", "2", "--size", "200"]) == 2
+    def test_oversize_lattice_is_config_error(self, capsys, tmp_path):
+        # the cap is on the O(E) sparse storage: 5000 x 5000 is refused before
+        # anything is allocated, 64 x 64 runs
+        assert cli.main(["stabilizer", "--p", "2", "--size", "5000"]) == 2
         assert "cap" in capsys.readouterr().err
+        code, report = run_json(["stabilizer", "--p", "2", "--size", "64", "--widths", "2"], tmp_path)
+        assert code == 0
+        assert report["data"]["certificates"]["0,0"]["coefficient"] == 2
+
+    def test_assumptions_above_dense_cap_refused_before_build(self, capsys, monkeypatch):
+        def no_build(lat):
+            raise AssertionError("build_ground_state ran")
+
+        monkeypatch.setattr(stabilizer, "build_ground_state", no_build)
+        assert cli.main(["stabilizer", "--p", "2", "--size", "45", "--assumptions"]) == 2
+        assert "cap" in capsys.readouterr().err
+
+    def test_stage_timings_outside_canonical_report(self, tmp_path):
+        code, report = run_json(
+            ["stabilizer", "--p", "2", "--size", "10", "--widths", "2", "--a-width", "3", "--levels", "1"],
+            tmp_path,
+        )
+        assert code == 0
+        timings = report["timings"]
+        assert set(timings["stages"]) == {"build", "entropies", "audit"}
+        n_edges = stabilizer.Lattice(width=10, height=10, prime=2).n_edges
+        assert timings["gens_bytes"] == 2 * 8 * stabilizer.MAX_SUPPORT * n_edges
+        assert "timings" not in json.loads(cli.report_bytes(report))
 
     def test_single_sector(self, tmp_path):
         code, report = run_json(

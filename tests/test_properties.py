@@ -1,6 +1,7 @@
-"""Property tests: region-local ranks against the complement-rank oracle on
-random valid annulus geometries and primes, and rank_mod_p against a
-brute-force span count."""
+"""Property tests: the sparse ground-state build against the dense
+construction it replaced, region-local ranks against the complement-rank
+oracle and dense reductions on random valid annulus geometries and primes,
+and rank_mod_p against a brute-force span count."""
 
 from functools import lru_cache
 from itertools import product
@@ -12,7 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as hst  # noqa: E402
 
-from teelab import gfp, stabilizer as st  # noqa: E402
+from teelab import dense, gfp, stabilizer as st  # noqa: E402
+from teelab.errors import RankDeficiency  # noqa: E402
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -27,7 +29,113 @@ def complement_rank(state: st.StabilizerState, region) -> int:
     E = state.n
     outside = np.setdiff1d(np.arange(E), np.asarray(region, dtype=np.int64))
     cols = np.concatenate([outside, outside + E])
-    return E - gfp.rank_mod_p(state.gens[:, cols], state.lattice.prime)
+    return E - gfp.rank_mod_p(state.gens.dense()[:, cols], state.lattice.prime)
+
+
+def dense_build(lat: st.Lattice) -> np.ndarray:
+    """Oracle: the dense E x 2E generator matrix, built row by row."""
+    p = lat.prime
+    E = lat.n_edges
+    rows = []
+    for y in range(lat.height):
+        for x in range(lat.width):
+            vec = np.zeros(2 * E, dtype=np.int64)
+            for e, sign in lat.plaquette_boundary(x, y):
+                vec[E + e] = sign % p
+            rows.append(vec)
+    for y in range(lat.height + 1):
+        for x in range(lat.width + 1):
+            if (x, y) == (0, 0):
+                continue
+            vec = np.zeros(2 * E, dtype=np.int64)
+            for e, sign in lat.vertex_star(x, y):
+                vec[e] = sign % p
+            rows.append(vec)
+    return np.array(rows, dtype=np.int64)
+
+
+def dense_commute(gens: np.ndarray, p: int) -> bool:
+    """Oracle: the symplectic Gram product vanishes mod p."""
+    E = gens.shape[1] // 2
+    gx, gz = gens[:, :E], gens[:, E:]
+    return not ((gx @ gz.T - gz @ gx.T) % p).any()
+
+
+def dense_full_rank(gens: np.ndarray, p: int) -> bool:
+    return gfp.rank_mod_p(gens, p) == gens.shape[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    width=hst.integers(4, 14), height=hst.integers(4, 14), p=hst.sampled_from(PRIMES), data=hst.data()
+)
+def test_sparse_build_matches_dense_oracle(width, height, p, data):
+    lat = st.Lattice(width=width, height=height, prime=p)
+    E = lat.n_edges
+    state = ground(width, height, p)
+    want = dense_build(lat)
+    np.testing.assert_array_equal(state.gens.dense(), want)
+    # the build's local checks passed; the dense oracles agree
+    assert dense_commute(want, p) and dense_full_rank(want, p)
+
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
+    for _ in range(3):
+        t = rng.integers(0, p, size=2 * E)
+        np.testing.assert_array_equal(
+            st.conjugate_by_string(state, t).phases, (want[:, :E] @ t[E:] - want[:, E:] @ t[:E]) % p
+        )
+
+    # one edited generator value breaks commutation, for both checks
+    gens = state.gens
+    i = data.draw(hst.integers(0, E - 1))
+    k = data.draw(hst.sampled_from(np.flatnonzero(gens.vals[i]).tolist()))
+    vals = gens.vals.copy()
+    vals[i, k] = (vals[i, k] + data.draw(hst.integers(1, p - 1))) % p
+    edited = st.SparseGenerators(cols=gens.cols.copy(), vals=vals, n_edges=E)
+    assert not dense_commute(edited.dense(), p)
+    with pytest.raises(RankDeficiency, match="do not commute"):
+        st._check_commutation(edited, p)
+
+    # the dropped (0, 0) vertex star back in place of a plaquette row: all
+    # vertex stars together are dependent, and peeling stalls on them
+    j = data.draw(hst.integers(0, lat.width * lat.height - 1))
+    cols, vals = gens.cols.copy(), gens.vals.copy()
+    cols[j], vals[j] = 0, 0
+    for k, (e, sign) in enumerate(lat.vertex_star(0, 0)):
+        cols[j, k], vals[j, k] = e, sign % p
+    restored = st.SparseGenerators(cols=cols, vals=vals, n_edges=E)
+    assert dense_commute(restored.dense(), p) and not dense_full_rank(restored.dense(), p)
+    st._check_commutation(restored, p)
+    with pytest.raises(RankDeficiency, match="not full rank"):
+        st._check_independent(restored)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=hst.sampled_from((2, 3, 5)), n_edges=hst.integers(1, 4), data=hst.data())
+def test_local_checks_against_dense_oracles_on_random_rows(p, n_edges, data):
+    # rows mixing X and Z entries, which the toric code never builds: the
+    # local form must be antisymmetric, and peeling may stall but never
+    # certifies a dependent set
+    n_rows = data.draw(hst.integers(1, 2 * n_edges))
+    cols = np.zeros((n_rows, st.MAX_SUPPORT), dtype=np.int64)
+    vals = np.zeros((n_rows, st.MAX_SUPPORT), dtype=np.int64)
+    column = hst.integers(0, 2 * n_edges - 1)
+    for i in range(n_rows):
+        for k, c in enumerate(data.draw(hst.lists(column, max_size=st.MAX_SUPPORT, unique=True))):
+            cols[i, k], vals[i, k] = c, data.draw(hst.integers(1, p - 1))
+    gens = st.SparseGenerators(cols=cols, vals=vals, n_edges=n_edges)
+    mat = gens.dense()
+
+    def passes(check, *args):
+        try:
+            check(gens, *args)
+        except RankDeficiency:
+            return False
+        return True
+
+    assert passes(st._check_commutation, p) == dense_commute(mat, p)
+    if passes(st._check_independent):
+        assert dense_full_rank(mat, p)
 
 
 @hst.composite
@@ -86,6 +194,47 @@ def test_strong_subadditivity_on_random_edge_sets(part, data):
         return len(region) - st.region_rank(state, region)
 
     assert s(x) + s(y) >= s(x | y) + s(x & y)
+
+
+# Largest dense reduction drawn: a p^|R| x p^|R| complex matrix of 1 MiB.
+DENSE_DIM_CAP = 2**8
+
+
+@settings(max_examples=25, deadline=None)
+@given(part=annuli(), data=hst.data())
+def test_dense_reduction_entropy_matches_rank_entropy(part, data):
+    lat = part.lattice
+    p = lat.prime
+    sector = (data.draw(hst.integers(0, p - 1)), data.draw(hst.integers(0, p - 1)))
+    state = st.create_sector(ground(lat.width, lat.height, p), sector, avoid=part)
+    # a small region around a random plaquette and its two corner stars, so
+    # that whole generators can fit inside it
+    x, y = data.draw(hst.integers(0, lat.width - 1)), data.draw(hst.integers(0, lat.height - 1))
+    pool = {e for e, _ in lat.plaquette_boundary(x, y)}
+    pool |= {e for e, _ in lat.vertex_star(x, y)} | {e for e, _ in lat.vertex_star(x + 1, y + 1)}
+    max_edges = max(k for k in range(1, len(pool) + 1) if p**k <= DENSE_DIM_CAP)
+    region = data.draw(hst.sets(hst.sampled_from(sorted(pool)), min_size=1, max_size=max_edges))
+    rho = st.region_density(state, region)
+    assert abs(dense.von_neumann_entropy(rho) - st.region_entropy(state, region)) < 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(part=annuli())
+def test_witness_phases_biject_sectors(part):
+    # the detectors are loops in the unthinned annulus
+    part = st.AnnulusPartition(
+        lattice=part.lattice, origin=part.origin, hole=part.hole, width=part.width, a_width=part.a_width
+    )
+    lat = part.lattice
+    p = lat.prime
+    state = ground(lat.width, lat.height, p)
+    seen = set()
+    for c in range(p):
+        for f in range(p):
+            w = st.sector_witness_phases(st.create_sector(state, (c, f), avoid=part), part)
+            assert 0 <= w["charge"] < p and 0 <= w["flux"] < p
+            seen.add((w["charge"], w["flux"]))
+    assert len(seen) == p * p
 
 
 @settings(max_examples=200, deadline=None)

@@ -55,19 +55,29 @@ class TestLattice:
             st.Lattice(width=4, height=4, prime=4)
 
     def test_oversize_lattice_rejected_at_construction(self):
-        # the dense generator matrix takes 16 E^2 bytes: 44 x 44 fits under
-        # the cap, 45 x 45 and 200 x 200 (about 100 GB) do not
-        for size in (200, 45):
+        # the sparse generators take 64 E bytes: 1447 x 1447 fits under the
+        # cap, 1448 x 1448 and 5000 x 5000 (about 3 GB) do not
+        for size in (5000, 1448):
             with pytest.raises(DimensionCap):
                 st.Lattice(width=size, height=size, prime=2)
-        st.Lattice(width=44, height=44, prime=2)
+        for size in (1447, 200, 64):
+            st.Lattice(width=size, height=size, prime=2)
+
+    def test_dense_export_capped(self):
+        # 44 x 44 is the largest square lattice whose dense E x 2E matrix fits
+        st.check_dense_cap(3960, 2 * 3960)
+        with pytest.raises(DimensionCap):
+            st.check_dense_cap(4140, 2 * 4140)
+        state = st.build_ground_state(st.Lattice(width=45, height=45, prime=2))
+        with pytest.raises(DimensionCap):
+            state.gens.dense()
 
 
 class TestGroundState:
     def test_generator_count_equals_edges(self):
         lat = st.Lattice(width=4, height=4, prime=2)
         state = st.build_ground_state(lat)
-        assert state.gens.shape == (40, 80)
+        assert state.gens.dense().shape == (40, 80)
 
     def test_whole_system_pure(self, toric12):
         lat, ground, _ = toric12
@@ -340,8 +350,9 @@ def _phased_canonical(state, region):
     """Oracle: canonical form of the phased restricted group, built element by element."""
     p, n = state.lattice.prime, state.n
     outside = np.setdiff1d(np.arange(n), region)
-    coeffs = gfp.left_nullspace_mod_p(state.gens[:, np.concatenate([outside, outside + n])], p)
-    return gfp.phased_rref([gfp.combine_rows(state.gens, state.phases, c, n, p) for c in coeffs], n, p)
+    gens = state.gens.dense()
+    coeffs = gfp.left_nullspace_mod_p(gens[:, np.concatenate([outside, outside + n])], p)
+    return gfp.phased_rref([gfp.combine_rows(gens, state.phases, c, n, p) for c in coeffs], n, p)
 
 
 def _oracle_relation(k1, k2, state):
