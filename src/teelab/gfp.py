@@ -16,6 +16,9 @@ convention the product rule is
 
 which is exact for every prime p including 2 (no fourth roots of unity are
 ever needed: Y never appears as a generator, only as an XZ product).
+
+Stabilizer phases are read from a Pauli frame, so `left_nullspace_mod_p` and
+the phase-tracked rows below are kept only as the tests' reference oracles.
 """
 
 from __future__ import annotations
@@ -76,12 +79,12 @@ def nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
 
 
 def left_nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis of {c : c @ mat = 0 mod p} as rows."""
+    """Basis of {c : c @ mat = 0 mod p} as rows.  Test-only oracle."""
     return nullspace_mod_p(np.asarray(mat).T, p)
 
 
 # ---------------------------------------------------------------------------
-# phase-tracked Pauli rows
+# phase-tracked Pauli rows: test-only oracles
 
 
 def pauli_mul(u: np.ndarray, phi_u: int, v: np.ndarray, phi_v: int, n: int, p: int):

@@ -8,15 +8,21 @@ integer coordinates: vertex (x,y) sits at (2x, 2y), a horizontal edge at
 edges whose midpoints they contain, so region membership is exact integer
 arithmetic and a partition of the plane has no gaps or double counting.
 
-States.  A pure stabilizer state is a full-rank list of generators over F_p
-in symplectic (X-part | Z-part) layout plus a phase exponent per generator.
-Anyon sectors are produced by conjugating the ground state with open string
-operators anchored at the origin: a Z-type string along lattice edges for
-electric charge and an X-type string on dual edges for magnetic flux.  The
-antiparticle is parked on the (east) lattice boundary.  Orientation
-conventions: edges point +x / +y; a vertex operator uses X^{+1} on outgoing
-and X^{-1} on incoming edges; a plaquette operator takes Z around its
-boundary counterclockwise.
+States.  Every state built here is the ground state conjugated by a Pauli
+string, so it is stored as the ground generators over F_p in symplectic
+(X-part | Z-part) layout plus that string's vector t, the Pauli frame.  In
+the ground state every stabilizer element has phase 0: its X part is a
+product of vertex stars, its Z part a product of plaquettes, the XZ-ordered
+convention writes X first, and the X and Z parts of the group are mutually
+orthogonal.  Conjugation by t shifts the phase of element v by the
+symplectic pairing, so with frame t the element v carries the phase
+v_x . t_z - v_z . t_x mod p.  Anyon sectors are produced by conjugating the
+ground state with open string operators anchored at the origin: a Z-type
+string along lattice edges for electric charge and an X-type string on
+dual edges for magnetic flux.  The antiparticle is parked on the (east)
+lattice boundary.  Orientation conventions: edges point +x / +y; a vertex
+operator uses X^{+1} on outgoing and X^{-1} on incoming edges; a plaquette
+operator takes Z around its boundary counterclockwise.
 
 Generators.  Every generator acts on at most four edges, so the generator
 matrix is stored as local supports (`SparseGenerators`): O(E) memory, and
@@ -27,12 +33,16 @@ nonzero in some column is independent of the other remaining rows, so it is
 removed, and if every row goes the rows are independent.  Peeling is
 sufficient, not necessary; for the toric code it always succeeds.  The dense
 E x 2E matrix, with its Gram product and dense rank, is the tests' oracle
-and is built only on request (`SparseGenerators.dense`).
+and is built only on request (`SparseGenerators.dense`); no library path
+builds it.
 
 Every region entropy is (|R| - g_R) log p with g_R the rank of the subgroup
 of stabilizers supported inside R: an exact integer multiple of log p.  For
 a pure state g_R = 2|R| - rank(G|_R), so each rank is one elimination over
 F_p on the region's own 2|R| columns and on the generators that touch R.
+The subgroup itself is the symplectic complement of G|_R in those columns,
+and its phases are read from the frame on R, so reductions are compared on
+the region alone.
 """
 
 from __future__ import annotations
@@ -55,23 +65,16 @@ from .errors import (
 )
 from .fusion import closed_form_fixed_point, double_zn_category, fusion_probabilities, quantum_dimensions
 from . import audit
-from .gfp import (
-    combine_rows,
-    left_nullspace_mod_p,
-    pauli_mul,
-    pauli_pow,
-    rank_mod_p,
-    rref_mod_p,
-)
+from .gfp import nullspace_mod_p, rank_mod_p, rref_mod_p
 
 SectorLabel = tuple[int, int]  # (electric charge, magnetic flux) in Z_p x Z_p
 
 _PRIMES = {2, 3, 5, 7, 11, 13}
 
-# Byte cap on generator storage.  A lattice is refused when its sparse
-# supports exceed it (square lattices up to 1447 x 1447 fit); the dense
-# E x 2E matrix, needed only by restricted bases and dense export, is
-# refused above it too (square lattices up to 44 x 44).
+# Byte cap on every large allocation.  A lattice is refused when its sparse
+# supports exceed it (square lattices up to 1447 x 1447 fit), a dense
+# reduction when its p^|R| x p^|R| complex matrix does, and the tests' dense
+# E x 2E generator matrix too (square lattices up to 44 x 44).
 GENS_BYTES_CAP = 2**28
 
 # Every toric-code generator acts on at most this many edges.
@@ -280,22 +283,26 @@ class SparseGenerators:
 
 @dataclass(frozen=True)
 class StabilizerState:
-    """Full-rank phased stabilizer generators over F_p."""
+    """Full-rank ground generators over F_p conjugated by the Pauli frame."""
 
     lattice: Lattice
     gens: SparseGenerators  # n_edges rows
-    phases: np.ndarray  # (n_edges,) mod p
+    frame: np.ndarray  # (2 n_edges,) mod p: the conjugating string's vector
     row_labels: tuple[tuple, ...]
 
     def __post_init__(self):
-        self.phases.setflags(write=False)
+        self.frame.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.lattice.n_edges
 
-    def with_phases(self, phases: np.ndarray) -> "StabilizerState":
-        return replace(self, phases=np.asarray(phases, dtype=np.int64) % self.lattice.prime)
+    @property
+    def phases(self) -> np.ndarray:
+        """Per-generator phase exponents gx . t_z - gz . t_x mod p (for tests)."""
+        E = self.n
+        w = np.concatenate([self.frame[E:], -self.frame[:E]])
+        return (self.gens.vals * w[self.gens.cols]).sum(axis=1) % self.lattice.prime
 
 
 def _check_commutation(gens: SparseGenerators, p: int) -> None:
@@ -394,7 +401,7 @@ def build_ground_state(lat: Lattice) -> StabilizerState:
     _check_commutation(gens, p)
     _check_independent(gens)
     return StabilizerState(
-        lattice=lat, gens=gens, phases=np.zeros(E, dtype=np.int64), row_labels=tuple(labels)
+        lattice=lat, gens=gens, frame=np.zeros(2 * E, dtype=np.int64), row_labels=tuple(labels)
     )
 
 
@@ -554,11 +561,7 @@ def flux_path_east(lat: Lattice, px: int, py: int, detour_column: int | None = N
 
 def conjugate_by_string(state: StabilizerState, t: np.ndarray) -> StabilizerState:
     """Conjugate the state by the Pauli string with symplectic vector t."""
-    E = state.n
-    # the phase shift gx @ tz - gz @ tx, summed over each row's own entries
-    w = np.concatenate([t[E:], -t[:E]])
-    shift = (state.gens.vals * w[state.gens.cols]).sum(axis=1)
-    return state.with_phases(state.phases + shift)
+    return replace(state, frame=(state.frame + np.asarray(t, dtype=np.int64)) % state.lattice.prime)
 
 
 def create_sector(
@@ -628,16 +631,23 @@ def sector_family(
 # entropies
 
 
-def _outside_columns(state: StabilizerState, region: tuple[int, ...]) -> np.ndarray:
-    E = state.n
-    outside = np.setdiff1d(np.arange(E), np.asarray(region, dtype=np.int64))
-    return np.concatenate([outside, outside + E])
-
-
 def _region_columns(state: StabilizerState, region: tuple[int, ...]) -> np.ndarray:
     """The region's X columns then its Z columns, over its sorted, unique edges."""
     edges = np.unique(np.asarray(region, dtype=np.int64))
     return np.concatenate([edges, edges + state.n])
+
+
+def _embed(state: StabilizerState, edges: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """A vector on the sorted edges' X then Z columns, at the full 2 n_edges width."""
+    vec = np.zeros(2 * state.n, dtype=np.int64)
+    vec[_region_columns(state, edges)] = local
+    return vec
+
+
+def _pairing(vecs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The phase v_x . t_z - v_z . t_x of each vector v under the frame t, on one column layout."""
+    n = len(t) // 2
+    return vecs[..., :n] @ t[n:] - vecs[..., n:] @ t[:n]
 
 
 def region_rank(state: StabilizerState, region: tuple[int, ...]) -> int:
@@ -701,25 +711,23 @@ def annulus_cmi(state: StabilizerState, part: AnnulusPartition) -> float:
 def restricted_canonical(
     state: StabilizerState, region: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-free canonical basis (vecs, coeffs) of the stabilizer subgroup in a region.
+    """Phase-free canonical basis (edges, vecs) of the stabilizer subgroup in a region.
 
-    The group is N_R @ gens with N_R the left nullspace of the generators'
-    off-region columns.  `vecs` is the RREF of its Pauli vectors, unique for
-    the group, and `coeffs[r]` the generator coefficients with
-    vecs[r] = coeffs[r] @ gens mod p (unique, as the generators are
-    independent).  Neither depends on the phases, so one basis serves every
-    state on the same generator matrix.  N_R @ gens vanishes off the region,
-    so it is formed and reduced on the region's columns only.  The nullspace
-    needs the dense generator matrix, so the lattice must fit its cap.
+    `edges` are the region's sorted, unique edges and `vecs` the RREF over
+    F_p of the subgroup's Pauli vectors on their X then Z columns, unique for
+    the group, with g_R rows.  The stabilizer group of a pure state is its
+    own symplectic complement, so a vector supported in R belongs to it iff
+    it pairs to zero with every generator's part on R: the group is the
+    nullspace of [B_z | -B_x] for B = G|_R (Fattal et al., quant-ph/0406168),
+    and only the generators that touch R enter B.  The basis does not see
+    the frame, so one basis serves every state on the same generators.
     """
+    edges = np.unique(np.asarray(region, dtype=np.int64))
+    n = len(edges)
+    block = state.gens.block(state.gens.rows_on(edges), edges)
     p = state.lattice.prime
-    gens = state.gens.dense()
-    null = left_nullspace_mod_p(gens[:, _outside_columns(state, region)], p)
-    cols = _region_columns(state, region)
-    red, _ = rref_mod_p(np.hstack([null @ gens[:, cols], null]), p)
-    vecs = np.zeros((len(red), 2 * state.n), dtype=np.int64)
-    vecs[:, cols] = red[:, : len(cols)]
-    return vecs, red[:, len(cols):]
+    vecs, _ = rref_mod_p(nullspace_mod_p(np.hstack([block[:, n:], -block[:, :n]]), p), p)
+    return edges, vecs
 
 
 def pauli_repr(state: StabilizerState, vec: np.ndarray) -> str:
@@ -727,7 +735,7 @@ def pauli_repr(state: StabilizerState, vec: np.ndarray) -> str:
     lat = state.lattice
     E = state.n
     parts = []
-    for e in range(E):
+    for e in np.flatnonzero(vec[:E] | vec[E:]):
         labels = []
         if vec[e]:
             labels.append(f"X^{int(vec[e])}")
@@ -752,15 +760,17 @@ def _shared_gens(states) -> StabilizerState:
 def _phase_test(basis, state1: StabilizerState, state2: StabilizerState) -> tuple[str, str | None]:
     """'orthogonal' with the first basis element whose phases differ, else 'equal'.
 
-    The element c @ gens carries the phase c . phases + Q(c), where Q depends
-    on the generators alone, so two states on one generator matrix disagree
-    on it iff c . (phases1 - phases2) != 0 mod p.
+    The element v carries the phase v_x . t_z - v_z . t_x under the frame t,
+    so two states on one generator matrix disagree on it iff v pairs to a
+    nonzero value with the frame difference on R's columns.
     """
-    vecs, coeffs = basis
-    hit = np.flatnonzero(coeffs @ (state1.phases - state2.phases) % state1.lattice.prime)
+    edges, vecs = basis
+    cols = _region_columns(state1, edges)
+    diff = state1.frame[cols] - state2.frame[cols]
+    hit = np.flatnonzero(_pairing(vecs, diff) % state1.lattice.prime)
     if hit.size == 0:
         return "equal", None
-    return "orthogonal", pauli_repr(state1, vecs[hit[0]])
+    return "orthogonal", pauli_repr(state1, _embed(state1, edges, vecs[hit[0]]))
 
 
 def reduction_relation(
@@ -778,50 +788,38 @@ def reduction_relation(
     return _phase_test(restricted_canonical(state1, region), state1, state2)
 
 
-DENSE_GROUP_CAP = 2**16
-
-
 def region_density(state: StabilizerState, region) -> DensityOperator:
     """Dense export of a reduction: rho_R = p^{-|R|} sum over the restricted group.
 
-    Only regions with p^|R| within the dense operator cap are allowed.
+    Each element v of the group enters as omega^phase X^{v_x} Z^{v_z}, with
+    its phase read from the frame.  A region whose p^|R| x p^|R| complex
+    matrix would exceed GENS_BYTES_CAP is refused before anything is built.
     """
     region = tuple(sorted(set(int(e) for e in region)))
     p = state.lattice.prime
     dim = p ** len(region)
-    if dim > 2**14:
-        raise DimensionCap(f"p^|R| = {dim} exceeds the dense operator cap")
-    _, coeffs = restricted_canonical(state, region)
-    if p ** len(coeffs) > DENSE_GROUP_CAP:
-        raise DimensionCap("restricted group too large to enumerate")
-    E = state.n
-    gens = state.gens.dense()
-    basis = [combine_rows(gens, state.phases, c, E, p) for c in coeffs]
+    if 16 * dim * dim > GENS_BYTES_CAP:
+        raise DimensionCap(f"p^|R| = {dim}: the dense reduction is over the {GENS_BYTES_CAP}-byte cap")
+    edges, vecs = restricted_canonical(state, region)
+    n = len(edges)
+    frame = state.frame[_region_columns(state, edges)]
     omega = np.exp(2j * np.pi / p)
-    xmat = np.zeros((p, p), dtype=complex)
-    for j in range(p):
-        xmat[(j + 1) % p, j] = 1.0
+    xmat = np.roll(np.eye(p, dtype=complex), 1, axis=0)  # X|j> = |j + 1>
     zmat = np.diag(omega ** np.arange(p))
 
     def embed(vec, phase):
         op = np.array([[omega**phase]])
-        for e in region:
-            local = np.linalg.matrix_power(xmat, int(vec[e])) @ np.linalg.matrix_power(
-                zmat, int(vec[E + e])
+        for k in range(n):
+            local = np.linalg.matrix_power(xmat, int(vec[k])) @ np.linalg.matrix_power(
+                zmat, int(vec[n + k])
             )
             op = np.kron(op, local)
         return op
 
     total = np.zeros((dim, dim), dtype=complex)
-    for exps in iproduct(range(p), repeat=len(basis)):
-        vec = np.zeros(2 * E, dtype=np.int64)
-        phase = 0
-        for i, e in enumerate(exps):
-            if e:
-                v, f = basis[i]
-                pv, pf = pauli_pow(v, f, e, E, p)
-                vec, phase = pauli_mul(vec, phase, pv, pf, E, p)
-        total += embed(vec, phase)
+    for exps in iproduct(range(p), repeat=len(vecs)):
+        vec = np.array(exps, dtype=np.int64) @ vecs % p
+        total += embed(vec, int(_pairing(vec, frame) % p))
     total /= dim
     space = FactorSpace(tuple((e, p) for e in region))
     return DensityOperator(space, total)
@@ -838,14 +836,11 @@ def _combine_label_rows(state: StabilizerState, wanted: set) -> tuple[np.ndarray
         missing = wanted - {state.row_labels[i] for i in idx}
         raise MalformedInput(f"rows not present: {sorted(missing)[:3]}")
     gens = state.gens
+    p = state.lattice.prime
     edges = np.unique(gens.cols[idx][gens.vals[idx] != 0] % state.n)
-    local, phase = combine_rows(
-        gens.block(idx, edges), state.phases[idx], np.ones(len(idx), dtype=np.int64),
-        len(edges), state.lattice.prime,
-    )
-    vec = np.zeros(2 * state.n, dtype=np.int64)
-    vec[_region_columns(state, edges)] = local
-    return vec, phase
+    local = gens.block(idx, edges).sum(axis=0) % p
+    phase = int(_pairing(local, state.frame[_region_columns(state, edges)]) % p)
+    return _embed(state, edges, local), phase
 
 
 def charge_detector(state: StabilizerState, part: AnnulusPartition) -> tuple[np.ndarray, int]:

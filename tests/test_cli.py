@@ -75,12 +75,26 @@ class TestStabilizerCommand:
         assert code == 0
         assert report["data"]["certificates"]["0,0"]["coefficient"] == 2
 
-    def test_assumptions_above_dense_cap_refused_before_build(self, capsys, monkeypatch):
+    def test_assumptions_limited_only_by_storage_cap(self, capsys, monkeypatch, tmp_path):
+        # restricted bases are computed on the regions' own columns, so a
+        # 64 x 64 assumption run passes; an oversize lattice still fails
+        # before anything is built
+        code, report = run_json(
+            ["stabilizer", "--p", "2", "--size", "64", "--widths", "2", "--assumptions"], tmp_path
+        )
+        assert code == 0
+        checks = {c["name"]: c["passed"] for c in report["results"] if c["name"].startswith("assumption_")}
+        assert checks == {
+            "assumption_global_distinguishability": True,
+            "assumption_local_indistinguishability": True,
+            "assumption_fusion": True,
+        }
+
         def no_build(lat):
             raise AssertionError("build_ground_state ran")
 
         monkeypatch.setattr(stabilizer, "build_ground_state", no_build)
-        assert cli.main(["stabilizer", "--p", "2", "--size", "45", "--assumptions"]) == 2
+        assert cli.main(["stabilizer", "--p", "2", "--size", "5000", "--assumptions"]) == 2
         assert "cap" in capsys.readouterr().err
 
     def test_stage_timings_outside_canonical_report(self, tmp_path):

@@ -1,7 +1,8 @@
 """Property tests: the sparse ground-state build against the dense
-construction it replaced, region-local ranks against the complement-rank
-oracle and dense reductions on random valid annulus geometries and primes,
-and rank_mod_p against a brute-force span count."""
+construction it replaced, region-local ranks, restricted bases, frame
+phases and dense reductions against the dense-matrix oracles on random
+valid annulus geometries and primes, and rank_mod_p against a brute-force
+span count."""
 
 from functools import lru_cache
 from itertools import product
@@ -30,6 +31,60 @@ def complement_rank(state: st.StabilizerState, region) -> int:
     outside = np.setdiff1d(np.arange(E), np.asarray(region, dtype=np.int64))
     cols = np.concatenate([outside, outside + E])
     return E - gfp.rank_mod_p(state.gens.dense()[:, cols], state.lattice.prime)
+
+
+def dense_restricted(state: st.StabilizerState, region) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: the restricted group from the dense matrix.  The left nullspace
+    of the off-region columns combines the generators into the group; one
+    RREF gives (Pauli vectors at full width, generator coefficients)."""
+    p, E = state.lattice.prime, state.n
+    gens = state.gens.dense()
+    outside = np.setdiff1d(np.arange(E), np.asarray(region, dtype=np.int64))
+    null = gfp.left_nullspace_mod_p(gens[:, np.concatenate([outside, outside + E])], p)
+    red, _ = gfp.rref_mod_p(np.hstack([null @ gens, null]), p)
+    return red[:, : 2 * E], red[:, 2 * E:]
+
+
+def dense_region_density(state: st.StabilizerState, region) -> np.ndarray:
+    """Oracle: the reduction summed over the group, each element formed from
+    the dense generators and their phases by the XZ-ordered product rule."""
+    region = sorted(set(region))
+    p, E = state.lattice.prime, state.n
+    gens = state.gens.dense()
+    _, coeffs = dense_restricted(state, region)
+    basis = [gfp.combine_rows(gens, state.phases, c, E, p) for c in coeffs]
+    omega = np.exp(2j * np.pi / p)
+    xmat = np.roll(np.eye(p), 1, axis=0)
+    zmat = np.diag(omega ** np.arange(p))
+    dim = p ** len(region)
+    total = np.zeros((dim, dim), dtype=complex)
+    for exps in product(range(p), repeat=len(basis)):
+        vec, phase = np.zeros(2 * E, dtype=np.int64), 0
+        for (v, f), e in zip(basis, exps):
+            vec, phase = gfp.pauli_mul(vec, phase, *gfp.pauli_pow(v, f, e, E, p), E, p)
+        op = np.array([[omega**phase]])
+        for e in region:
+            local = np.linalg.matrix_power(xmat, int(vec[e])) @ np.linalg.matrix_power(zmat, int(vec[E + e]))
+            op = np.kron(op, local)
+        total += op
+    return total / dim
+
+
+def repr_all_edges(state: st.StabilizerState, vec: np.ndarray) -> str:
+    """Oracle: pauli_repr's loop over every edge of the lattice."""
+    E = state.n
+    parts = []
+    for e in range(E):
+        labels = []
+        if vec[e]:
+            labels.append(f"X^{int(vec[e])}")
+        if vec[E + e]:
+            labels.append(f"Z^{int(vec[E + e])}")
+        if labels:
+            mx, my = state.lattice.edge_midpoints[e]
+            kind = "h" if my % 2 == 0 else "v"
+            parts.append(f"{'.'.join(labels)}[{kind}({mx},{my})]")
+    return " ".join(parts) if parts else "I"
 
 
 def dense_build(lat: st.Lattice) -> np.ndarray:
@@ -181,6 +236,66 @@ def test_region_rank_matches_complement_oracle(part, data):
     assert cert.coefficient == 2
 
 
+def framed(lat: st.Lattice, data) -> st.StabilizerState:
+    """The ground state conjugated by two random Pauli strings."""
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
+    state = ground(lat.width, lat.height, lat.prime)
+    for _ in range(2):
+        state = st.conjugate_by_string(state, rng.integers(0, lat.prime, size=2 * lat.n_edges))
+    assert ((0 <= state.frame) & (state.frame < lat.prime)).all()
+    return state
+
+
+def sheared(state: st.StabilizerState, edges) -> st.StabilizerState:
+    """The state after a phase gate (x, z) -> (x, z + x) on each of the edges:
+    still pure, but its generators mix X and Z (not CSS)."""
+    E, p = state.n, state.lattice.prime
+    mat = state.gens.dense()
+    edges = np.asarray(sorted(set(edges)), dtype=np.int64)
+    mat[:, E + edges] = (mat[:, E + edges] + mat[:, edges]) % p
+    rows, cols = np.nonzero(mat)
+    width = np.bincount(rows, minlength=E).max()
+    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    gc, gv = np.zeros((E, width), dtype=np.int64), np.zeros((E, width), dtype=np.int64)
+    gc[rows, slot], gv[rows, slot] = cols, mat[rows, cols]
+    gens = st.SparseGenerators(cols=gc, vals=gv, n_edges=E)
+    return st.StabilizerState(lattice=state.lattice, gens=gens, frame=state.frame.copy(), row_labels=state.row_labels)
+
+
+@settings(max_examples=25, deadline=None)
+@given(part=annuli(), data=hst.data())
+def test_local_restricted_basis_matches_dense_oracle(part, data):
+    lat = part.lattice
+    p, E = lat.prime, lat.n_edges
+    state = framed(lat, data)
+    gens = state.gens.dense()
+    t = state.frame
+    regions = {name: part.region_edges(name) for name in ("AB", "BC", "B", "ABC")}
+    for i, edges in enumerate(_edge_sets(data.draw, E, 2)):
+        regions[f"random{i}"] = edges
+    for name, region in regions.items():
+        edges, local = st.restricted_canonical(state, region)
+        vecs = np.zeros((len(local), 2 * E), dtype=np.int64)
+        vecs[:, np.concatenate([edges, edges + E])] = local
+        want, coeffs = dense_restricted(state, region)
+        np.testing.assert_array_equal(vecs, want, err_msg=name)
+        assert len(local) == st.region_rank(state, region), name
+        for vec, c in zip(vecs, coeffs):
+            # the frame phase of the module docstring against the product of
+            # the phased generator rows
+            combined, phase = gfp.combine_rows(gens, state.phases, c, E, p)
+            np.testing.assert_array_equal(combined, vec)
+            assert (vec[:E] @ t[E:] - vec[E:] @ t[:E]) % p == phase, name
+
+    # the symplectic complement holds for any pure state, not only CSS ones
+    mixed = sheared(state, regions["random0"][::2] + regions["AB"][::3])
+    for name, region in regions.items():
+        edges, local = st.restricted_canonical(mixed, region)
+        vecs = np.zeros((len(local), 2 * E), dtype=np.int64)
+        vecs[:, np.concatenate([edges, edges + E])] = local
+        np.testing.assert_array_equal(vecs, dense_restricted(mixed, region)[0], err_msg=f"sheared {name}")
+
+
 @settings(max_examples=25, deadline=None)
 @given(part=annuli(), data=hst.data())
 def test_strong_subadditivity_on_random_edge_sets(part, data):
@@ -216,6 +331,33 @@ def test_dense_reduction_entropy_matches_rank_entropy(part, data):
     region = data.draw(hst.sets(hst.sampled_from(sorted(pool)), min_size=1, max_size=max_edges))
     rho = st.region_density(state, region)
     assert abs(dense.von_neumann_entropy(rho) - st.region_entropy(state, region)) < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(part=annuli(), data=hst.data())
+def test_region_density_matches_dense_oracle(part, data):
+    lat = part.lattice
+    state = framed(lat, data)
+    # a small region as in the entropy test above, under a random frame
+    x, y = data.draw(hst.integers(0, lat.width - 1)), data.draw(hst.integers(0, lat.height - 1))
+    pool = {e for e, _ in lat.plaquette_boundary(x, y)}
+    pool |= {e for e, _ in lat.vertex_star(x, y)} | {e for e, _ in lat.vertex_star(x + 1, y + 1)}
+    max_edges = max(k for k in range(1, len(pool) + 1) if lat.prime**k <= DENSE_DIM_CAP)
+    region = data.draw(hst.sets(hst.sampled_from(sorted(pool)), min_size=1, max_size=max_edges))
+    want = dense_region_density(state, region)
+    assert np.abs(st.region_density(state, region).matrix - want).max() < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    width=hst.integers(4, 8), height=hst.integers(4, 8), p=hst.sampled_from(PRIMES), data=hst.data()
+)
+def test_pauli_repr_matches_all_edges_loop(width, height, p, data):
+    state = ground(width, height, p)
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
+    density = data.draw(hst.sampled_from((0.0, 0.05, 0.5)))
+    vec = rng.integers(0, p, size=2 * state.n) * (rng.random(2 * state.n) < density)
+    assert st.pauli_repr(state, vec) == repr_all_edges(state, vec)
 
 
 @settings(max_examples=15, deadline=None)

@@ -547,3 +547,19 @@ class TestDenseImport:
         big = part.region_edges("ABC")
         with pytest.raises(DimensionCap):
             st.region_density(toric12_sectors[(0, 0)], big)
+
+    def test_dense_cap_is_the_byte_cap(self, toric12, toric12_sectors, monkeypatch):
+        # 13 qubits: a 2^13 x 2^13 complex matrix is 1 GiB, over the 2^28-byte
+        # cap that 12 qubits meet exactly; refused before the group is formed
+        lat, _, part = toric12
+        region = part.region_edges("AB")[:13]
+        assert 16 * 4**12 == st.GENS_BYTES_CAP < 16 * 4**13
+
+        def no_basis(state, region):
+            raise AssertionError("restricted_canonical ran")
+
+        monkeypatch.setattr(st, "restricted_canonical", no_basis)
+        with pytest.raises(DimensionCap, match="cap"):
+            st.region_density(toric12_sectors[(0, 0)], region)
+        with pytest.raises(AssertionError, match="restricted_canonical ran"):
+            st.region_density(toric12_sectors[(0, 0)], region[:12])
