@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDistribution,
+    DimensionCap,
     EpsilonOutOfRange,
     MalformedInput,
     PremiseViolated,
@@ -33,6 +34,10 @@ from .errors import (
 from .fusion import AnyonDistribution, FusionProbabilities, bound_constant
 
 MARGIN_TOL = 1e-9
+
+# Byte cap on the Taylor sweep's arrays, about 64 L^2 bytes per grid point:
+# the (L, L, G) margins and a few (G, L, L) blocks of one label pair.
+SWEEP_BYTES_CAP = 2**28
 
 TRACE_SCHEMA = "teelab-trace/v1"
 
@@ -364,58 +369,72 @@ def taylor_bound_sweep(
       concavity:  sum_s p*_s H(p_{.,s}) <= H(p*)
       combined:   H(p) - sum_s p*_s H(p_{.,s}) >= eps log(p*_c/p*_b) - 2 eps^2 / pmin
 
-    where p_{a,s} = sum_b p_b fp[s,b,a].  `trials` adds seeded random eps
-    values per pair on top of the uniform grid.
+    where p_{a,s} = sum_b p_b fp[s,b,a].  The grid is `eps_points` uniform
+    values on [-pmin/2, pmin/2] followed by `trials` seeded random ones, so
+    `evaluations = L^2 (eps_points + trials)` for L labels.  An empty or
+    negative grid is MalformedInput, and a grid whose arrays would pass
+    SWEEP_BYTES_CAP is DimensionCap, both before any work.
+
+    The sweep runs as one array program per label pair (b, c): the (G, L)
+    block P[g] = p* + eps_g (delta_b - delta_c) over the whole grid, its
+    fused distributions as one (G, L, L) einsum, and the entropies along the
+    last axis with a masked log.  Each margin is formed with the arithmetic
+    of a per-point loop (`tests/oracles.py`): +eps at b before -eps at c,
+    and the sum over s in order from 0.  numpy sums a last axis of fewer
+    than 8 entries in order, so for L <= 7 (every bundled category) the
+    zeros of the masked log add exactly and the report equals the loop's
+    bit for bit.  `worst_case` is the first (b, c, eps) in (b, c, grid)
+    order at which min(taylor, concavity, combined) reaches its minimum.
     """
+    if eps_points < 2:
+        raise MalformedInput(f"the eps grid needs at least 2 points, got {eps_points}")
+    if trials < 0:
+        raise MalformedInput(f"trials must be non-negative, got {trials}")
     if tuple(p_star.labels) != tuple(fp.labels):
         raise MalformedInput("labels do not match")
+    n, G = len(fp.labels), eps_points + trials
+    if 64 * n * n * G > SWEEP_BYTES_CAP:
+        raise DimensionCap(f"a sweep of {G} eps points over {n} labels is over the {SWEEP_BYTES_CAP}-byte cap")
     probs = p_star.probs
     if float(probs.min()) <= 0.0:
         raise DegenerateDistribution("sweep needs a strictly positive fixed point")
     pmin = float(probs.min())
     h_star = p_star.entropy()
-    grid = list(np.linspace(-pmin / 2, pmin / 2, eps_points))
+    grid = np.linspace(-pmin / 2, pmin / 2, eps_points)
     if trials:
         rng = np.random.default_rng(seed)
-        grid += list(rng.uniform(-pmin / 2, pmin / 2, size=trials))
-
-    def shannon(v: np.ndarray) -> float:
-        w = v[v > 0]
-        return float(-(w * np.log(w)).sum())
-
-    worst_taylor = worst_conc = worst_comb = math.inf
-    worst_case = ("", "", 0.0)
-    count = 0
-    labels = fp.labels
-    for bi, lb in enumerate(labels):
-        for ci, lc in enumerate(labels):
-            base_log = math.log(probs[ci] / probs[bi])
-            for eps in grid:
-                p = probs.copy()
-                p[bi] += eps
-                p[ci] -= eps
-                h_p = shannon(p)
-                # p_{a,s} for every s at once: mixed[s, a] = sum_b p_b fp[s, b, a]
-                mixed = np.einsum("b,sba->sa", p, fp.p)
-                h_mixed = float(sum(probs[s] * shannon(mixed[s]) for s in range(len(labels))))
-                taylor = h_p - (h_star + eps * base_log - 2.0 * eps**2 / pmin)
-                conc = h_star - h_mixed
-                comb = (h_p - h_mixed) - (eps * base_log - 2.0 * eps**2 / pmin)
-                count += 1
-                if min(taylor, conc, comb) < min(worst_taylor, worst_conc, worst_comb):
-                    worst_case = (lb, lc, float(eps))
-                worst_taylor = min(worst_taylor, taylor)
-                worst_conc = min(worst_conc, conc)
-                worst_comb = min(worst_comb, comb)
-    passed = min(worst_taylor, worst_conc, worst_comb) >= -MARGIN_TOL
+        grid = np.concatenate([grid, rng.uniform(-pmin / 2, pmin / 2, size=trials)])
+    quad = 2.0 * grid**2 / pmin
+    taylor, conc, comb = np.empty((3, n, n, G))
+    for bi in range(n):
+        for ci in range(n):
+            P = np.tile(probs, (G, 1))  # P[g] = p* + eps_g (delta_b - delta_c)
+            P[:, bi] += grid
+            P[:, ci] -= grid
+            h_p = _shannon_last_axis(P)
+            h_s = _shannon_last_axis(np.einsum("gb,sba->gsa", P, fp.p))
+            h_mixed = 0.0
+            for s in range(n):
+                h_mixed = h_mixed + probs[s] * h_s[:, s]
+            linear = math.log(probs[ci] / probs[bi]) * grid
+            taylor[bi, ci] = h_p - (h_star + linear - quad)
+            conc[bi, ci] = h_star - h_mixed
+            comb[bi, ci] = (h_p - h_mixed) - (linear - quad)
+    worst_taylor, worst_conc, worst_comb = (float(m.min()) for m in (taylor, conc, comb))
+    b, c, g = np.unravel_index(int(np.minimum(np.minimum(taylor, conc), comb).argmin()), (n, n, G))
     return TaylorSweepReport(
         worst_taylor=worst_taylor,
         worst_concavity=worst_conc,
         worst_combined=worst_comb,
-        evaluations=count,
-        passed=passed,
-        worst_case=worst_case,
+        evaluations=n * n * G,
+        passed=min(worst_taylor, worst_conc, worst_comb) >= -MARGIN_TOL,
+        worst_case=(fp.labels[b], fp.labels[c], float(grid[g])),
     )
+
+
+def _shannon_last_axis(v: np.ndarray) -> np.ndarray:
+    """Shannon entropies (nats) along the last axis; zero entries contribute 0."""
+    return -(v * np.log(np.where(v > 0, v, 1.0))).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,13 @@ FIXED_POINT_STEP_TOL = 1e-14
 # domain types
 
 
+def _label_index(labels: tuple[str, ...], label: str) -> int:
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise MalformedInput(f"unknown label {label!r}") from None
+
+
 @dataclass(frozen=True)
 class FusionCategory:
     """A fusion ring: ordered labels, a distinguished unit, duals, and the
@@ -49,10 +56,7 @@ class FusionCategory:
         self.N.setflags(write=False)
 
     def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise MalformedInput(f"unknown label {label!r}") from None
+        return _label_index(self.labels, label)
 
     @property
     def n_labels(self) -> int:
@@ -74,7 +78,7 @@ class QuantumDims:
         self.d.setflags(write=False)
 
     def of(self, label: str) -> float:
-        return float(self.d[self.labels.index(label)])
+        return float(self.d[_label_index(self.labels, label)])
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ class FusionProbabilities:
         return len(self.labels)
 
     def index(self, label: str) -> int:
-        return self.labels.index(label)
+        return _label_index(self.labels, label)
 
     def prob(self, s: str, a: str, b: str) -> float:
         i = self.index
@@ -131,7 +135,7 @@ class AnyonDistribution:
         probs.setflags(write=False)
 
     def of(self, label: str) -> float:
-        return float(self.probs[self.labels.index(label)])
+        return float(self.probs[_label_index(self.labels, label)])
 
     def entropy(self) -> float:
         """Shannon entropy in nats."""

@@ -8,7 +8,9 @@ import pytest
 from teelab import audit, fusion, ring
 from teelab.audit import AuditTrace
 from teelab.errors import EpsilonOutOfRange, MalformedInput, PremiseViolated
-from teelab.fusion import AnyonDistribution
+from teelab.fusion import AnyonDistribution, FusionProbabilities
+
+from oracles import taylor_bound_sweep_loop
 
 LN2 = math.log(2)
 
@@ -248,6 +250,44 @@ class TestTaylorSweep:
         more = audit.taylor_bound_sweep(p_star, fp, trials=10, eps_points=5, seed=1)
         assert more.evaluations == base.evaluations + 10 * len(fp.labels) ** 2
         assert more.passed
+
+    @pytest.mark.parametrize("name", fusion.bundled_category_names())
+    def test_matches_loop_oracle_on_bundled_categories(self, categories, name):
+        _, dims, fp = categories[name]
+        p_star = fusion.closed_form_fixed_point(dims)
+        for trials in (0, 400):
+            for seed in (1, 2, 3):
+                fast = audit.taylor_bound_sweep(p_star, fp, trials=trials, seed=seed)
+                assert fast == taylor_bound_sweep_loop(p_star, fp, trials=trials, seed=seed)
+
+    def test_random_tensor_fails_concavity(self):
+        # a row-stochastic tensor that is no fusion algebra breaks concavity:
+        # the sweep is not true by construction
+        rng = np.random.default_rng(0)
+        p = rng.random((4, 4, 4))
+        p /= p.sum(axis=2, keepdims=True)
+        q = rng.random(4)
+        labels = ("a", "b", "c", "d")
+        fp = FusionProbabilities(labels, p)
+        p_star = AnyonDistribution(labels, q / q.sum())
+        fast = audit.taylor_bound_sweep(p_star, fp)
+        assert fast == taylor_bound_sweep_loop(p_star, fp)
+        assert not fast.passed
+        assert fast.worst_concavity == pytest.approx(-0.1257, abs=1e-4)
+
+    def test_worst_case_is_first_of_exact_ties(self):
+        # every fusion lands on label 0, so concavity and the combined bound
+        # hold with room; the Taylor margin is exactly 0 at eps = 0 for every
+        # (b, c) and positive elsewhere: the first pair in loop order wins
+        labels = ("x", "y", "z")
+        p = np.zeros((3, 3, 3))
+        p[:, :, 0] = 1.0
+        fp = FusionProbabilities(labels, p)
+        p_star = AnyonDistribution(labels, np.array([0.5, 0.3, 0.2]))
+        fast = audit.taylor_bound_sweep(p_star, fp, eps_points=3)
+        assert fast == taylor_bound_sweep_loop(p_star, fp, eps_points=3)
+        assert fast.worst_taylor == 0.0
+        assert fast.worst_case == ("x", "x", 0.0)
 
 
 class TestTracePersistence:

@@ -39,6 +39,10 @@ class TestFusionCommand:
         assert cli.main(["fusion"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_unknown_base_label_is_config_error(self, capsys):
+        assert cli.main(["fusion", "--category", "z2", "--a0", "bogus"]) == 2
+        assert "unknown label 'bogus'" in capsys.readouterr().err
+
 
 class TestRingCommand:
     def test_q3_with_enumeration(self, tmp_path):
@@ -278,3 +282,14 @@ class TestFusionTaylorSweep:
         sweep = next(c for c in report["results"] if c["name"] == "taylor_sweep")
         assert sweep["passed"]
         assert sweep["evaluations"] == 9 * 41 + 9 * 7
+
+    @pytest.mark.parametrize("flags", [["--taylor-points", "0"], ["--taylor-points", "-3"], ["--trials", "-1"]])
+    def test_empty_or_negative_grid_is_config_error(self, capsys, flags):
+        # an empty grid would pass the sweep vacuously with 0 evaluations
+        assert cli.main(["fusion", "--category", "z2", *flags]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_oversize_grid_is_config_error(self, capsys):
+        # refused before the sweep allocates its arrays
+        assert cli.main(["fusion", "--category", "z7", "--trials", "10000000"]) == 2
+        assert "cap" in capsys.readouterr().err

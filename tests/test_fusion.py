@@ -13,21 +13,9 @@ from teelab.errors import (
 )
 from teelab.fusion import AnyonDistribution
 
+from oracles import brute_force_associative
+
 GOLDEN = (1 + math.sqrt(5)) / 2
-
-
-def brute_force_associative(N: np.ndarray) -> bool:
-    """Independent associativity oracle: direct enumeration over all quadruples."""
-    n = N.shape[0]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    lhs = sum(N[a, b, e] * N[e, c, d] for e in range(n))
-                    rhs = sum(N[b, c, f] * N[a, f, d] for f in range(n))
-                    if lhs != rhs:
-                        return False
-    return True
 
 
 class TestLoadCategory:
@@ -82,6 +70,13 @@ class TestLoadCategory:
     def test_unknown_label_in_table(self):
         with pytest.raises(MalformedInput, match="unknown label"):
             fusion.load_category({"labels": ["1"], "N": {"x": {"1": {"1": 1}}}})
+
+    def test_unknown_label_lookups(self, categories):
+        cat, dims, fp = categories["ising"]
+        lookups = (cat.index, dims.of, fp.index, fusion.closed_form_fixed_point(dims).of)
+        for lookup in lookups:
+            with pytest.raises(MalformedInput, match="unknown label 'bogus'"):
+                lookup("bogus")
 
     def test_no_unit(self):
         doc = {"labels": ["a", "b"], "N": {"a": {"a": {"b": 1}}, "b": {"b": {"a": 1}}}}

@@ -1,9 +1,12 @@
 """Property tests: the sparse ground-state build against the dense
 construction it replaced, region-local ranks, restricted bases, frame
 phases and dense reductions against the dense-matrix oracles on random
-valid annulus geometries and primes, and rank_mod_p against a brute-force
-span count."""
+valid annulus geometries and primes, rank_mod_p against a brute-force
+span count, the array Taylor sweep against its loop oracle on random
+row-stochastic tensors, and fusion-table validation against a brute-force
+fusion-ring check on randomly edited bundled tables."""
 
+import re
 from functools import lru_cache
 from itertools import product
 
@@ -14,8 +17,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as hst  # noqa: E402
 
-from teelab import dense, gfp, stabilizer as st  # noqa: E402
-from teelab.errors import RankDeficiency  # noqa: E402
+from teelab import audit, dense, fusion, gfp, stabilizer as st  # noqa: E402
+from teelab.errors import InvalidCategory, MalformedInput, RankDeficiency  # noqa: E402
+
+from oracles import is_fusion_ring, taylor_bound_sweep_loop  # noqa: E402
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -391,3 +396,72 @@ def test_rank_mod_p_matches_span_count(p, shape, data):
     mat = np.array(entries, dtype=np.int64).reshape(rows, cols)
     span = {tuple(np.array(x, dtype=np.int64) @ mat % p) for x in product(range(p), repeat=rows)}
     assert len(span) == p ** gfp.rank_mod_p(mat, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=hst.integers(1, 7),
+    eps_points=hst.integers(2, 12),
+    trials=hst.integers(0, 8),
+    seed=hst.integers(0, 2**32 - 1),
+    data=hst.data(),
+)
+def test_taylor_sweep_matches_loop_oracle(n, eps_points, trials, seed, data):
+    weight = hst.one_of(hst.just(0.0), hst.floats(0.01, 1.0))
+    raw = np.array(data.draw(hst.lists(weight, min_size=n**3, max_size=n**3))).reshape(n, n, n)
+    raw[:, :, 0] += raw.sum(axis=2) == 0  # no empty row
+    q = np.array(data.draw(hst.lists(hst.floats(0.01, 1.0), min_size=n, max_size=n)))
+    labels = tuple(f"l{i}" for i in range(n))
+    fp = fusion.FusionProbabilities(labels, raw / raw.sum(axis=2, keepdims=True))
+    p_star = fusion.AnyonDistribution(labels, q / q.sum())
+    args = dict(trials=trials, eps_points=eps_points, seed=seed)
+    assert audit.taylor_bound_sweep(p_star, fp, **args) == taylor_bound_sweep_loop(p_star, fp, **args)
+
+
+def table_document(cat: fusion.FusionCategory, N: np.ndarray) -> dict:
+    labels = cat.labels
+    return {
+        "labels": list(labels),
+        "N": {
+            labels[a]: {
+                labels[b]: {labels[c]: int(N[a, b, c]) for c in np.nonzero(N[a, b])[0]}
+                for b in range(len(labels))
+            }
+            for a in range(len(labels))
+        },
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=hst.sampled_from(fusion.bundled_category_names()),
+    edit=hst.sampled_from(("change", "drop", "dual")),
+    data=hst.data(),
+)
+def test_edited_fusion_table_rejected_by_name_or_still_a_ring(name, edit, data):
+    cat = fusion.bundled_category(name)
+    n = cat.n_labels
+    N = cat.N.copy()
+    dual = None
+    if edit == "change":
+        a, b, c = data.draw(hst.tuples(*[hst.integers(0, n - 1)] * 3))
+        N[a, b, c] = data.draw(hst.integers(0, 3).filter(lambda v: v != cat.N[a, b, c]))
+    elif edit == "drop":
+        a, b, c = data.draw(hst.sampled_from([tuple(int(i) for i in idx) for idx in np.argwhere(N)]))
+        N[a, b, c] = 0
+    else:
+        a = data.draw(hst.sampled_from(cat.labels))
+        dual = dict(cat.dual)
+        dual[a] = data.draw(hst.sampled_from([lab for lab in cat.labels if lab != cat.dual[a]]))
+    doc = table_document(cat, N)
+    if dual is not None:
+        doc["dual"] = dual
+    valid = is_fusion_ring(N, cat.labels, dual)
+    try:
+        edited = fusion.load_category(doc)
+        fusion.fusion_probabilities(edited, fusion.quantum_dimensions(edited))
+    except (InvalidCategory, MalformedInput) as exc:
+        assert not valid, exc
+        assert re.search(r"unit|dual|associativ|dimension", str(exc)), exc
+    else:
+        assert valid
