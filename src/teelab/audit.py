@@ -31,7 +31,7 @@ from .errors import (
     MalformedInput,
     PremiseViolated,
 )
-from .fusion import AnyonDistribution, FusionProbabilities, bound_constant
+from .fusion import AnyonDistribution, FusionProbabilities, _label_index, bound_constant
 
 MARGIN_TOL = 1e-9
 
@@ -140,7 +140,7 @@ def check_average_level_bound(trace: AuditTrace, level: int, b: str) -> float:
     """Margin of  I_{i+1}^(b) >= sum_a p*_a I_i^(a) - log n_labels."""
     if level + 1 >= trace.n_levels:
         raise MalformedInput(f"no level pair {level} -> {level + 1}")
-    bi = trace.labels.index(b)
+    bi = _label_index(trace.labels, b)
     rhs = float(trace.p_star.probs @ trace.level(level)) - math.log(len(trace.labels))
     return float(trace.table[bi, level + 1]) - rhs
 
@@ -158,7 +158,7 @@ def check_perturbed_step_bound(trace: AuditTrace, level: int, b: str, c: str, ep
         raise EpsilonOutOfRange(f"|eps| = {abs(eps):g} exceeds pmin/2 = {pmin / 2:g}")
     if level + 1 >= trace.n_levels:
         raise MalformedInput(f"no level pair {level} -> {level + 1}")
-    bi, ci = trace.labels.index(b), trace.labels.index(c)
+    bi, ci = _label_index(trace.labels, b), _label_index(trace.labels, c)
     lhs = float(trace.p_star.probs @ (trace.level(level + 1) - trace.level(level)))
     bracket = (
         float(trace.table[ci, level] - trace.table[bi, level])
@@ -170,7 +170,7 @@ def check_perturbed_step_bound(trace: AuditTrace, level: int, b: str, c: str, ep
 
 def _delta(trace: AuditTrace, level: int, b: str) -> float:
     """delta_i^(b) = sum_a p*_a [I_i^(a) - I_i^(b) + log(p*_a/p*_b)]."""
-    bi = trace.labels.index(b)
+    bi = _label_index(trace.labels, b)
     ps = trace.p_star.probs
     return float(
         ps @ (trace.level(level) - trace.table[bi, level] + np.log(ps) - math.log(ps[bi]))
@@ -300,7 +300,7 @@ def assemble_bound(
 
     # chain arithmetic
     ps = trace.p_star.probs
-    bi = trace.labels.index(b)
+    bi = _label_index(trace.labels, b)
     deltas = [_delta(trace, i, b) for i in range(n)]
 
     # averaged steps: sum_a p*_a (I_{i+1} - I_i) >= eps pmin delta_i - 2 eps^2

@@ -210,10 +210,10 @@ def _stabilizer_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
         part = stabilizer.centered_annulus(
             lat, width=bar, hole_size=hole, a_width=int(a_width) if a_width else None
         )
-        if cfg.get("all_sectors", True) and not cfg.get("sector"):
-            sectors = [(c, f) for c in range(p) for f in range(p)]
-        else:
+        if cfg.get("sector"):
             sectors = [_parse_sector(cfg["sector"], p)]
+        else:
+            sectors = [(c, f) for c in range(p) for f in range(p)]
         states = {
             sec: stabilizer.create_sector(ground, sec, avoid=part) for sec in sectors
         }
@@ -491,7 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hole", type=int, help="hole size (default 3)")
     sp.add_argument("--a-width", dest="a_width", type=int, help="wider A bar for nested tables")
     sp.add_argument("--sector", help="one sector 'c,f' instead of all p^2")
-    sp.add_argument("--all-sectors", dest="all_sectors", action="store_true", default=None)
     sp.add_argument("--assumptions", action="store_true", default=None,
                     help="verify the three sector-family properties")
     sp.add_argument("--levels", type=int, help="emit a nested-annulus table with n levels and audit it")

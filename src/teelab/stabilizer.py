@@ -426,7 +426,6 @@ class AnnulusPartition:
     width: int
     thin_steps: int = 0
     a_width: int | None = None  # region A may be wider to host nested thinnings
-    ell: int = 1  # minimum bar width / origin clearance, in plaquette units
 
     def __post_init__(self):
         if self.a_width is None:
@@ -434,14 +433,11 @@ class AnnulusPartition:
         hx0, hy0, hx1, hy1 = self.hole
         if not (hx0 < hx1 and hy0 < hy1):
             raise InvalidGeometry("empty hole")
-        if min(self.width, self.a_width) < self.ell:
-            raise InvalidGeometry(f"bar width below the configured minimum {self.ell}")
+        if min(self.width, self.a_width) < 1:
+            raise InvalidGeometry("bar width must be at least one plaquette")
         ox, oy = self.origin
         if not (hx0 <= ox < hx1 and hy0 <= oy < hy1):
             raise InvalidGeometry("origin plaquette must lie inside the hole")
-        gap = min(ox - hx0, hx1 - 1 - ox, oy - hy0, hy1 - 1 - oy) + 1
-        if gap < self.ell:
-            raise InvalidGeometry(f"origin is {gap} plaquettes from the annulus, needs >= {self.ell}")
         w = self.width
         lat = self.lattice
         # one plaquette of clearance keeps the annulus in the bulk: flux
@@ -705,7 +701,7 @@ def annulus_cmi(state: StabilizerState, part: AnnulusPartition) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reductions: restricted bases, the phase test, dense export
+# reductions: restricted bases, frame differences, dense export
 
 
 def restricted_canonical(
@@ -757,20 +753,25 @@ def _shared_gens(states) -> StabilizerState:
     return first
 
 
-def _phase_test(basis, state1: StabilizerState, state2: StabilizerState) -> tuple[str, str | None]:
-    """'orthogonal' with the first basis element whose phases differ, else 'equal'.
+def _first_mismatch(vecs: np.ndarray, diffs: np.ndarray, p: int) -> np.ndarray:
+    """Per column of `diffs`, frame differences on the basis' columns with one
+    column per pair of states: the first basis row whose phases differ, or -1.
 
-    The element v carries the phase v_x . t_z - v_z . t_x under the frame t,
-    so two states on one generator matrix disagree on it iff v pairs to a
-    nonzero value with the frame difference on R's columns.
+    The phase v_x . t_z - v_z . t_x of element v is linear in the frame t, so
+    two states disagree on v iff v pairs to nonzero with their difference.
     """
-    edges, vecs = basis
-    cols = _region_columns(state1, edges)
-    diff = state1.frame[cols] - state2.frame[cols]
-    hit = np.flatnonzero(_pairing(vecs, diff) % state1.lattice.prime)
-    if hit.size == 0:
+    hit = np.vstack([_pairing(vecs, diffs) % p != 0, np.ones((1, diffs.shape[1]), dtype=bool)])
+    first = hit.argmax(axis=0)  # the all-true last row catches pairs with no mismatch
+    return np.where(first < len(vecs), first, -1)
+
+
+def _relation(
+    state: StabilizerState, edges: np.ndarray, vecs: np.ndarray, first: int
+) -> tuple[str, str | None]:
+    """'equal', or 'orthogonal' with basis row `first` written out as the witness."""
+    if first < 0:
         return "equal", None
-    return "orthogonal", pauli_repr(state1, _embed(state1, edges, vecs[hit[0]]))
+    return "orthogonal", pauli_repr(state, _embed(state, edges, vecs[first]))
 
 
 def reduction_relation(
@@ -782,10 +783,14 @@ def reduction_relation(
     so their restricted groups coincide.  The reductions are then equal iff
     the phase assignments agree on a basis, and orthogonal otherwise (the
     phase difference is a character of the group, so the cross trace sums to
-    zero).  The witness is the first basis element whose phases disagree.
+    zero).  This is the one-pair case of `verify_assumptions`; the witness
+    is the first basis element whose phases disagree.
     """
     _shared_gens((state1, state2))
-    return _phase_test(restricted_canonical(state1, region), state1, state2)
+    edges, vecs = restricted_canonical(state1, region)
+    cols = _region_columns(state1, edges)
+    first = _first_mismatch(vecs, (state1.frame[cols] - state2.frame[cols])[:, None], state1.lattice.prime)
+    return _relation(state1, edges, vecs, first[0])
 
 
 def region_density(state: StabilizerState, region) -> DensityOperator:
@@ -889,8 +894,6 @@ class FusionStringRule:
     """Where property-3 fusion strings run and where their endpoints sit."""
 
     endpoint: str = "strips"  # or "inside_a_prime"
-    vertex_row: int | None = None
-    plaquette_row: int | None = None
 
     def __post_init__(self):
         if self.endpoint not in ("strips", "inside_a_prime"):
@@ -900,33 +903,27 @@ class FusionStringRule:
 def fusion_string(
     state: StabilizerState, part: AnnulusPartition, s: SectorLabel, rule: FusionStringRule
 ) -> np.ndarray:
-    """Open string for property 3: crosses A radially with both endpoints in
-    the removed strips (or, in the documented negative mode, stopping inside
-    the retained A')."""
+    """Open string for property 3: crosses A radially along the hole's middle
+    row, with both endpoints in the removed strips (or, in the documented
+    negative mode, stopping inside the retained A')."""
     lat = state.lattice
     p = lat.prime
     hx0, hy0, hx1, hy1 = part.hole
     x_w = hx0 - part.width  # west boundary vertex column of A
-    y = rule.vertex_row if rule.vertex_row is not None else (hy0 + hy1) // 2
-    py = rule.plaquette_row if rule.plaquette_row is not None else y
-    if not (hy0 <= y < hy1 and hy0 <= py < hy1):
-        raise InvalidGeometry("fusion string row outside A's vertical extent")
+    y = (hy0 + hy1) // 2  # a vertex row and a plaquette row of A, as hy0 < hy1
     c, f = s
     t = np.zeros(2 * state.n, dtype=np.int64)
-    if rule.endpoint == "strips":
-        x_end_v = hx0  # vertex on the hole's west boundary line
-        x_end_p = hx0  # first hole plaquette column
-    else:
-        x_end_v = x_w + 1  # vertex strictly inside A'
-        x_end_p = x_w + 1
+    # the hole's west boundary vertex and first plaquette column, or a vertex
+    # and plaquette column strictly inside A'
+    x_end = hx0 if rule.endpoint == "strips" else x_w + 1
     # The anyon s must sit at the hole-side end of the string; sector strings
     # carry their anyon at the path start, so this eastward path runs with
     # inverted coefficients to deposit s (not its antiparticle) in the hole.
     if c:
-        path = StringPath(tuple((lat.h_edge(x, y), +1) for x in range(x_w, x_end_v)), kind="open")
+        path = StringPath(tuple((lat.h_edge(x, y), +1) for x in range(x_w, x_end)), kind="open")
         t = (t + _string_vector(lat, path, (-c) % p, "z")) % p
     if f:
-        path = StringPath(tuple((lat.v_edge(x, py), +1) for x in range(x_w, x_end_p + 1)), kind="open")
+        path = StringPath(tuple((lat.v_edge(x, y), +1) for x in range(x_w, x_end + 1)), kind="open")
         t = (t + _string_vector(lat, path, (-f) % p, "x")) % p
     return t
 
@@ -962,51 +959,53 @@ def verify_assumptions(
 
     1. Global distinguishability: reductions on ABC are pairwise orthogonal.
     2. Local indistinguishability: reductions on AB and on BC are pairwise equal.
-    3. Fusion: conjugating sector a by the string for s and reducing to A'BC
-       (one thinning step) equals the reduction of sector s x a.
-    Violations carry the mismatching group element as a witness.  All states
-    share one generator matrix, so each region's restricted basis is computed
-    once and every pair is decided by the linear phase test.
+    3. Fusion: conjugating sector a by the string t_s for s and reducing to
+       A'BC (one thinning step) equals the reduction of sector s x a.
+    All states share one generator matrix and a phase is linear in the
+    frame, so each region has one restricted basis and every pair is decided
+    from its frame difference on the region's columns: one label against all
+    later ones at once, and for 3, frame_a + t_s against frame_{s x a} with
+    one string t_s per s.  A violation carries its first mismatching group
+    element as a witness.
     """
     p = next(iter(states.values())).lattice.prime
-    expected = {(c, f) for c in range(p) for f in range(p)}
-    if set(states) != expected:
+    if set(states) != {(c, f) for c in range(p) for f in range(p)}:
         raise MalformedInput(f"need all {p * p} sectors, got {len(states)}")
     base = _shared_gens(states.values())
     rule = rule or FusionStringRule()
     order = sorted(states)
 
-    basis = restricted_canonical(base, part.region_edges("ABC"))
-    viol1 = []
-    for i, a in enumerate(order):
-        for b in order[i + 1:]:
-            relation, witness = _phase_test(basis, states[a], states[b])
-            if relation != "orthogonal":
-                viol1.append((a, b, relation, witness))
-    prop1 = PropertyResult("global_distinguishability", not viol1, tuple(viol1))
+    def on_region(region):
+        """(edges, basis, columns, the frames on them, one column per label)."""
+        edges, vecs = restricted_canonical(base, region)
+        cols = _region_columns(base, edges)
+        return edges, vecs, cols, np.stack([states[a].frame[cols] for a in order], axis=1)
 
-    viol2 = []
-    for name in ("AB", "BC"):
-        basis = restricted_canonical(base, part.region_edges(name))
+    def unlike(region, expect):
+        """(a, b, relation, witness) for each pair a < b whose relation is not `expect`."""
+        edges, vecs, _, frames = on_region(region)
+        out = []
         for i, a in enumerate(order):
-            for b in order[i + 1:]:
-                relation, witness = _phase_test(basis, states[a], states[b])
-                if relation != "equal":
-                    viol2.append((name, a, b, relation, witness))
+            first = _first_mismatch(vecs, frames[:, [i]] - frames[:, i + 1:], p)
+            for j in np.flatnonzero(first >= 0 if expect == "equal" else first < 0):
+                out.append((a, order[i + 1 + j], *_relation(base, edges, vecs, first[j])))
+        return out
+
+    viol1 = unlike(part.region_edges("ABC"), "orthogonal")
+    prop1 = PropertyResult("global_distinguishability", not viol1, tuple(viol1))
+    viol2 = [(name, *v) for name in ("AB", "BC") for v in unlike(part.region_edges(name), "equal")]
     prop2 = PropertyResult("local_indistinguishability", not viol2, tuple(viol2))
 
-    basis = restricted_canonical(base, part.thin(1).region_edges("ABC"))
+    edges, vecs, cols, frames = on_region(part.thin(1).region_edges("ABC"))
+    index = {a: i for i, a in enumerate(order)}
     viol3 = []
     for s in order:
         if s == (0, 0):
             continue
-        for a in order:
-            target = ((s[0] + a[0]) % p, (s[1] + a[1]) % p)
-            t = fusion_string(states[a], part, s, rule)
-            conjugated = conjugate_by_string(states[a], t)
-            relation, witness = _phase_test(basis, conjugated, states[target])
-            if relation != "equal":
-                viol3.append((s, a, relation, witness))
+        t = fusion_string(base, part, s, rule)[cols]
+        target = [index[((s[0] + a[0]) % p, (s[1] + a[1]) % p)] for a in order]
+        first = _first_mismatch(vecs, frames + t[:, None] - frames[:, target], p)
+        viol3 += [(s, order[j], *_relation(base, edges, vecs, first[j])) for j in np.flatnonzero(first >= 0)]
     prop3 = PropertyResult("fusion", not viol3, tuple(viol3))
 
     return AssumptionsReport(prop1, prop2, prop3)

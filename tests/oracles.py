@@ -10,6 +10,22 @@ import numpy as np
 from teelab.audit import MARGIN_TOL, TaylorSweepReport
 from teelab.errors import DegenerateDistribution, MalformedInput
 from teelab.fusion import AnyonDistribution, FusionProbabilities
+from teelab.stabilizer import (
+    AnnulusPartition,
+    AssumptionsReport,
+    FusionStringRule,
+    PropertyResult,
+    SectorLabel,
+    StabilizerState,
+    _embed,
+    _pairing,
+    _region_columns,
+    _shared_gens,
+    conjugate_by_string,
+    fusion_string,
+    pauli_repr,
+    restricted_canonical,
+)
 
 
 def taylor_bound_sweep_loop(
@@ -126,3 +142,76 @@ def is_fusion_ring(N: np.ndarray, labels=None, dual=None) -> bool:
                 if N[a, b, c] != N[star[b], star[a], star[c]]:
                     return False
     return brute_force_associative(N)
+
+
+def _phase_test(basis, state1: StabilizerState, state2: StabilizerState) -> tuple[str, str | None]:
+    """'orthogonal' with the first basis element whose phases differ, else 'equal'.
+
+    The element v carries the phase v_x . t_z - v_z . t_x under the frame t,
+    so two states on one generator matrix disagree on it iff v pairs to a
+    nonzero value with the frame difference on R's columns.
+    """
+    edges, vecs = basis
+    cols = _region_columns(state1, edges)
+    diff = state1.frame[cols] - state2.frame[cols]
+    hit = np.flatnonzero(_pairing(vecs, diff) % state1.lattice.prime)
+    if hit.size == 0:
+        return "equal", None
+    return "orthogonal", pauli_repr(state1, _embed(state1, edges, vecs[hit[0]]))
+
+
+def verify_assumptions_loop(
+    states: dict[SectorLabel, StabilizerState],
+    part: AnnulusPartition,
+    rule: FusionStringRule | None = None,
+) -> AssumptionsReport:
+    """Oracle for `stabilizer.verify_assumptions`: one phase test per pair, with
+    a full-width fusion string and a conjugated state per property-3 pair.
+
+    1. Global distinguishability: reductions on ABC are pairwise orthogonal.
+    2. Local indistinguishability: reductions on AB and on BC are pairwise equal.
+    3. Fusion: conjugating sector a by the string for s and reducing to A'BC
+       (one thinning step) equals the reduction of sector s x a.
+    """
+    p = next(iter(states.values())).lattice.prime
+    expected = {(c, f) for c in range(p) for f in range(p)}
+    if set(states) != expected:
+        raise MalformedInput(f"need all {p * p} sectors, got {len(states)}")
+    base = _shared_gens(states.values())
+    rule = rule or FusionStringRule()
+    order = sorted(states)
+
+    basis = restricted_canonical(base, part.region_edges("ABC"))
+    viol1 = []
+    for i, a in enumerate(order):
+        for b in order[i + 1:]:
+            relation, witness = _phase_test(basis, states[a], states[b])
+            if relation != "orthogonal":
+                viol1.append((a, b, relation, witness))
+    prop1 = PropertyResult("global_distinguishability", not viol1, tuple(viol1))
+
+    viol2 = []
+    for name in ("AB", "BC"):
+        basis = restricted_canonical(base, part.region_edges(name))
+        for i, a in enumerate(order):
+            for b in order[i + 1:]:
+                relation, witness = _phase_test(basis, states[a], states[b])
+                if relation != "equal":
+                    viol2.append((name, a, b, relation, witness))
+    prop2 = PropertyResult("local_indistinguishability", not viol2, tuple(viol2))
+
+    basis = restricted_canonical(base, part.thin(1).region_edges("ABC"))
+    viol3 = []
+    for s in order:
+        if s == (0, 0):
+            continue
+        for a in order:
+            target = ((s[0] + a[0]) % p, (s[1] + a[1]) % p)
+            t = fusion_string(states[a], part, s, rule)
+            conjugated = conjugate_by_string(states[a], t)
+            relation, witness = _phase_test(basis, conjugated, states[target])
+            if relation != "equal":
+                viol3.append((s, a, relation, witness))
+    prop3 = PropertyResult("fusion", not viol3, tuple(viol3))
+
+    return AssumptionsReport(prop1, prop2, prop3)

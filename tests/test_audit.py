@@ -131,6 +131,17 @@ class TestPerturbedStepBound:
             audit.check_perturbed_step_bound(trace, 0, "1", "e", trace.p_min)
 
 
+def test_unknown_label_is_malformed_input():
+    spec = ring.RingSpec(q=2, sites_a=4, sites_b1=1, sites_c=1, sites_b2=1)
+    trace = ring.nested_annulus_table(spec, n=2)
+    good = trace.labels[0]
+    with pytest.raises(MalformedInput, match="unknown label 'bogus'"):
+        audit.check_average_level_bound(trace, 0, "bogus")
+    for b, c in (("bogus", good), (good, "bogus")):
+        with pytest.raises(MalformedInput, match="unknown label 'bogus'"):
+            audit.check_perturbed_step_bound(trace, 0, b, c, 0.0)
+
+
 class TestAssembleBound:
     def test_toric_constant_n4_final_margin_K_over_2(self, categories):
         trace = constant_trace(categories, "toric_code", 2 * LN2, 6)  # n = 4

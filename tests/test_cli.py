@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +122,14 @@ class TestStabilizerCommand:
         assert code == 0
         assert report["data"]["sectors"] == ["1,1"]
 
+    def test_config_without_sector_runs_all_sectors(self, tmp_path):
+        # an old config field that nothing reads any more: all p^2 sectors run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 3, "size": 10, "widths": 2, "all_sectors": False}))
+        code, report = run_json(["stabilizer", "--config", str(cfg)], tmp_path)
+        assert code == 0
+        assert len(report["data"]["sectors"]) == 9
+
 
 class TestAuditCommand:
     def test_ring_trace_roundtrip(self, tmp_path):
@@ -177,6 +187,26 @@ class TestDeterminism:
         _, report = run_json(["ring", "--q", "5", "--arcs", "1,1,1,1"], tmp_path)
         cmi = report["data"]["cmi"]
         assert abs(cmi["bits"] - cmi["nats"] / math.log(2)) < 1e-15
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The `teelab ...` lines of README's `## CLI` block as argument lists,
+    with bracketed optional parts and trailing comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    return [re.sub(r"\[[^]]*\]", "", line).split()[1:] for line in lines if line.startswith("teelab ")]
+
+
+def test_readme_cli_examples_parse():
+    examples = readme_cli_examples()
+    assert len(examples) >= 8
+    parser = cli._build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: teelab {' '.join(argv)}")
 
 
 class TestConfigFile:

@@ -1,7 +1,8 @@
 """Property tests: the sparse ground-state build against the dense
 construction it replaced, region-local ranks, restricted bases, frame
 phases and dense reductions against the dense-matrix oracles on random
-valid annulus geometries and primes, rank_mod_p against a brute-force
+valid annulus geometries and primes, the frame-difference assumption
+checks against their per-pair loop oracle, rank_mod_p against a brute-force
 span count, the array Taylor sweep against its loop oracle on random
 row-stochastic tensors, and fusion-table validation against a brute-force
 fusion-ring check on randomly edited bundled tables."""
@@ -14,13 +15,13 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as hst  # noqa: E402
 
 from teelab import audit, dense, fusion, gfp, stabilizer as st  # noqa: E402
 from teelab.errors import InvalidCategory, MalformedInput, RankDeficiency  # noqa: E402
 
-from oracles import is_fusion_ring, taylor_bound_sweep_loop  # noqa: E402
+from oracles import is_fusion_ring, taylor_bound_sweep_loop, verify_assumptions_loop  # noqa: E402
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -199,10 +200,10 @@ def test_local_checks_against_dense_oracles_on_random_rows(p, n_edges, data):
 
 
 @hst.composite
-def annuli(draw) -> st.AnnulusPartition:
+def annuli(draw, primes=PRIMES) -> st.AnnulusPartition:
     """A valid annulus: bar widths, hole size, origin and lattice size all drawn,
     with one plaquette of clearance on a lattice of at most 14 x 14."""
-    p = draw(hst.sampled_from(PRIMES))
+    p = draw(hst.sampled_from(primes))
     bar = draw(hst.integers(1, 3))
     a_width = draw(hst.integers(1, 4))
     hole_w, hole_h = draw(hst.integers(1, 4)), draw(hst.integers(1, 4))
@@ -382,6 +383,35 @@ def test_witness_phases_biject_sectors(part):
             assert 0 <= w["charge"] < p and 0 <= w["flux"] < p
             seen.add((w["charge"], w["flux"]))
     assert len(seen) == p * p
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    part=annuli(primes=(2, 3, 5)),
+    endpoint=hst.sampled_from(("strips", "inside_a_prime")),
+    family=hst.sampled_from(("sectors", "perturbed", "duplicated")),
+    data=hst.data(),
+)
+def test_verify_assumptions_matches_loop_oracle(part, endpoint, family, data):
+    # property 3 reduces to the partition thinned once more
+    assume(part.thin_steps + 1 <= part.a_width - 1)
+    lat = part.lattice
+    p = lat.prime
+    states = st.sector_family(ground(lat.width, lat.height, p), part)
+    order = sorted(states)
+    if family == "perturbed":
+        # sparse random strings on some sectors break properties 2 and 3
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
+        for a in data.draw(hst.sets(hst.sampled_from(order), min_size=1)):
+            t = np.zeros(2 * lat.n_edges, dtype=np.int64)
+            t[rng.choice(2 * lat.n_edges, size=4, replace=False)] = rng.integers(1, p, size=4)
+            states[a] = st.conjugate_by_string(states[a], t)
+    elif family == "duplicated":
+        # two labels on one state break property 1 and some fusion pairs
+        a, b = data.draw(hst.lists(hst.sampled_from(order), min_size=2, max_size=2, unique=True))
+        states[b] = states[a]
+    rule = st.FusionStringRule(endpoint=endpoint)
+    assert st.verify_assumptions(states, part, rule) == verify_assumptions_loop(states, part, rule)
 
 
 @settings(max_examples=200, deadline=None)

@@ -12,6 +12,8 @@ from teelab.errors import (
     PathBlocked,
 )
 
+from oracles import verify_assumptions_loop
+
 
 @pytest.fixture(scope="module")
 def toric12():
@@ -460,6 +462,63 @@ class TestPhaseTestOracle:
         assert {name: rel[0] for name, _, rel in results} == {
             "ABC": "orthogonal", "AB": "equal", "BC": "equal", "A'BC": "equal"
         }
+
+
+def _displaced_family(p):
+    lat = st.Lattice(width=12, height=12, prime=p)
+    ground = st.build_ground_state(lat)
+    displaced = st.AnnulusPartition(lattice=lat, origin=(6, 6), hole=(5, 5, 8, 8), width=3)
+    fam = {(c, f): st.create_sector(ground, (c, f), origin=(3, 6)) for c in range(p) for f in range(p)}
+    return fam, displaced, None
+
+
+def _centered_family(p, width, height, bar=2, rule=None):
+    lat = st.Lattice(width=width, height=height, prime=p)
+    part = st.centered_annulus(lat, width=bar)
+    return st.sector_family(st.build_ground_state(lat), part), part, rule
+
+
+FAMILIES = {
+    **{f"p{p}_12x12": (lambda p=p: _centered_family(p, 12, 12)) for p in (2, 3, 5, 7, 13)},
+    "p3_10x10": lambda: _centered_family(3, 10, 10),
+    **{f"p{p}_displaced_anchor": (lambda p=p: _displaced_family(p)) for p in (2, 3)},
+    **{
+        f"p{p}_inside_a_prime": (
+            lambda p=p: _centered_family(p, 14, 12, bar=3, rule=st.FusionStringRule(endpoint="inside_a_prime"))
+        )
+        for p in (2, 3)
+    },
+}
+
+
+class TestFrameDifferences:
+    """verify_assumptions decides every pair from frame differences on the
+    region; the per-pair loop it replaced is the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_report_matches_loop_oracle(self, name):
+        fam, part, rule = FAMILIES[name]()
+        report = st.verify_assumptions(fam, part, rule)
+        assert report == verify_assumptions_loop(fam, part, rule)
+        if "displaced" in name or "inside" in name:
+            assert not report.passed
+
+    def test_one_fusion_string_per_label_and_no_conjugation(self, monkeypatch):
+        fam, part, _ = _centered_family(3, 12, 12)
+        calls = []
+        fusion_string = st.fusion_string
+
+        def counting(state, part, s, rule):
+            calls.append(s)
+            return fusion_string(state, part, s, rule)
+
+        def no_conjugation(state, t):
+            raise AssertionError("conjugate_by_string called")
+
+        monkeypatch.setattr(st, "fusion_string", counting)
+        monkeypatch.setattr(st, "conjugate_by_string", no_conjugation)
+        assert st.verify_assumptions(fam, part).passed
+        assert calls == sorted(fam)[1:]  # p^2 - 1 strings, one per nontrivial s
 
 
 class TestSharedGenerators:
