@@ -69,10 +69,6 @@ class InsufficientWidth(TeeLabError):
     """Region A is too narrow for the requested number of thinning levels."""
 
 
-class PathBlocked(TeeLabError):
-    """A string route cannot cross the annulus through the requested region."""
-
-
 class RankDeficiency(TeeLabError):
     """A generator matrix that must be full rank is not (internal consistency failure)."""
 

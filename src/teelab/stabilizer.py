@@ -18,9 +18,13 @@ orthogonal.  Conjugation by t shifts the phase of element v by the
 symplectic pairing, so with frame t the element v carries the phase
 v_x . t_z - v_z . t_x mod p.  Anyon sectors are produced by conjugating the
 ground state with open string operators anchored at the origin: a Z-type
-string along lattice edges for electric charge and an X-type string on
-dual edges for magnetic flux.  The antiparticle is parked on the (east)
-lattice boundary.  Orientation conventions: edges point +x / +y; a vertex
+string t_e along lattice edges for electric charge and an X-type string
+t_m on dual edges for magnetic flux, both along the origin's row.  The
+antiparticle is parked on the (east) lattice boundary.  The two strings sit
+on disjoint (Z and X) columns, so sector (c, f) has the frame c t_e + f t_m
+mod p, and a family of p^2 frames is formed from the two strings by
+linearity; the CLI builds one only to check the assumptions, since ranks
+never read a frame.  Orientation conventions: edges point +x / +y; a vertex
 operator uses X^{+1} on outgoing and X^{-1} on incoming edges; a plaquette
 operator takes Z around its boundary counterclockwise.
 
@@ -60,7 +64,6 @@ from .errors import (
     InsufficientWidth,
     InvalidGeometry,
     MalformedInput,
-    PathBlocked,
     RankDeficiency,
 )
 from .fusion import closed_form_fixed_point, double_zn_category, fusion_probabilities, quantum_dimensions
@@ -142,14 +145,10 @@ class Lattice:
     @cached_property
     def edge_midpoints(self) -> np.ndarray:
         """Doubled coordinates of every edge midpoint, shape (n_edges, 2)."""
-        mids = np.empty((self.n_edges, 2), dtype=np.int64)
-        for y in range(self.height + 1):
-            for x in range(self.width):
-                mids[self.h_edge(x, y)] = (2 * x + 1, 2 * y)
-        for y in range(self.height):
-            for x in range(self.width + 1):
-                mids[self.v_edge(x, y)] = (2 * x, 2 * y + 1)
-        return mids
+        hy, hx = np.divmod(np.arange(self.n_h_edges), self.width)
+        vy, vx = np.divmod(np.arange(self.n_edges - self.n_h_edges), self.width + 1)
+        h = np.stack([2 * hx + 1, 2 * hy], axis=1)
+        return np.concatenate([h, np.stack([2 * vx, 2 * vy + 1], axis=1)])
 
     def edges_in_box(self, box: tuple[int, int, int, int]) -> tuple[int, ...]:
         """Edges whose midpoints lie in the half-open doubled box (x0, y0, x1, y1)."""
@@ -181,23 +180,6 @@ class Lattice:
             (self.h_edge(x, y + 1), -1),
             (self.v_edge(x, y), -1),
         ]
-
-
-@dataclass(frozen=True)
-class StringPath:
-    """An oriented chain of edges with per-edge signs."""
-
-    edges: tuple[tuple[int, int], ...]  # (edge index, sign)
-    kind: str  # "open" or "closed"
-
-    def __post_init__(self):
-        if self.kind not in ("open", "closed"):
-            raise MalformedInput("path kind must be 'open' or 'closed'")
-        if not self.edges:
-            raise MalformedInput("empty path")
-        for _, sign in self.edges:
-            if sign not in (-1, +1):
-                raise MalformedInput("path signs must be +-1")
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -513,46 +495,32 @@ def centered_annulus(
 # string operators
 
 
-def _string_vector(lat: Lattice, path: StringPath, coeff: int, kind: str) -> np.ndarray:
-    """Symplectic vector of Z^coeff (kind 'z') or X^coeff (kind 'x') along a path."""
-    p = lat.prime
-    E = lat.n_edges
-    t = np.zeros(2 * E, dtype=np.int64)
-    off = E if kind == "z" else 0
-    for e, sign in path.edges:
-        t[off + e] = (t[off + e] + sign * coeff) % p
-    return t
+def _row_strings(
+    lat: Lattice, y: int, vertices: tuple[int, int], plaquettes: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two unit strings along row y, as symplectic vectors (t_e, t_m).
+
+    t_e is Z on the h-edges from vertex column vertices[0] east to
+    vertices[1]; t_m is X on the v-edges that the dual path from plaquette
+    column plaquettes[0] east to plaquettes[1] crosses.  Both run eastward
+    with sign +1 on every edge.
+    """
+    E, W = lat.n_edges, lat.width
+    t_e = np.zeros(2 * E, dtype=np.int64)
+    t_e[E + y * W + np.arange(*vertices)] = 1
+    t_m = np.zeros(2 * E, dtype=np.int64)
+    t_m[lat.n_h_edges + y * (W + 1) + np.arange(plaquettes[0] + 1, plaquettes[1] + 1)] = 1
+    return t_e, t_m
 
 
-def charge_path_east(lat: Lattice, vx: int, vy: int, detour_column: int | None = None) -> StringPath:
-    """Lattice path from vertex (vx, vy) to the boundary: east, optionally
-    turning south at `detour_column` (an L-shaped route)."""
-    edges = []
-    stop = detour_column if detour_column is not None else lat.width
-    if not (vx < stop <= lat.width):
-        raise PathBlocked(f"detour column {stop} not east of vertex {vx}")
-    for x in range(vx, stop):
-        edges.append((lat.h_edge(x, vy), +1))
-    if detour_column is not None:
-        for y in range(vy - 1, -1, -1):
-            edges.append((lat.v_edge(detour_column, y), -1))
-    return StringPath(edges=tuple(edges), kind="open")
-
-
-def flux_path_east(lat: Lattice, px: int, py: int, detour_column: int | None = None) -> StringPath:
-    """Dual path from plaquette (px, py) out of the lattice: east, optionally
-    turning south at plaquette column `detour_column`.  Lists the crossed
-    primal edges; eastward crossings get +1, southward -1."""
-    edges = []
-    stop = detour_column if detour_column is not None else lat.width
-    if not (px <= stop <= lat.width):
-        raise PathBlocked(f"detour column {stop} not east of plaquette {px}")
-    for x in range(px + 1, stop + 1):
-        edges.append((lat.v_edge(x, py), +1))
-    if detour_column is not None and stop < lat.width:
-        for y in range(py, -1, -1):
-            edges.append((lat.h_edge(stop, y), -1))
-    return StringPath(edges=tuple(edges), kind="open")
+def _sector_strings(lat: Lattice, origin: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(t_e, t_m) from the origin plaquette and its south-west vertex out
+    through the east boundary, where flux condenses, so no far-end excitation
+    remains."""
+    ox, oy = origin
+    if not (0 <= ox < lat.width and 0 <= oy < lat.height):
+        raise MalformedInput(f"origin {origin} is not a plaquette of the lattice")
+    return _row_strings(lat, oy, (ox, lat.width), (ox, lat.width))
 
 
 def conjugate_by_string(state: StabilizerState, t: np.ndarray) -> StabilizerState:
@@ -561,20 +529,14 @@ def conjugate_by_string(state: StabilizerState, t: np.ndarray) -> StabilizerStat
 
 
 def create_sector(
-    state: StabilizerState,
-    sector: SectorLabel,
-    origin: tuple[int, int] | None = None,
-    detour_column: int | None = None,
-    avoid: AnnulusPartition | None = None,
+    state: StabilizerState, sector: SectorLabel, origin: tuple[int, int] | None = None
 ) -> StabilizerState:
-    """Apply the origin-anchored open strings for the sector (charge, flux).
+    """Conjugate by c t_e + f t_m for the sector (charge c, flux f).
 
-    The charge string is Z-type along lattice edges from the origin vertex
-    to the east boundary; the flux string is X-type on the dual path from
-    the origin plaquette out through the east boundary (where flux
-    condenses, so no far-end excitation remains).  With `avoid` given, the
-    route must cross that annulus only through its A or C bars; a route
-    touching B raises PathBlocked.
+    t_e is the Z-type string along lattice edges from the origin vertex to
+    the east boundary, t_m the X-type string on the dual path from the
+    origin plaquette out through the east boundary.  The origin defaults to
+    the lattice's central plaquette.
     """
     lat = state.lattice
     p = lat.prime
@@ -582,45 +544,17 @@ def create_sector(
     if not (0 <= c < p and 0 <= f < p):
         raise MalformedInput(f"sector {sector} outside Z_{p} x Z_{p}")
     if origin is None:
-        origin = avoid.origin if avoid is not None else (lat.width // 2, lat.height // 2)
-    ox, oy = origin
-    t_total = np.zeros(2 * state.n, dtype=np.int64)
-    paths = []
-    if c:
-        path = charge_path_east(lat, ox, oy, detour_column)
-        t_total = (t_total + _string_vector(lat, path, c, "z")) % p
-        paths.append(path)
-    if f:
-        path = flux_path_east(lat, ox, oy, detour_column)
-        t_total = (t_total + _string_vector(lat, path, f, "x")) % p
-        paths.append(path)
-    if avoid is not None and paths:
-        b_edges = set(avoid.region_edges("B"))
-        for path in paths:
-            touched = {e for e, _ in path.edges} & b_edges
-            if touched:
-                raise PathBlocked(
-                    f"string route crosses region B at edges {sorted(touched)[:4]}; "
-                    "choose a different detour column"
-                )
-    if not paths:
-        return state
-    return conjugate_by_string(state, t_total)
+        origin = (lat.width // 2, lat.height // 2)
+    t_e, t_m = _sector_strings(lat, origin)
+    return conjugate_by_string(state, c * t_e + f * t_m)
 
 
-def sector_family(
-    state: StabilizerState,
-    part: AnnulusPartition,
-    origin: tuple[int, int] | None = None,
-    detour_column: int | None = None,
-) -> dict[SectorLabel, StabilizerState]:
-    """All p^2 sector states, anchored at the partition's origin by default."""
+def sector_family(state: StabilizerState, part: AnnulusPartition) -> dict[SectorLabel, StabilizerState]:
+    """All p^2 sector states, anchored at the partition's origin: the two
+    strings are built once and every frame is c t_e + f t_m by linearity."""
     p = state.lattice.prime
-    return {
-        (c, f): create_sector(state, (c, f), origin=origin, detour_column=detour_column, avoid=part)
-        for c in range(p)
-        for f in range(p)
-    }
+    t_e, t_m = _sector_strings(state.lattice, part.origin)
+    return {(c, f): conjugate_by_string(state, c * t_e + f * t_m) for c in range(p) for f in range(p)}
 
 
 # ---------------------------------------------------------------------------
@@ -906,26 +840,18 @@ def fusion_string(
     """Open string for property 3: crosses A radially along the hole's middle
     row, with both endpoints in the removed strips (or, in the documented
     negative mode, stopping inside the retained A')."""
-    lat = state.lattice
-    p = lat.prime
     hx0, hy0, hx1, hy1 = part.hole
-    x_w = hx0 - part.width  # west boundary vertex column of A
+    x_w = hx0 - part.a_width  # west boundary vertex column of A
     y = (hy0 + hy1) // 2  # a vertex row and a plaquette row of A, as hy0 < hy1
-    c, f = s
-    t = np.zeros(2 * state.n, dtype=np.int64)
     # the hole's west boundary vertex and first plaquette column, or a vertex
     # and plaquette column strictly inside A'
     x_end = hx0 if rule.endpoint == "strips" else x_w + 1
+    t_e, t_m = _row_strings(state.lattice, y, (x_w, x_end), (x_w - 1, x_end))
     # The anyon s must sit at the hole-side end of the string; sector strings
     # carry their anyon at the path start, so this eastward path runs with
     # inverted coefficients to deposit s (not its antiparticle) in the hole.
-    if c:
-        path = StringPath(tuple((lat.h_edge(x, y), +1) for x in range(x_w, x_end)), kind="open")
-        t = (t + _string_vector(lat, path, (-c) % p, "z")) % p
-    if f:
-        path = StringPath(tuple((lat.v_edge(x, y), +1) for x in range(x_w, x_end + 1)), kind="open")
-        t = (t + _string_vector(lat, path, (-f) % p, "x")) % p
-    return t
+    c, f = s
+    return (-c * t_e - f * t_m) % state.lattice.prime
 
 
 @dataclass(frozen=True)
@@ -1015,14 +941,13 @@ def verify_assumptions(
 # audit trace
 
 
-def nested_annulus_table(
-    states: dict[SectorLabel, StabilizerState], part: AnnulusPartition, n: int
-) -> audit.AuditTrace:
+def nested_annulus_table(state: StabilizerState, part: AnnulusPartition, n: int) -> audit.AuditTrace:
     """Table I_i^(a) over nested annuli A_0 BC c ... c A_{n+1} BC = ABC.
 
     Level i uses the partition thinned n+1-i times (one edge-column per
     side per step); the full partition must be wide enough for n+1 steps.
-    Ranks never see phases, so one CMI per level fills all p^2 sector rows.
+    Ranks never read the frame, so one CMI per level on the given state
+    fills all p^2 sector rows.
     """
     if n < 1:
         raise MalformedInput("need n >= 1 intermediate levels")
@@ -1030,11 +955,8 @@ def nested_annulus_table(
         raise InsufficientWidth(
             f"A width {part.a_width} allows {part.a_width - 1} thinnings, need {n + 1}"
         )
-    p = next(iter(states.values())).lattice.prime
-    if set(states) != {(c, f) for c in range(p) for f in range(p)}:
-        raise MalformedInput(f"need all {p * p} sectors")
-    base = _shared_gens(states.values())
-    levels = [annulus_cmi(base, part.thin(n + 1 - i) if i < n + 1 else part) for i in range(n + 2)]
+    p = state.lattice.prime
+    levels = [annulus_cmi(state, part.thin(n + 1 - i) if i < n + 1 else part) for i in range(n + 2)]
     table = np.tile(levels, (p * p, 1))
     cat = double_zn_category(p)
     dims = quantum_dimensions(cat)

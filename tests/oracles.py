@@ -14,6 +14,7 @@ from teelab.stabilizer import (
     AnnulusPartition,
     AssumptionsReport,
     FusionStringRule,
+    Lattice,
     PropertyResult,
     SectorLabel,
     StabilizerState,
@@ -22,7 +23,6 @@ from teelab.stabilizer import (
     _region_columns,
     _shared_gens,
     conjugate_by_string,
-    fusion_string,
     pauli_repr,
     restricted_canonical,
 )
@@ -207,7 +207,7 @@ def verify_assumptions_loop(
             continue
         for a in order:
             target = ((s[0] + a[0]) % p, (s[1] + a[1]) % p)
-            t = fusion_string(states[a], part, s, rule)
+            t = fusion_string_loop(states[a], part, s, rule)
             conjugated = conjugate_by_string(states[a], t)
             relation, witness = _phase_test(basis, conjugated, states[target])
             if relation != "equal":
@@ -215,3 +215,81 @@ def verify_assumptions_loop(
     prop3 = PropertyResult("fusion", not viol3, tuple(viol3))
 
     return AssumptionsReport(prop1, prop2, prop3)
+
+
+def edge_midpoints_loop(lat: Lattice) -> np.ndarray:
+    """Oracle for `Lattice.edge_midpoints`: one edge at a time, by edge index."""
+    mids = np.empty((lat.n_edges, 2), dtype=np.int64)
+    for y in range(lat.height + 1):
+        for x in range(lat.width):
+            mids[lat.h_edge(x, y)] = (2 * x + 1, 2 * y)
+    for y in range(lat.height):
+        for x in range(lat.width + 1):
+            mids[lat.v_edge(x, y)] = (2 * x, 2 * y + 1)
+    return mids
+
+
+# A string path is a tuple of (edge index, sign) pairs.
+
+
+def _string_vector(lat: Lattice, path, coeff: int, kind: str) -> np.ndarray:
+    """Symplectic vector of Z^coeff (kind 'z') or X^coeff (kind 'x') along a path."""
+    p = lat.prime
+    E = lat.n_edges
+    t = np.zeros(2 * E, dtype=np.int64)
+    off = E if kind == "z" else 0
+    for e, sign in path:
+        t[off + e] = (t[off + e] + sign * coeff) % p
+    return t
+
+
+def charge_path_east(lat: Lattice, vx: int, vy: int):
+    """Lattice path from vertex (vx, vy) east to the boundary."""
+    return tuple((lat.h_edge(x, vy), +1) for x in range(vx, lat.width))
+
+
+def flux_path_east(lat: Lattice, px: int, py: int):
+    """Dual path from plaquette (px, py) east out of the lattice, as the
+    primal edges it crosses."""
+    return tuple((lat.v_edge(x, py), +1) for x in range(px + 1, lat.width + 1))
+
+
+def create_sector_loop(
+    state: StabilizerState, sector: SectorLabel, origin: tuple[int, int] | None = None
+) -> StabilizerState:
+    """Oracle for `stabilizer.create_sector`: the frame summed path by path,
+    one edge at a time."""
+    lat = state.lattice
+    p = lat.prime
+    c, f = sector
+    if origin is None:
+        origin = (lat.width // 2, lat.height // 2)
+    ox, oy = origin
+    t = np.zeros(2 * state.n, dtype=np.int64)
+    if c:
+        t = (t + _string_vector(lat, charge_path_east(lat, ox, oy), c, "z")) % p
+    if f:
+        t = (t + _string_vector(lat, flux_path_east(lat, ox, oy), f, "x")) % p
+    return conjugate_by_string(state, t)
+
+
+def fusion_string_loop(
+    state: StabilizerState, part: AnnulusPartition, s: SectorLabel, rule: FusionStringRule
+) -> np.ndarray:
+    """Oracle for `stabilizer.fusion_string`: the two paths across A built
+    edge by edge, from A's west boundary vertex column hx0 - a_width."""
+    lat = state.lattice
+    p = lat.prime
+    hx0, hy0, hx1, hy1 = part.hole
+    x_w = hx0 - part.a_width
+    y = (hy0 + hy1) // 2
+    c, f = s
+    t = np.zeros(2 * state.n, dtype=np.int64)
+    x_end = hx0 if rule.endpoint == "strips" else x_w + 1
+    if c:
+        path = tuple((lat.h_edge(x, y), +1) for x in range(x_w, x_end))
+        t = (t + _string_vector(lat, path, (-c) % p, "z")) % p
+    if f:
+        path = tuple((lat.v_edge(x, y), +1) for x in range(x_w, x_end + 1))
+        t = (t + _string_vector(lat, path, (-f) % p, "x")) % p
+    return t

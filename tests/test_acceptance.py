@@ -61,7 +61,7 @@ def test_criterion_02_qudit_generalization():
         part = st.centered_annulus(lat, width=2)
         for c in range(p):
             for f in range(p):
-                state = st.create_sector(ground, (c, f), avoid=part)
+                state = st.create_sector(ground, (c, f), origin=part.origin)
                 assert st.annulus_cmi(state, part) == 2 * math.log(p), (p, c, f)
     elapsed = time.perf_counter() - start
     verdict(
@@ -199,8 +199,7 @@ def test_criterion_09_proof_replay():
     for p, n, size in ((2, 1, (10, 10)), (2, 3, (14, 12)), (3, 3, (14, 10))):
         lat = st.Lattice(width=size[0], height=size[1], prime=p)
         part = st.centered_annulus(lat, width=2, a_width=n + 2)
-        fam = st.sector_family(st.build_ground_state(lat), part)
-        report = audit.assemble_bound(st.nested_annulus_table(fam, part, n))
+        report = audit.assemble_bound(st.nested_annulus_table(st.build_ground_state(lat), part, n))
         assert report.passed, (p, n)
     # the bundled adversarial decreasing table must trip the premise detector
     doc = json.loads(

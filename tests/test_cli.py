@@ -122,6 +122,30 @@ class TestStabilizerCommand:
         assert code == 0
         assert report["data"]["sectors"] == ["1,1"]
 
+    def test_wide_a_assumptions_pass(self, tmp_path):
+        # fusion strings start at A's west boundary, hx0 - a_width, so with
+        # a_width > widths both endpoints still leave the thinned A'
+        code, report = run_json(
+            ["stabilizer", "--p", "2", "--size", "14", "--widths", "2", "--a-width", "3", "--assumptions"],
+            tmp_path,
+        )
+        assert code == 0
+        assert all(c["passed"] for c in report["results"])
+
+    def test_only_assumptions_build_sector_states(self, monkeypatch, tmp_path):
+        # ranks never read a frame: plain CMI, --sector and --levels runs
+        # build no sector state
+        def no_sector(*args, **kwargs):
+            raise AssertionError("a sector state was built")
+
+        for name in ("create_sector", "sector_family", "conjugate_by_string"):
+            monkeypatch.setattr(stabilizer, name, no_sector)
+        for extra in ([], ["--sector", "1,1"], ["--a-width", "3", "--levels", "1"]):
+            code, _ = run_json(["stabilizer", "--p", "3", "--size", "10", "--widths", "2", *extra], tmp_path)
+            assert code == 0, extra
+        with pytest.raises(AssertionError, match="sector state"):
+            cli.main(["stabilizer", "--p", "3", "--size", "10", "--widths", "2", "--assumptions"])
+
     def test_config_without_sector_runs_all_sectors(self, tmp_path):
         # an old config field that nothing reads any more: all p^2 sectors run
         cfg = tmp_path / "cfg.json"

@@ -21,7 +21,14 @@ from hypothesis import strategies as hst  # noqa: E402
 from teelab import audit, dense, fusion, gfp, stabilizer as st  # noqa: E402
 from teelab.errors import InvalidCategory, MalformedInput, RankDeficiency  # noqa: E402
 
-from oracles import is_fusion_ring, taylor_bound_sweep_loop, verify_assumptions_loop  # noqa: E402
+from oracles import (  # noqa: E402
+    create_sector_loop,
+    edge_midpoints_loop,
+    fusion_string_loop,
+    is_fusion_ring,
+    taylor_bound_sweep_loop,
+    verify_assumptions_loop,
+)
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -327,7 +334,7 @@ def test_dense_reduction_entropy_matches_rank_entropy(part, data):
     lat = part.lattice
     p = lat.prime
     sector = (data.draw(hst.integers(0, p - 1)), data.draw(hst.integers(0, p - 1)))
-    state = st.create_sector(ground(lat.width, lat.height, p), sector, avoid=part)
+    state = st.create_sector(ground(lat.width, lat.height, p), sector, origin=part.origin)
     # a small region around a random plaquette and its two corner stars, so
     # that whole generators can fit inside it
     x, y = data.draw(hst.integers(0, lat.width - 1)), data.draw(hst.integers(0, lat.height - 1))
@@ -379,10 +386,62 @@ def test_witness_phases_biject_sectors(part):
     seen = set()
     for c in range(p):
         for f in range(p):
-            w = st.sector_witness_phases(st.create_sector(state, (c, f), avoid=part), part)
+            w = st.sector_witness_phases(st.create_sector(state, (c, f), origin=part.origin), part)
             assert 0 <= w["charge"] < p and 0 <= w["flux"] < p
             seen.add((w["charge"], w["flux"]))
     assert len(seen) == p * p
+
+
+@settings(max_examples=50, deadline=None)
+@given(width=hst.integers(4, 40), height=hst.integers(4, 40))
+def test_edge_midpoints_match_loop_oracle(width, height):
+    lat = st.Lattice(width=width, height=height, prime=2)
+    assert lat.edge_midpoints.dtype == np.int64
+    np.testing.assert_array_equal(lat.edge_midpoints, edge_midpoints_loop(lat))
+
+
+@settings(max_examples=25, deadline=None)
+@given(part=annuli())
+def test_sector_frames_match_path_loop_oracle(part):
+    lat = part.lattice
+    p, E = lat.prime, lat.n_edges
+    state = ground(lat.width, lat.height, p)
+    family = st.sector_family(state, part)
+    assert sorted(family) == [(c, f) for c in range(p) for f in range(p)]
+    b_edges = np.asarray(part.region_edges("B"))
+    for sector, framed_state in family.items():
+        want = create_sector_loop(state, sector, part.origin).frame
+        np.testing.assert_array_equal(st.create_sector(state, sector, part.origin).frame, want)
+        np.testing.assert_array_equal(framed_state.frame, want)
+        # the strings never touch B: they run along the origin's row, which
+        # lies in the hole's rows
+        support = np.flatnonzero(want[:E] | want[E:])
+        assert not np.isin(support, b_edges).any(), sector
+        assert (lat.edge_midpoints[support, 1] // 2 == part.origin[1]).all(), sector
+
+
+@settings(max_examples=25, deadline=None)
+@given(part=annuli(), endpoint=hst.sampled_from(("strips", "inside_a_prime")))
+def test_fusion_strings_match_path_loop_oracle(part, endpoint):
+    lat = part.lattice
+    state = ground(lat.width, lat.height, lat.prime)
+    rule = st.FusionStringRule(endpoint=endpoint)
+    for s in product(range(lat.prime), repeat=2):
+        np.testing.assert_array_equal(
+            st.fusion_string(state, part, s, rule), fusion_string_loop(state, part, s, rule), err_msg=str(s)
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(part=annuli())
+def test_unperturbed_sector_family_passes_assumptions(part):
+    # property 3 reduces to the partition thinned once more
+    assume(part.thin_steps + 1 <= part.a_width - 1)
+    lat = part.lattice
+    report = st.verify_assumptions(st.sector_family(ground(lat.width, lat.height, lat.prime), part), part)
+    assert report.distinguishability.passed
+    assert report.indistinguishability.passed
+    assert report.fusion.passed, report.fusion.violations[:2]
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,7 +9,6 @@ from teelab.errors import (
     InsufficientWidth,
     InvalidGeometry,
     MalformedInput,
-    PathBlocked,
 )
 
 from oracles import verify_assumptions_loop
@@ -124,7 +123,7 @@ class TestGroundState:
 class TestSectors:
     def test_vacuum_sector_unchanged(self, toric12):
         _, ground, part = toric12
-        state = st.create_sector(ground, (0, 0), avoid=part)
+        state = st.create_sector(ground, (0, 0), origin=part.origin)
         np.testing.assert_array_equal(state.phases, ground.phases)
 
     def test_charge_witness_eigenvalue_minus_one(self, toric12, toric12_sectors):
@@ -184,7 +183,7 @@ class TestSectors:
                 string[E + lat.h_edge(x, oy)] = c
             for x in range(ox + 1, lat.width + 1):
                 string[lat.v_edge(x, oy)] = f
-            state = st.create_sector(ground, sector, avoid=part)
+            state = st.create_sector(ground, sector, origin=part.origin)
             phases = st.sector_witness_phases(state, part)
             assert phases["charge"] == pairing(string, x_loop), sector
             assert phases["flux"] == pairing(string, z_loop), sector
@@ -200,7 +199,7 @@ class TestSectors:
         seen = {}
         for c in range(p):
             for f in range(p):
-                state = st.create_sector(ground, (c, f), avoid=part)
+                state = st.create_sector(ground, (c, f), origin=part.origin)
                 w = st.sector_witness_phases(state, part)
                 seen[(c, f)] = (w["charge"], w["flux"])
         assert len(set(seen.values())) == p * p
@@ -210,15 +209,13 @@ class TestSectors:
             assert wc == c % p
             assert wf == (-f) % p
 
-    def test_detour_through_b_blocked(self, toric12):
-        lat, ground, part = toric12
-        with pytest.raises(PathBlocked):
-            st.create_sector(ground, (1, 0), detour_column=part.origin[0] + 1, avoid=part)
-
     def test_bad_sector_label(self, toric12):
         _, ground, _ = toric12
         with pytest.raises(MalformedInput):
             st.create_sector(ground, (2, 0))
+        for origin in ((12, 5), (-1, 5), (5, 12)):
+            with pytest.raises(MalformedInput):
+                st.create_sector(ground, (1, 1), origin=origin)
 
 
 class TestAnnulusCmi:
@@ -234,7 +231,7 @@ class TestAnnulusCmi:
         ground = st.build_ground_state(lat)
         part = st.centered_annulus(lat, width=2)
         for sec in ((0, 0), (1, 2), (2, 2)):
-            state = st.create_sector(ground, sec, avoid=part)
+            state = st.create_sector(ground, sec, origin=part.origin)
             assert st.annulus_cmi(state, part) == 2 * math.log(3)
 
     def test_wider_bars_same_value(self, toric12):
@@ -278,12 +275,6 @@ class TestGeometry:
         part.thin(1)  # fine
         with pytest.raises(InsufficientWidth):
             part.thin(2)
-
-    def test_string_path_validation(self):
-        with pytest.raises(MalformedInput):
-            st.StringPath(edges=(), kind="open")
-        with pytest.raises(MalformedInput):
-            st.StringPath(edges=((0, 2),), kind="open")
 
 
 class TestAssumptions:
@@ -531,8 +522,6 @@ class TestSharedGenerators:
         mixed = {**toric12_sectors, (1, 1): other}
         with pytest.raises(MalformedInput):
             st.verify_assumptions(mixed, part)
-        with pytest.raises(MalformedInput):
-            st.nested_annulus_table(mixed, st.centered_annulus(lat, width=2, a_width=3), n=1)
 
 
 class TestNestedTable:
@@ -540,8 +529,7 @@ class TestNestedTable:
         lat = st.Lattice(width=14, height=12, prime=2)
         ground = st.build_ground_state(lat)
         part = st.centered_annulus(lat, width=2, a_width=5)
-        fam = st.sector_family(ground, part)
-        trace = st.nested_annulus_table(fam, part, n=3)
+        trace = st.nested_annulus_table(ground, part, n=3)
         assert trace.table.shape == (4, 5)
         np.testing.assert_allclose(trace.table, 2 * math.log(2), atol=0)
         diffs = trace.table[:, 1:] - trace.table[:, :-1]
@@ -552,14 +540,13 @@ class TestNestedTable:
         lat = st.Lattice(width=12, height=12, prime=3)
         ground = st.build_ground_state(lat)
         part = st.centered_annulus(lat, width=2, a_width=4)
-        fam = st.sector_family(ground, part)
-        trace = st.nested_annulus_table(fam, part, n=2)
+        trace = st.nested_annulus_table(ground, part, n=2)
         np.testing.assert_allclose(trace.table, 2 * math.log(3), atol=0)
 
-    def test_insufficient_width(self, toric12, toric12_sectors):
-        _, _, part = toric12
+    def test_insufficient_width(self, toric12):
+        _, ground, part = toric12
         with pytest.raises(InsufficientWidth):
-            st.nested_annulus_table(toric12_sectors, part, n=2)
+            st.nested_annulus_table(ground, part, n=2)
 
 
 class TestDenseImport:
