@@ -56,6 +56,18 @@ def _check(name: str, passed: bool, **extra) -> dict:
     return entry
 
 
+def _int(value, name: str, default=...):
+    """A config value as an int, `default` if absent (None); ConfigError if malformed or required."""
+    if value is None:
+        if default is ...:
+            raise ConfigError(f"missing {name!r}")
+        return default
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name!r} must be an integer, got {value!r}") from exc
+
+
 @contextmanager
 def _stage(timings: dict, name: str):
     """Record the seconds spent in the block under timings["stages"][name]."""
@@ -84,15 +96,15 @@ def _fusion_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     identity = fu.verify_fixed_point_identity(fp, closed)
     K = fu.bound_constant(closed)
     a0 = cfg.get("a0", cat.unit)
-    n = int(cfg.get("n", 100))
+    n = _int(cfg.get("n"), "n", 100)
     bound = fu.tee_lower_bound(a0, closed, n, K)
     limit = math.log(1.0 / closed.of(a0))
     sweep = audit.taylor_bound_sweep(
         closed,
         fp,
-        trials=int(cfg.get("trials", 0)),
-        eps_points=int(cfg.get("taylor_points", 41)),
-        seed=int(cfg.get("seed", 0)),
+        trials=_int(cfg.get("trials"), "trials", 0),
+        eps_points=_int(cfg.get("taylor_points"), "taylor_points", 41),
+        seed=_int(cfg.get("seed"), "seed", 0),
     )
     checks = [
         _check("fusion_rows_normalized", fp.row_sum_residual < 1e-12, value=fp.row_sum_residual),
@@ -126,12 +138,12 @@ def _fusion_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
 
 
 def _ring_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
-    try:
-        q = int(cfg["q"])
-        arcs = cfg.get("arcs", [2, 2, 2, 2])
-        a, b1, c, b2 = (int(x) for x in arcs)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"ring needs 'q' and four 'arcs': {exc}") from exc
+    q = _int(cfg.get("q"), "q")
+    arcs = cfg.get("arcs", [2, 2, 2, 2])
+    if not isinstance(arcs, (list, tuple)) or len(arcs) != 4:
+        raise ConfigError(f"ring needs four 'arcs', got {arcs!r}")
+    a, b1, c, b2 = (_int(x, "arcs") for x in arcs)
+    levels = _int(cfg.get("levels"), "levels", None)
     spec = ring.RingSpec(q=q, sites_a=a, sites_b1=b1, sites_c=c, sites_b2=b2)
     cmi = ring.exact_cmi(spec)
     coeff = ring.cmi_coefficient(spec)
@@ -153,17 +165,19 @@ def _ring_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
             raise ConfigError(f"enumeration over {total} configurations refused")
         ok = _ring_enumeration_agrees(spec)
         checks.append(_check("enumeration_agrees", ok))
-    levels = cfg.get("levels")
-    if levels:
-        trace = ring.nested_annulus_table(spec, int(levels))
-        try:
-            rep = audit.assemble_bound(trace)
-            checks.append(_check("audit_passed", rep.passed,
-                                 final_margin=rep.checks["final_bound"]["margin"]))
-            data["audit"] = rep.to_dict()
-        except PremiseViolated as exc:
-            checks.append(_check("audit_passed", False, error=str(exc)))
+    if levels is not None:
+        checks.append(_audit_check(ring.nested_annulus_table(spec, levels), data))
     return checks, data
+
+
+def _audit_check(trace: audit.AuditTrace, data: dict) -> dict:
+    """The audit_passed check of a nested table; its audit report goes into data."""
+    try:
+        rep = audit.assemble_bound(trace)
+    except PremiseViolated as exc:
+        return _check("audit_passed", False, error=str(exc))
+    data["audit"] = rep.to_dict()
+    return _check("audit_passed", rep.passed, final_margin=rep.checks["final_bound"]["margin"])
 
 
 def _ring_enumeration_agrees(spec: ring.RingSpec) -> bool:
@@ -187,33 +201,39 @@ def _ring_enumeration_agrees(spec: ring.RingSpec) -> bool:
 def _parse_sector(text: str, p: int) -> tuple[int, int]:
     try:
         c, f = (int(x) for x in text.split(","))
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:
         raise ConfigError(f"sector must look like 'c,f': {text!r}") from exc
     if not (0 <= c < p and 0 <= f < p):
         raise ConfigError(f"sector {text!r} outside Z_{p} x Z_{p}")
     return (c, f)
 
 
+# Canonical report bytes per sector entry (its "sectors" item and its
+# certificate), measured at p = 13 on a 12 x 12 lattice.
+SECTOR_REPORT_BYTES = 281
+
+
 def _stabilizer_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
-    try:
-        p = int(cfg["p"])
-        width = int(cfg.get("width", cfg.get("size", 12)))
-        height = int(cfg.get("height", width))
-        bar = int(cfg.get("widths", 2))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"stabilizer needs 'p' (and lattice sizes): {exc}") from exc
-    hole = int(cfg.get("hole", 3))
-    a_width = cfg.get("a_width")
+    p = _int(cfg.get("p"), "p")
+    width = _int(cfg.get("width"), "width", _int(cfg.get("size"), "size", 12))
+    height = _int(cfg.get("height"), "height", width)
+    bar = _int(cfg.get("widths"), "widths", 2)
+    hole = _int(cfg.get("hole"), "hole", 3)
+    a_width = _int(cfg.get("a_width"), "a_width", None)
+    levels = _int(cfg.get("levels"), "levels", None)
+    sector = _parse_sector(cfg["sector"], p) if cfg.get("sector") else None
+    # a bad geometry, prime or level count is refused before the build
     lat = stabilizer.Lattice(width=width, height=height, prime=p)
+    part = stabilizer.centered_annulus(lat, width=bar, hole_size=hole, a_width=a_width)
+    if sector is None and SECTOR_REPORT_BYTES * p * p > stabilizer.GENS_BYTES_CAP:
+        raise ConfigError(f"p = {p}: p^2 sector entries are over the {stabilizer.GENS_BYTES_CAP}-byte cap")
+    if sector is not None and (cfg.get("assumptions") or levels is not None):
+        raise ConfigError("assumption checks and nested tables need all sectors")
+    if levels is not None:
+        stabilizer.check_nested_levels(part, levels)
     with _stage(timings, "build"):
         ground = stabilizer.build_ground_state(lat)
-        part = stabilizer.centered_annulus(
-            lat, width=bar, hole_size=hole, a_width=int(a_width) if a_width else None
-        )
-        if cfg.get("sector"):
-            sectors = [_parse_sector(cfg["sector"], p)]
-        else:
-            sectors = [(c, f) for c in range(p) for f in range(p)]
+    sectors = [sector] if sector else [(c, f) for c in range(p) for f in range(p)]
     timings["gens_bytes"] = ground.gens.nbytes
     # sector states differ from the ground state only in their frame, which ranks
     # never read: one certificate is every sector's, and only the assumption
@@ -239,27 +259,15 @@ def _stabilizer_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
         "certificates": {f"{c},{f}": cert_entry for c, f in sectors},
     }
     if cfg.get("assumptions"):
-        if len(sectors) != p * p:
-            raise ConfigError("assumption checks need all sectors")
         with _stage(timings, "assumptions"):
             rep = stabilizer.verify_assumptions(stabilizer.sector_family(ground, part), part)
         checks.extend(
             _check(f"assumption_{r.name}", r.passed, violations=len(r.violations))
             for r in (rep.distinguishability, rep.indistinguishability, rep.fusion)
         )
-    levels = cfg.get("levels")
-    if levels:
-        if len(sectors) != p * p:
-            raise ConfigError("nested tables need all sectors")
+    if levels is not None:
         with _stage(timings, "audit"):
-            trace = stabilizer.nested_annulus_table(ground, part, int(levels))
-            try:
-                rep = audit.assemble_bound(trace)
-                checks.append(_check("audit_passed", rep.passed,
-                                     final_margin=rep.checks["final_bound"]["margin"]))
-                data["audit"] = rep.to_dict()
-            except PremiseViolated as exc:
-                checks.append(_check("audit_passed", False, error=str(exc)))
+            checks.append(_audit_check(stabilizer.nested_annulus_table(ground, part, levels), data))
     return checks, data
 
 
@@ -534,18 +542,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if key in ("command", "config", "out") or value is None:
             continue
         config[key] = value
-    if args.command == "sweep":
-        for key in _INT_LISTS:
-            if key in config and isinstance(config[key], str):
-                try:
-                    config[key] = [int(x) for x in config[key].split(",")]
-                except ValueError as exc:
-                    raise ConfigError(f"bad list for {key!r}: {config[key]!r}") from exc
-    if args.command == "ring" and isinstance(config.get("arcs"), str):
-        try:
-            config["arcs"] = [int(x) for x in config["arcs"].split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad arcs {config['arcs']!r}") from exc
+    lists = _INT_LISTS if args.command == "sweep" else ("arcs",) if args.command == "ring" else ()
+    for key in lists:
+        if isinstance(config.get(key), str):
+            config[key] = [_int(x, key) for x in config[key].split(",")]
     return config
 
 

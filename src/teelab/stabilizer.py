@@ -30,15 +30,18 @@ operator takes Z around its boundary counterclockwise.
 
 Generators.  Every generator acts on at most four edges, so the generator
 matrix is stored as local supports (`SparseGenerators`): O(E) memory, and
-`build_ground_state` certifies it with two local checks.  Commutation is
-the symplectic form accumulated only over generator pairs that share an
-edge.  Full rank is certified by peeling: a row that is the only remaining
-nonzero in some column is independent of the other remaining rows, so it is
-removed, and if every row goes the rows are independent.  Peeling is
-sufficient, not necessary; for the toric code it always succeeds.  The dense
-E x 2E matrix, with its Gram product and dense rank, is the tests' oracle
-and is built only on request (`SparseGenerators.dense`); no library path
-builds it.
+`build_ground_state` certifies it with two local checks.  Rows are numbered
+by arithmetic (`_generator_rows`): plaquette (x, y) is row y W + x, then
+vertex (x, y) is row W H + y (W + 1) + x - 1, in raster order without the
+redundant vertex (0, 0); the build and the sector detectors both use it.
+Commutation is the symplectic form accumulated only over generator pairs
+that share an edge.  Full rank is certified by peeling: a row that is the
+only remaining nonzero in some column is independent of the other remaining
+rows, so it is removed, and if every row goes the rows are independent.
+Peeling is sufficient, not necessary; for the toric code it always succeeds.
+The dense E x 2E matrix, with its Gram product and dense rank, is the tests'
+oracle and is built only on request (`SparseGenerators.dense`); no library
+path builds it.
 
 Every region entropy is (|R| - g_R) log p with g_R the rank of the subgroup
 of stabilizers supported inside R: an exact integer multiple of log p.  For
@@ -72,8 +75,6 @@ from .gfp import nullspace_mod_p, rank_mod_p, rref_mod_p
 
 SectorLabel = tuple[int, int]  # (electric charge, magnetic flux) in Z_p x Z_p
 
-_PRIMES = {2, 3, 5, 7, 11, 13}
-
 # Byte cap on every large allocation.  A lattice is refused when its sparse
 # supports exceed it (square lattices up to 1447 x 1447 fit), a dense
 # reduction when its p^|R| x p^|R| complex matrix does, and the tests' dense
@@ -96,8 +97,6 @@ def check_dense_cap(n_rows: int, n_cols: int) -> None:
 
 
 def _check_prime(p: int) -> None:
-    if p in _PRIMES:
-        return
     if p < 2:
         raise MalformedInput(f"{p} is not prime")
     for d in range(2, int(math.isqrt(p)) + 1):
@@ -116,6 +115,9 @@ class Lattice:
     def __post_init__(self):
         if self.width < 4 or self.height < 4:
             raise MalformedInput("lattice must be at least 4 x 4 plaquettes")
+        # 2E residue products make the largest int64 sum; checked before the trial division
+        if 2 * self.n_edges * self.prime**2 >= 2**63:
+            raise DimensionCap(f"p = {self.prime}: a sum of 2E residue products mod p would overflow int64")
         _check_prime(self.prime)
         storage = 16 * MAX_SUPPORT * self.n_edges  # two (E, MAX_SUPPORT) int64 arrays
         if storage > GENS_BYTES_CAP:
@@ -132,13 +134,13 @@ class Lattice:
     def n_edges(self) -> int:
         return self.n_h_edges + (self.width + 1) * self.height
 
-    def h_edge(self, x: int, y: int) -> int:
-        if not (0 <= x < self.width and 0 <= y <= self.height):
+    def h_edge(self, x: int | np.ndarray, y: int | np.ndarray):
+        if not np.all((0 <= x) & (x < self.width) & (0 <= y) & (y <= self.height)):
             raise MalformedInput(f"no horizontal edge at ({x},{y})")
         return y * self.width + x
 
-    def v_edge(self, x: int, y: int) -> int:
-        if not (0 <= x <= self.width and 0 <= y < self.height):
+    def v_edge(self, x: int | np.ndarray, y: int | np.ndarray):
+        if not np.all((0 <= x) & (x <= self.width) & (0 <= y) & (y < self.height)):
             raise MalformedInput(f"no vertical edge at ({x},{y})")
         return self.n_h_edges + y * (self.width + 1) + x
 
@@ -270,7 +272,6 @@ class StabilizerState:
     lattice: Lattice
     gens: SparseGenerators  # n_edges rows
     frame: np.ndarray  # (2 n_edges,) mod p: the conjugating string's vector
-    row_labels: tuple[tuple, ...]
 
     def __post_init__(self):
         self.frame.setflags(write=False)
@@ -346,45 +347,47 @@ def _check_independent(gens: SparseGenerators) -> None:
         )
 
 
+def _generator_rows(lat: Lattice, kind: str, x: int | np.ndarray, y: int | np.ndarray):
+    """Row ids of the plaquette or vertex generators at (x, y); see the module docstring."""
+    if kind == "plaquette":
+        return y * lat.width + x
+    return lat.width * lat.height + y * (lat.width + 1) + x - 1
+
+
 def build_ground_state(lat: Lattice) -> StabilizerState:
     """Ground state: all plaquette operators plus all vertex operators but one.
 
     The product of all vertex operators is the identity (each edge enters
     twice with opposite signs), so one vertex generator is redundant and the
-    remaining V - 1 + P generators are exactly n_edges independent rows.
-    Both facts are checked, not assumed, and both checks are local: the
+    remaining V - 1 + P = n_edges generators (Euler) are independent.  Both
+    facts are checked, not assumed, and both checks are local: the
     symplectic form is accumulated only over generators that share an edge,
     and full rank is certified by peeling (see `_check_independent`), which
     is sufficient, not necessary.  The dense Gram product and dense rank of
-    `gens.dense()` are the tests' oracles for both.
+    `gens.dense()` are the tests' oracles for both.  Vertex slots are east,
+    west, north, south; one off the lattice keeps the padding (0, 0).
     """
-    p = lat.prime
-    E = lat.n_edges
-    labels = [("plaquette", x, y) for y in range(lat.height) for x in range(lat.width)]
-    labels += [
-        ("vertex", x, y)
-        for y in range(lat.height + 1)
-        for x in range(lat.width + 1)
-        if (x, y) != (0, 0)  # the one redundant vertex generator
-    ]
-    if len(labels) != E:
-        raise RankDeficiency(f"{len(labels)} generators for {E} edges")
+    p, E, W, H = lat.prime, lat.n_edges, lat.width, lat.height
     cols = np.zeros((E, MAX_SUPPORT), dtype=np.int64)
     vals = np.zeros((E, MAX_SUPPORT), dtype=np.int64)
-    for i, (kind, x, y) in enumerate(labels):
-        if kind == "plaquette":
-            support, offset = lat.plaquette_boundary(x, y), E  # Z-type
-        else:
-            support, offset = lat.vertex_star(x, y), 0  # X-type
-        for k, (e, sign) in enumerate(support):
-            cols[i, k] = offset + e
-            vals[i, k] = sign % p
+    y, x = np.divmod(np.arange(W * H), W)
+    rows = _generator_rows(lat, "plaquette", x, y)
+    cols[rows] = E + np.stack(
+        [lat.h_edge(x, y), lat.v_edge(x + 1, y), lat.h_edge(x, y + 1), lat.v_edge(x, y)], axis=1
+    )
+    vals[rows] = np.array([1, 1, -1, -1]) % p
+    y, x = np.divmod(np.arange(1, (W + 1) * (H + 1)), W + 1)
+    rows = _generator_rows(lat, "vertex", x, y)
+    for k, (has, edge, dx, dy, sign) in enumerate(
+        ((x < W, lat.h_edge, 0, 0, 1), (x > 0, lat.h_edge, -1, 0, -1),
+         (y < H, lat.v_edge, 0, 0, 1), (y > 0, lat.v_edge, 0, -1, -1))
+    ):
+        cols[rows[has], k] = edge(x[has] + dx, y[has] + dy)
+        vals[rows[has], k] = sign % p
     gens = SparseGenerators(cols=cols, vals=vals, n_edges=E)
     _check_commutation(gens, p)
     _check_independent(gens)
-    return StabilizerState(
-        lattice=lat, gens=gens, frame=np.zeros(2 * E, dtype=np.int64), row_labels=tuple(labels)
-    )
+    return StabilizerState(lattice=lat, gens=gens, frame=np.zeros(2 * E, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +508,11 @@ def _row_strings(
     column plaquettes[0] east to plaquettes[1] crosses.  Both run eastward
     with sign +1 on every edge.
     """
-    E, W = lat.n_edges, lat.width
+    E = lat.n_edges
     t_e = np.zeros(2 * E, dtype=np.int64)
-    t_e[E + y * W + np.arange(*vertices)] = 1
+    t_e[E + lat.h_edge(np.arange(*vertices), y)] = 1
     t_m = np.zeros(2 * E, dtype=np.int64)
-    t_m[lat.n_h_edges + y * (W + 1) + np.arange(plaquettes[0] + 1, plaquettes[1] + 1)] = 1
+    t_m[lat.v_edge(np.arange(plaquettes[0] + 1, plaquettes[1] + 1), y)] = 1
     return t_e, t_m
 
 
@@ -622,9 +625,6 @@ def annulus_cmi_certificate(state: StabilizerState, part: AnnulusPartition) -> t
     sizes = {k: len(v) for k, v in regions.items()}
     ranks = {k: region_rank(state, v) for k, v in regions.items()}
     coeff = ranks["B"] + ranks["ABC"] - ranks["AB"] - ranks["BC"]
-    size_check = sizes["AB"] + sizes["BC"] - sizes["B"] - sizes["ABC"]
-    if size_check != 0:
-        raise InvalidGeometry("region sizes are inconsistent (partition overlap?)")
     return coeff * math.log(state.lattice.prime), CmiCertificate(sizes=sizes, ranks=ranks, coefficient=coeff)
 
 
@@ -661,7 +661,8 @@ def restricted_canonical(
 
 
 def pauli_repr(state: StabilizerState, vec: np.ndarray) -> str:
-    """Human-readable form of a Pauli vector, e.g. 'X[h(2,3)]^1 Z[v(4,1)]^2'."""
+    """Human-readable form of a Pauli vector, edges at doubled midpoint coordinates:
+    'X^1[h(5,6)] Z^2[v(8,3)]' is X on h-edge (2, 3) and Z^2 on v-edge (4, 1)."""
     lat = state.lattice
     E = state.n
     parts = []
@@ -768,28 +769,22 @@ def region_density(state: StabilizerState, region) -> DensityOperator:
 # sector detectors
 
 
-def _combine_label_rows(state: StabilizerState, wanted: set) -> tuple[np.ndarray, int]:
-    """Product of the labelled rows, in row order, formed on their own edges."""
-    idx = np.array([i for i, lab in enumerate(state.row_labels) if lab in wanted], dtype=np.int64)
-    if len(idx) != len(wanted):
-        missing = wanted - {state.row_labels[i] for i in idx}
-        raise MalformedInput(f"rows not present: {sorted(missing)[:3]}")
+def _combine_rows(state: StabilizerState, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Product of the given generator rows, formed on their own edges, and its phase."""
     gens = state.gens
     p = state.lattice.prime
-    edges = np.unique(gens.cols[idx][gens.vals[idx] != 0] % state.n)
-    local = gens.block(idx, edges).sum(axis=0) % p
+    edges = np.unique(gens.cols[rows][gens.vals[rows] != 0] % state.n)
+    local = gens.block(rows, edges).sum(axis=0) % p
     phase = int(_pairing(local, state.frame[_region_columns(state, edges)]) % p)
     return _embed(state, edges, local), phase
 
 
 def charge_detector(state: StabilizerState, part: AnnulusPartition) -> tuple[np.ndarray, int]:
-    """Product of vertex operators over the closed hole: the X-type loop in the
-    annulus whose phase reads out the enclosed electric charge."""
+    """Product of vertex operators over the closed hole, which the clearance rule keeps off
+    the dropped vertex (0, 0): the X-type loop whose phase reads out the enclosed charge."""
     hx0, hy0, hx1, hy1 = part.hole
-    wanted = {("vertex", x, y) for x in range(hx0, hx1 + 1) for y in range(hy0, hy1 + 1)}
-    if ("vertex", 0, 0) in wanted:
-        raise InvalidGeometry("hole touches the dropped corner generator")
-    return _combine_label_rows(state, wanted)
+    y, x = np.mgrid[hy0:hy1 + 1, hx0:hx1 + 1]
+    return _combine_rows(state, _generator_rows(state.lattice, "vertex", x, y).ravel())
 
 
 def flux_detector(state: StabilizerState, part: AnnulusPartition) -> tuple[np.ndarray, int]:
@@ -801,8 +796,8 @@ def flux_detector(state: StabilizerState, part: AnnulusPartition) -> tuple[np.nd
     perimeter edges.
     """
     hx0, hy0, hx1, hy1 = part.hole
-    wanted = {("plaquette", x, y) for x in range(hx0 - 1, hx1) for y in range(hy0 - 1, hy1)}
-    return _combine_label_rows(state, wanted)
+    y, x = np.mgrid[hy0 - 1:hy1, hx0 - 1:hx1]
+    return _combine_rows(state, _generator_rows(state.lattice, "plaquette", x, y).ravel())
 
 
 def sector_witness_phases(state: StabilizerState, part: AnnulusPartition) -> dict[str, int]:
@@ -941,6 +936,14 @@ def verify_assumptions(
 # audit trace
 
 
+def check_nested_levels(part: AnnulusPartition, n: int) -> None:
+    """Raise unless `nested_annulus_table` can fill n levels: n >= 1, n + 1 thinnings of A, p <= 9."""
+    if n < 1:
+        raise MalformedInput("need n >= 1 intermediate levels")
+    part.thin(n + 1)  # InsufficientWidth unless A allows n + 1 more thinnings
+    double_zn_category(part.lattice.prime)
+
+
 def nested_annulus_table(state: StabilizerState, part: AnnulusPartition, n: int) -> audit.AuditTrace:
     """Table I_i^(a) over nested annuli A_0 BC c ... c A_{n+1} BC = ABC.
 
@@ -949,12 +952,7 @@ def nested_annulus_table(state: StabilizerState, part: AnnulusPartition, n: int)
     Ranks never read the frame, so one CMI per level on the given state
     fills all p^2 sector rows.
     """
-    if n < 1:
-        raise MalformedInput("need n >= 1 intermediate levels")
-    if part.a_width - 1 < n + 1:
-        raise InsufficientWidth(
-            f"A width {part.a_width} allows {part.a_width - 1} thinnings, need {n + 1}"
-        )
+    check_nested_levels(part, n)
     p = state.lattice.prime
     levels = [annulus_cmi(state, part.thin(n + 1 - i) if i < n + 1 else part) for i in range(n + 2)]
     table = np.tile(levels, (p * p, 1))

@@ -293,3 +293,54 @@ def fusion_string_loop(
         path = tuple((lat.v_edge(x, y), +1) for x in range(x_w, x_end + 1))
         t = (t + _string_vector(lat, path, (-f) % p, "x")) % p
     return t
+
+
+def row_labels(lat: Lattice) -> tuple[tuple[str, int, int], ...]:
+    """Oracle for the generator row order: one (kind, x, y) label per row,
+    all plaquettes, then all vertices but the redundant (0, 0), both in
+    raster order."""
+    labels = [("plaquette", x, y) for y in range(lat.height) for x in range(lat.width)]
+    labels += [
+        ("vertex", x, y)
+        for y in range(lat.height + 1)
+        for x in range(lat.width + 1)
+        if (x, y) != (0, 0)  # the one redundant vertex generator
+    ]
+    return tuple(labels)
+
+
+def combine_label_rows(state: StabilizerState, wanted: set) -> tuple[np.ndarray, int]:
+    """Oracle for `stabilizer._combine_rows`: the rows found by a scan of the
+    label list, their product in row order formed on their own edges."""
+    labels = row_labels(state.lattice)
+    idx = np.array([i for i, lab in enumerate(labels) if lab in wanted], dtype=np.int64)
+    if len(idx) != len(wanted):
+        missing = wanted - {labels[i] for i in idx}
+        raise MalformedInput(f"rows not present: {sorted(missing)[:3]}")
+    gens = state.gens
+    p = state.lattice.prime
+    edges = np.unique(gens.cols[idx][gens.vals[idx] != 0] % state.n)
+    local = gens.block(idx, edges).sum(axis=0) % p
+    phase = int(_pairing(local, state.frame[_region_columns(state, edges)]) % p)
+    return _embed(state, edges, local), phase
+
+
+def charge_detector_loop(state: StabilizerState, part: AnnulusPartition) -> tuple[np.ndarray, int]:
+    """Oracle for `stabilizer.charge_detector`: the vertex rows over the closed
+    hole, found by label."""
+    hx0, hy0, hx1, hy1 = part.hole
+    wanted = {("vertex", x, y) for x in range(hx0, hx1 + 1) for y in range(hy0, hy1 + 1)}
+    return combine_label_rows(state, wanted)
+
+
+def flux_detector_loop(state: StabilizerState, part: AnnulusPartition) -> tuple[np.ndarray, int]:
+    """Oracle for `stabilizer.flux_detector`: the plaquette rows over the hole
+    and one ring to the south-west, found by label."""
+    hx0, hy0, hx1, hy1 = part.hole
+    wanted = {("plaquette", x, y) for x in range(hx0 - 1, hx1) for y in range(hy0 - 1, hy1)}
+    return combine_label_rows(state, wanted)
+
+
+def sector_witness_phases_loop(state: StabilizerState, part: AnnulusPartition) -> dict[str, int]:
+    """Oracle for `stabilizer.sector_witness_phases` on the label-scan detectors."""
+    return {"charge": charge_detector_loop(state, part)[1], "flux": flux_detector_loop(state, part)[1]}

@@ -155,6 +155,61 @@ class TestStabilizerCommand:
         assert len(report["data"]["sectors"]) == 9
 
 
+def no_build(lat):
+    raise AssertionError("build_ground_state ran")
+
+
+@pytest.mark.parametrize(
+    "command, cfg, flags",
+    [
+        ("stabilizer", {"p": 2, "hole": "x"}, []),
+        ("stabilizer", {"p": 2, "levels": "x"}, []),
+        ("stabilizer", {"p": 2, "a_width": "x"}, []),
+        ("stabilizer", {"p": 2, "sector": [1, 1]}, []),
+        ("stabilizer", {"p": 2}, ["--a-width", "0"]),
+        ("stabilizer", {"p": 2}, ["--levels", "0"]),
+        ("fusion", {"category": "z2", "n": "x"}, []),
+        ("fusion", {"category": "z2", "trials": "x"}, []),
+        ("fusion", {"category": "z2", "seed": "x"}, []),
+        ("ring", {"q": 2, "levels": "x"}, []),
+    ],
+)
+def test_malformed_config_value_is_config_error(command, cfg, flags, tmp_path, capsys, monkeypatch):
+    # exit 2 with a message, not 1 with a traceback, and before any build; a
+    # zero A width or level count reaches the library's checks
+    monkeypatch.setattr(stabilizer, "build_ground_state", no_build)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(path), *flags]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--p", "1000000007"], "overflow"),
+        (["--p", "4294967311"], "overflow"),
+        (["--p", "1009"], "sector entries"),
+        (["--p", "11", "--size", "14", "--a-width", "5", "--levels", "3"], "p <= 9"),
+    ],
+)
+def test_large_prime_is_config_error_before_build(flags, message, capsys, monkeypatch):
+    # int64 residue sums, the report's p^2 sector entries and the two-digit
+    # sector labels of a nested table each bound p
+    monkeypatch.setattr(stabilizer, "build_ground_state", no_build)
+    assert cli.main(["stabilizer", "--size", "12", "--widths", "2", *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_one_sector_of_a_large_prime_runs(tmp_path):
+    # the sector-entry charge counts the sectors listed, one here
+    code, report = run_json(
+        ["stabilizer", "--p", "1009", "--size", "12", "--widths", "2", "--sector", "1,1"], tmp_path
+    )
+    assert code == 0
+    assert report["data"]["certificates"]["1,1"]["coefficient"] == 2
+
+
 class TestAuditCommand:
     def test_ring_trace_roundtrip(self, tmp_path):
         spec = ring.RingSpec(q=2, sites_a=4, sites_b1=1, sites_c=1, sites_b2=1)

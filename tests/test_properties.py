@@ -2,12 +2,14 @@
 construction it replaced, region-local ranks, restricted bases, frame
 phases and dense reductions against the dense-matrix oracles on random
 valid annulus geometries and primes, the frame-difference assumption
-checks against their per-pair loop oracle, rank_mod_p against a brute-force
+checks against their per-pair loop oracle, the built rows and the sector
+detectors against the label-list oracle, rank_mod_p against a brute-force
 span count, the array Taylor sweep against its loop oracle on random
 row-stochastic tensors, and fusion-table validation against a brute-force
 fusion-ring check on randomly edited bundled tables."""
 
 import re
+from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 
@@ -22,10 +24,14 @@ from teelab import audit, dense, fusion, gfp, stabilizer as st  # noqa: E402
 from teelab.errors import InvalidCategory, MalformedInput, RankDeficiency  # noqa: E402
 
 from oracles import (  # noqa: E402
+    charge_detector_loop,
     create_sector_loop,
     edge_midpoints_loop,
+    flux_detector_loop,
     fusion_string_loop,
     is_fusion_ring,
+    row_labels,
+    sector_witness_phases_loop,
     taylor_bound_sweep_loop,
     verify_assumptions_loop,
 )
@@ -272,7 +278,7 @@ def sheared(state: st.StabilizerState, edges) -> st.StabilizerState:
     gc, gv = np.zeros((E, width), dtype=np.int64), np.zeros((E, width), dtype=np.int64)
     gc[rows, slot], gv[rows, slot] = cols, mat[rows, cols]
     gens = st.SparseGenerators(cols=gc, vals=gv, n_edges=E)
-    return st.StabilizerState(lattice=state.lattice, gens=gens, frame=state.frame.copy(), row_labels=state.row_labels)
+    return st.StabilizerState(lattice=state.lattice, gens=gens, frame=state.frame.copy())
 
 
 @settings(max_examples=25, deadline=None)
@@ -390,6 +396,35 @@ def test_witness_phases_biject_sectors(part):
             assert 0 <= w["charge"] < p and 0 <= w["flux"] < p
             seen.add((w["charge"], w["flux"]))
     assert len(seen) == p * p
+
+
+@settings(max_examples=25, deadline=None)
+@given(part=annuli(), data=hst.data())
+def test_rows_and_detectors_match_label_oracle(part, data):
+    lat = part.lattice
+    E = lat.n_edges
+    gens = ground(lat.width, lat.height, lat.prime).gens
+    # every row: distinct nonzero columns, padding (0, 0), X columns only in
+    # vertex rows and Z columns only in plaquette rows
+    labels = row_labels(lat)
+    assert len(labels) == gens.n_rows
+    for i, (kind, _, _) in enumerate(labels):
+        live = gens.vals[i] != 0
+        cols = gens.cols[i, live]
+        assert not gens.cols[i, ~live].any(), i
+        assert len(cols) and len(np.unique(cols)) == len(cols), i
+        assert ((cols < E) if kind == "vertex" else (cols >= E)).all(), i
+    # the detectors under a random frame, on the unthinned annulus that
+    # holds both loops, against the rows found by scanning the labels
+    state = framed(lat, data)
+    part = replace(part, thin_steps=0)
+    pairs = ((st.charge_detector, charge_detector_loop), (st.flux_detector, flux_detector_loop))
+    for detector, oracle in pairs:
+        vec, phase = detector(state, part)
+        want, want_phase = oracle(state, part)
+        np.testing.assert_array_equal(vec, want)
+        assert phase == want_phase
+    assert st.sector_witness_phases(state, part) == sector_witness_phases_loop(state, part)
 
 
 @settings(max_examples=50, deadline=None)

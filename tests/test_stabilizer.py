@@ -55,6 +55,19 @@ class TestLattice:
         with pytest.raises(MalformedInput):
             st.Lattice(width=4, height=4, prime=4)
 
+    def test_rejects_primes_whose_residue_sums_overflow(self):
+        # 2 E p^2 < 2**63 keeps every sum of residue products inside int64;
+        # 4 x 4 has E = 40, and 339546971 and 339546983 are the primes on
+        # either side of the bound.  The bound is checked before the trial
+        # division, so an even 2**64 is refused for its size
+        lat = st.Lattice(width=4, height=4, prime=339546971)
+        state = st.build_ground_state(lat)
+        edges = [e for e, _ in lat.plaquette_boundary(1, 1)]
+        assert st.region_entropy(state, edges) == 3 * math.log(339546971)
+        for p in (339546983, 4294967311, 2**64):
+            with pytest.raises(DimensionCap, match="overflow"):
+                st.Lattice(width=4, height=4, prime=p)
+
     def test_oversize_lattice_rejected_at_construction(self):
         # the sparse generators take 64 E bytes: 1447 x 1447 fits under the
         # cap, 1448 x 1448 and 5000 x 5000 (about 3 GB) do not
@@ -547,6 +560,19 @@ class TestNestedTable:
         _, ground, part = toric12
         with pytest.raises(InsufficientWidth):
             st.nested_annulus_table(ground, part, n=2)
+
+    def test_level_checks_come_before_any_rank(self, monkeypatch):
+        def no_rank(*args):
+            raise AssertionError("a rank was computed")
+
+        monkeypatch.setattr(st, "annulus_cmi", no_rank)
+        for p, n, error in ((11, 3, MalformedInput), (2, 0, MalformedInput), (2, 4, InsufficientWidth)):
+            lat = st.Lattice(width=14, height=12, prime=p)
+            part = st.centered_annulus(lat, width=2, a_width=5)
+            with pytest.raises(error):
+                st.check_nested_levels(part, n)
+            with pytest.raises(error):
+                st.nested_annulus_table(st.build_ground_state(lat), part, n)
 
 
 class TestDenseImport:
