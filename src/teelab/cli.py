@@ -57,15 +57,33 @@ def _check(name: str, passed: bool, **extra) -> dict:
 
 
 def _int(value, name: str, default=...):
-    """A config value as an int, `default` if absent (None); ConfigError if malformed or required."""
+    """A config value as an int, `default` if absent (None); ConfigError if
+    malformed or required.  A float counts only when integral, a bool never."""
     if value is None:
         if default is ...:
             raise ConfigError(f"missing {name!r}")
         return default
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name!r} must be an integer, got {value!r}") from exc
+
+
+def _float(value, name: str):
+    """A config value as a finite float, None if absent; ConfigError if malformed."""
+    if value is None:
+        return None
+    try:
+        if isinstance(value, bool):
+            raise ValueError
+        out = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name!r} must be a number, got {value!r}") from exc
+    if not math.isfinite(out):
+        raise ConfigError(f"{name!r} must be finite, got {value!r}")
+    return out
 
 
 @contextmanager
@@ -278,16 +296,10 @@ def _audit_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     if not Path(path).exists():
         raise ConfigError(f"trace file {path} does not exist")
     trace = audit.load_trace(path)
-    eps = cfg.get("eps")
-    alpha = cfg.get("alpha")
-    b = cfg.get("b")
+    eps = _float(cfg.get("eps"), "eps")
+    alpha = _float(cfg.get("alpha"), "alpha")
     try:
-        rep = audit.assemble_bound(
-            trace,
-            b=b,
-            eps=float(eps) if eps is not None else None,
-            alpha=float(alpha) if alpha is not None else None,
-        )
+        rep = audit.assemble_bound(trace, b=cfg.get("b"), eps=eps, alpha=alpha)
         checks = [
             _check(f"audit_{name}", entry["passed"], margin=entry["margin"], note=entry["note"])
             for name, entry in rep.checks.items()

@@ -43,13 +43,26 @@ The dense E x 2E matrix, with its Gram product and dense rank, is the tests'
 oracle and is built only on request (`SparseGenerators.dense`); no library
 path builds it.
 
-Every region entropy is (|R| - g_R) log p with g_R the rank of the subgroup
-of stabilizers supported inside R: an exact integer multiple of log p.  For
-a pure state g_R = 2|R| - rank(G|_R), so each rank is one elimination over
-F_p on the region's own 2|R| columns and on the generators that touch R.
-The subgroup itself is the symplectic complement of G|_R in those columns,
-and its phases are read from the frame on R, so reductions are compared on
-the region alone.
+Entropies.  Every region entropy is (|R| - g_R) log p with g_R the rank of
+the subgroup of stabilizers supported inside R: an exact integer multiple of
+log p.  For a pure state g_R = 2|R| - rank(G|_R), and rank(G|_R) is counted,
+not eliminated.  A column of G is X or Z on one edge.  The X column meets
+the two vertex stars at the edge's ends, with +1 and -1; the Z column meets
+the plaquettes on its two sides, with +1 and -1.  A star of the dropped
+vertex (0, 0), or a plaquette beyond the smooth boundary, is missing, so
+every column has at most two nonzeros, u and -u.  G|_R is then a directed
+incidence matrix with scaled columns: rows are nodes, each column is an
+edge between its two rows, and a column with one nonzero runs to a sentinel
+node whose row is left out.  Scaling a column by a unit keeps the rank, a
+directed incidence matrix is totally unimodular, and its rank over every
+F_p is nodes - components, the size of a spanning forest (Schrijver, Theory
+of Linear and Integer Programming, 1986); leaving out the sentinel's row
+keeps it, since a component's rows sum to zero.  So g_R = 2|R| minus the
+size of a spanning forest of R's 2|R| columns, grown by union-find.  This
+is the counting behind the region entropies of Hamma, Ionicioiu & Zanardi,
+PRA 71, 022315 (2005).  The subgroup itself is the symplectic complement of
+G|_R in R's columns, one elimination over F_p, and its phases are read from
+the frame on R, so reductions are compared on the region alone.
 """
 
 from __future__ import annotations
@@ -71,7 +84,7 @@ from .errors import (
 )
 from .fusion import closed_form_fixed_point, double_zn_category, fusion_probabilities, quantum_dimensions
 from . import audit
-from .gfp import nullspace_mod_p, rank_mod_p, rref_mod_p
+from .gfp import nullspace_mod_p, rref_mod_p
 
 SectorLabel = tuple[int, int]  # (electric charge, magnetic flux) in Z_p x Z_p
 
@@ -239,6 +252,19 @@ class SparseGenerators:
         out[rows, cols] = vals
         return out
 
+    @cached_property
+    def by_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries grouped by column, as (start, rows, vals): column
+        c holds rows[start[c]:start[c + 1]], with values vals[...], in row
+        order.  Built once, by one stable sort of the entries."""
+        rows, cols, vals = self.entries()
+        order = np.argsort(cols, kind="stable")
+        start = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=2 * self.n_edges))])
+        index = (start, rows[order], vals[order])
+        for arr in index:
+            arr.setflags(write=False)
+        return index
+
     def _on_edges(self, rows, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For the rows' slots: the position of each slot's edge in the sorted
         `edges`, and whether the slot is a nonzero entry on one of them."""
@@ -250,9 +276,13 @@ class SparseGenerators:
         return pos, (vals != 0) & (edges[np.minimum(pos, len(edges) - 1)] == edge)
 
     def rows_on(self, edges: np.ndarray) -> np.ndarray:
-        """Rows with a nonzero entry on any of the sorted edges."""
-        _, hit = self._on_edges(slice(None), edges)
-        return np.flatnonzero(hit.any(axis=1))
+        """Sorted rows with a nonzero entry on any of the edges, read from the
+        column index in O(|edges|)."""
+        edges = np.asarray(edges, dtype=np.int64)
+        columns = np.concatenate([edges, edges + self.n_edges])
+        start, rows, _ = self.by_column
+        _, index = _ranges(start[columns], start[columns + 1])
+        return np.unique(rows[index])
 
     def block(self, rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
         """The given rows on the sorted edges' X then Z columns, shape
@@ -324,10 +354,8 @@ def _check_independent(gens: SparseGenerators) -> None:
     such row.  If every row goes, the rows are independent.  The certificate
     is sufficient, not necessary: a stall is reported as rank deficiency.
     """
-    rows, cols, _ = gens.entries()
-    count = np.bincount(cols, minlength=2 * gens.n_edges)
-    col_rows = rows[np.argsort(cols, kind="stable")]  # rows grouped by column
-    start = np.concatenate([[0], np.cumsum(count)])
+    start, col_rows, _ = gens.by_column
+    count = np.diff(start)
     alive = np.ones(gens.n_rows, dtype=bool)
     left = gens.n_rows
     frontier = np.flatnonzero(count == 1)
@@ -583,19 +611,76 @@ def _pairing(vecs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return vecs[..., :n] @ t[n:] - vecs[..., n:] @ t[:n]
 
 
+def _column_graph(
+    gens: SparseGenerators, columns: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero columns as graph edges (u, v, position in `columns`).
+
+    A column with two entries joins their two rows; a column with one entry
+    joins its row to the sentinel node n_rows.  A column with more than two
+    entries, or with two that do not cancel mod p, is no scaled incidence
+    column, and raises MalformedInput.
+    """
+    start, rows, vals = gens.by_column
+    lo, count = start[columns], start[columns + 1] - start[columns]
+    if (count > 2).any():
+        k = int(np.argmax(count > 2))
+        raise MalformedInput(f"column {columns[k]} has {count[k]} entries; a graph rank needs at most two")
+    two = np.flatnonzero(count == 2)
+    odd = (vals[lo[two]] + vals[lo[two] + 1]) % p != 0
+    if odd.any():
+        raise MalformedInput(f"the two entries of column {columns[two[odd][0]]} do not cancel mod {p}")
+    keep = np.flatnonzero(count)
+    second = rows[np.minimum(lo[keep] + 1, len(rows) - 1)]
+    return rows[lo[keep]], np.where(count[keep] == 2, second, gens.n_rows), keep
+
+
+def _forest_joins(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Kruskal's test on the graph edges in order: whether edge k joins two
+    trees of the forest grown from the edges before it.
+
+    The joined edges of any prefix span that prefix's graph, so a running
+    count of joins is each prefix's spanning-forest size.  Union-find by
+    size with path halving over the nodes the edges touch: O(k alpha(k)).
+    """
+    k = len(u)
+    _, ids = np.unique(np.concatenate([u, v]), return_inverse=True)
+    n_nodes = int(ids.max()) + 1 if k else 0
+    parent, size = list(range(n_nodes)), [1] * n_nodes
+    joined = []
+    for i, (a, b) in enumerate(zip(ids[:k].tolist(), ids[k:].tolist())):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            if size[a] > size[b]:
+                a, b = b, a
+            parent[a] = b
+            size[b] += size[a]
+            joined.append(i)
+    out = np.zeros(k, dtype=bool)
+    out[joined] = True
+    return out
+
+
 def region_rank(state: StabilizerState, region: tuple[int, ...]) -> int:
     """g_R: rank of the subgroup of stabilizers supported inside the region.
 
-    Computed from the region's own columns as g_R = 2|R| - rank(G|_R), where
-    G|_R keeps the X and Z columns of R's edges; equivalently
-    S_R = (rank(G|_R) - |R|) log p (Fattal et al., quant-ph/0406168).  The
-    identity needs a pure state (S_R = S_{R^c}), which the commutation and
-    full-rank checks of `build_ground_state` guarantee.  Only the generators
-    that touch R enter G|_R: the others are zero on its columns.
+    g_R = 2|R| - rank(G|_R), where G|_R keeps the X and Z columns of R's
+    edges; equivalently S_R = (rank(G|_R) - |R|) log p (Fattal et al.,
+    quant-ph/0406168).  The identity needs a pure state (S_R = S_{R^c}),
+    which the commutation and full-rank checks of `build_ground_state`
+    guarantee.  Every column of G|_R has at most two nonzeros, u and -u, so
+    G|_R is a directed incidence matrix with scaled columns, and its rank
+    over F_p is the size of a spanning forest of R's columns as graph edges
+    (Schrijver 1986; the counting of Hamma, Ionicioiu & Zanardi, PRA 71,
+    022315, 2005; see the module docstring).  The shape is checked on every
+    column read: a column that breaks it raises MalformedInput.
     """
     edges = np.unique(np.asarray(region, dtype=np.int64))
-    block = state.gens.block(state.gens.rows_on(edges), edges)
-    return 2 * len(edges) - rank_mod_p(block, state.lattice.prime)
+    u, v, _ = _column_graph(state.gens, np.concatenate([edges, edges + state.n]), state.lattice.prime)
+    return 2 * len(edges) - int(_forest_joins(u, v).sum())
 
 
 def region_entropy(state: StabilizerState, region) -> float:
@@ -944,17 +1029,62 @@ def check_nested_levels(part: AnnulusPartition, n: int) -> None:
     double_zn_category(part.lattice.prime)
 
 
+def _nested_ranks(state: StabilizerState, part: AnnulusPartition, n: int) -> dict[str, np.ndarray]:
+    """g_R of AB, BC, B and ABC at each level i = 0 .. n+1 of `nested_annulus_table`.
+
+    An edge of the full A at doubled x-coordinate mx survives a thinning
+    steps deeper than A's box (x0, x1) iff steps <= min(mx - x0, x1 - 1 - mx),
+    its depth, so it joins at level n + 1 - depth (0 if deeper).  Two forests
+    are grown once, over B then A's columns and over B, C then A's, with A's
+    columns in level order; every level's forest sizes, and B's and BC's,
+    are prefix counts of their joins.
+    """
+    gens, E, p = state.gens, state.n, state.lattice.prime
+
+    def graph(edges):
+        edges = np.asarray(edges, dtype=np.int64)
+        return _column_graph(gens, np.concatenate([edges, edges + E]), p)
+
+    def prefix_forests(u, v):
+        return np.concatenate([[0], np.cumsum(_forest_joins(np.concatenate(u), np.concatenate(v)))])
+
+    a = np.asarray(part.region_edges("A"), dtype=np.int64)
+    x0, _, x1, _ = part.bar_boxes()["A"]
+    mx = state.lattice.edge_midpoints[a, 0]
+    join = np.maximum(n + 1 - np.minimum(mx - x0, x1 - 1 - mx), 0)
+    levels = np.arange(n + 2)
+    size_a = np.searchsorted(np.sort(join), levels, side="right")  # |A_i|
+    ua, va, pos = graph(a)
+    column_join = join[pos % len(a)]  # pos runs over A's X then Z columns
+    order = np.argsort(column_join, kind="stable")
+    ua, va = ua[order], va[order]
+    present = np.searchsorted(column_join[order], levels, side="right")  # A's columns at level i
+    b, c = part.region_edges("B"), part.region_edges("C")
+    (ub, vb, _), (uc, vc, _) = graph(b), graph(c)
+    f_ab = prefix_forests((ub, ua), (vb, va))
+    f_abc = prefix_forests((ub, uc, ua), (vb, vc, va))
+    nb, nbc = len(ub), len(ub) + len(uc)
+    return {
+        "AB": 2 * (len(b) + size_a) - f_ab[nb + present],
+        "BC": np.full(n + 2, 2 * (len(b) + len(c)) - f_abc[nbc]),
+        "B": np.full(n + 2, 2 * len(b) - f_ab[nb]),
+        "ABC": 2 * (len(b) + len(c) + size_a) - f_abc[nbc + present],
+    }
+
+
 def nested_annulus_table(state: StabilizerState, part: AnnulusPartition, n: int) -> audit.AuditTrace:
     """Table I_i^(a) over nested annuli A_0 BC c ... c A_{n+1} BC = ABC.
 
     Level i uses the partition thinned n+1-i times (one edge-column per
     side per step); the full partition must be wide enough for n+1 steps.
     Ranks never read the frame, so one CMI per level on the given state
-    fills all p^2 sector rows.
+    fills all p^2 sector rows.  Every level's ranks come from one incremental
+    pass (`_nested_ranks`), O(E alpha(E)) for all of them together.
     """
     check_nested_levels(part, n)
     p = state.lattice.prime
-    levels = [annulus_cmi(state, part.thin(n + 1 - i) if i < n + 1 else part) for i in range(n + 2)]
+    g = _nested_ranks(state, part, n)
+    levels = [int(c) * math.log(p) for c in g["B"] + g["ABC"] - g["AB"] - g["BC"]]
     table = np.tile(levels, (p * p, 1))
     cat = double_zn_category(p)
     dims = quantum_dimensions(cat)

@@ -10,6 +10,7 @@ import numpy as np
 from teelab.audit import MARGIN_TOL, TaylorSweepReport
 from teelab.errors import DegenerateDistribution, MalformedInput
 from teelab.fusion import AnyonDistribution, FusionProbabilities
+from teelab.gfp import rank_mod_p
 from teelab.stabilizer import (
     AnnulusPartition,
     AssumptionsReport,
@@ -17,6 +18,7 @@ from teelab.stabilizer import (
     Lattice,
     PropertyResult,
     SectorLabel,
+    SparseGenerators,
     StabilizerState,
     _embed,
     _pairing,
@@ -344,3 +346,31 @@ def flux_detector_loop(state: StabilizerState, part: AnnulusPartition) -> tuple[
 def sector_witness_phases_loop(state: StabilizerState, part: AnnulusPartition) -> dict[str, int]:
     """Oracle for `stabilizer.sector_witness_phases` on the label-scan detectors."""
     return {"charge": charge_detector_loop(state, part)[1], "flux": flux_detector_loop(state, part)[1]}
+
+
+def rows_on_scan(gens: SparseGenerators, edges: np.ndarray) -> np.ndarray:
+    """Oracle for `SparseGenerators.rows_on`: every slot of every row looked
+    up in the sorted edges."""
+    _, hit = gens._on_edges(slice(None), np.asarray(edges, dtype=np.int64))
+    return np.flatnonzero(hit.any(axis=1))
+
+
+def region_rank_elimination(state: StabilizerState, region) -> int:
+    """Oracle for `stabilizer.region_rank`: g_R = 2|R| - rank(G|_R) by one
+    elimination over F_p on the region's columns, with the rows that touch R
+    found by the full-slot scan."""
+    edges = np.unique(np.asarray(region, dtype=np.int64))
+    block = state.gens.block(rows_on_scan(state.gens, edges), edges)
+    return 2 * len(edges) - rank_mod_p(block, state.lattice.prime)
+
+
+def nested_levels_loop(state: StabilizerState, part: AnnulusPartition, n: int) -> list[float]:
+    """Oracle for the levels of `stabilizer.nested_annulus_table`: level i is
+    the CMI of the partition thinned n+1-i times, with every region's rank
+    from the elimination oracle."""
+
+    def cmi(q: AnnulusPartition) -> float:
+        g = {name: region_rank_elimination(state, q.region_edges(name)) for name in ("AB", "BC", "B", "ABC")}
+        return (g["B"] + g["ABC"] - g["AB"] - g["BC"]) * math.log(state.lattice.prime)
+
+    return [cmi(part.thin(n + 1 - i)) for i in range(n + 2)]

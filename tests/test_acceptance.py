@@ -12,7 +12,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from teelab import audit, dense, fusion, ring, stabilizer as st
+from teelab import audit, cli, dense, fusion, ring, stabilizer as st
 from teelab.errors import PremiseViolated
 from conftest import ghz_phase_family
 
@@ -242,4 +242,31 @@ def test_criterion_10_ssa_and_mixture():
         f"500 seeded random 3-factor states satisfy I >= -1e-9 (worst {worst:.2e}); "
         f"mixture decomposition defect < 1e-9 on ring ({rep_ring.worst:.2e}) and "
         f"GHZ-phase ({rep_ghz.worst:.2e}) families",
+    )
+
+
+def test_criterion_11_positive_stabilizer_certificate(tmp_path, monkeypatch):
+    # the final bound's rhs log(1/p*) - K/sqrt(n) is positive for the p = 2
+    # toric code (K = 1 + 32 ln 16) only from n of about 4200 levels on
+    traces, table = [], st.nested_annulus_table
+
+    def recorded(*args):
+        traces.append(table(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(st, "nested_annulus_table", recorded)
+    out = tmp_path / "report.json"
+    argv = ["stabilizer", "--p", "2", "--width", "5012", "--height", "10", "--widths", "2",
+            "--a-width", "5002", "--levels", "5000", "--out", str(out)]
+    code = cli.main(argv)
+    report = json.loads(out.read_text())
+    audit_check = next(c for c in report["results"] if c["name"] == "audit_passed")
+    rhs = report["data"]["audit"]["checks"]["final_bound"]["rhs"]
+    (trace,) = traces
+    saturated = bool((trace.table == 2 * LN2).all())  # zero tolerance: integer rank arithmetic
+    verdict(
+        11,
+        code == 0 and audit_check["passed"] and saturated and rhs > 0,
+        f"p = 2 strip, n = 5000: exit {code}, audit passed {audit_check['passed']}, "
+        f"coefficient 2 at all {trace.table.shape[1]} levels: {saturated}, final rhs {rhs:+.4f}",
     )

@@ -172,6 +172,11 @@ def no_build(lat):
         ("fusion", {"category": "z2", "trials": "x"}, []),
         ("fusion", {"category": "z2", "seed": "x"}, []),
         ("ring", {"q": 2, "levels": "x"}, []),
+        # a non-integral float or a bool is no integer, even where int() would take it
+        ("stabilizer", {"p": 3.9, "size": 10}, []),
+        ("stabilizer", {"p": 3, "size": 10.5}, []),
+        ("stabilizer", {"p": 3, "size": 10, "widths": True}, []),
+        ("fusion", {"category": "z2", "trials": 0.5}, []),
     ],
 )
 def test_malformed_config_value_is_config_error(command, cfg, flags, tmp_path, capsys, monkeypatch):
@@ -199,6 +204,14 @@ def test_large_prime_is_config_error_before_build(flags, message, capsys, monkey
     monkeypatch.setattr(stabilizer, "build_ground_state", no_build)
     assert cli.main(["stabilizer", "--size", "12", "--widths", "2", *flags]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [3, "3", 3.0])
+def test_integral_config_numbers_parse(p, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": p, "size": 10}))
+    code, report = run_json(["stabilizer", "--config", str(cfg)], tmp_path)
+    assert code == 0 and report["data"]["p"] == 3
 
 
 def test_one_sector_of_a_large_prime_runs(tmp_path):
@@ -253,6 +266,27 @@ class TestAuditCommand:
         path.write_text(json.dumps(doc))
         assert cli.main(["audit", "--trace", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"eps": "x"},
+    {"eps": math.nan},
+    {"eps": -math.inf},
+    {"eps": [0.1]},
+    {"eps": True},
+    {"alpha": "x"},
+    {"alpha": math.nan},
+])
+def test_malformed_audit_number_is_config_error(cfg, tmp_path, capsys):
+    # exit 2 with a message, not a traceback (exit 1), and a NaN eps must not
+    # get past the |eps| <= pmin/2 test
+    spec = ring.RingSpec(q=2, sites_a=4, sites_b1=1, sites_c=1, sites_b2=1)
+    trace = tmp_path / "trace.json"
+    audit.save_trace(ring.nested_annulus_table(spec, n=2), trace)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"trace": str(trace), **cfg}))
+    assert cli.main(["audit", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -1,7 +1,9 @@
 """Property tests: the sparse ground-state build against the dense
-construction it replaced, region-local ranks, restricted bases, frame
-phases and dense reductions against the dense-matrix oracles on random
-valid annulus geometries and primes, the frame-difference assumption
+construction it replaced, graph ranks against elimination (on toric codes
+and on random graph-shaped generators) and the incremental nested table
+against its per-level loop, column-index row lookups against the full-slot
+scan, restricted bases, frame phases and dense reductions against the
+dense-matrix oracles on random valid annulus geometries and primes, the frame-difference assumption
 checks against their per-pair loop oracle, the built rows and the sector
 detectors against the label-list oracle, rank_mod_p against a brute-force
 span count, the array Taylor sweep against its loop oracle on random
@@ -30,7 +32,10 @@ from oracles import (  # noqa: E402
     flux_detector_loop,
     fusion_string_loop,
     is_fusion_ring,
+    nested_levels_loop,
+    region_rank_elimination,
     row_labels,
+    rows_on_scan,
     sector_witness_phases_loop,
     taylor_bound_sweep_loop,
     verify_assumptions_loop,
@@ -213,14 +218,16 @@ def test_local_checks_against_dense_oracles_on_random_rows(p, n_edges, data):
 
 
 @hst.composite
-def annuli(draw, primes=PRIMES) -> st.AnnulusPartition:
+def annuli(draw, primes=PRIMES, min_a_width=1) -> st.AnnulusPartition:
     """A valid annulus: bar widths, hole size, origin and lattice size all drawn,
-    with one plaquette of clearance on a lattice of at most 14 x 14."""
+    with one plaquette of clearance on a lattice of at most 14 x 14, or just
+    wide enough for an A of at least `min_a_width` plaquettes."""
     p = draw(hst.sampled_from(primes))
     bar = draw(hst.integers(1, 3))
-    a_width = draw(hst.integers(1, 4))
+    a_width = draw(hst.integers(min_a_width, min_a_width + 3))
     hole_w, hole_h = draw(hst.integers(1, 4)), draw(hst.integers(1, 4))
-    width = draw(hst.integers(max(4, a_width + hole_w + bar + 2), 14))
+    min_width = max(4, a_width + hole_w + bar + 2)
+    width = draw(hst.integers(min_width, max(14, min_width)))
     height = draw(hst.integers(max(4, hole_h + 2 * bar + 2), 14))
     hx0 = draw(hst.integers(1 + a_width, width - 1 - bar - hole_w))
     hy0 = draw(hst.integers(1 + bar, height - 1 - bar - hole_h))
@@ -255,6 +262,91 @@ def test_region_rank_matches_complement_oracle(part, data):
     assert cert.coefficient == 2
 
 
+@settings(max_examples=25, deadline=None)
+@given(part=annuli(), data=hst.data())
+def test_column_index_reads_match_scans(part, data):
+    # rows from the column index against the full-slot scan, and graph ranks
+    # against one elimination, on the six annulus regions and random sets
+    lat = part.lattice
+    state = ground(lat.width, lat.height, lat.prime)
+    regions = {name: part.region_edges(name) for name in ("A", "B", "C", "AB", "BC", "ABC")}
+    for i, edges in enumerate(_edge_sets(data.draw, lat.n_edges, 3)):
+        regions[f"random{i}"] = edges
+    for name, region in regions.items():
+        edges = np.asarray(region, dtype=np.int64)
+        np.testing.assert_array_equal(state.gens.rows_on(edges), rows_on_scan(state.gens, edges), err_msg=name)
+        assert st.region_rank(state, region) == region_rank_elimination(state, region), name
+
+
+def packed(lat: st.Lattice, mat: np.ndarray) -> st.StabilizerState:
+    """A state whose generator rows are the rows of the dense matrix, packed
+    into local supports as wide as its fullest row."""
+    n_rows = len(mat)
+    rows, cols = np.nonzero(mat)
+    width = np.bincount(rows, minlength=n_rows).max(initial=0)
+    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    gc, gv = np.zeros((n_rows, width), dtype=np.int64), np.zeros((n_rows, width), dtype=np.int64)
+    gc[rows, slot], gv[rows, slot] = cols, mat[rows, cols]
+    gens = st.SparseGenerators(cols=gc, vals=gv, n_edges=lat.n_edges)
+    return st.StabilizerState(lattice=lat, gens=gens, frame=np.zeros(2 * lat.n_edges, dtype=np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=hst.sampled_from(PRIMES), n_rows=hst.integers(1, 12), data=hst.data())
+def test_graph_rank_matches_elimination_on_random_graphs(p, n_rows, data):
+    # rows are the nodes of a random multigraph: each column is empty, one
+    # entry (an edge to the sentinel) or a unit pair u, -u on two rows
+    lat = st.Lattice(width=4, height=4, prime=p)
+    E = lat.n_edges
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
+    mat = np.zeros((n_rows, 2 * E), dtype=np.int64)
+    for col in range(2 * E):
+        u = int(rng.integers(1, p))
+        kind = rng.integers(3 if n_rows > 1 else 2)
+        if kind == 1:
+            mat[rng.integers(n_rows), col] = u
+        elif kind == 2:
+            a, b = rng.choice(n_rows, size=2, replace=False)
+            mat[a, col], mat[b, col] = u, -u % p
+    state = packed(lat, mat)
+    for region in _edge_sets(data.draw, E, 3) + [tuple(range(E))]:
+        edges = np.asarray(region, dtype=np.int64)
+        rank = gfp.rank_mod_p(mat[:, np.concatenate([edges, edges + E])], p)
+        assert 2 * len(region) - st.region_rank(state, region) == rank
+
+
+def test_graph_rank_refuses_columns_of_another_shape():
+    # two entries that do not cancel: (1, 1) at p = 3
+    lat = st.Lattice(width=4, height=4, prime=3)
+    mat = np.zeros((2, 2 * lat.n_edges), dtype=np.int64)
+    mat[0, 5] = mat[1, 5] = 1
+    with pytest.raises(MalformedInput, match="do not cancel"):
+        st.region_rank(packed(lat, mat), (5,))
+    # a phase gate puts a bulk edge's X and Z entries in one column: four entries
+    state = ground(6, 6, 3)
+    e = state.lattice.h_edge(2, 3)
+    with pytest.raises(MalformedInput, match="at most two"):
+        st.region_rank(sheared(state, [e]), (e,))
+    assert st.region_rank(state, (e,)) == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=hst.integers(1, 4), data=hst.data())
+def test_nested_table_matches_level_loop(n, data):
+    part = data.draw(annuli(primes=(2, 3, 5, 7), min_a_width=n + 2))
+    part = replace(part, thin_steps=data.draw(hst.integers(0, part.a_width - n - 2)))
+    lat = part.lattice
+    state = ground(lat.width, lat.height, lat.prime)
+    trace = st.nested_annulus_table(state, part, n)
+    assert trace.table.tolist() == [nested_levels_loop(state, part, n)] * lat.prime**2
+    # the coefficient is 2 at every level, so check each level's ranks too
+    ranks = st._nested_ranks(state, part, n)
+    for i in range(n + 2):
+        level = part.thin(n + 1 - i)
+        for name, g in ranks.items():
+            assert g[i] == region_rank_elimination(state, level.region_edges(name)), (i, name)
+
+
 def framed(lat: st.Lattice, data) -> st.StabilizerState:
     """The ground state conjugated by two random Pauli strings."""
     rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
@@ -272,13 +364,7 @@ def sheared(state: st.StabilizerState, edges) -> st.StabilizerState:
     mat = state.gens.dense()
     edges = np.asarray(sorted(set(edges)), dtype=np.int64)
     mat[:, E + edges] = (mat[:, E + edges] + mat[:, edges]) % p
-    rows, cols = np.nonzero(mat)
-    width = np.bincount(rows, minlength=E).max()
-    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
-    gc, gv = np.zeros((E, width), dtype=np.int64), np.zeros((E, width), dtype=np.int64)
-    gc[rows, slot], gv[rows, slot] = cols, mat[rows, cols]
-    gens = st.SparseGenerators(cols=gc, vals=gv, n_edges=E)
-    return st.StabilizerState(lattice=state.lattice, gens=gens, frame=state.frame.copy())
+    return replace(packed(state.lattice, mat), frame=state.frame.copy())
 
 
 @settings(max_examples=25, deadline=None)

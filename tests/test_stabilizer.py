@@ -565,7 +565,7 @@ class TestNestedTable:
         def no_rank(*args):
             raise AssertionError("a rank was computed")
 
-        monkeypatch.setattr(st, "annulus_cmi", no_rank)
+        monkeypatch.setattr(st, "_column_graph", no_rank)  # every graph rank reads its columns here
         for p, n, error in ((11, 3, MalformedInput), (2, 0, MalformedInput), (2, 4, InsufficientWidth)):
             lat = st.Lattice(width=14, height=12, prime=p)
             part = st.centered_annulus(lat, width=2, a_width=5)
