@@ -35,13 +35,12 @@ by arithmetic (`_generator_rows`): plaquette (x, y) is row y W + x, then
 vertex (x, y) is row W H + y (W + 1) + x - 1, in raster order without the
 redundant vertex (0, 0); the build and the sector detectors both use it.
 Commutation is the symplectic form accumulated only over generator pairs
-that share an edge.  Full rank is certified by peeling: a row that is the
-only remaining nonzero in some column is independent of the other remaining
-rows, so it is removed, and if every row goes the rows are independent.
-Peeling is sufficient, not necessary; for the toric code it always succeeds.
-The dense E x 2E matrix, with its Gram product and dense rank, is the tests'
-oracle and is built only on request (`SparseGenerators.dense`); no library
-path builds it.
+that share an edge.  Full rank is counted as every region rank is (see
+Entropies below), over all 2E columns: the rows are independent iff the
+spanning forest of the whole column graph has one edge per row.  The dense
+E x 2E matrix, with its Gram product and dense rank, is the tests' oracle
+and is built only on request (`SparseGenerators.dense`); no library path
+builds it.
 
 Entropies.  Every region entropy is (|R| - g_R) log p with g_R the rank of
 the subgroup of stabilizers supported inside R: an exact integer multiple of
@@ -265,33 +264,16 @@ class SparseGenerators:
             arr.setflags(write=False)
         return index
 
-    def _on_edges(self, rows, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For the rows' slots: the position of each slot's edge in the sorted
-        `edges`, and whether the slot is a nonzero entry on one of them."""
-        cols, vals = self.cols[rows], self.vals[rows]
-        edge = cols % self.n_edges
-        pos = np.searchsorted(edges, edge)
-        if not len(edges):
-            return pos, np.zeros(cols.shape, dtype=bool)
-        return pos, (vals != 0) & (edges[np.minimum(pos, len(edges) - 1)] == edge)
-
-    def rows_on(self, edges: np.ndarray) -> np.ndarray:
-        """Sorted rows with a nonzero entry on any of the edges, read from the
-        column index in O(|edges|)."""
-        edges = np.asarray(edges, dtype=np.int64)
+    def region_block(self, edges: np.ndarray) -> np.ndarray:
+        """The rows with a nonzero entry on the sorted, unique edges, in row
+        order, on those edges' X then Z columns: shape (rows, 2 len(edges)).
+        Read from the column index in O(|edges|)."""
         columns = np.concatenate([edges, edges + self.n_edges])
-        start, rows, _ = self.by_column
-        _, index = _ranges(start[columns], start[columns + 1])
-        return np.unique(rows[index])
-
-    def block(self, rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        """The given rows on the sorted edges' X then Z columns, shape
-        (len(rows), 2 len(edges)); entries on other edges are dropped."""
-        pos, hit = self._on_edges(rows, edges)
-        r, k = np.nonzero(hit)
-        out = np.zeros((len(hit), 2 * len(edges)), dtype=np.int64)
-        is_z = self.cols[rows][r, k] >= self.n_edges
-        out[r, pos[r, k] + len(edges) * is_z] = self.vals[rows][r, k]
+        start, rows, vals = self.by_column
+        col, index = _ranges(start[columns], start[columns + 1])
+        touching, row = np.unique(rows[index], return_inverse=True)
+        out = np.zeros((len(touching), len(columns)), dtype=np.int64)
+        out[row, col] = vals[index]
         return out
 
 
@@ -346,33 +328,18 @@ def _check_commutation(gens: SparseGenerators, p: int) -> None:
         raise RankDeficiency(f"generators do not commute: rows {i} and {j}")
 
 
-def _check_independent(gens: SparseGenerators) -> None:
-    """Raise RankDeficiency unless peeling certifies the rows independent.
+def _check_independent(gens: SparseGenerators, p: int) -> None:
+    """Raise RankDeficiency unless the rows are independent over F_p.
 
-    A row that is the only remaining nonzero in some column is independent
-    of the other remaining rows and is removed; each round removes every
-    such row.  If every row goes, the rows are independent.  The certificate
-    is sufficient, not necessary: a stall is reported as rank deficiency.
+    The rank of the generator matrix is the size of a spanning forest of all
+    its columns as graph edges (`_column_graph`, `_forest_joins`; see the
+    module docstring), so the rows are independent iff that forest has
+    n_rows edges.  A column of another shape raises MalformedInput.
     """
-    start, col_rows, _ = gens.by_column
-    count = np.diff(start)
-    alive = np.ones(gens.n_rows, dtype=bool)
-    left = gens.n_rows
-    frontier = np.flatnonzero(count == 1)
-    while frontier.size:
-        _, idx = _ranges(start[frontier], start[frontier + 1])
-        candidates = col_rows[idx]
-        peel = np.unique(candidates[alive[candidates]])
-        alive[peel] = False
-        left -= len(peel)
-        touched = gens.cols[peel][gens.vals[peel] != 0]
-        np.subtract.at(count, touched, 1)
-        touched = np.unique(touched)
-        frontier = touched[count[touched] == 1]
-    if left:
-        raise RankDeficiency(
-            f"generator matrix is not full rank: peeling stalls with {left} of {gens.n_rows} rows left"
-        )
+    u, v, _ = _column_graph(gens, np.arange(2 * gens.n_edges), p)
+    rank = int(_forest_joins(u, v).sum())
+    if rank < gens.n_rows:
+        raise RankDeficiency(f"generator matrix is not full rank: rank {rank} of {gens.n_rows} rows")
 
 
 def _generator_rows(lat: Lattice, kind: str, x: int | np.ndarray, y: int | np.ndarray):
@@ -390,8 +357,8 @@ def build_ground_state(lat: Lattice) -> StabilizerState:
     remaining V - 1 + P = n_edges generators (Euler) are independent.  Both
     facts are checked, not assumed, and both checks are local: the
     symplectic form is accumulated only over generators that share an edge,
-    and full rank is certified by peeling (see `_check_independent`), which
-    is sufficient, not necessary.  The dense Gram product and dense rank of
+    and full rank is the size of the spanning forest of all columns (see
+    `_check_independent`).  The dense Gram product and dense rank of
     `gens.dense()` are the tests' oracles for both.  Vertex slots are east,
     west, north, south; one off the lattice keeps the padding (0, 0).
     """
@@ -414,7 +381,7 @@ def build_ground_state(lat: Lattice) -> StabilizerState:
         vals[rows[has], k] = sign % p
     gens = SparseGenerators(cols=cols, vals=vals, n_edges=E)
     _check_commutation(gens, p)
-    _check_independent(gens)
+    _check_independent(gens, p)
     return StabilizerState(lattice=lat, gens=gens, frame=np.zeros(2 * E, dtype=np.int64))
 
 
@@ -592,9 +559,18 @@ def sector_family(state: StabilizerState, part: AnnulusPartition) -> dict[Sector
 # entropies
 
 
-def _region_columns(state: StabilizerState, region: tuple[int, ...]) -> np.ndarray:
+def _edges(state: StabilizerState, region) -> np.ndarray:
+    """The region's sorted, unique edges; MalformedInput for an id outside [0, E)."""
+    edges = np.unique(np.fromiter(region, dtype=np.int64))
+    if edges.size and (edges[0] < 0 or edges[-1] >= state.n):
+        bad = edges[0] if edges[0] < 0 else edges[-1]
+        raise MalformedInput(f"edge {bad} outside the lattice of {state.n} edges")
+    return edges
+
+
+def _region_columns(state: StabilizerState, region) -> np.ndarray:
     """The region's X columns then its Z columns, over its sorted, unique edges."""
-    edges = np.unique(np.asarray(region, dtype=np.int64))
+    edges = _edges(state, region)
     return np.concatenate([edges, edges + state.n])
 
 
@@ -678,21 +654,15 @@ def region_rank(state: StabilizerState, region: tuple[int, ...]) -> int:
     022315, 2005; see the module docstring).  The shape is checked on every
     column read: a column that breaks it raises MalformedInput.
     """
-    edges = np.unique(np.asarray(region, dtype=np.int64))
-    u, v, _ = _column_graph(state.gens, np.concatenate([edges, edges + state.n]), state.lattice.prime)
-    return 2 * len(edges) - int(_forest_joins(u, v).sum())
+    columns = _region_columns(state, region)
+    u, v, _ = _column_graph(state.gens, columns, state.lattice.prime)
+    return len(columns) - int(_forest_joins(u, v).sum())
 
 
 def region_entropy(state: StabilizerState, region) -> float:
     """S(rho_R) = (|R| - g_R) log p, exactly."""
-    region = tuple(sorted(set(int(e) for e in region)))
-    for e in region:
-        if not 0 <= e < state.n:
-            raise MalformedInput(f"edge {e} outside the lattice")
-    if not region:
-        return 0.0
-    g = region_rank(state, region)
-    return (len(region) - g) * math.log(state.lattice.prime)
+    edges = _edges(state, region)
+    return (len(edges) - region_rank(state, edges)) * math.log(state.lattice.prime)
 
 
 @dataclass(frozen=True)
@@ -737,9 +707,9 @@ def restricted_canonical(
     and only the generators that touch R enter B.  The basis does not see
     the frame, so one basis serves every state on the same generators.
     """
-    edges = np.unique(np.asarray(region, dtype=np.int64))
+    edges = _edges(state, region)
     n = len(edges)
-    block = state.gens.block(state.gens.rows_on(edges), edges)
+    block = state.gens.region_block(edges)
     p = state.lattice.prime
     vecs, _ = rref_mod_p(nullspace_mod_p(np.hstack([block[:, n:], -block[:, :n]]), p), p)
     return edges, vecs
@@ -820,13 +790,13 @@ def region_density(state: StabilizerState, region) -> DensityOperator:
     its phase read from the frame.  A region whose p^|R| x p^|R| complex
     matrix would exceed GENS_BYTES_CAP is refused before anything is built.
     """
-    region = tuple(sorted(set(int(e) for e in region)))
+    edges = _edges(state, region)
+    n = len(edges)
     p = state.lattice.prime
-    dim = p ** len(region)
+    dim = p**n
     if 16 * dim * dim > GENS_BYTES_CAP:
         raise DimensionCap(f"p^|R| = {dim}: the dense reduction is over the {GENS_BYTES_CAP}-byte cap")
-    edges, vecs = restricted_canonical(state, region)
-    n = len(edges)
+    _, vecs = restricted_canonical(state, edges)
     frame = state.frame[_region_columns(state, edges)]
     omega = np.exp(2j * np.pi / p)
     xmat = np.roll(np.eye(p, dtype=complex), 1, axis=0)  # X|j> = |j + 1>
@@ -846,7 +816,7 @@ def region_density(state: StabilizerState, region) -> DensityOperator:
         vec = np.array(exps, dtype=np.int64) @ vecs % p
         total += embed(vec, int(_pairing(vec, frame) % p))
     total /= dim
-    space = FactorSpace(tuple((e, p) for e in region))
+    space = FactorSpace(tuple((int(e), p) for e in edges))
     return DensityOperator(space, total)
 
 
@@ -855,13 +825,13 @@ def region_density(state: StabilizerState, region) -> DensityOperator:
 
 
 def _combine_rows(state: StabilizerState, rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """Product of the given generator rows, formed on their own edges, and its phase."""
-    gens = state.gens
+    """Product of the given generator rows and its phase, at the full 2 n_edges
+    width; the padding (column 0, value 0) adds nothing."""
     p = state.lattice.prime
-    edges = np.unique(gens.cols[rows][gens.vals[rows] != 0] % state.n)
-    local = gens.block(rows, edges).sum(axis=0) % p
-    phase = int(_pairing(local, state.frame[_region_columns(state, edges)]) % p)
-    return _embed(state, edges, local), phase
+    vec = np.zeros(2 * state.n, dtype=np.int64)
+    np.add.at(vec, state.gens.cols[rows], state.gens.vals[rows])
+    vec %= p
+    return vec, int(_pairing(vec, state.frame) % p)
 
 
 def charge_detector(state: StabilizerState, part: AnnulusPartition) -> tuple[np.ndarray, int]:

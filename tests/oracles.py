@@ -322,8 +322,9 @@ def combine_label_rows(state: StabilizerState, wanted: set) -> tuple[np.ndarray,
     gens = state.gens
     p = state.lattice.prime
     edges = np.unique(gens.cols[idx][gens.vals[idx] != 0] % state.n)
-    local = gens.block(idx, edges).sum(axis=0) % p
-    phase = int(_pairing(local, state.frame[_region_columns(state, edges)]) % p)
+    cols = _region_columns(state, edges)
+    local = gens.dense()[np.ix_(idx, cols)].sum(axis=0) % p
+    phase = int(_pairing(local, state.frame[cols]) % p)
     return _embed(state, edges, local), phase
 
 
@@ -349,18 +350,19 @@ def sector_witness_phases_loop(state: StabilizerState, part: AnnulusPartition) -
 
 
 def rows_on_scan(gens: SparseGenerators, edges: np.ndarray) -> np.ndarray:
-    """Oracle for `SparseGenerators.rows_on`: every slot of every row looked
-    up in the sorted edges."""
-    _, hit = gens._on_edges(slice(None), np.asarray(edges, dtype=np.int64))
-    return np.flatnonzero(hit.any(axis=1))
+    """Oracle for the rows of `SparseGenerators.region_block`: the rows of the
+    dense matrix with a nonzero entry in the edges' X or Z columns."""
+    edges = np.asarray(edges, dtype=np.int64)
+    return np.flatnonzero(gens.dense()[:, np.concatenate([edges, edges + gens.n_edges])].any(axis=1))
 
 
 def region_rank_elimination(state: StabilizerState, region) -> int:
     """Oracle for `stabilizer.region_rank`: g_R = 2|R| - rank(G|_R) by one
     elimination over F_p on the region's columns, with the rows that touch R
-    found by the full-slot scan."""
+    found by a scan of the dense matrix."""
     edges = np.unique(np.asarray(region, dtype=np.int64))
-    block = state.gens.block(rows_on_scan(state.gens, edges), edges)
+    cols = np.concatenate([edges, edges + state.n])
+    block = state.gens.dense()[np.ix_(rows_on_scan(state.gens, edges), cols)]
     return 2 * len(edges) - rank_mod_p(block, state.lattice.prime)
 
 

@@ -176,7 +176,8 @@ def test_sparse_build_matches_dense_oracle(width, height, p, data):
         st._check_commutation(edited, p)
 
     # the dropped (0, 0) vertex star back in place of a plaquette row: all
-    # vertex stars together are dependent, and peeling stalls on them
+    # vertex stars together are dependent, and their spanning forest is one
+    # edge short
     j = data.draw(hst.integers(0, lat.width * lat.height - 1))
     cols, vals = gens.cols.copy(), gens.vals.copy()
     cols[j], vals[j] = 0, 0
@@ -186,15 +187,14 @@ def test_sparse_build_matches_dense_oracle(width, height, p, data):
     assert dense_commute(restored.dense(), p) and not dense_full_rank(restored.dense(), p)
     st._check_commutation(restored, p)
     with pytest.raises(RankDeficiency, match="not full rank"):
-        st._check_independent(restored)
+        st._check_independent(restored, p)
 
 
 @settings(max_examples=200, deadline=None)
 @given(p=hst.sampled_from((2, 3, 5)), n_edges=hst.integers(1, 4), data=hst.data())
 def test_local_checks_against_dense_oracles_on_random_rows(p, n_edges, data):
     # rows mixing X and Z entries, which the toric code never builds: the
-    # local form must be antisymmetric, and peeling may stall but never
-    # certifies a dependent set
+    # local form must be antisymmetric
     n_rows = data.draw(hst.integers(1, 2 * n_edges))
     cols = np.zeros((n_rows, st.MAX_SUPPORT), dtype=np.int64)
     vals = np.zeros((n_rows, st.MAX_SUPPORT), dtype=np.int64)
@@ -205,16 +205,12 @@ def test_local_checks_against_dense_oracles_on_random_rows(p, n_edges, data):
     gens = st.SparseGenerators(cols=cols, vals=vals, n_edges=n_edges)
     mat = gens.dense()
 
-    def passes(check, *args):
-        try:
-            check(gens, *args)
-        except RankDeficiency:
-            return False
-        return True
-
-    assert passes(st._check_commutation, p) == dense_commute(mat, p)
-    if passes(st._check_independent):
-        assert dense_full_rank(mat, p)
+    try:
+        st._check_commutation(gens, p)
+        commute = True
+    except RankDeficiency:
+        commute = False
+    assert commute == dense_commute(mat, p)
 
 
 @hst.composite
@@ -265,8 +261,9 @@ def test_region_rank_matches_complement_oracle(part, data):
 @settings(max_examples=25, deadline=None)
 @given(part=annuli(), data=hst.data())
 def test_column_index_reads_match_scans(part, data):
-    # rows from the column index against the full-slot scan, and graph ranks
-    # against one elimination, on the six annulus regions and random sets
+    # region blocks from the column index against the dense matrix's slice,
+    # and graph ranks against one elimination, on the six annulus regions
+    # and random sets
     lat = part.lattice
     state = ground(lat.width, lat.height, lat.prime)
     regions = {name: part.region_edges(name) for name in ("A", "B", "C", "AB", "BC", "ABC")}
@@ -274,7 +271,9 @@ def test_column_index_reads_match_scans(part, data):
         regions[f"random{i}"] = edges
     for name, region in regions.items():
         edges = np.asarray(region, dtype=np.int64)
-        np.testing.assert_array_equal(state.gens.rows_on(edges), rows_on_scan(state.gens, edges), err_msg=name)
+        cols = np.concatenate([edges, edges + lat.n_edges])
+        want = state.gens.dense()[np.ix_(rows_on_scan(state.gens, edges), cols)]
+        np.testing.assert_array_equal(state.gens.region_block(edges), want, err_msg=name)
         assert st.region_rank(state, region) == region_rank_elimination(state, region), name
 
 
@@ -313,6 +312,13 @@ def test_graph_rank_matches_elimination_on_random_graphs(p, n_rows, data):
         edges = np.asarray(region, dtype=np.int64)
         rank = gfp.rank_mod_p(mat[:, np.concatenate([edges, edges + E])], p)
         assert 2 * len(region) - st.region_rank(state, region) == rank
+    # the build's full-rank check is exact: it passes iff the rows are independent
+    try:
+        st._check_independent(state.gens, p)
+        independent = True
+    except RankDeficiency:
+        independent = False
+    assert independent == dense_full_rank(mat, p)
 
 
 def test_graph_rank_refuses_columns_of_another_shape():

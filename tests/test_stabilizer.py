@@ -113,6 +113,19 @@ class TestGroundState:
         edges = [e for e, _ in lat.plaquette_boundary(5, 5)]
         assert abs(st.region_entropy(ground, edges) - 3 * math.log(2)) < 1e-15
 
+    @pytest.mark.parametrize("reader", [
+        st.region_rank, st.region_entropy, st.restricted_canonical, st.region_density,
+        lambda state, region: st.reduction_relation(state, state, region),
+    ], ids=["region_rank", "region_entropy", "restricted_canonical", "region_density", "reduction_relation"])
+    @pytest.mark.parametrize("offset", [-5, -1, 0, 3], ids=["-5", "-1", "E", "E+3"])
+    def test_edge_ids_outside_the_lattice_refused(self, reader, offset):
+        # numpy would read a negative id from the end of the lattice's
+        # columns, and an id past the last edge raised a bare IndexError
+        state = st.build_ground_state(st.Lattice(width=6, height=6, prime=3))
+        bad = offset if offset < 0 else state.n + offset
+        with pytest.raises(MalformedInput, match="outside the lattice"):
+            reader(state, (1, 2, bad))
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_purity_duality(self, p):
         # S(R) = S(complement) for a pure global state, exactly
@@ -565,14 +578,17 @@ class TestNestedTable:
         def no_rank(*args):
             raise AssertionError("a rank was computed")
 
-        monkeypatch.setattr(st, "_column_graph", no_rank)  # every graph rank reads its columns here
+        cases = []
         for p, n, error in ((11, 3, MalformedInput), (2, 0, MalformedInput), (2, 4, InsufficientWidth)):
             lat = st.Lattice(width=14, height=12, prime=p)
-            part = st.centered_annulus(lat, width=2, a_width=5)
+            # the build certifies full rank by a graph rank, so it runs before the patch
+            cases.append((st.build_ground_state(lat), st.centered_annulus(lat, width=2, a_width=5), n, error))
+        monkeypatch.setattr(st, "_column_graph", no_rank)  # every graph rank reads its columns here
+        for state, part, n, error in cases:
             with pytest.raises(error):
                 st.check_nested_levels(part, n)
             with pytest.raises(error):
-                st.nested_annulus_table(st.build_ground_state(lat), part, n)
+                st.nested_annulus_table(state, part, n)
 
 
 class TestDenseImport:
