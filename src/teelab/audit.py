@@ -168,13 +168,20 @@ def check_perturbed_step_bound(trace: AuditTrace, level: int, b: str, c: str, ep
     return lhs - rhs
 
 
-def _delta(trace: AuditTrace, level: int, b: str) -> float:
-    """delta_i^(b) = sum_a p*_a [I_i^(a) - I_i^(b) + log(p*_a/p*_b)]."""
-    bi = _label_index(trace.labels, b)
-    ps = trace.p_star.probs
-    return float(
-        ps @ (trace.level(level) - trace.table[bi, level] + np.log(ps) - math.log(ps[bi]))
-    )
+def _deltas(trace: AuditTrace, bi: int) -> np.ndarray:
+    """delta_i^(b) = sum_a p*_a [I_i^(a) - I_i^(b) + log(p*_a/p*_b)] for i < n,
+    one dot per level."""
+    table, ps = trace.table, trace.p_star.probs
+    log_ps, log_b = np.log(ps), math.log(ps[bi])
+    return np.array([ps @ (table[:, i] - table[bi, i] + log_ps - log_b) for i in range(trace.n)])
+
+
+def _first_min(margins: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """The first minimum in row-major order and its index.  The margin is read
+    at that index, so of an exact tie (-0.0 and 0.0 included) the first entry
+    is the one reported, as Python's min over the same entries would give."""
+    index = np.unravel_index(int(margins.argmin()), margins.shape)
+    return float(margins[index]), tuple(int(k) for k in index)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +253,16 @@ def assemble_bound(
     into the final inequality I_{n+1}^(b) >= log(1/p*_b) - K/sqrt(n).
 
     eps defaults to pmin/(2 sqrt(n)) and alpha to 1/(n pmin eps + 1); both
-    can be overridden to explore tightness.
+    can be overridden to explore tightness.  alpha weighs a convex
+    combination, so an alpha outside [0, 1], given or defaulted, is
+    MalformedInput before any premise is checked.
+
+    The premises are array programs over the table: the (n+1, L) averaged
+    level margins and the (n, L, L) perturbed step margins [i, b, c] are
+    formed elementwise from one dot p* . I_i per level and one dot
+    p* . (I_{i+1} - I_i) per step, with the arithmetic of the scalar
+    `check_*` functions, which define each point.  A premise's worst_case
+    is its first minimum in (level, label, label) order.
     """
     n = trace.n
     if n < 1:
@@ -260,7 +276,12 @@ def assemble_bound(
     if abs(eps) > pmin / 2 + 1e-15:
         raise EpsilonOutOfRange(f"|eps| = {abs(eps):g} exceeds pmin/2 = {pmin / 2:g}")
     if alpha is None:
-        alpha = 1.0 / (n * pmin * eps + 1.0)
+        weight = n * pmin * eps + 1.0
+        if weight <= 0.0:
+            raise MalformedInput(f"n pmin eps + 1 = {weight:g} leaves no default alpha for eps = {eps:g}")
+        alpha = 1.0 / weight
+    if not 0.0 <= alpha <= 1.0:
+        raise MalformedInput(f"alpha = {alpha:g} outside [0, 1]")
     K = bound_constant(trace.p_star)
     report = AuditReport(
         provenance=trace.provenance,
@@ -280,59 +301,61 @@ def assemble_bound(
 
     premise("monotonicity", check_monotonicity(trace))
 
-    mixture_margins = [check_mixture_entropy_bound(trace, i, trace.p_star) for i in range(trace.n_levels)]
+    labels, table, ps = trace.labels, trace.table, trace.p_star.probs
+    L = len(labels)
+    # one 1-D dot per level, on the operands the scalar checks use: a matrix
+    # product could sum in another order and change the last bit
+    dots = np.array([ps @ table[:, i] for i in range(trace.n_levels)])  # p* . I_i
+    mixture_margins = (dots - trace.p_star.entropy()).tolist()
     premise("mixture_entropy_bound", min(mixture_margins), {"per_level": mixture_margins})
 
-    avg_margins = {
-        f"{i}->{i + 1}:{lab}": check_average_level_bound(trace, i, lab)
-        for i in range(trace.n_levels - 1)
-        for lab in trace.labels
-    }
-    premise("average_level_bound", min(avg_margins.values()), {"worst_case": min(avg_margins, key=avg_margins.get)})
+    # [i, a]: I_{i+1}^(a) - (p* . I_i - log L)
+    margin, (i, a) = _first_min(table[:, 1:].T - (dots[:-1] - math.log(L))[:, None])
+    premise("average_level_bound", margin, {"worst_case": f"{i}->{i + 1}:{labels[a]}"})
 
-    perturbed = {
-        f"{i}:{lb}->{lc}": check_perturbed_step_bound(trace, i, lb, lc, eps)
-        for i in range(n)
-        for lb in trace.labels
-        for lc in trace.labels
-    }
-    premise("perturbed_step_bound", min(perturbed.values()), {"worst_case": min(perturbed, key=perturbed.get)})
+    levels = np.ascontiguousarray(table.T)  # row i is I_i
+    steps = np.array([ps @ row for row in levels[1 : n + 1] - levels[:n]])  # p* . (I_{i+1} - I_i)
+    ep, quad = eps * pmin, 2.0 * eps**2
+    log_ratio = np.array([[math.log(ps[c] / ps[lb]) for c in range(L)] for lb in range(L)])  # [b, c]
+    # [i, b, c]: steps_i - (eps pmin [I_i^(c) - I_i^(b) + log(p*_c/p*_b)] - 2 eps^2), in place
+    perturbed = np.subtract(levels[:n, None, :], levels[:n, :, None])
+    perturbed += log_ratio
+    perturbed *= ep
+    perturbed -= quad
+    np.subtract(steps[:, None, None], perturbed, out=perturbed)
+    margin, (i, lb, lc) = _first_min(perturbed)
+    premise("perturbed_step_bound", margin, {"worst_case": f"{i}:{labels[lb]}->{labels[lc]}"})
 
     # chain arithmetic
-    ps = trace.p_star.probs
-    bi = _label_index(trace.labels, b)
-    deltas = [_delta(trace, i, b) for i in range(n)]
+    bi = _label_index(labels, b)
+    deltas = _deltas(trace, bi)
+    top = float(table[bi, n + 1])
 
     # averaged steps: sum_a p*_a (I_{i+1} - I_i) >= eps pmin delta_i - 2 eps^2
-    step_margins = [
-        float(ps @ (trace.level(i + 1) - trace.level(i))) - (eps * pmin * deltas[i] - 2.0 * eps**2)
-        for i in range(n)
-    ]
+    step_margins = (steps - (ep * deltas - quad)).tolist()
     report.record("average_step_bounds", min(step_margins), {"per_level": step_margins})
 
     # summed chain: sum_a p*_a I_n^(a) >= sum_i (eps pmin delta_i - 2 eps^2)
-    chain_rhs = sum(eps * pmin * d - 2.0 * eps**2 for d in deltas)
-    chain_margin = float(ps @ trace.level(n)) - chain_rhs
+    chain_rhs = sum(ep * d - quad for d in deltas.tolist())
+    chain_margin = float(dots[n]) - chain_rhs
     report.record("chain_sum", chain_margin, {"rhs": chain_rhs})
 
     # substitute into the averaged level bound at i = n:
     # I_{n+1}^(b) >= chain_rhs - log n_labels
-    sub_margin = float(trace.table[bi, n + 1]) - (chain_rhs - math.log(len(trace.labels)))
+    sub_margin = top - (chain_rhs - math.log(L))
     report.record("chain_into_average_bound", sub_margin)
 
     # per-level floors: I_{n+1}^(b) >= log(1/p*_b) - delta_i
-    floor_margins = [
-        float(trace.table[bi, n + 1]) - (math.log(1.0 / ps[bi]) - deltas[i]) for i in range(n)
-    ]
+    floor_margins = (top - (math.log(1.0 / ps[bi]) - deltas)).tolist()
     report.record("level_floor_bounds", min(floor_margins), {"per_level": floor_margins})
 
     # alpha combination: I_{n+1}^(b) >= log(1/p*_b) - alpha [2 n eps^2 + log(n_labels/p*_b)]
-    combo_rhs = math.log(1.0 / ps[bi]) - alpha * (2.0 * n * eps**2 + math.log(len(trace.labels) / ps[bi]))
-    report.record("alpha_combination", float(trace.table[bi, n + 1]) - combo_rhs, {"rhs": combo_rhs})
+    combo_rhs = math.log(1.0 / ps[bi]) - alpha * (2.0 * n * eps**2 + math.log(L / ps[bi]))
+    report.record("alpha_combination", top - combo_rhs, {"rhs": combo_rhs})
 
     # final: I_{n+1}^(b) >= log(1/p*_b) - K/sqrt(n)
     final_rhs = math.log(1.0 / ps[bi]) - K / math.sqrt(n)
-    report.record("final_bound", float(trace.table[bi, n + 1]) - final_rhs, {"rhs": final_rhs})
+    report.record("final_bound", top - final_rhs, {"rhs": final_rhs})
 
     report.passed = all(entry["passed"] for entry in report.checks.values())
     return report

@@ -184,14 +184,17 @@ def _ring_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
         ok = _ring_enumeration_agrees(spec)
         checks.append(_check("enumeration_agrees", ok))
     if levels is not None:
-        checks.append(_audit_check(ring.nested_annulus_table(spec, levels), data))
+        with _stage(timings, "table"):
+            trace = ring.nested_annulus_table(spec, levels)
+        checks.append(_audit_check(trace, data, timings))
     return checks, data
 
 
-def _audit_check(trace: audit.AuditTrace, data: dict) -> dict:
+def _audit_check(trace: audit.AuditTrace, data: dict, timings: dict) -> dict:
     """The audit_passed check of a nested table; its audit report goes into data."""
     try:
-        rep = audit.assemble_bound(trace)
+        with _stage(timings, "audit"):
+            rep = audit.assemble_bound(trace)
     except PremiseViolated as exc:
         return _check("audit_passed", False, error=str(exc))
     data["audit"] = rep.to_dict()
@@ -284,8 +287,9 @@ def _stabilizer_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
             for r in (rep.distinguishability, rep.indistinguishability, rep.fusion)
         )
     if levels is not None:
-        with _stage(timings, "audit"):
-            checks.append(_audit_check(stabilizer.nested_annulus_table(ground, part, levels), data))
+        with _stage(timings, "table"):
+            trace = stabilizer.nested_annulus_table(ground, part, levels)
+        checks.append(_audit_check(trace, data, timings))
     return checks, data
 
 
@@ -295,11 +299,13 @@ def _audit_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
         raise ConfigError("audit needs 'trace' (path to a trace JSON file)")
     if not Path(path).exists():
         raise ConfigError(f"trace file {path} does not exist")
-    trace = audit.load_trace(path)
+    with _stage(timings, "table"):
+        trace = audit.load_trace(path)
     eps = _float(cfg.get("eps"), "eps")
     alpha = _float(cfg.get("alpha"), "alpha")
     try:
-        rep = audit.assemble_bound(trace, b=cfg.get("b"), eps=eps, alpha=alpha)
+        with _stage(timings, "audit"):
+            rep = audit.assemble_bound(trace, b=cfg.get("b"), eps=eps, alpha=alpha)
         checks = [
             _check(f"audit_{name}", entry["passed"], margin=entry["margin"], note=entry["note"])
             for name, entry in rep.checks.items()

@@ -560,8 +560,14 @@ def sector_family(state: StabilizerState, part: AnnulusPartition) -> dict[Sector
 
 
 def _edges(state: StabilizerState, region) -> np.ndarray:
-    """The region's sorted, unique edges; MalformedInput for an id outside [0, E)."""
-    edges = np.unique(np.fromiter(region, dtype=np.int64))
+    """The region's sorted, unique edges; MalformedInput for an id outside [0, E).
+
+    Deduplicated by a sort and a neighbour mask: a plain `np.unique` takes a
+    slower hash path and, in numpy 2.4, imports `numpy.ma` on first use."""
+    edges = np.sort(np.fromiter(region, dtype=np.int64))
+    keep = np.ones(edges.size, dtype=bool)
+    keep[1:] = edges[1:] != edges[:-1]
+    edges = edges[keep]
     if edges.size and (edges[0] < 0 or edges[-1] >= state.n):
         bad = edges[0] if edges[0] < 0 else edges[-1]
         raise MalformedInput(f"edge {bad} outside the lattice of {state.n} edges")

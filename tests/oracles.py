@@ -7,9 +7,19 @@ import math
 
 import numpy as np
 
-from teelab.audit import MARGIN_TOL, TaylorSweepReport
-from teelab.errors import DegenerateDistribution, MalformedInput
-from teelab.fusion import AnyonDistribution, FusionProbabilities
+from teelab.audit import (
+    _CHAIN_NAMES,
+    MARGIN_TOL,
+    AuditReport,
+    AuditTrace,
+    TaylorSweepReport,
+    check_average_level_bound,
+    check_mixture_entropy_bound,
+    check_monotonicity,
+    check_perturbed_step_bound,
+)
+from teelab.errors import DegenerateDistribution, EpsilonOutOfRange, MalformedInput, PremiseViolated
+from teelab.fusion import AnyonDistribution, FusionProbabilities, _label_index, bound_constant
 from teelab.gfp import rank_mod_p
 from teelab.stabilizer import (
     AnnulusPartition,
@@ -98,6 +108,126 @@ def taylor_bound_sweep_loop(
         passed=passed,
         worst_case=worst_case,
     )
+
+
+def _delta(trace: AuditTrace, level: int, b: str) -> float:
+    """delta_i^(b) = sum_a p*_a [I_i^(a) - I_i^(b) + log(p*_a/p*_b)]."""
+    bi = _label_index(trace.labels, b)
+    ps = trace.p_star.probs
+    return float(
+        ps @ (trace.level(level) - trace.table[bi, level] + np.log(ps) - math.log(ps[bi]))
+    )
+
+
+def assemble_bound_loop(
+    trace: AuditTrace,
+    b: str | None = None,
+    eps: float | None = None,
+    alpha: float | None = None,
+) -> AuditReport:
+    """Oracle for `audit.assemble_bound`: the chain replay with one scalar
+    `check_*` call per premise point, kept as it was before the premises
+    became array programs.
+
+    Replay the whole derivation on a trace and report every margin.
+
+    Premise lemmas (monotonicity, the per-level mixture-entropy bound at the
+    fixed point, the averaged level bound, and the perturbed step bound on
+    the full label grid) are checked first; the first failure raises
+    PremiseViolated carrying the partial report.  The chain is then summed
+    into the final inequality I_{n+1}^(b) >= log(1/p*_b) - K/sqrt(n).
+
+    eps defaults to pmin/(2 sqrt(n)) and alpha to 1/(n pmin eps + 1); both
+    can be overridden to explore tightness.
+    """
+    n = trace.n
+    if n < 1:
+        raise MalformedInput("trace needs n >= 1 intermediate levels")
+    b = trace.a0 if b is None else b
+    if b not in trace.labels:
+        raise MalformedInput(f"label {b!r} not in trace")
+    pmin = trace.p_min
+    if eps is None:
+        eps = pmin / (2.0 * math.sqrt(n))
+    if abs(eps) > pmin / 2 + 1e-15:
+        raise EpsilonOutOfRange(f"|eps| = {abs(eps):g} exceeds pmin/2 = {pmin / 2:g}")
+    if alpha is None:
+        alpha = 1.0 / (n * pmin * eps + 1.0)
+    K = bound_constant(trace.p_star)
+    report = AuditReport(
+        provenance=trace.provenance,
+        labels=trace.labels,
+        n=n,
+        b=b,
+        eps=eps,
+        alpha=alpha,
+        K=K,
+        p_min=pmin,
+    )
+
+    def premise(name: str, margin: float, extra=None):
+        if not report.record(name, margin, extra):
+            report.not_evaluated = [k for k in _CHAIN_NAMES if k not in report.checks]
+            raise PremiseViolated(f"premise {name} fails with margin {margin:g}", report=report)
+
+    premise("monotonicity", check_monotonicity(trace))
+
+    mixture_margins = [check_mixture_entropy_bound(trace, i, trace.p_star) for i in range(trace.n_levels)]
+    premise("mixture_entropy_bound", min(mixture_margins), {"per_level": mixture_margins})
+
+    avg_margins = {
+        f"{i}->{i + 1}:{lab}": check_average_level_bound(trace, i, lab)
+        for i in range(trace.n_levels - 1)
+        for lab in trace.labels
+    }
+    premise("average_level_bound", min(avg_margins.values()), {"worst_case": min(avg_margins, key=avg_margins.get)})
+
+    perturbed = {
+        f"{i}:{lb}->{lc}": check_perturbed_step_bound(trace, i, lb, lc, eps)
+        for i in range(n)
+        for lb in trace.labels
+        for lc in trace.labels
+    }
+    premise("perturbed_step_bound", min(perturbed.values()), {"worst_case": min(perturbed, key=perturbed.get)})
+
+    # chain arithmetic
+    ps = trace.p_star.probs
+    bi = _label_index(trace.labels, b)
+    deltas = [_delta(trace, i, b) for i in range(n)]
+
+    # averaged steps: sum_a p*_a (I_{i+1} - I_i) >= eps pmin delta_i - 2 eps^2
+    step_margins = [
+        float(ps @ (trace.level(i + 1) - trace.level(i))) - (eps * pmin * deltas[i] - 2.0 * eps**2)
+        for i in range(n)
+    ]
+    report.record("average_step_bounds", min(step_margins), {"per_level": step_margins})
+
+    # summed chain: sum_a p*_a I_n^(a) >= sum_i (eps pmin delta_i - 2 eps^2)
+    chain_rhs = sum(eps * pmin * d - 2.0 * eps**2 for d in deltas)
+    chain_margin = float(ps @ trace.level(n)) - chain_rhs
+    report.record("chain_sum", chain_margin, {"rhs": chain_rhs})
+
+    # substitute into the averaged level bound at i = n:
+    # I_{n+1}^(b) >= chain_rhs - log n_labels
+    sub_margin = float(trace.table[bi, n + 1]) - (chain_rhs - math.log(len(trace.labels)))
+    report.record("chain_into_average_bound", sub_margin)
+
+    # per-level floors: I_{n+1}^(b) >= log(1/p*_b) - delta_i
+    floor_margins = [
+        float(trace.table[bi, n + 1]) - (math.log(1.0 / ps[bi]) - deltas[i]) for i in range(n)
+    ]
+    report.record("level_floor_bounds", min(floor_margins), {"per_level": floor_margins})
+
+    # alpha combination: I_{n+1}^(b) >= log(1/p*_b) - alpha [2 n eps^2 + log(n_labels/p*_b)]
+    combo_rhs = math.log(1.0 / ps[bi]) - alpha * (2.0 * n * eps**2 + math.log(len(trace.labels) / ps[bi]))
+    report.record("alpha_combination", float(trace.table[bi, n + 1]) - combo_rhs, {"rhs": combo_rhs})
+
+    # final: I_{n+1}^(b) >= log(1/p*_b) - K/sqrt(n)
+    final_rhs = math.log(1.0 / ps[bi]) - K / math.sqrt(n)
+    report.record("final_bound", float(trace.table[bi, n + 1]) - final_rhs, {"rhs": final_rhs})
+
+    report.passed = all(entry["passed"] for entry in report.checks.values())
+    return report
 
 
 def brute_force_associative(N: np.ndarray) -> bool:

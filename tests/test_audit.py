@@ -218,6 +218,35 @@ class TestAssembleBound:
         assert report.eps == trace.p_min / 4
         assert report.alpha == 0.5
 
+    @pytest.mark.parametrize("eps, alpha", [
+        (-0.25, None),  # n pmin eps + 1 = 0: the default has no denominator
+        (-0.125, None),  # default alpha = 2
+        (0.05, -0.5),
+        (0.05, 1.0 + 1e-12),
+    ])
+    def test_alpha_outside_unit_interval_refused(self, categories, eps, alpha):
+        trace = constant_trace(categories, "z2", LN2, 10)  # n = 8, pmin = 1/2
+        with pytest.raises(MalformedInput, match="alpha"):
+            audit.assemble_bound(trace, eps=eps, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_interval_is_closed(self, categories, alpha):
+        trace = constant_trace(categories, "z2", LN2, 6)
+        assert audit.assemble_bound(trace, eps=-0.1, alpha=alpha).alpha == alpha
+
+    def test_premises_make_no_per_point_calls(self, categories, monkeypatch):
+        # the averaged level and perturbed step premises are array programs:
+        # the scalar checks define the points but are not called per point
+        def per_point(*args, **kwargs):
+            raise AssertionError("per-point premise check called")
+
+        monkeypatch.setattr(audit, "check_average_level_bound", per_point)
+        monkeypatch.setattr(audit, "check_perturbed_step_bound", per_point)
+        spec = ring.RingSpec(q=13, sites_a=7, sites_b1=2, sites_c=2, sites_b2=2)
+        assert audit.assemble_bound(ring.nested_annulus_table(spec, n=5)).passed
+        trace = offset_trace(categories, "fibonacci", [0.0, 0.05, 0.1, 0.2])
+        assert audit.assemble_bound(trace, b="tau").passed
+
     def test_nonuniform_fixed_point_trace(self, categories):
         trace = offset_trace(categories, "fibonacci", [0.0, 0.05, 0.1, 0.2])
         report = audit.assemble_bound(trace, b="tau")

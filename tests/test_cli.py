@@ -61,6 +61,14 @@ class TestRingCommand:
         assert code == 0
         assert report["data"]["audit"]["passed"]
 
+    def test_levels_stage_timings_outside_canonical_report(self, tmp_path):
+        code, report = run_json(["ring", "--q", "3", "--arcs", "5,1,1,1", "--levels", "3"], tmp_path)
+        assert code == 0
+        assert set(report["timings"]["stages"]) == {"table", "audit"}
+        assert "timings" not in json.loads(cli.report_bytes(report))
+        code, plain = run_json(["ring", "--q", "3"], tmp_path)
+        assert code == 0 and "stages" not in plain["timings"]
+
 
 class TestStabilizerCommand:
     def test_small_toric_code(self, tmp_path):
@@ -110,7 +118,7 @@ class TestStabilizerCommand:
         )
         assert code == 0
         timings = report["timings"]
-        assert set(timings["stages"]) == {"build", "entropies", "audit"}
+        assert set(timings["stages"]) == {"build", "entropies", "table", "audit"}
         n_edges = stabilizer.Lattice(width=10, height=10, prime=2).n_edges
         assert timings["gens_bytes"] == 2 * 8 * stabilizer.MAX_SUPPORT * n_edges
         assert "timings" not in json.loads(cli.report_bytes(report))
@@ -247,6 +255,33 @@ class TestAuditCommand:
 
     def test_missing_trace_is_config_error(self, capsys):
         assert cli.main(["audit", "--trace", "does-not-exist.json"]) == 2
+
+    def test_stage_timings_outside_canonical_report(self, tmp_path):
+        spec = ring.RingSpec(q=2, sites_a=4, sites_b1=1, sites_c=1, sites_b2=1)
+        path = tmp_path / "trace.json"
+        audit.save_trace(ring.nested_annulus_table(spec, n=2), path)
+        code, report = run_json(["audit", "--trace", str(path)], tmp_path)
+        assert code == 0
+        assert set(report["timings"]["stages"]) == {"table", "audit"}
+        assert "timings" not in json.loads(cli.report_bytes(report))
+
+    @pytest.mark.parametrize("cfg", [
+        {"eps": -0.03999999999999999},  # n pmin eps + 1 == 0: no default alpha
+        {"eps": -0.04},  # default alpha about -1e16
+        {"eps": -0.01},  # default alpha 4/3
+        {"alpha": -1.0},
+        {"alpha": 1.5},
+    ])
+    def test_alpha_outside_unit_interval_is_config_error(self, cfg, tmp_path, capsys):
+        # the alpha combination is convex: a weight outside [0, 1] is a
+        # malformed input (exit 2), not a crash and not a failed chain (exit 1)
+        spec = ring.RingSpec(q=2, sites_a=52, sites_b1=2, sites_c=2, sites_b2=2)
+        trace = tmp_path / "trace.json"
+        audit.save_trace(ring.nested_annulus_table(spec, n=50), trace)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"trace": str(trace), **cfg}))
+        assert cli.main(["audit", "--config", str(path)]) == 2
+        assert "alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, index, value", [
         ("p_star", (0,), math.nan),

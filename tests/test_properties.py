@@ -7,9 +7,13 @@ dense-matrix oracles on random valid annulus geometries and primes, the frame-di
 checks against their per-pair loop oracle, the built rows and the sector
 detectors against the label-list oracle, rank_mod_p against a brute-force
 span count, the array Taylor sweep against its loop oracle on random
-row-stochastic tensors, and fusion-table validation against a brute-force
-fusion-ring check on randomly edited bundled tables."""
+row-stochastic tensors, the array audit premises against the per-point
+chain replay on random and chosen traces, the sorted edge dedupe against
+np.unique, and fusion-table validation against a brute-force fusion-ring
+check on randomly edited bundled tables."""
 
+import json
+import math
 import re
 from dataclasses import replace
 from functools import lru_cache
@@ -23,9 +27,10 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as hst  # noqa: E402
 
 from teelab import audit, dense, fusion, gfp, stabilizer as st  # noqa: E402
-from teelab.errors import InvalidCategory, MalformedInput, RankDeficiency  # noqa: E402
+from teelab.errors import InvalidCategory, MalformedInput, PremiseViolated, RankDeficiency  # noqa: E402
 
 from oracles import (  # noqa: E402
+    assemble_bound_loop,
     charge_detector_loop,
     create_sector_loop,
     edge_midpoints_loop,
@@ -601,6 +606,15 @@ def test_verify_assumptions_matches_loop_oracle(part, endpoint, family, data):
 
 
 @settings(max_examples=200, deadline=None)
+@given(ids=hst.lists(hst.integers(0, 39), max_size=40) | hst.lists(hst.sampled_from((0, 7, 39)), max_size=12))
+def test_edges_match_np_unique(ids):
+    state = ground(4, 4, 2)  # 40 edges
+    edges = st._edges(state, ids)
+    assert edges.dtype == np.int64
+    assert np.array_equal(edges, np.unique(np.asarray(ids, dtype=np.int64)))
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     p=hst.sampled_from((2, 3, 5)),
     shape=hst.tuples(hst.integers(0, 5), hst.integers(0, 6)),
@@ -632,6 +646,106 @@ def test_taylor_sweep_matches_loop_oracle(n, eps_points, trials, seed, data):
     p_star = fusion.AnyonDistribution(labels, q / q.sum())
     args = dict(trials=trials, eps_points=eps_points, seed=seed)
     assert audit.taylor_bound_sweep(p_star, fp, **args) == taylor_bound_sweep_loop(p_star, fp, **args)
+
+
+def z_n_trace(ps, table, a0: int = 0) -> audit.AuditTrace:
+    """A trace on labels l0, l1, ... with Z_L fusion probabilities (assemble_bound
+    never reads them)."""
+    L = len(ps)
+    labels = tuple(f"l{i}" for i in range(L))
+    fp = fusion.FusionProbabilities(labels, np.eye(L)[(np.arange(L)[:, None] + np.arange(L)[None, :]) % L])
+    p_star = fusion.AnyonDistribution(labels, ps)
+    return audit.AuditTrace(labels, np.asarray(table, dtype=float), fp, p_star, labels[a0])
+
+
+@hst.composite
+def audit_traces(draw, max_labels: int = 13, max_n: int = 6):
+    """Random traces on a quarter-nat grid: I_i^(a) = log(1/p*_a) rounded to
+    a quarter plus a per-label offset plus nondecreasing steps, so exact ties
+    are common.  Options shift the table towards each premise's failure: a
+    dip breaks monotonicity, scaled-down or spread offsets break the mixture
+    and averaged level bounds, and flat levels with a small eps the
+    perturbed step bound; a zero can be signed, so -0.0/0.0 ties occur."""
+    L = draw(hst.integers(1, max_labels))
+    n = draw(hst.integers(1, max_n))
+    weights = np.array(draw(hst.lists(hst.integers(1, 12), min_size=L, max_size=L)), dtype=float)
+    ps = weights / weights.sum()
+    offsets = draw(hst.sampled_from(((0, 0), (0, 2), (-2, 6), (-8, 8))))
+    base = np.round(4 * np.log(1.0 / ps)) / 4 * draw(hst.sampled_from((1.0, 1.0, 0.5)))
+    base += np.array(draw(hst.lists(hst.integers(*offsets), min_size=L, max_size=L))) / 4
+    steps = np.array(draw(hst.lists(hst.sampled_from((0, 0, 0, 1, 2)), min_size=L * (n + 1),
+                                    max_size=L * (n + 1)))).reshape(L, n + 1) / 4
+    if draw(hst.booleans()):
+        steps[:, : draw(hst.integers(0, n + 1))] = 0.0  # flat levels
+    table = np.maximum(base[:, None] + np.cumsum(np.hstack([np.zeros((L, 1)), steps]), axis=1), 0.0)
+    if draw(hst.integers(0, 5)) == 0:
+        table[draw(hst.integers(0, L - 1)), draw(hst.integers(1, n + 1)):] -= 0.25  # a dip
+        table = np.maximum(table, 0.0)
+    if draw(hst.booleans()):
+        signs = np.random.default_rng(draw(hst.integers(0, 2**32 - 1))).random(table.shape) < 0.5
+        table[(table == 0.0) & signs] = -0.0
+    return z_n_trace(ps, table, draw(hst.integers(0, L - 1)))
+
+
+def replay(assemble, trace, **kwargs) -> tuple[dict, str | None]:
+    """The report as a dict and, when a premise fails, the PremiseViolated message."""
+    try:
+        return assemble(trace, **kwargs).to_dict(), None
+    except PremiseViolated as exc:
+        return exc.report.to_dict(), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=audit_traces(), data=hst.data())
+def test_assemble_bound_matches_loop_oracle(trace, data):
+    pmin = trace.p_min
+    eps = data.draw(hst.one_of(
+        hst.none(),
+        hst.sampled_from((-1.0, -0.5, -0.05, 0.0, 0.05, 0.5, 1.0)).map(lambda f: f * pmin / 2),
+        hst.floats(-pmin / 2, pmin / 2),
+    ))
+    alpha = data.draw(hst.one_of(hst.none(), hst.sampled_from((0.0, 0.5, 1.0)), hst.floats(0.0, 1.0)))
+    b = data.draw(hst.sampled_from(trace.labels))
+    weight = trace.n * pmin * (pmin / (2.0 * math.sqrt(trace.n)) if eps is None else eps) + 1.0
+    if alpha is None and not (weight > 0.0 and 1.0 / weight <= 1.0):  # no default alpha in [0, 1]
+        with pytest.raises(MalformedInput, match="alpha"):
+            audit.assemble_bound(trace, b=b, eps=eps)
+        return
+    fast = replay(audit.assemble_bound, trace, b=b, eps=eps, alpha=alpha)
+    loop = replay(assemble_bound_loop, trace, b=b, eps=eps, alpha=alpha)
+    assert fast == loop
+    assert json.dumps(fast) == json.dumps(loop)
+
+
+QUARTERS = np.array([0.5, 0.25, 0.25])
+FLAT = np.zeros(4)
+CHOSEN_TRACES = {
+    # each premise fails in turn
+    "monotonicity": (QUARTERS, np.log(1.0 / QUARTERS)[:, None] + np.array([0.0, 0.5, 0.25, 0.75])),
+    "mixture_entropy_bound": (QUARTERS, np.zeros((3, 4))),
+    "average_level_bound": (QUARTERS, np.array([[4.0] * 4, [0.0] * 4, [4.0] * 4])),
+    "perturbed_step_bound": (QUARTERS, (np.log(1.0 / QUARTERS) + np.array([0.0, 1.0, 0.0]))[:, None] + FLAT),
+    # one label: the averaged level margins are I_{i+1} - 0.0, so the worst
+    # is a tie of 0.0 (first) and -0.0 (last) that must print as 0.0
+    "signed_zero_tie": (np.array([1.0]), np.array([[0.0, 0.0, 0.0, -0.0]])),
+    # flat levels: the worst perturbed margin is 2 eps^2 - eps pmin log(41/35),
+    # and numpy 2.4's log of that ratio differs from math.log's in the last bit
+    "log_ratio": (np.array([41.0, 35.0]) / 76.0, np.full((2, 4), 3.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(CHOSEN_TRACES))
+def test_assemble_bound_matches_loop_oracle_on_chosen_tables(case):
+    trace = z_n_trace(*CHOSEN_TRACES[case])
+    fast, fast_error = replay(audit.assemble_bound, trace)
+    loop, loop_error = replay(assemble_bound_loop, trace)
+    assert (fast, fast_error) == (loop, loop_error)
+    assert json.dumps(fast) == json.dumps(loop)
+    if case in fast["checks"]:
+        assert fast_error.startswith(f"premise {case} fails")
+        assert list(fast["checks"])[-1] == case
+    else:
+        assert fast_error is None and fast["passed"]
 
 
 def table_document(cat: fusion.FusionCategory, N: np.ndarray) -> dict:

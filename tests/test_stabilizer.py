@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +129,21 @@ class TestGroundState:
         bad = offset if offset < 0 else state.n + offset
         with pytest.raises(MalformedInput, match="outside the lattice"):
             reader(state, (1, 2, bad))
+
+    def test_cmi_run_leaves_numpy_ma_unimported(self):
+        # a plain np.unique imports numpy.ma on first use (numpy 2.4); the
+        # region reads dedupe edges by a sort, so a CMI run never pays it
+        code = (
+            "import sys\n"
+            "from teelab import cli\n"
+            "assert cli.run({'scenario': 'stabilizer', 'p': 2, 'size': 12, 'widths': 2})['all_passed']\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(st.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_purity_duality(self, p):
