@@ -35,8 +35,10 @@ from .fusion import AnyonDistribution, FusionProbabilities, _label_index, bound_
 
 MARGIN_TOL = 1e-9
 
-# Byte cap on the Taylor sweep's arrays, about 64 L^2 bytes per grid point:
-# the (L, L, G) margins and a few (G, L, L) blocks of one label pair.
+# Byte cap on the Taylor sweep's arrays, charged at 64 L^2 bytes per grid
+# point; they take about 56: the three (L, L, G) margin arrays (24 L^2), the
+# (G, L L) fused buffer reused across label pairs (8 L^2), and at most three
+# (G, L L) temporaries of one pair's fusion terms or masked log (24 L^2).
 SWEEP_BYTES_CAP = 2**28
 
 TRACE_SCHEMA = "teelab-trace/v1"
@@ -400,14 +402,22 @@ def taylor_bound_sweep(
 
     The sweep runs as one array program per label pair (b, c): the (G, L)
     block P[g] = p* + eps_g (delta_b - delta_c) over the whole grid, its
-    fused distributions as one (G, L, L) einsum, and the entropies along the
-    last axis with a masked log.  Each margin is formed with the arithmetic
-    of a per-point loop (`tests/oracles.py`): +eps at b before -eps at c,
-    and the sum over s in order from 0.  numpy sums a last axis of fewer
-    than 8 entries in order, so for L <= 7 (every bundled category) the
-    zeros of the masked log add exactly and the report equals the loop's
-    bit for bit.  `worst_case` is the first (b, c, eps) in (b, c, grid)
-    order at which min(taylor, concavity, combined) reaches its minimum.
+    fused distributions p_{a,s}, and the entropies along the last axis with
+    a masked log.  The fused distributions are built from the nonzeros of
+    fp alone (`_fusion_terms`), listed once per sweep by (s, a) cell with b
+    ascending: the term of rank k in its cell adds P[:, b] w to the cell in
+    pass k, into one (G, L L) buffer reused by every pair, in which cells
+    no term reaches stay 0.  Each margin is formed with the arithmetic of a
+    per-point loop (`tests/oracles.py`): +eps at b before -eps at c, the sum
+    over b in ascending order, and the sum over s in order from 0.  P > 0
+    on the whole grid, so the terms a zero of fp would add are zeros, and a
+    dense sum, which starts at +0.0, is unchanged by them: the sparse sums
+    equal the dense in-order sums over b bit for bit.  numpy sums a last
+    axis of fewer than 8 entries in order, so for L <= 7 (every bundled
+    category) the zeros of the masked log add exactly too and the report
+    equals the loop's bit for bit.
+    `worst_case` is the first (b, c, eps) in (b, c, grid) order at which
+    min(taylor, concavity, combined) reaches its minimum.
     """
     if eps_points < 2:
         raise MalformedInput(f"the eps grid needs at least 2 points, got {eps_points}")
@@ -429,13 +439,15 @@ def taylor_bound_sweep(
         grid = np.concatenate([grid, rng.uniform(-pmin / 2, pmin / 2, size=trials)])
     quad = 2.0 * grid**2 / pmin
     taylor, conc, comb = np.empty((3, n, n, G))
+    terms = _fusion_terms(fp)
+    mixed = np.zeros((G, n * n))  # mixed[g, s L + a] = p_{a,s} at grid point g
     for bi in range(n):
         for ci in range(n):
             P = np.tile(probs, (G, 1))  # P[g] = p* + eps_g (delta_b - delta_c)
             P[:, bi] += grid
             P[:, ci] -= grid
             h_p = _shannon_last_axis(P)
-            h_s = _shannon_last_axis(np.einsum("gb,sba->gsa", P, fp.p))
+            h_s = _shannon_last_axis(_fuse(P, terms, mixed).reshape(G, n, n))
             h_mixed = 0.0
             for s in range(n):
                 h_mixed = h_mixed + probs[s] * h_s[:, s]
@@ -453,6 +465,34 @@ def taylor_bound_sweep(
         passed=min(worst_taylor, worst_conc, worst_comb) >= -MARGIN_TOL,
         worst_case=(fp.labels[b], fp.labels[c], float(grid[g])),
     )
+
+
+def _fusion_terms(fp: FusionProbabilities) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The nonzeros w = fp[s, b, a] as (cells s L + a, b, w), one triple per rank.
+
+    The terms of each (s, a) cell are taken in ascending b, and a term's rank
+    is its position in its cell, so a cell occurs at most once per rank and
+    adding rank 0, 1, ... in turn sums each cell over b in ascending order.
+    """
+    L = fp.n_labels
+    s, b, a = np.nonzero(fp.p)  # row-major: b ascends within each (s, a)
+    w = fp.p[s, b, a]
+    cell = s * L + a
+    order = np.argsort(cell, kind="stable")
+    cell, b, w = cell[order], b[order], w[order]
+    rank = np.arange(cell.size) - np.searchsorted(cell, cell)
+    return [(cell[rank == k], b[rank == k], w[rank == k]) for k in range(int(rank.max(initial=-1)) + 1)]
+
+
+def _fuse(P: np.ndarray, terms: list, out: np.ndarray) -> np.ndarray:
+    """out[g, s L + a] = sum_b P[g, b] fp[s, b, a] over the terms of fp, in
+    ascending b; a cell that no term reaches keeps its value in `out`."""
+    for k, (cells, b, w) in enumerate(terms):
+        if k:
+            out[:, cells] += P[:, b] * w
+        else:
+            out[:, cells] = P[:, b] * w
+    return out
 
 
 def _shannon_last_axis(v: np.ndarray) -> np.ndarray:

@@ -106,24 +106,26 @@ def _fusion_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     if bool(name) == bool(path):
         raise ConfigError("fusion needs exactly one of 'category' or 'category_file'")
     cat = fu.bundled_category(name) if name else fu.load_category(Path(path))
-    dims = fu.quantum_dimensions(cat)
-    fp = fu.fusion_probabilities(cat, dims)
-    fixed = fu.fixed_point_iterative(fp)
-    closed = fu.closed_form_fixed_point(dims)
-    agreement = float(np.abs(fixed.distribution.probs - closed.probs).max())
-    identity = fu.verify_fixed_point_identity(fp, closed)
+    with _stage(timings, "spectra"):
+        dims = fu.quantum_dimensions(cat)
+        fp = fu.fusion_probabilities(cat, dims)
+        fixed = fu.fixed_point_iterative(fp)
+        closed = fu.closed_form_fixed_point(dims)
+        agreement = float(np.abs(fixed.distribution.probs - closed.probs).max())
+        identity = fu.verify_fixed_point_identity(fp, closed)
     K = fu.bound_constant(closed)
     a0 = cfg.get("a0", cat.unit)
     n = _int(cfg.get("n"), "n", 100)
     bound = fu.tee_lower_bound(a0, closed, n, K)
     limit = math.log(1.0 / closed.of(a0))
-    sweep = audit.taylor_bound_sweep(
-        closed,
-        fp,
-        trials=_int(cfg.get("trials"), "trials", 0),
-        eps_points=_int(cfg.get("taylor_points"), "taylor_points", 41),
-        seed=_int(cfg.get("seed"), "seed", 0),
-    )
+    with _stage(timings, "sweep"):
+        sweep = audit.taylor_bound_sweep(
+            closed,
+            fp,
+            trials=_int(cfg.get("trials"), "trials", 0),
+            eps_points=_int(cfg.get("taylor_points"), "taylor_points", 41),
+            seed=_int(cfg.get("seed"), "seed", 0),
+        )
     checks = [
         _check("fusion_rows_normalized", fp.row_sum_residual < 1e-12, value=fp.row_sum_residual),
         _check("fusion_associative", fp.associativity_residual < 1e-12, value=fp.associativity_residual),

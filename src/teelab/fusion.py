@@ -98,6 +98,8 @@ class FusionProbabilities:
             raise MalformedInput(f"probability tensor shape {p.shape}, expected {(n, n, n)}")
         if not np.isfinite(p).all():
             raise MalformedInput("fusion probabilities must be finite")
+        if float(p.min()) < -STRUCT_TOL:
+            raise MalformedInput(f"negative fusion probability {float(p.min()):g}")
         if float(np.abs(p.sum(axis=2) - 1.0).max()) > 1e-9:
             raise MalformedInput("fusion probability rows must sum to 1")
         p.setflags(write=False)

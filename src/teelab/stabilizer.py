@@ -164,12 +164,26 @@ class Lattice:
         h = np.stack([2 * hx + 1, 2 * hy], axis=1)
         return np.concatenate([h, np.stack([2 * vx, 2 * vy + 1], axis=1)])
 
-    def edges_in_box(self, box: tuple[int, int, int, int]) -> tuple[int, ...]:
-        """Edges whose midpoints lie in the half-open doubled box (x0, y0, x1, y1)."""
+    def edges_in_box(self, box: tuple[int, int, int, int]) -> np.ndarray:
+        """Sorted int64 ids of the edges whose midpoints lie in the half-open
+        doubled box (x0, y0, x1, y1).
+
+        Horizontal edge (x, y) has its midpoint at (2x + 1, 2y) and vertical
+        edge (x, y) at (2x, 2y + 1), so each kind's edges in the box are one
+        rectangle of (x, y), numbered row by row as `h_edge`/`v_edge` do.
+        """
         x0, y0, x1, y1 = box
-        m = self.edge_midpoints
-        mask = (m[:, 0] >= x0) & (m[:, 0] < x1) & (m[:, 1] >= y0) & (m[:, 1] < y1)
-        return tuple(int(i) for i in np.nonzero(mask)[0])
+        W, H = self.width, self.height
+
+        def rectangle(xs: range, ys: range, row: int, offset: int) -> np.ndarray:
+            x, y = np.arange(xs.start, xs.stop), np.arange(ys.start, ys.stop)
+            return offset + (y[:, None] * row + x).ravel()
+
+        h = rectangle(range(max(x0 // 2, 0), min(x1 // 2, W)),
+                      range(max((y0 + 1) // 2, 0), min((y1 + 1) // 2, H + 1)), W, 0)
+        v = rectangle(range(max((x0 + 1) // 2, 0), min((x1 + 1) // 2, W + 1)),
+                      range(max(y0 // 2, 0), min(y1 // 2, H)), W + 1, self.n_h_edges)
+        return np.concatenate([h, v])
 
     def vertex_star(self, x: int, y: int) -> list[tuple[int, int]]:
         """(edge, orientation sign) pairs of the vertex operator at (x, y)."""
@@ -389,6 +403,10 @@ def build_ground_state(lat: Lattice) -> StabilizerState:
 # annulus partitions
 
 
+# the bar boxes that make up each region letter
+_LETTER_BOXES = {"A": ("A",), "B": ("B1", "B2"), "C": ("C",)}
+
+
 @dataclass(frozen=True)
 class AnnulusPartition:
     """Rectangular annulus around an origin plaquette, split A | B1 | C | B2.
@@ -458,21 +476,15 @@ class AnnulusPartition:
     def thin(self, steps: int = 1) -> "AnnulusPartition":
         return replace(self, thin_steps=self.thin_steps + steps)
 
-    def region_edges(self, spec: str) -> tuple[int, ...]:
-        """Edges of a region: any combination of the letters A, B, C."""
+    def region_edges(self, spec: str) -> np.ndarray:
+        """Sorted, unique int64 edge ids of a region: any combination of the letters A, B, C."""
         boxes = self.bar_boxes()
-        out: set[int] = set()
+        parts = [np.empty(0, dtype=np.int64)]
         for ch in spec:
-            if ch == "A":
-                out.update(self.lattice.edges_in_box(boxes["A"]))
-            elif ch == "B":
-                out.update(self.lattice.edges_in_box(boxes["B1"]))
-                out.update(self.lattice.edges_in_box(boxes["B2"]))
-            elif ch == "C":
-                out.update(self.lattice.edges_in_box(boxes["C"]))
-            else:
+            if ch not in _LETTER_BOXES:
                 raise MalformedInput(f"unknown region letter {ch!r}")
-        return tuple(sorted(out))
+            parts += [self.lattice.edges_in_box(boxes[name]) for name in _LETTER_BOXES[ch]]
+        return _sorted_unique(np.concatenate(parts))
 
 
 def centered_annulus(
@@ -559,15 +571,22 @@ def sector_family(state: StabilizerState, part: AnnulusPartition) -> dict[Sector
 # entropies
 
 
-def _edges(state: StabilizerState, region) -> np.ndarray:
-    """The region's sorted, unique edges; MalformedInput for an id outside [0, E).
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """The ids sorted, each once.
 
     Deduplicated by a sort and a neighbour mask: a plain `np.unique` takes a
     slower hash path and, in numpy 2.4, imports `numpy.ma` on first use."""
-    edges = np.sort(np.fromiter(region, dtype=np.int64))
-    keep = np.ones(edges.size, dtype=bool)
-    keep[1:] = edges[1:] != edges[:-1]
-    edges = edges[keep]
+    ids = np.sort(ids)
+    keep = np.ones(ids.size, dtype=bool)
+    keep[1:] = ids[1:] != ids[:-1]
+    return ids[keep]
+
+
+def _edges(state: StabilizerState, region) -> np.ndarray:
+    """The region's sorted, unique edges, from an array or any iterable of
+    ids; MalformedInput for an id outside [0, E)."""
+    ids = region if isinstance(region, np.ndarray) else np.fromiter(region, dtype=np.int64)
+    edges = _sorted_unique(ids.astype(np.int64, copy=False))
     if edges.size and (edges[0] < 0 or edges[-1] >= state.n):
         bad = edges[0] if edges[0] < 0 else edges[-1]
         raise MalformedInput(f"edge {bad} outside the lattice of {state.n} edges")
@@ -863,7 +882,7 @@ def flux_detector(state: StabilizerState, part: AnnulusPartition) -> tuple[np.nd
 
 def sector_witness_phases(state: StabilizerState, part: AnnulusPartition) -> dict[str, int]:
     """Phase exponents of the two enclosing loop operators in this state."""
-    abc = set(part.region_edges("ABC"))
+    abc = set(part.region_edges("ABC").tolist())
     out = {}
     for name, builder in (("charge", charge_detector), ("flux", flux_detector)):
         vec, phase = builder(state, part)
@@ -1018,13 +1037,12 @@ def _nested_ranks(state: StabilizerState, part: AnnulusPartition, n: int) -> dic
     gens, E, p = state.gens, state.n, state.lattice.prime
 
     def graph(edges):
-        edges = np.asarray(edges, dtype=np.int64)
         return _column_graph(gens, np.concatenate([edges, edges + E]), p)
 
     def prefix_forests(u, v):
         return np.concatenate([[0], np.cumsum(_forest_joins(np.concatenate(u), np.concatenate(v)))])
 
-    a = np.asarray(part.region_edges("A"), dtype=np.int64)
+    a = part.region_edges("A")
     x0, _, x1, _ = part.bar_boxes()["A"]
     mx = state.lattice.edge_midpoints[a, 0]
     join = np.maximum(n + 1 - np.minimum(mx - x0, x1 - 1 - mx), 0)

@@ -361,6 +361,13 @@ def edge_midpoints_loop(lat: Lattice) -> np.ndarray:
     return mids
 
 
+def edges_in_box_scan(lat: Lattice, box: tuple[int, int, int, int]) -> np.ndarray:
+    """Oracle for `Lattice.edges_in_box`: a scan of every edge midpoint."""
+    x0, y0, x1, y1 = box
+    m = lat.edge_midpoints
+    return np.flatnonzero((m[:, 0] >= x0) & (m[:, 0] < x1) & (m[:, 1] >= y0) & (m[:, 1] < y1))
+
+
 # A string path is a tuple of (edge index, sign) pairs.
 
 

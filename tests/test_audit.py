@@ -300,6 +300,19 @@ class TestTaylorSweep:
                 fast = audit.taylor_bound_sweep(p_star, fp, trials=trials, seed=seed)
                 assert fast == taylor_bound_sweep_loop(p_star, fp, trials=trials, seed=seed)
 
+    def test_sweep_makes_no_dense_einsum(self, categories, monkeypatch):
+        # the fused distributions come from the fusion tensor's nonzeros, not
+        # from a dense (G, L) . (L, L, L) einsum per label pair
+        _, dims, fp = categories["ising"]
+        p_star = fusion.closed_form_fixed_point(dims)
+        expected = taylor_bound_sweep_loop(p_star, fp, trials=5, seed=1)
+
+        def dense(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        monkeypatch.setattr(np, "einsum", dense)
+        assert audit.taylor_bound_sweep(p_star, fp, trials=5, seed=1) == expected
+
     def test_random_tensor_fails_concavity(self):
         # a row-stochastic tensor that is no fusion algebra breaks concavity:
         # the sweep is not true by construction

@@ -45,6 +45,12 @@ class TestFusionCommand:
         assert cli.main(["fusion", "--category", "z2", "--a0", "bogus"]) == 2
         assert "unknown label 'bogus'" in capsys.readouterr().err
 
+    def test_stage_timings_outside_canonical_report(self, tmp_path):
+        code, report = run_json(["fusion", "--category", "ising", "--trials", "3"], tmp_path)
+        assert code == 0
+        assert set(report["timings"]["stages"]) == {"spectra", "sweep"}
+        assert "timings" not in json.loads(cli.report_bytes(report))
+
 
 class TestRingCommand:
     def test_q3_with_enumeration(self, tmp_path):
@@ -255,6 +261,17 @@ class TestAuditCommand:
 
     def test_missing_trace_is_config_error(self, capsys):
         assert cli.main(["audit", "--trace", "does-not-exist.json"]) == 2
+
+    def test_negative_fusion_probability_is_config_error(self, tmp_path, capsys):
+        # the rows still sum to 1: a negative entry is malformed input (exit 2),
+        # not a premise verdict on the chain
+        src = resources.files("teelab.data.traces").joinpath("adversarial_decreasing.json")
+        doc = json.loads(src.read_text())
+        doc["fusion_probabilities"][0][0] = [1.5, -0.5, 0.0, 0.0]
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["audit", "--trace", str(path)]) == 2
+        assert "negative fusion probability" in capsys.readouterr().err
 
     def test_stage_timings_outside_canonical_report(self, tmp_path):
         spec = ring.RingSpec(q=2, sites_a=4, sites_b1=1, sites_c=1, sites_b2=1)

@@ -166,6 +166,15 @@ class TestFusionProbabilities:
             assert fp.row_sum_residual < 1e-12, name
             assert fp.associativity_residual < 1e-12, name
 
+    def test_negative_probability_is_malformed(self):
+        # rows that sum to 1 with a negative entry are no distribution
+        p = np.array([np.eye(2), np.eye(2)[::-1]])
+        p[0, 0] = [1.5, -0.5]
+        with pytest.raises(MalformedInput, match="negative fusion probability"):
+            fusion.FusionProbabilities(("0", "1"), p)
+        p[0, 0] = [1.0 + fusion.STRUCT_TOL, -fusion.STRUCT_TOL]  # within tolerance
+        fusion.FusionProbabilities(("0", "1"), p)
+
 
 class TestStar:
     def test_unit_is_neutral(self, categories):

@@ -7,10 +7,12 @@ dense-matrix oracles on random valid annulus geometries and primes, the frame-di
 checks against their per-pair loop oracle, the built rows and the sector
 detectors against the label-list oracle, rank_mod_p against a brute-force
 span count, the array Taylor sweep against its loop oracle on random
-row-stochastic tensors, the array audit premises against the per-point
+row-stochastic tensors and its sparse fused distributions against the
+dense einsum, the array audit premises against the per-point
 chain replay on random and chosen traces, the sorted edge dedupe against
-np.unique, and fusion-table validation against a brute-force fusion-ring
-check on randomly edited bundled tables."""
+np.unique, fusion-table validation against a brute-force fusion-ring
+check on randomly edited bundled tables, and box and region edge sets
+against a scan of every edge midpoint."""
 
 import json
 import math
@@ -34,6 +36,7 @@ from oracles import (  # noqa: E402
     charge_detector_loop,
     create_sector_loop,
     edge_midpoints_loop,
+    edges_in_box_scan,
     flux_detector_loop,
     fusion_string_loop,
     is_fusion_ring,
@@ -404,7 +407,7 @@ def test_local_restricted_basis_matches_dense_oracle(part, data):
             assert (vec[:E] @ t[E:] - vec[E:] @ t[:E]) % p == phase, name
 
     # the symplectic complement holds for any pure state, not only CSS ones
-    mixed = sheared(state, regions["random0"][::2] + regions["AB"][::3])
+    mixed = sheared(state, [*regions["random0"][::2], *regions["AB"][::3]])
     for name, region in regions.items():
         edges, local = st.restricted_canonical(mixed, region)
         vecs = np.zeros((len(local), 2 * E), dtype=np.int64)
@@ -532,6 +535,29 @@ def test_edge_midpoints_match_loop_oracle(width, height):
     np.testing.assert_array_equal(lat.edge_midpoints, edge_midpoints_loop(lat))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    width=hst.integers(4, 12),
+    height=hst.integers(4, 12),
+    box=hst.tuples(*[hst.integers(-3, 28)] * 4),
+)
+def test_edges_in_box_matches_midpoint_scan(width, height, box):
+    lat = st.Lattice(width=width, height=height, prime=2)
+    edges = lat.edges_in_box(box)
+    assert edges.dtype == np.int64
+    np.testing.assert_array_equal(edges, edges_in_box_scan(lat, box))
+
+
+@settings(max_examples=25, deadline=None)
+@given(part=annuli(), spec=hst.text(alphabet="ABC", max_size=4))
+def test_region_edges_are_the_union_of_their_boxes(part, spec):
+    boxes, names = part.bar_boxes(), {"A": ("A",), "B": ("B1", "B2"), "C": ("C",)}
+    scans = [edges_in_box_scan(part.lattice, boxes[name]) for ch in spec for name in names[ch]]
+    edges = part.region_edges(spec)
+    assert edges.dtype == np.int64
+    assert edges.tolist() == sorted({int(e) for scan in scans for e in scan})
+
+
 @settings(max_examples=25, deadline=None)
 @given(part=annuli())
 def test_sector_frames_match_path_loop_oracle(part):
@@ -646,6 +672,25 @@ def test_taylor_sweep_matches_loop_oracle(n, eps_points, trials, seed, data):
     p_star = fusion.AnyonDistribution(labels, q / q.sum())
     args = dict(trials=trials, eps_points=eps_points, seed=seed)
     assert audit.taylor_bound_sweep(p_star, fp, **args) == taylor_bound_sweep_loop(p_star, fp, **args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=hst.integers(1, 7), G=hst.integers(1, 4), data=hst.data())
+def test_sparse_fusion_matches_dense_einsum_bit_for_bit(n, G, data):
+    # zeros leave empty (s, a) cells, n labels allow cells of up to n terms,
+    # and tiny and subnormal weights make products that round or underflow
+    weight = hst.sampled_from((0.0, 0.0, 5e-324, 1e-310, 1e-300)) | hst.floats(1e-6, 1.0)
+    raw = np.array(data.draw(hst.lists(weight, min_size=n**3, max_size=n**3))).reshape(n, n, n)
+    raw[:, :, 0] += raw.sum(axis=2) == 0  # no empty row
+    fp = fusion.FusionProbabilities(tuple(f"l{i}" for i in range(n)), raw / raw.sum(axis=2, keepdims=True))
+    P = np.array(data.draw(hst.lists(hst.floats(1e-300, 1.0), min_size=G * n, max_size=G * n)))
+    P = P.reshape(G, n)
+    terms = audit._fusion_terms(fp)
+    assert sum(len(w) for _, _, w in terms) == np.count_nonzero(fp.p)
+    sparse = audit._fuse(P, terms, np.zeros((G, n * n)))
+    assert sparse.tobytes() == np.einsum("gb,sba->gsa", P, fp.p).tobytes()
+    one = audit._fuse(P[:1], terms, np.zeros((1, n * n)))
+    assert one.tobytes() == np.einsum("b,sba->sa", P[0], fp.p).tobytes()
 
 
 def z_n_trace(ps, table, a0: int = 0) -> audit.AuditTrace:
