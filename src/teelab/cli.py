@@ -254,15 +254,21 @@ def _stabilizer_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
         raise ConfigError("assumption checks and nested tables need all sectors")
     if levels is not None:
         stabilizer.check_nested_levels(part, levels)
+    if cfg.get("assumptions"):
+        part.thin(1)  # property 3 reduces to A' BC, one thinning step in
     with _stage(timings, "build"):
         ground = stabilizer.build_ground_state(lat)
     sectors = [sector] if sector else [(c, f) for c in range(p) for f in range(p)]
     timings["gens_bytes"] = ground.gens.nbytes
     # sector states differ from the ground state only in their frame, which ranks
     # never read: one certificate is every sector's, and only the assumption
-    # checks build the sector family
+    # checks build the sector family.  A nested table's last level is the full
+    # partition, so with levels the certificate is read from the table's ranks.
     with _stage(timings, "entropies"):
-        value, cert = stabilizer.annulus_cmi_certificate(ground, part)
+        if levels is None:
+            value, cert = stabilizer.annulus_cmi_certificate(ground, part)
+        else:
+            value, cert, nested = stabilizer.nested_annulus_certificate(ground, part, levels)
     cert_entry = {"coefficient": cert.coefficient, "ranks": cert.ranks, "sizes": cert.sizes}
     gamma = value / 2
     checks = [
@@ -290,7 +296,7 @@ def _stabilizer_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
         )
     if levels is not None:
         with _stage(timings, "table"):
-            trace = stabilizer.nested_annulus_table(ground, part, levels)
+            trace = stabilizer.nested_annulus_table(ground, part, levels, nested)
         checks.append(_audit_check(trace, data, timings))
     return checks, data
 

@@ -124,8 +124,9 @@ def phased_rref(rows: list[tuple[np.ndarray, int]], n: int, p: int) -> list[tupl
     identical.
 
     Test-only reference implementation: the library compares reductions by
-    the linear phase test on a phase-free basis (`stabilizer.reduction_relation`),
-    and the tests use this form as its oracle.
+    the linear phase test, on the sums of row clusters in
+    `stabilizer.verify_assumptions` and on a phase-free basis in
+    `stabilizer.reduction_relation`, and the tests use this form as its oracle.
     """
     work = [(np.array(v, dtype=np.int64) % p, int(f) % p) for v, f in rows]
     work = [(v, f) for v, f in work if v.any() or f]

@@ -59,9 +59,19 @@ of Linear and Integer Programming, 1986); leaving out the sentinel's row
 keeps it, since a component's rows sum to zero.  So g_R = 2|R| minus the
 size of a spanning forest of R's 2|R| columns, grown by union-find.  This
 is the counting behind the region entropies of Hamma, Ionicioiu & Zanardi,
-PRA 71, 022315 (2005).  The subgroup itself is the symplectic complement of
-G|_R in R's columns, one elimination over F_p, and its phases are read from
-the frame on R, so reductions are compared on the region alone.
+PRA 71, 022315 (2005).  The subgroup itself is read from the same graph, with
+no elimination.  A combination c . G vanishes on a column outside R iff c is
+equal on the column's two rows, or 0 on its one row, so c . G is supported in
+R iff c is constant on each cluster of rows that the columns outside R join,
+and 0 on the sentinel's cluster.  G has full rank, so the sums of the g_R
+clusters off the sentinel are a basis of the subgroup.  An element's phase is
+linear in the element, so a cluster's phase under a frame is the sum of its
+rows' phases (`_row_phases`, the one place the sign convention above is
+written), and two reductions on R are compared by their clusters' phases
+alone.  A canonical basis of the subgroup, the symplectic complement of G|_R
+in R's columns by one elimination over F_p (`restricted_canonical`), is built
+only to write out a witness, for `reduction_relation`, and for the dense
+export.
 """
 
 from __future__ import annotations
@@ -309,9 +319,7 @@ class StabilizerState:
     @property
     def phases(self) -> np.ndarray:
         """Per-generator phase exponents gx . t_z - gz . t_x mod p (for tests)."""
-        E = self.n
-        w = np.concatenate([self.frame[E:], -self.frame[:E]])
-        return (self.gens.vals * w[self.gens.cols]).sum(axis=1) % self.lattice.prime
+        return _row_phases(self.gens, slice(None), [self.frame])[0] % self.lattice.prime
 
 
 def _check_commutation(gens: SparseGenerators, p: int) -> None:
@@ -636,33 +644,99 @@ def _column_graph(
     return rows[lo[keep]], np.where(count[keep] == 2, second, gens.n_rows), keep
 
 
+def _union_find(a: np.ndarray, b: np.ndarray, n_nodes: int) -> tuple[np.ndarray, list[int]]:
+    """Kruskal's test on the graph edges (a[k], b[k]) in order, over nodes
+    0 .. n_nodes - 1: whether each edge joins two trees of the forest grown
+    from the edges before it, and the final parent links.
+
+    Union-find by size with path halving: O(k alpha(k)).  Every parent chain
+    ends at its tree's root, so pointer jumping (`_roots`) labels the trees.
+    A memoryview hands out the ids as Python ints one at a time, with no list
+    of them all.
+    """
+    parent, size = list(range(n_nodes)), [1] * n_nodes
+    joined = bytearray(len(a))
+    ids = (memoryview(np.ascontiguousarray(ends, dtype=np.int64)) for ends in (a, b))
+    for i, (x, y) in enumerate(zip(*ids)):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            if size[x] > size[y]:
+                x, y = y, x
+            parent[x] = y
+            size[y] += size[x]
+            joined[i] = 1
+    return np.frombuffer(joined, dtype=bool), parent
+
+
+def _roots(parent: list[int]) -> np.ndarray:
+    """Each node's root, by pointer jumping over the parent links (Shiloach &
+    Vishkin 1982): a chain of length l is resolved in log2(l) rounds."""
+    root = np.asarray(parent, dtype=np.int64)
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            return root
+        root = up
+
+
 def _forest_joins(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Kruskal's test on the graph edges in order: whether edge k joins two
-    trees of the forest grown from the edges before it.
+    """Whether graph edge k joins two trees of the forest grown from the edges
+    before it (`_union_find` over the nodes the edges touch).
 
     The joined edges of any prefix span that prefix's graph, so a running
-    count of joins is each prefix's spanning-forest size.  Union-find by
-    size with path halving over the nodes the edges touch: O(k alpha(k)).
+    count of joins is each prefix's spanning-forest size.
     """
     k = len(u)
     _, ids = np.unique(np.concatenate([u, v]), return_inverse=True)
-    n_nodes = int(ids.max()) + 1 if k else 0
-    parent, size = list(range(n_nodes)), [1] * n_nodes
-    joined = []
-    for i, (a, b) in enumerate(zip(ids[:k].tolist(), ids[k:].tolist())):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            if size[a] > size[b]:
-                a, b = b, a
-            parent[a] = b
-            size[b] += size[a]
-            joined.append(i)
-    out = np.zeros(k, dtype=bool)
-    out[joined] = True
-    return out
+    joined, _ = _union_find(ids[:k], ids[k:], int(ids.max()) + 1 if k else 0)
+    return joined
+
+
+def _cluster_roots(
+    gens: SparseGenerators, columns: np.ndarray, p: int, root: np.ndarray | None = None
+) -> np.ndarray:
+    """The root of every row, and of the sentinel (node n_rows), in the forest
+    of the given columns as graph edges (`_column_graph`, which checks their
+    shape): the clusters of rows those columns join.  Given the roots of an
+    earlier forest, that forest is grown further: its trees are contracted to
+    their roots and only the new columns are run."""
+    u, v, _ = _column_graph(gens, columns, p)
+    if root is None:
+        root = np.arange(gens.n_rows + 1)
+    _, parent = _union_find(root[u], root[v], gens.n_rows + 1)
+    return _roots(parent)[root]
+
+
+def _clusters(root: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The rows of the K clusters without the sentinel (the last node), as
+    (rows, cluster, K), with cluster[i] in 0 .. K - 1 the cluster of rows[i].
+    For the roots of the forest of the columns outside a region, the K
+    cluster sums are a basis of its restricted group, so K = g_R (see the
+    module docstring)."""
+    n = len(root) - 1
+    rows = np.flatnonzero(root[:n] != root[n])
+    is_root = np.zeros(n, dtype=bool)
+    is_root[root[rows]] = True
+    return rows, (np.cumsum(is_root) - 1)[root[rows]], int(is_root.sum())
+
+
+def _row_phases(gens: SparseGenerators, rows, frames) -> np.ndarray:
+    """The phase v_x . t_z - v_z . t_x of each given generator row v under
+    each frame t, not reduced mod p: shape (len(frames), len(rows)).
+
+    An X entry on edge e pairs with t_z[e] and a Z entry with -t_x[e], so a
+    frame is read only at its rows' partner columns; the padding (column 0,
+    value 0) adds nothing.
+    """
+    E = gens.n_edges
+    cols, vals = gens.cols[rows], gens.vals[rows]
+    is_x = cols < E
+    partner = np.where(is_x, cols + E, cols - E)
+    signed = np.where(is_x, vals, -vals)
+    return np.stack([(t[partner] * signed).sum(axis=-1) for t in frames])
 
 
 def region_rank(state: StabilizerState, region: tuple[int, ...]) -> int:
@@ -699,13 +773,20 @@ class CmiCertificate:
     coefficient: int  # I / log p
 
 
+_CERTIFICATE_REGIONS = ("AB", "BC", "B", "ABC")
+
+
+def _certificate(p: int, sizes: dict[str, int], ranks: dict[str, int]) -> tuple[float, CmiCertificate]:
+    coeff = ranks["B"] + ranks["ABC"] - ranks["AB"] - ranks["BC"]
+    return coeff * math.log(p), CmiCertificate(sizes=sizes, ranks=ranks, coefficient=coeff)
+
+
 def annulus_cmi_certificate(state: StabilizerState, part: AnnulusPartition) -> tuple[float, CmiCertificate]:
     """I(A:C|B) with the integer rank certificate behind it."""
-    regions = {name: part.region_edges(name) for name in ("AB", "BC", "B", "ABC")}
+    regions = {name: part.region_edges(name) for name in _CERTIFICATE_REGIONS}
     sizes = {k: len(v) for k, v in regions.items()}
     ranks = {k: region_rank(state, v) for k, v in regions.items()}
-    coeff = ranks["B"] + ranks["ABC"] - ranks["AB"] - ranks["BC"]
-    return coeff * math.log(state.lattice.prime), CmiCertificate(sizes=sizes, ranks=ranks, coefficient=coeff)
+    return _certificate(state.lattice.prime, sizes, ranks)
 
 
 def annulus_cmi(state: StabilizerState, part: AnnulusPartition) -> float:
@@ -798,8 +879,9 @@ def reduction_relation(
     so their restricted groups coincide.  The reductions are then equal iff
     the phase assignments agree on a basis, and orthogonal otherwise (the
     phase difference is a character of the group, so the cross trace sums to
-    zero).  This is the one-pair case of `verify_assumptions`; the witness
-    is the first basis element whose phases disagree.
+    zero).  The pair is decided on the canonical basis, and the witness is
+    the first basis element whose phases disagree, as in the witnesses of
+    `verify_assumptions`.
     """
     _shared_gens((state1, state2))
     edges, vecs = restricted_canonical(state1, region)
@@ -962,12 +1044,17 @@ def verify_assumptions(
     2. Local indistinguishability: reductions on AB and on BC are pairwise equal.
     3. Fusion: conjugating sector a by the string t_s for s and reducing to
        A'BC (one thinning step) equals the reduction of sector s x a.
-    All states share one generator matrix and a phase is linear in the
-    frame, so each region has one restricted basis and every pair is decided
-    from its frame difference on the region's columns: one label against all
-    later ones at once, and for 3, frame_a + t_s against frame_{s x a} with
-    one string t_s per s.  A violation carries its first mismatching group
-    element as a witness.
+    All states share one generator matrix, so each region has one restricted
+    group, and two reductions are equal iff their phases agree on a basis of
+    it, orthogonal otherwise.  The basis is the sums of the region's row
+    clusters (`_clusters`), and a phase is linear in the group element, so a
+    cluster's phase is the sum of its rows' phases: each region is one
+    (K, p^2) phase matrix, read from every frame at the cluster rows' columns
+    only, and two labels compare by their columns mod p.  For 3, the phases
+    of one string t_s per s are added to frame_a's.  A violation carries its
+    first mismatching element of the region's canonical basis
+    (`restricted_canonical`) as a witness; that basis is eliminated only for
+    a region with a violation to witness.
     """
     p = next(iter(states.values())).lattice.prime
     if set(states) != {(c, f) for c in range(p) for f in range(p)}:
@@ -975,21 +1062,51 @@ def verify_assumptions(
     base = _shared_gens(states.values())
     rule = rule or FusionStringRule()
     order = sorted(states)
+    frames = [states[a].frame for a in order]
+
+    # every region below lies inside ABC, so the forest of the columns outside
+    # ABC is grown once and each region's forest continues it over the
+    # columns of ABC outside that region
+    in_abc = np.zeros(2 * base.n, dtype=bool)
+    in_abc[_region_columns(base, part.region_edges("ABC"))] = True
+    root_abc = _cluster_roots(base.gens, np.flatnonzero(~in_abc), p)
 
     def on_region(region):
-        """(edges, basis, columns, the frames on them, one column per label)."""
-        edges, vecs = restricted_canonical(base, region)
+        """(the region's X then Z columns, cluster phase sums of a list of
+        frames mod p, witnesses for frame differences on those columns)."""
+        edges = _edges(base, region)
         cols = _region_columns(base, edges)
-        return edges, vecs, cols, np.stack([states[a].frame[cols] for a in order], axis=1)
+        rest = in_abc.copy()  # ABC's columns outside the region
+        rest[cols] = False
+        rows, cluster, k = _clusters(_cluster_roots(base.gens, np.flatnonzero(rest), p, root_abc))
+        vecs = None
+
+        def phases(ts):
+            out = np.zeros((k, len(ts)), dtype=np.int64)
+            np.add.at(out, cluster, _row_phases(base.gens, rows, ts).T)
+            return out % p
+
+        def witnesses(diffs):
+            nonlocal vecs
+            if vecs is None:
+                _, vecs = restricted_canonical(base, edges)
+            return [_relation(base, edges, vecs, first) for first in _first_mismatch(vecs, diffs, p)]
+
+        return cols, phases, witnesses
 
     def unlike(region, expect):
         """(a, b, relation, witness) for each pair a < b whose relation is not `expect`."""
-        edges, vecs, _, frames = on_region(region)
+        cols, phases, witnesses = on_region(region)
+        table = phases(frames)
         out = []
         for i, a in enumerate(order):
-            first = _first_mismatch(vecs, frames[:, [i]] - frames[:, i + 1:], p)
-            for j in np.flatnonzero(first >= 0 if expect == "equal" else first < 0):
-                out.append((a, order[i + 1 + j], *_relation(base, edges, vecs, first[j])))
+            differ = (table[:, [i]] != table[:, i + 1:]).any(axis=0)
+            later = i + 1 + np.flatnonzero(differ if expect == "equal" else ~differ)
+            if expect == "orthogonal":
+                out += [(a, order[j], "equal", None) for j in later]
+            elif later.size:
+                diffs = np.stack([frames[i][cols] - frames[j][cols] for j in later], axis=1)
+                out += [(a, order[j], *rel) for j, rel in zip(later, witnesses(diffs))]
         return out
 
     viol1 = unlike(part.region_edges("ABC"), "orthogonal")
@@ -997,16 +1114,17 @@ def verify_assumptions(
     viol2 = [(name, *v) for name in ("AB", "BC") for v in unlike(part.region_edges(name), "equal")]
     prop2 = PropertyResult("local_indistinguishability", not viol2, tuple(viol2))
 
-    edges, vecs, cols, frames = on_region(part.thin(1).region_edges("ABC"))
+    cols, phases, witnesses = on_region(part.thin(1).region_edges("ABC"))
+    table = phases(frames)
     index = {a: i for i, a in enumerate(order)}
     viol3 = []
-    for s in order:
-        if s == (0, 0):
-            continue
-        t = fusion_string(base, part, s, rule)[cols]
+    for s in order[1:]:  # order[0] is the vacuum (0, 0)
+        t = fusion_string(base, part, s, rule)
         target = [index[((s[0] + a[0]) % p, (s[1] + a[1]) % p)] for a in order]
-        first = _first_mismatch(vecs, frames + t[:, None] - frames[:, target], p)
-        viol3 += [(s, order[j], *_relation(base, edges, vecs, first[j])) for j in np.flatnonzero(first >= 0)]
+        bad = np.flatnonzero(((table + phases([t]) - table[:, target]) % p).any(axis=0))
+        if bad.size:
+            diffs = np.stack([frames[j][cols] + t[cols] - frames[target[j]][cols] for j in bad], axis=1)
+            viol3 += [(s, order[j], *rel) for j, rel in zip(bad, witnesses(diffs))]
     prop3 = PropertyResult("fusion", not viol3, tuple(viol3))
 
     return AssumptionsReport(prop1, prop2, prop3)
@@ -1066,18 +1184,35 @@ def _nested_ranks(state: StabilizerState, part: AnnulusPartition, n: int) -> dic
     }
 
 
-def nested_annulus_table(state: StabilizerState, part: AnnulusPartition, n: int) -> audit.AuditTrace:
+def nested_annulus_certificate(
+    state: StabilizerState, part: AnnulusPartition, n: int
+) -> tuple[float, CmiCertificate, dict[str, np.ndarray]]:
+    """`annulus_cmi_certificate` on the full partition, read from level n + 1
+    of the nested ranks, together with those ranks (`_nested_ranks`) for
+    `nested_annulus_table`: the widest regions are ranked once for both."""
+    check_nested_levels(part, n)
+    g = _nested_ranks(state, part, n)
+    sizes = {name: len(part.region_edges(name)) for name in _CERTIFICATE_REGIONS}
+    ranks = {name: int(g[name][n + 1]) for name in _CERTIFICATE_REGIONS}
+    return (*_certificate(state.lattice.prime, sizes, ranks), g)
+
+
+def nested_annulus_table(
+    state: StabilizerState, part: AnnulusPartition, n: int, ranks: dict[str, np.ndarray] | None = None
+) -> audit.AuditTrace:
     """Table I_i^(a) over nested annuli A_0 BC c ... c A_{n+1} BC = ABC.
 
     Level i uses the partition thinned n+1-i times (one edge-column per
     side per step); the full partition must be wide enough for n+1 steps.
     Ranks never read the frame, so one CMI per level on the given state
     fills all p^2 sector rows.  Every level's ranks come from one incremental
-    pass (`_nested_ranks`), O(E alpha(E)) for all of them together.
+    pass (`_nested_ranks`), O(E alpha(E)) for all of them together, or are
+    the `ranks` that `nested_annulus_certificate` returned for this state,
+    partition and n.
     """
     check_nested_levels(part, n)
     p = state.lattice.prime
-    g = _nested_ranks(state, part, n)
+    g = _nested_ranks(state, part, n) if ranks is None else ranks
     levels = [int(c) * math.log(p) for c in g["B"] + g["ABC"] - g["AB"] - g["BC"]]
     table = np.tile(levels, (p * p, 1))
     cat = double_zn_category(p)

@@ -203,6 +203,16 @@ def test_malformed_config_value_is_config_error(command, cfg, flags, tmp_path, c
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--widths", "1"], ["--widths", "2", "--a-width", "1"]])
+def test_assumptions_without_a_thinning_step_refused_before_build(flags, capsys, monkeypatch):
+    # property 3 reduces to A'BC, one thinning step into A, so an A one
+    # plaquette wide is refused as --levels refuses too few thinnings: exit 2
+    # before the ground state is built
+    monkeypatch.setattr(stabilizer, "build_ground_state", no_build)
+    assert cli.main(["stabilizer", "--p", "3", "--size", "12", *flags, "--assumptions"]) == 2
+    assert "thinning steps exceed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -1,7 +1,9 @@
 """Property tests: the sparse ground-state build against the dense
 construction it replaced, graph ranks against elimination (on toric codes
 and on random graph-shaped generators) and the incremental nested table
-against its per-level loop, column-index row lookups against the full-slot
+against its per-level loop, the certificate read from the nested ranks
+against the region-by-region one, row-cluster counts against region ranks,
+column-index row lookups against the full-slot
 scan, restricted bases, frame phases and dense reductions against the
 dense-matrix oracles on random valid annulus geometries and primes, the frame-difference assumption
 checks against their per-pair loop oracle, the built rows and the sector
@@ -606,7 +608,7 @@ def test_unperturbed_sector_family_passes_assumptions(part):
 @given(
     part=annuli(primes=(2, 3, 5)),
     endpoint=hst.sampled_from(("strips", "inside_a_prime")),
-    family=hst.sampled_from(("sectors", "perturbed", "duplicated")),
+    family=hst.sampled_from(("sectors", "perturbed", "duplicated", "displaced")),
     data=hst.data(),
 )
 def test_verify_assumptions_matches_loop_oracle(part, endpoint, family, data):
@@ -627,8 +629,70 @@ def test_verify_assumptions_matches_loop_oracle(part, endpoint, family, data):
         # two labels on one state break property 1 and some fusion pairs
         a, b = data.draw(hst.lists(hst.sampled_from(order), min_size=2, max_size=2, unique=True))
         states[b] = states[a]
+    elif family == "displaced":
+        # strings anchored at another plaquette than the partition's origin
+        origin = (data.draw(hst.integers(0, lat.width - 1)), data.draw(hst.integers(0, lat.height - 1)))
+        states = {a: st.create_sector(ground(lat.width, lat.height, p), a, origin=origin) for a in order}
     rule = st.FusionStringRule(endpoint=endpoint)
     assert st.verify_assumptions(states, part, rule) == verify_assumptions_loop(states, part, rule)
+
+
+@settings(max_examples=25, deadline=None)
+@given(part=annuli(), data=hst.data())
+def test_cluster_count_matches_region_rank(part, data):
+    # two independent counts of g_R: clusters of rows joined by the columns
+    # outside R, against the spanning forest of R's own columns; the regions
+    # inside ABC also by growing the forest outside ABC further, as
+    # verify_assumptions does, and every cluster sum is supported in R
+    lat = part.lattice
+    E, p = lat.n_edges, lat.prime
+    state = ground(lat.width, lat.height, p)
+    gens = state.gens.dense()
+
+    def outside(edges, within=None):
+        mask = np.ones(2 * E, dtype=bool) if within is None else within.copy()
+        mask[edges] = mask[edges + E] = False
+        return np.flatnonzero(mask)
+
+    abc = part.region_edges("ABC")
+    in_abc = np.zeros(2 * E, dtype=bool)
+    in_abc[np.concatenate([abc, abc + E])] = True
+    root_abc = st._cluster_roots(state.gens, outside(abc), p)
+    inner = {name: part.region_edges(name) for name in ("A", "B", "C", "AB", "BC", "ABC")}
+    if part.thin_steps + 1 <= part.a_width - 1:
+        inner["A'BC"] = part.thin(1).region_edges("ABC")
+    regions = dict(inner)
+    for i, edges in enumerate(_edge_sets(data.draw, E, 3)):
+        regions[f"random{i}"] = edges
+    for name, region in regions.items():
+        edges = st._edges(state, region)
+        g = st.region_rank(state, edges)
+        roots = [st._cluster_roots(state.gens, outside(edges), p)]
+        if name in inner:
+            roots.append(st._cluster_roots(state.gens, outside(edges, in_abc), p, root_abc))
+        for root in roots:
+            rows, cluster, k = st._clusters(root)
+            assert k == g, name
+            sums = np.zeros((k, 2 * E), dtype=np.int64)
+            np.add.at(sums, cluster, gens[rows])
+            sums[:, np.concatenate([edges, edges + E])] = 0
+            assert not (sums % p).any(), name
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=hst.integers(1, 4), data=hst.data())
+def test_nested_certificate_matches_region_ranks(n, data):
+    # the certificate a --levels run reads from level n + 1 of the nested
+    # ranks equals the one ranked region by region
+    part = data.draw(annuli(primes=(2, 3, 5), min_a_width=n + 2))
+    part = replace(part, thin_steps=data.draw(hst.integers(0, part.a_width - n - 2)))
+    lat = part.lattice
+    state = ground(lat.width, lat.height, lat.prime)
+    value, cert, ranks = st.nested_annulus_certificate(state, part, n)
+    assert (value, cert) == st.annulus_cmi_certificate(state, part)
+    assert st.nested_annulus_table(state, part, n, ranks).table.tolist() == (
+        st.nested_annulus_table(state, part, n).table.tolist()
+    )
 
 
 @settings(max_examples=200, deadline=None)

@@ -528,8 +528,8 @@ FAMILIES = {
 
 
 class TestFrameDifferences:
-    """verify_assumptions decides every pair from frame differences on the
-    region; the per-pair loop it replaced is the oracle."""
+    """verify_assumptions decides every pair from the phases of each region's
+    row clusters; the per-pair loop on the canonical basis is the oracle."""
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_report_matches_loop_oracle(self, name):
@@ -555,6 +555,17 @@ class TestFrameDifferences:
         monkeypatch.setattr(st, "conjugate_by_string", no_conjugation)
         assert st.verify_assumptions(fam, part).passed
         assert calls == sorted(fam)[1:]  # p^2 - 1 strings, one per nontrivial s
+
+    def test_passing_family_builds_no_restricted_basis(self, monkeypatch):
+        # pairs are decided from cluster phases; a basis is eliminated only to
+        # write out a violation's witness
+        fam, part, _ = _centered_family(3, 12, 12)
+
+        def no_basis(state, region):
+            raise AssertionError("restricted_canonical ran")
+
+        monkeypatch.setattr(st, "restricted_canonical", no_basis)
+        assert st.verify_assumptions(fam, part).passed
 
 
 class TestSharedGenerators:
