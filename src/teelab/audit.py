@@ -36,9 +36,11 @@ from .fusion import AnyonDistribution, FusionProbabilities, _label_index, bound_
 MARGIN_TOL = 1e-9
 
 # Byte cap on the Taylor sweep's arrays, charged at 64 L^2 bytes per grid
-# point; they take about 56: the three (L, L, G) margin arrays (24 L^2), the
-# (G, L L) fused buffer reused across label pairs (8 L^2), and at most three
-# (G, L L) temporaries of one pair's fusion terms or masked log (24 L^2).
+# point.  They take at most 48 L^2 + 24 L, under the charge for L >= 2: the
+# three (L, L, G) margin arrays (24 L^2), the (G, C) class buffer reused
+# across label pairs (8 C, with C <= L + L^2 classes), one pair's (G, C)
+# x log x (8 C) and its (G, L + L^2) gather back to the cells.  On z7, with
+# C = 14, that is 1848 bytes against the 3136 charged.
 SWEEP_BYTES_CAP = 2**28
 
 TRACE_SCHEMA = "teelab-trace/v1"
@@ -395,27 +397,37 @@ def taylor_bound_sweep(
       combined:   H(p) - sum_s p*_s H(p_{.,s}) >= eps log(p*_c/p*_b) - 2 eps^2 / pmin
 
     where p_{a,s} = sum_b p_b fp[s,b,a].  The grid is `eps_points` uniform
-    values on [-pmin/2, pmin/2] followed by `trials` seeded random ones, so
-    `evaluations = L^2 (eps_points + trials)` for L labels.  An empty or
-    negative grid is MalformedInput, and a grid whose arrays would pass
-    SWEEP_BYTES_CAP is DimensionCap, both before any work.
+    values on [-pmin/2, pmin/2] followed by `trials` random ones drawn with
+    `seed`, so `evaluations = L^2 (eps_points + trials)` for L labels.  An
+    empty or negative grid and a negative seed are MalformedInput, and a
+    grid whose arrays would pass SWEEP_BYTES_CAP is DimensionCap, all before
+    any work.
 
-    The sweep runs as one array program per label pair (b, c): the (G, L)
-    block P[g] = p* + eps_g (delta_b - delta_c) over the whole grid, its
-    fused distributions p_{a,s}, and the entropies along the last axis with
-    a masked log.  The fused distributions are built from the nonzeros of
-    fp alone (`_fusion_terms`), listed once per sweep by (s, a) cell with b
-    ascending: the term of rank k in its cell adds P[:, b] w to the cell in
-    pass k, into one (G, L L) buffer reused by every pair, in which cells
-    no term reaches stay 0.  Each margin is formed with the arithmetic of a
-    per-point loop (`tests/oracles.py`): +eps at b before -eps at c, the sum
-    over b in ascending order, and the sum over s in order from 0.  P > 0
-    on the whole grid, so the terms a zero of fp would add are zeros, and a
-    dense sum, which starts at +0.0, is unchanged by them: the sparse sums
-    equal the dense in-order sums over b bit for bit.  numpy sums a last
-    axis of fewer than 8 entries in order, so for L <= 7 (every bundled
-    category) the zeros of the masked log add exactly too and the report
-    equals the loop's bit for bit.
+    The sweep runs as one array program per label pair (b, c), over the
+    whole grid at once.  The L + L^2 columns it takes entropies of, p and
+    every p_{.,s}, are grouped once per sweep into C classes of equal bits
+    (`_fusion_classes`): a cell p_{a,s} is the in-order sum of its term
+    list, the nonzeros (b, fp[s, b, a]) in ascending b, so cells with one
+    term list are equal, a single term (b, 1.0) is p_b itself, and the cells
+    no term reaches are 0.  One (G, C) buffer V, reused by every pair, holds
+    the classes: per pair its first L columns are set to P[g] = p* +
+    eps_g (delta_b - delta_c), the term of rank k in each other class adds
+    P[:, b] w to it in pass k (`_fuse`), and the masked x log x is taken of
+    V once, C columns instead of L + L^2 (14 instead of 56 for z7).  The
+    classes are then gathered back to the (G, L + 1, L) cells, whose sums
+    along the last axis are -H(p) and -H(p_{.,s}).
+
+    Each margin is formed with the arithmetic of a per-point loop
+    (`tests/oracles.py`): +eps at b before -eps at c, the sum over b in
+    ascending order, and the sum over s in order from 0.  The gather hands
+    each cell the bits it would have if computed on its own, and every sum
+    runs over the same entries in the same order, so the classes change no
+    bit.  P > 0 on the whole grid, so the terms a zero of fp would add are
+    zeros, and a dense sum, which starts at +0.0, is unchanged by them: the
+    sparse sums equal the dense in-order sums over b bit for bit.  numpy
+    sums a last axis of fewer than 8 entries in order, so for L <= 7 (every
+    bundled category) the zeros of the masked log add exactly too and the
+    report equals the loop's bit for bit.
     `worst_case` is the first (b, c, eps) in (b, c, grid) order at which
     min(taylor, concavity, combined) reaches its minimum.
     """
@@ -423,6 +435,8 @@ def taylor_bound_sweep(
         raise MalformedInput(f"the eps grid needs at least 2 points, got {eps_points}")
     if trials < 0:
         raise MalformedInput(f"trials must be non-negative, got {trials}")
+    if seed < 0:
+        raise MalformedInput(f"seed must be non-negative, got {seed}")
     if tuple(p_star.labels) != tuple(fp.labels):
         raise MalformedInput("labels do not match")
     n, G = len(fp.labels), eps_points + trials
@@ -439,15 +453,16 @@ def taylor_bound_sweep(
         grid = np.concatenate([grid, rng.uniform(-pmin / 2, pmin / 2, size=trials)])
     quad = 2.0 * grid**2 / pmin
     taylor, conc, comb = np.empty((3, n, n, G))
-    terms = _fusion_terms(fp)
-    mixed = np.zeros((G, n * n))  # mixed[g, s L + a] = p_{a,s} at grid point g
+    cls, n_classes, terms = _fusion_classes(fp)
+    V = np.zeros((G, n_classes))  # V[g, k] = class k at grid point g; V[:, :n] = P
     for bi in range(n):
         for ci in range(n):
-            P = np.tile(probs, (G, 1))  # P[g] = p* + eps_g (delta_b - delta_c)
-            P[:, bi] += grid
-            P[:, ci] -= grid
-            h_p = _shannon_last_axis(P)
-            h_s = _shannon_last_axis(_fuse(P, terms, mixed).reshape(G, n, n))
+            V[:, :n] = probs  # P[g] = p* + eps_g (delta_b - delta_c)
+            V[:, bi] += grid
+            V[:, ci] -= grid
+            # row 0 of H is H(p) and row 1 + s is H(p_{.,s})
+            H = -_x_log_x(_fuse(V, terms))[:, cls].reshape(G, n + 1, n).sum(axis=-1)
+            h_p, h_s = H[:, 0], H[:, 1:]
             h_mixed = 0.0
             for s in range(n):
                 h_mixed = h_mixed + probs[s] * h_s[:, s]
@@ -467,37 +482,56 @@ def taylor_bound_sweep(
     )
 
 
-def _fusion_terms(fp: FusionProbabilities) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The nonzeros w = fp[s, b, a] as (cells s L + a, b, w), one triple per rank.
+def _fusion_classes(fp: FusionProbabilities) -> tuple[np.ndarray, int, list]:
+    """The columns of p and of its fused distributions p_{a,s} = sum_b p_b
+    fp[s, b, a], grouped into classes of equal bits.
 
-    The terms of each (s, a) cell are taken in ascending b, and a term's rank
-    is its position in its cell, so a cell occurs at most once per rank and
-    adding rank 0, 1, ... in turn sums each cell over b in ascending order.
+    A cell (s, a) is the in-order sum of its term list, the nonzeros
+    (b, fp[s, b, a]) in ascending b, so two cells with one term list hold the
+    same bits, and a single term (b, 1.0) is p_b itself.  Returns (cls, C,
+    terms).  Class b < L is p_b; cls[:L] is 0 .. L - 1 and cls[L + s L + a]
+    is the class of cell (s, a), in 0 .. C - 1.  terms lists the terms of
+    the classes from L on as one triple (classes, b, w) per rank, a term's
+    rank being its position in its list: a class occurs at most once per
+    rank, so adding rank 0, 1, ... in turn sums each class over b in
+    ascending order.  The class of the cells that no term reaches has no
+    terms.
     """
     L = fp.n_labels
+    lists: list[list[tuple[int, float]]] = [[] for _ in range(L * L)]
     s, b, a = np.nonzero(fp.p)  # row-major: b ascends within each (s, a)
-    w = fp.p[s, b, a]
-    cell = s * L + a
-    order = np.argsort(cell, kind="stable")
-    cell, b, w = cell[order], b[order], w[order]
-    rank = np.arange(cell.size) - np.searchsorted(cell, cell)
-    return [(cell[rank == k], b[rank == k], w[rank == k]) for k in range(int(rank.max(initial=-1)) + 1)]
+    for si, bi, ai, w in zip(s.tolist(), b.tolist(), a.tolist(), fp.p[s, b, a].tolist()):
+        lists[si * L + ai].append((bi, w))
+    ids = {((bi, 1.0),): bi for bi in range(L)}
+    cls = list(range(L)) + [ids.setdefault(tuple(cell), len(ids)) for cell in lists]
+    ranked: list[list[tuple[int, int, float]]] = []
+    for cell, k in list(ids.items())[L:]:
+        for rank, (bi, w) in enumerate(cell):
+            if rank == len(ranked):
+                ranked.append([])
+            ranked[rank].append((k, bi, w))
+    return np.array(cls), len(ids), [tuple(map(np.array, zip(*terms))) for terms in ranked]
 
 
-def _fuse(P: np.ndarray, terms: list, out: np.ndarray) -> np.ndarray:
-    """out[g, s L + a] = sum_b P[g, b] fp[s, b, a] over the terms of fp, in
-    ascending b; a cell that no term reaches keeps its value in `out`."""
-    for k, (cells, b, w) in enumerate(terms):
-        if k:
-            out[:, cells] += P[:, b] * w
+def _fuse(V: np.ndarray, terms: list) -> np.ndarray:
+    """Fill V[:, k] = sum_b V[:, b] fp[s, b, a] in place for every class k >= L
+    of `_fusion_classes`, in ascending b, from P = V[:, :L]; a class with no
+    terms keeps its value in V."""
+    for rank, (classes, b, w) in enumerate(terms):
+        if rank:
+            V[:, classes] += V[:, b] * w
         else:
-            out[:, cells] = P[:, b] * w
+            V[:, classes] = V[:, b] * w
+    return V
+
+
+def _x_log_x(v: np.ndarray) -> np.ndarray:
+    """v log v elementwise (nats), masked so that a zero entry gives 0: the
+    Shannon entropy terms, negated."""
+    out = np.where(v > 0, v, 1.0)
+    np.log(out, out=out)
+    out *= v
     return out
-
-
-def _shannon_last_axis(v: np.ndarray) -> np.ndarray:
-    """Shannon entropies (nats) along the last axis; zero entries contribute 0."""
-    return -(v * np.log(np.where(v > 0, v, 1.0))).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

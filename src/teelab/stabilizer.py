@@ -71,7 +71,7 @@ written), and two reductions on R are compared by their clusters' phases
 alone.  A canonical basis of the subgroup, the symplectic complement of G|_R
 in R's columns by one elimination over F_p (`restricted_canonical`), is built
 only to write out a witness, for `reduction_relation`, and for the dense
-export.
+export; its dense generator block is refused above GENS_BYTES_CAP.
 """
 
 from __future__ import annotations
@@ -99,8 +99,9 @@ SectorLabel = tuple[int, int]  # (electric charge, magnetic flux) in Z_p x Z_p
 
 # Byte cap on every large allocation.  A lattice is refused when its sparse
 # supports exceed it (square lattices up to 1447 x 1447 fit), a dense
-# reduction when its p^|R| x p^|R| complex matrix does, and the tests' dense
-# E x 2E generator matrix too (square lattices up to 44 x 44).
+# reduction when its p^|R| x p^|R| complex matrix does, a restricted basis
+# when its dense (rows touching R) x 2|R| generator block does, and the
+# tests' dense E x 2E generator matrix too (square lattices up to 44 x 44).
 GENS_BYTES_CAP = 2**28
 
 # Every toric-code generator acts on at most this many edges.
@@ -108,12 +109,12 @@ MAX_SUPPORT = 4
 
 
 def check_dense_cap(n_rows: int, n_cols: int) -> None:
-    """Raise DimensionCap when a dense n_rows x n_cols int64 generator matrix
-    would exceed GENS_BYTES_CAP."""
+    """Raise DimensionCap when a dense n_rows x n_cols int64 block of
+    generator rows would exceed GENS_BYTES_CAP."""
     nbytes = 8 * n_rows * n_cols
     if nbytes > GENS_BYTES_CAP:
         raise DimensionCap(
-            f"the dense {n_rows} x {n_cols} generator matrix would take {nbytes} bytes, "
+            f"the dense {n_rows} x {n_cols} generator block would take {nbytes} bytes, "
             f"over the {GENS_BYTES_CAP}-byte cap"
         )
 
@@ -291,11 +292,13 @@ class SparseGenerators:
     def region_block(self, edges: np.ndarray) -> np.ndarray:
         """The rows with a nonzero entry on the sorted, unique edges, in row
         order, on those edges' X then Z columns: shape (rows, 2 len(edges)).
-        Read from the column index in O(|edges|)."""
+        Read from the column index in O(|edges|); a block over
+        GENS_BYTES_CAP is DimensionCap before it is allocated."""
         columns = np.concatenate([edges, edges + self.n_edges])
         start, rows, vals = self.by_column
         col, index = _ranges(start[columns], start[columns + 1])
         touching, row = np.unique(rows[index], return_inverse=True)
+        check_dense_cap(len(touching), len(columns))
         out = np.zeros((len(touching), len(columns)), dtype=np.int64)
         out[row, col] = vals[index]
         return out
@@ -354,12 +357,15 @@ def _check_independent(gens: SparseGenerators, p: int) -> None:
     """Raise RankDeficiency unless the rows are independent over F_p.
 
     The rank of the generator matrix is the size of a spanning forest of all
-    its columns as graph edges (`_column_graph`, `_forest_joins`; see the
+    its columns as graph edges (`_column_graph`, `_union_find`; see the
     module docstring), so the rows are independent iff that forest has
-    n_rows edges.  A column of another shape raises MalformedInput.
+    n_rows edges.  The nodes are already the rows 0 .. n_rows - 1 and the
+    sentinel n_rows, so the union-find runs on them with no relabelling.  A
+    column of another shape raises MalformedInput.
     """
     u, v, _ = _column_graph(gens, np.arange(2 * gens.n_edges), p)
-    rank = int(_forest_joins(u, v).sum())
+    joined, _ = _union_find(u, v, gens.n_rows + 1)
+    rank = int(joined.sum())
     if rank < gens.n_rows:
         raise RankDeficiency(f"generator matrix is not full rank: rank {rank} of {gens.n_rows} rows")
 

@@ -313,6 +313,31 @@ class TestTaylorSweep:
         monkeypatch.setattr(np, "einsum", dense)
         assert audit.taylor_bound_sweep(p_star, fp, trials=5, seed=1) == expected
 
+    def test_one_log_per_class_column(self, categories, monkeypatch):
+        # z7's L + L^2 = 56 columns (p and every p_{.,s}) fall into 14 classes
+        # of equal bits, and each label pair takes the log of each class once
+        _, dims, fp = categories["z7"]
+        p_star = fusion.closed_form_fixed_point(dims)
+        L, G = 7, 41 + 400
+        logged = []
+        log = np.log
+
+        def counting(x, *args, **kwargs):
+            logged.append(np.size(x))
+            return log(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log", counting)
+        audit.taylor_bound_sweep(p_star, fp, trials=400, seed=1)
+        assert sum(logged) <= L * L * G * (L + L * L) // 3, sum(logged)
+
+    def test_negative_seed_is_malformed(self, categories):
+        # refused before numpy's generator sees it, with or without trials
+        _, dims, fp = categories["z2"]
+        p_star = fusion.closed_form_fixed_point(dims)
+        for trials in (0, 5):
+            with pytest.raises(MalformedInput, match="seed"):
+                audit.taylor_bound_sweep(p_star, fp, trials=trials, seed=-1)
+
     def test_random_tensor_fails_concavity(self):
         # a row-stochastic tensor that is no fusion algebra breaks concavity:
         # the sweep is not true by construction

@@ -494,6 +494,12 @@ class TestFusionTaylorSweep:
         assert cli.main(["fusion", "--category", "z2", *flags]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--trials", "5"], []])
+    def test_negative_seed_is_config_error(self, capsys, flags):
+        # numpy's generator would raise a bare ValueError on a negative seed
+        assert cli.main(["fusion", "--category", "z7", "--seed", "-1", *flags]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_oversize_grid_is_config_error(self, capsys):
         # refused before the sweep allocates its arrays
         assert cli.main(["fusion", "--category", "z7", "--trials", "10000000"]) == 2

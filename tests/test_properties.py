@@ -738,6 +738,36 @@ def test_taylor_sweep_matches_loop_oracle(n, eps_points, trials, seed, data):
     assert audit.taylor_bound_sweep(p_star, fp, **args) == taylor_bound_sweep_loop(p_star, fp, **args)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=hst.integers(1, 7),
+    eps_points=hst.integers(2, 12),
+    trials=hst.integers(0, 8),
+    seed=hst.integers(0, 2**32 - 1),
+    data=hst.data(),
+)
+def test_taylor_sweep_matches_loop_oracle_on_colliding_term_lists(n, eps_points, trials, seed, data):
+    # every row (s, b) is a permutation's single 1.0, or splits its mass into
+    # 1, 2 or 4 exact pieces on drawn labels: the weights come from {1, 1/2,
+    # 1/4, 3/4}, so term lists repeat across cells, whole rows on one label
+    # leave single terms (b, 1.0), and labels no row reaches leave empty cells
+    p = np.zeros((n, n, n))
+    for s in range(n):
+        if data.draw(hst.booleans()):
+            p[s, np.arange(n), data.draw(hst.permutations(range(n)))] = 1.0
+            continue
+        for b in range(n):
+            pieces = data.draw(hst.sampled_from((1, 2, 4)))
+            for a in data.draw(hst.lists(hst.integers(0, n - 1), min_size=pieces, max_size=pieces)):
+                p[s, b, a] += 1.0 / pieces
+    q = np.array(data.draw(hst.lists(hst.floats(0.01, 1.0), min_size=n, max_size=n)))
+    labels = tuple(f"l{i}" for i in range(n))
+    fp = fusion.FusionProbabilities(labels, p)
+    p_star = fusion.AnyonDistribution(labels, q / q.sum())
+    args = dict(trials=trials, eps_points=eps_points, seed=seed)
+    assert audit.taylor_bound_sweep(p_star, fp, **args) == taylor_bound_sweep_loop(p_star, fp, **args)
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=hst.integers(1, 7), G=hst.integers(1, 4), data=hst.data())
 def test_sparse_fusion_matches_dense_einsum_bit_for_bit(n, G, data):
@@ -749,12 +779,20 @@ def test_sparse_fusion_matches_dense_einsum_bit_for_bit(n, G, data):
     fp = fusion.FusionProbabilities(tuple(f"l{i}" for i in range(n)), raw / raw.sum(axis=2, keepdims=True))
     P = np.array(data.draw(hst.lists(hst.floats(1e-300, 1.0), min_size=G * n, max_size=G * n)))
     P = P.reshape(G, n)
-    terms = audit._fusion_terms(fp)
-    assert sum(len(w) for _, _, w in terms) == np.count_nonzero(fp.p)
-    sparse = audit._fuse(P, terms, np.zeros((G, n * n)))
-    assert sparse.tobytes() == np.einsum("gb,sba->gsa", P, fp.p).tobytes()
-    one = audit._fuse(P[:1], terms, np.zeros((1, n * n)))
-    assert one.tobytes() == np.einsum("b,sba->sa", P[0], fp.p).tobytes()
+    cls, C, terms = audit._fusion_classes(fp)
+    # two columns share a class iff their dense term columns are equal: p_b is
+    # the column e_b, and cell (s, a) is fp[s, :, a]
+    dense = np.vstack([np.eye(n), fp.p.transpose(0, 2, 1).reshape(n * n, n)])
+    assert np.array_equal(cls[:, None] == cls, (dense[:, None] == dense).all(axis=-1))
+    assert C == len(np.unique(cls)) and np.array_equal(cls[:n], np.arange(n))
+
+    def cells(P):  # the fused block p_{a,s}, expanded from the classes to the (s, a) cells
+        V = np.zeros((len(P), C))
+        V[:, :n] = P
+        return audit._fuse(V, terms)[:, cls[n:]]
+
+    assert cells(P).tobytes() == np.einsum("gb,sba->gsa", P, fp.p).tobytes()
+    assert cells(P[:1]).tobytes() == np.einsum("b,sba->sa", P[0], fp.p).tobytes()
 
 
 def z_n_trace(ps, table, a0: int = 0) -> audit.AuditTrace:

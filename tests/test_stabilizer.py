@@ -568,6 +568,31 @@ class TestFrameDifferences:
         assert st.verify_assumptions(fam, part).passed
 
 
+class TestWitnessBlockCap:
+    def test_region_block_over_the_cap_refused_before_allocation(self, toric12, monkeypatch):
+        # restricted_canonical reads a dense (rows touching R) x 2|R| int64
+        # block; at one byte under its size the cap refuses it unallocated
+        _, ground, part = toric12
+        region = part.region_edges("ABC")
+        edges, vecs = st.restricted_canonical(ground, region)
+        block = ground.gens.region_block(edges)
+        zeros = np.zeros
+
+        def no_block(shape, *args, **kwargs):
+            if shape == block.shape:
+                raise AssertionError("block allocated")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(st, "GENS_BYTES_CAP", block.nbytes - 1)
+        monkeypatch.setattr(np, "zeros", no_block)
+        with pytest.raises(DimensionCap, match="cap"):
+            st.restricted_canonical(ground, region)
+        monkeypatch.setattr(st, "GENS_BYTES_CAP", block.nbytes)
+        monkeypatch.setattr(np, "zeros", zeros)
+        again = st.restricted_canonical(ground, region)
+        assert np.array_equal(again[0], edges) and np.array_equal(again[1], vecs)
+
+
 class TestSharedGenerators:
     def test_states_from_two_lattices_rejected(self, toric12, toric12_sectors):
         lat, ground, part = toric12
