@@ -29,18 +29,16 @@ operator uses X^{+1} on outgoing and X^{-1} on incoming edges; a plaquette
 operator takes Z around its boundary counterclockwise.
 
 Generators.  Every generator acts on at most four edges, so the generator
-matrix is stored as local supports (`SparseGenerators`): O(E) memory, and
-`build_ground_state` certifies it with two local checks.  Rows are numbered
-by arithmetic (`_generator_rows`): plaquette (x, y) is row y W + x, then
-vertex (x, y) is row W H + y (W + 1) + x - 1, in raster order without the
-redundant vertex (0, 0); the build and the sector detectors both use it.
-Commutation is the symplectic form accumulated only over generator pairs
-that share an edge.  Full rank is counted as every region rank is (see
-Entropies below), over all 2E columns: the rows are independent iff the
-spanning forest of the whole column graph has one edge per row.  The dense
-E x 2E matrix, with its Gram product and dense rank, is the tests' oracle
-and is built only on request (`SparseGenerators.dense`); no library path
-builds it.
+matrix is stored as local supports (`SparseGenerators`): O(E) memory.  Rows
+are numbered by arithmetic (`_generator_rows`): plaquette (x, y) is row
+y W + x, then vertex (x, y) is row W H + y (W + 1) + x - 1, in raster order
+without the redundant vertex (0, 0); the build and the sector detectors both
+use it.  `build_ground_state` certifies the matrix by two array programs over
+its column index: the symplectic form summed over generator pairs that share
+an edge, and full rank as the connectivity of the column graph (see
+Entropies below), labelled in hook-and-jump rounds.  The dense E x 2E matrix
+and its Gram product and rank are the tests' oracles, built only on request
+(`SparseGenerators.dense`).
 
 Entropies.  Every region entropy is (|R| - g_R) log p with g_R the rank of
 the subgroup of stabilizers supported inside R: an exact integer multiple of
@@ -102,6 +100,8 @@ SectorLabel = tuple[int, int]  # (electric charge, magnetic flux) in Z_p x Z_p
 # reduction when its p^|R| x p^|R| complex matrix does, a restricted basis
 # when its dense (rows touching R) x 2|R| generator block does, and the
 # tests' dense E x 2E generator matrix too (square lattices up to 44 x 44).
+# The build peaks well above the supports: ru_maxrss 373 MiB at 600 x 600
+# (44 MiB of supports) and 948 MiB at 1000 x 1000 (122 MiB), p = 2.
 GENS_BYTES_CAP = 2**28
 
 # Every toric-code generator acts on at most this many edges.
@@ -263,28 +263,24 @@ class SparseGenerators:
             and np.array_equal(self.vals, other.vals)
         )
 
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row, column, value) of every nonzero entry, in row order."""
-        rows, slots = np.nonzero(self.vals)
-        return rows, self.cols[rows, slots], self.vals[rows, slots]
-
     def dense(self) -> np.ndarray:
         """The full n_rows x 2 n_edges matrix, refused above GENS_BYTES_CAP."""
         check_dense_cap(self.n_rows, 2 * self.n_edges)
         out = np.zeros((self.n_rows, 2 * self.n_edges), dtype=np.int64)
-        rows, cols, vals = self.entries()
-        out[rows, cols] = vals
+        rows, slots = np.nonzero(self.vals)
+        out[rows, self.cols[rows, slots]] = self.vals[rows, slots]
         return out
 
     @cached_property
     def by_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzero entries grouped by column, as (start, rows, vals): column
         c holds rows[start[c]:start[c + 1]], with values vals[...], in row
-        order.  Built once, by one stable sort of the entries."""
-        rows, cols, vals = self.entries()
-        order = np.argsort(cols, kind="stable")
+        order.  Built once, by one stable sort of the nonzero slots."""
+        slot = np.flatnonzero(self.vals)  # in row-major order
+        cols = self.cols.ravel()[slot]
         start = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=2 * self.n_edges))])
-        index = (start, rows[order], vals[order])
+        slot = slot[np.argsort(cols, kind="stable")]
+        index = (start, slot // self.vals.shape[1], self.vals.ravel()[slot])
         for arr in index:
             arr.setflags(write=False)
         return index
@@ -328,44 +324,37 @@ class StabilizerState:
 def _check_commutation(gens: SparseGenerators, p: int) -> None:
     """Raise RankDeficiency unless every pair of rows has symplectic form 0 mod p.
 
-    omega(a, b) = sum_e x_a[e] z_b[e] - z_a[e] x_b[e] can only be nonzero for
-    rows that share an edge, so it is accumulated from the pairs (X entry,
-    Z entry) on a common edge: linear in the number of entries after one
-    sort, with no Gram product.
+    omega(a, b) = sum_e x_a[e] z_b[e] - z_a[e] x_b[e] is summed over the pairs
+    (X entry of column e, Z entry of column E + e) of the column index, keyed
+    by min(a, b) n_rows + max(a, b), after one sort.  The smallest bad key
+    names the rows.
     """
-    E = gens.n_edges
-    rows, cols, vals = gens.entries()
-    is_x = cols < E
-    xr, xe, xv = rows[is_x], cols[is_x], vals[is_x]
-    order = np.argsort(cols[~is_x], kind="stable")
-    zr, ze, zv = rows[~is_x][order], cols[~is_x][order] - E, vals[~is_x][order]
-    xi, zi = _ranges(np.searchsorted(ze, xe, "left"), np.searchsorted(ze, xe, "right"))
-    a, b, v = xr[xi], zr[zi], xv[xi] * zv[zi]
-    # the pair adds +v to omega(a, b) and -v to omega(b, a); a == b adds 0
-    keep = a != b
-    a, b, v = a[keep], b[keep], v[keep]
-    keys, inv = np.unique(np.minimum(a, b) * gens.n_rows + np.maximum(a, b), return_inverse=True)
-    form = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(form, inv, np.where(a < b, v, -v))
+    E, n = gens.n_edges, gens.n_rows
+    start, rows, vals = gens.by_column
+    edge = np.repeat(np.arange(E), np.diff(start[:E + 1]))  # the edge of each X entry
+    xi, zi = _ranges(start[E + edge], start[E + edge + 1])
+    a, b = rows[xi], rows[zi]
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(key)
+    head = np.flatnonzero(np.diff(key[order], prepend=-1))
+    # a pair adds +v to omega(a, b) and -v to omega(b, a): 0 when a == b
+    form = np.add.reduceat((np.sign(b - a) * vals[xi] * vals[zi])[order], head)
     bad = np.flatnonzero(form % p)
     if bad.size:
-        i, j = divmod(int(keys[bad[0]]), gens.n_rows)
+        i, j = divmod(int(key[order[head[bad[0]]]]), n)
         raise RankDeficiency(f"generators do not commute: rows {i} and {j}")
 
 
 def _check_independent(gens: SparseGenerators, p: int) -> None:
     """Raise RankDeficiency unless the rows are independent over F_p.
 
-    The rank of the generator matrix is the size of a spanning forest of all
-    its columns as graph edges (`_column_graph`, `_union_find`; see the
-    module docstring), so the rows are independent iff that forest has
-    n_rows edges.  The nodes are already the rows 0 .. n_rows - 1 and the
-    sentinel n_rows, so the union-find runs on them with no relabelling.  A
-    column of another shape raises MalformedInput.
+    The rank is nodes minus components of the column graph on the rows and
+    the sentinel n_rows (`_column_graph`, `_components`; see the module
+    docstring), so the rows are independent iff that graph is connected.
     """
     u, v, _ = _column_graph(gens, np.arange(2 * gens.n_edges), p)
-    joined, _ = _union_find(u, v, gens.n_rows + 1)
-    rank = int(joined.sum())
+    root = _components(u, v, gens.n_rows + 1)
+    rank = len(root) - int(np.count_nonzero(root == np.arange(len(root))))
     if rank < gens.n_rows:
         raise RankDeficiency(f"generator matrix is not full rank: rank {rank} of {gens.n_rows} rows")
 
@@ -383,12 +372,9 @@ def build_ground_state(lat: Lattice) -> StabilizerState:
     The product of all vertex operators is the identity (each edge enters
     twice with opposite signs), so one vertex generator is redundant and the
     remaining V - 1 + P = n_edges generators (Euler) are independent.  Both
-    facts are checked, not assumed, and both checks are local: the
-    symplectic form is accumulated only over generators that share an edge,
-    and full rank is the size of the spanning forest of all columns (see
-    `_check_independent`).  The dense Gram product and dense rank of
-    `gens.dense()` are the tests' oracles for both.  Vertex slots are east,
-    west, north, south; one off the lattice keeps the padding (0, 0).
+    facts are checked (`_check_commutation`, `_check_independent`), not
+    assumed.  Vertex slots are east, west, north, south; one off the lattice
+    keeps the padding (0, 0).
     """
     p, E, W, H = lat.prime, lat.n_edges, lat.width, lat.height
     cols = np.zeros((E, MAX_SUPPORT), dtype=np.int64)
@@ -688,6 +674,23 @@ def _roots(parent: list[int]) -> np.ndarray:
         root = up
 
 
+def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Each node's label, the smallest node of its component, in the graph
+    of edges (u[k], v[k]) on nodes 0 .. n - 1 (Shiloach & Vishkin 1982).
+
+    Each round, every edge that joins two trees hooks the larger root onto
+    the smaller and pointer jumping (`_roots`) flattens the trees; links
+    point down, so a component's smallest node is its one root at the end.
+    """
+    root = np.arange(n)
+    while (live := root[u] != root[v]).any():
+        u, v = u[live], v[live]
+        ru, rv = root[u], root[v]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        root = _roots(root)
+    return root
+
+
 def _forest_joins(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Whether graph edge k joins two trees of the forest grown from the edges
     before it (`_union_find` over the nodes the edges touch).
@@ -752,12 +755,9 @@ def region_rank(state: StabilizerState, region: tuple[int, ...]) -> int:
     edges; equivalently S_R = (rank(G|_R) - |R|) log p (Fattal et al.,
     quant-ph/0406168).  The identity needs a pure state (S_R = S_{R^c}),
     which the commutation and full-rank checks of `build_ground_state`
-    guarantee.  Every column of G|_R has at most two nonzeros, u and -u, so
-    G|_R is a directed incidence matrix with scaled columns, and its rank
-    over F_p is the size of a spanning forest of R's columns as graph edges
-    (Schrijver 1986; the counting of Hamma, Ionicioiu & Zanardi, PRA 71,
-    022315, 2005; see the module docstring).  The shape is checked on every
-    column read: a column that breaks it raises MalformedInput.
+    guarantee.  rank(G|_R) is the size of a spanning forest of R's columns as
+    graph edges (see the module docstring); a column of another shape raises
+    MalformedInput.
     """
     columns = _region_columns(state, region)
     u, v, _ = _column_graph(state.gens, columns, state.lattice.prime)

@@ -223,6 +223,81 @@ def test_local_checks_against_dense_oracles_on_random_rows(p, n_edges, data):
     assert commute == dense_commute(mat, p)
 
 
+def dense_first_noncommuting(gens: np.ndarray, p: int) -> tuple[int, int] | None:
+    """Oracle: the first nonzero (i, j) of the upper triangle of the
+    symplectic Gram product G Lambda G^T mod p, in row-major order."""
+    E = gens.shape[1] // 2
+    gx, gz = gens[:, :E], gens[:, E:]
+    bad = np.argwhere(np.triu((gx @ gz.T - gz @ gx.T) % p, 1))
+    return (int(bad[0, 0]), int(bad[0, 1])) if len(bad) else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=hst.integers(4, 9), height=hst.integers(4, 9), p=hst.sampled_from(PRIMES),
+    n_mixed=hst.integers(0, 3), data=hst.data(),
+)
+def test_commutation_message_names_the_oracle_first_pair(width, height, p, n_mixed, data):
+    # edited toric generators, plus rows that mix X and Z entries and pile
+    # several entries into one column: the message names the first pair of
+    # the dense form's upper triangle
+    gens = ground(width, height, p).gens
+    E = gens.n_edges
+    cols, vals = gens.cols.copy(), gens.vals.copy()
+    for _ in range(data.draw(hst.integers(1, 3))):
+        i = data.draw(hst.integers(0, E - 1))
+        k = data.draw(hst.sampled_from(np.flatnonzero(vals[i]).tolist()))
+        vals[i, k] = (vals[i, k] + data.draw(hst.integers(1, p - 1))) % p
+    for _ in range(n_mixed):
+        i = data.draw(hst.integers(0, E - 1))
+        chosen = data.draw(hst.lists(hst.integers(0, 7), min_size=1, max_size=st.MAX_SUPPORT, unique=True))
+        cols[i], vals[i] = 0, 0
+        for k, c in enumerate(chosen):  # columns 0..3 and E..E+3: X and Z on the first four edges
+            cols[i, k] = c if c < 4 else E + c - 4
+            vals[i, k] = data.draw(hst.integers(1, p - 1))
+    edited = st.SparseGenerators(cols=cols, vals=vals, n_edges=E)
+    want = dense_first_noncommuting(edited.dense(), p)
+    if want is None:
+        st._check_commutation(edited, p)
+    else:
+        with pytest.raises(RankDeficiency, match=rf"do not commute: rows {want[0]} and {want[1]}$"):
+            st._check_commutation(edited, p)
+
+
+def _components_oracle(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Oracle: union-find roots and the number of joining edges."""
+    joined, parent = st._union_find(u, v, n)
+    return st._roots(parent), int(joined.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=hst.integers(1, 40), data=hst.data())
+def test_components_match_union_find(n, data):
+    # random multigraphs: self-loops, parallel edges, isolated nodes, no edges
+    node = hst.integers(0, n - 1)
+    pairs = data.draw(hst.lists(hst.tuples(node, node), max_size=60))
+    if pairs:
+        pairs += data.draw(hst.lists(hst.sampled_from(pairs), max_size=20))  # parallel edges
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    label = st._components(u, v, n)
+    root, joined = _components_oracle(u, v, n)
+    # the same partition: each label meets one root and each root one label
+    assert len({(int(a), int(b)) for a, b in zip(label, root)}) == len(set(label.tolist())) == len(set(root.tolist()))
+    assert n - np.count_nonzero(label == np.arange(n)) == joined
+    # every label is the smallest node of its component
+    np.testing.assert_array_equal(label, [min(np.flatnonzero(root == r)) for r in root])
+
+
+def test_components_on_a_randomly_labelled_long_path():
+    n = 100_000
+    order = np.random.default_rng(20261019).permutation(n)
+    label = st._components(order[:-1], order[1:], n)
+    assert not label.any()  # one component, labelled by node 0
+    _, joined = _components_oracle(order[:-1], order[1:], n)
+    assert joined == n - 1
+
+
 @hst.composite
 def annuli(draw, primes=PRIMES, min_a_width=1) -> st.AnnulusPartition:
     """A valid annulus: bar widths, hole size, origin and lattice size all drawn,

@@ -97,6 +97,16 @@ class TestGroundState:
         state = st.build_ground_state(lat)
         assert state.gens.dense().shape == (40, 80)
 
+    def test_build_grows_no_forest(self, monkeypatch):
+        # both build checks are array programs; only region ranks and the
+        # nested tables grow forests edge by edge
+        def no_forest(*args):
+            raise AssertionError("the build grew a union-find forest")
+
+        monkeypatch.setattr(st, "_union_find", no_forest)
+        state = st.build_ground_state(st.Lattice(width=13, height=11, prime=3))
+        assert state.gens.n_rows == state.n
+
     def test_whole_system_pure(self, toric12):
         lat, ground, _ = toric12
         assert st.region_entropy(ground, range(lat.n_edges)) == 0.0
