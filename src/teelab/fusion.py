@@ -2,16 +2,22 @@
 
 All numerics are in nats.  Structural identities are checked to 1e-12,
 spectral quantities to 1e-10 (double precision with at most a few dozen
-labels).  Everything here is a pure function of immutable inputs.
+labels).  Everything here is a pure function of immutable inputs.  Each
+category and its spectra are built once per process: the bundled, Z_n and
+Z_p x Z_p categories are cached, and a category's dimensions, fusion
+probabilities and fixed point are kept on the objects they were computed
+from (`_memo`), so they are freed with them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -28,10 +34,30 @@ STRUCT_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
 ITERATION_CAP = 100_000
 FIXED_POINT_STEP_TOL = 1e-14
+# The associativity products of a table with at least BLAS_MIN_LABELS labels
+# run as float64 BLAS products, exact while every partial sum stays below 2^53:
+# n * max(N)^2 < 2^53 over n labels.  A smaller table takes under 2 ms in
+# int64, and keeping it there spares a process that makes no other float64
+# matrix product the gemm buffer OpenBLAS allocates on its first one (about
+# 0.5 MiB resident).
+FLOAT_EXACT_BOUND = 2**53
+BLAS_MIN_LABELS = 17
 
 
 # ---------------------------------------------------------------------------
 # domain types
+
+
+def _memo_field():
+    return field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _memo(owner, key: str, compute):
+    """`compute()` once per `owner`: the result is kept in `owner._memo`, so
+    it is freed with the owner (no module-level table keeps it alive)."""
+    if key not in owner._memo:
+        owner._memo[key] = compute()
+    return owner._memo[key]
 
 
 def _label_index(labels: tuple[str, ...], label: str) -> int:
@@ -44,15 +70,20 @@ def _label_index(labels: tuple[str, ...], label: str) -> int:
 @dataclass(frozen=True)
 class FusionCategory:
     """A fusion ring: ordered labels, a distinguished unit, duals, and the
-    multiplicity tensor N[a, b, c] = number of ways a x b fuses to c."""
+    multiplicity tensor N[a, b, c] = number of ways a x b fuses to c.
+
+    Read-only (`dual` is a mapping proxy, `N` a non-writable array), since
+    cached categories are shared by every caller in the process."""
 
     labels: tuple[str, ...]
     unit: str
-    dual: dict[str, str]
+    dual: Mapping[str, str]
     N: np.ndarray  # shape (n, n, n), non-negative integers
     name: str = "category"
+    _memo: dict = _memo_field()
 
     def __post_init__(self):
+        object.__setattr__(self, "dual", MappingProxyType(dict(self.dual)))
         self.N.setflags(write=False)
 
     def index(self, label: str) -> int:
@@ -89,6 +120,7 @@ class FusionProbabilities:
     p: np.ndarray  # shape (n, n, n); rows over b sum to 1
     row_sum_residual: float = 0.0
     associativity_residual: float = 0.0
+    _memo: dict = _memo_field()
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -313,19 +345,39 @@ def _validate_category(labels, N, dual, name) -> FusionCategory:
     if dual[labels[unit]] != labels[unit]:
         raise InvalidCategory("dual of the unit is not the unit")
 
-    # associativity: sum_e N[a,b,e] N[e,c,d] = sum_f N[b,c,f] N[a,f,d]
-    lhs = np.einsum("abe,ecd->abcd", N, N)
-    rhs = np.einsum("bcf,afd->abcd", N, N)
-    if not np.array_equal(lhs, rhs):
-        a, b, c, d = np.argwhere(lhs != rhs)[0]
+    failure = _associativity_failure(N)
+    if failure is not None:
+        a, b, c, d, lhs, rhs = failure
         raise InvalidCategory(
             "associativity fails at "
             f"({labels[a]},{labels[b]},{labels[c]},{labels[d]}): "
-            f"sum_e N[{labels[a]},{labels[b]},e] N[e,{labels[c]},{labels[d]}] = {lhs[a, b, c, d]} "
-            f"but sum_f N[{labels[b]},{labels[c]},f] N[{labels[a]},f,{labels[d]}] = {rhs[a, b, c, d]}"
+            f"sum_e N[{labels[a]},{labels[b]},e] N[e,{labels[c]},{labels[d]}] = {lhs} "
+            f"but sum_f N[{labels[b]},{labels[c]},f] N[{labels[a]},f,{labels[d]}] = {rhs}"
         )
 
     return FusionCategory(labels=labels, unit=labels[unit], dual=dual, N=N, name=name)
+
+
+def _associativity_failure(N: np.ndarray) -> tuple[int, int, int, int, int, int] | None:
+    """First (a, b, c, d) in row-major order where sum_e N[a,b,e] N[e,c,d]
+    differs from sum_f N[b,c,f] N[a,f,d], with the two sums; None if N is
+    associative.
+
+    Both sides are (n^2, n) @ (n, n^2) matrix products, the right one over
+    N with its first two axes swapped: in float64 when n >= BLAS_MIN_LABELS
+    and n * max(N)^2 < 2^53, where they are exact, and in int64 otherwise.
+    """
+    n = N.shape[0]
+    blas = n >= BLAS_MIN_LABELS and n * int(N.max()) ** 2 < FLOAT_EXACT_BOUND
+    M = N.astype(np.float64) if blas else N
+    lhs = (M.reshape(n * n, n) @ M.reshape(n, n * n)).reshape(n, n, n, n)
+    # (b, c) x (a, d), reordered to (a, b, c, d)
+    rhs = (M.reshape(n * n, n) @ M.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
+    rhs = rhs.transpose(2, 0, 1, 3)
+    if np.array_equal(lhs, rhs):
+        return None
+    a, b, c, d = (int(i) for i in np.argwhere(lhs != rhs)[0])
+    return a, b, c, d, int(lhs[a, b, c, d]), int(rhs[a, b, c, d])
 
 
 def group_category(labels, multiply, name="group") -> FusionCategory:
@@ -340,16 +392,23 @@ def group_category(labels, multiply, name="group") -> FusionCategory:
     return _validate_category(labels, N, None, name)
 
 
+@functools.cache
 def zn_category(n: int) -> FusionCategory:
-    """Cyclic group Z_n with labels '0'..'n-1'."""
+    """Cyclic group Z_n with labels '0'..'n-1'; built once per n."""
     labels = tuple(str(k) for k in range(n))
     return group_category(labels, lambda a, b: str((int(a) + int(b)) % n), name=f"z{n}")
 
 
-def double_zn_category(p: int) -> FusionCategory:
-    """Z_p x Z_p with labels 'cf' (charge digit, flux digit); p <= 9."""
+def check_double_zn_order(p: int) -> None:
+    """Raise unless `double_zn_category(p)` can label its anyons: p <= 9."""
     if p > 9:
         raise MalformedInput("two-digit labels only support p <= 9")
+
+
+@functools.cache
+def double_zn_category(p: int) -> FusionCategory:
+    """Z_p x Z_p with labels 'cf' (charge digit, flux digit); p <= 9; built once per p."""
+    check_double_zn_order(p)
     labels = tuple(f"{c}{f}" for c in range(p) for f in range(p))
 
     def mul(a, b):
@@ -361,20 +420,27 @@ def double_zn_category(p: int) -> FusionCategory:
 _DATA_PACKAGE = "teelab.data.categories"
 
 
-def bundled_category_names() -> list[str]:
-    """Names of the categories shipped with the package."""
+@functools.cache
+def bundled_category_names() -> tuple[str, ...]:
+    """Names of the categories shipped with the package, sorted."""
     files = resources.files(_DATA_PACKAGE)
-    return sorted(f.name[:-5] for f in files.iterdir() if f.name.endswith(".json"))
+    return tuple(sorted(f.name[:-5] for f in files.iterdir() if f.name.endswith(".json")))
 
 
 def bundled_category(name: str) -> FusionCategory:
-    """Load one of the bundled category data files by name."""
-    try:
-        text = resources.files(_DATA_PACKAGE).joinpath(f"{name}.json").read_text()
-    except (FileNotFoundError, OSError):
-        raise MalformedInput(
-            f"no bundled category {name!r}; available: {', '.join(bundled_category_names())}"
-        ) from None
+    """One of the bundled categories by name, loaded once per process.
+
+    Only a name from `bundled_category_names()` is taken, so no other value
+    reaches the file system or the cache key."""
+    names = bundled_category_names()
+    if not isinstance(name, str) or name not in names:
+        raise MalformedInput(f"no bundled category {name!r}; available: {', '.join(names)}")
+    return _load_bundled_category(name)
+
+
+@functools.cache
+def _load_bundled_category(name: str) -> FusionCategory:
+    text = resources.files(_DATA_PACKAGE).joinpath(f"{name}.json").read_text()
     return load_category(json.loads(text))
 
 
@@ -409,7 +475,12 @@ def quantum_dimensions(cat: FusionCategory) -> QuantumDims:
     """Quantum dimension d_a = spectral radius of the fusion matrix (N_a)_{bc} = N[a,b,c].
 
     Validates sum_c N[a,b,c] d_c = d_a d_b to 1e-10 and d_a = d_{dual a}.
+    Computed once per category object; later calls return the same dims.
     """
+    return _memo(cat, "dims", lambda: _quantum_dimensions(cat))
+
+
+def _quantum_dimensions(cat: FusionCategory) -> QuantumDims:
     n = cat.n_labels
     d = np.empty(n)
     for a in range(n):
@@ -426,7 +497,17 @@ def quantum_dimensions(cat: FusionCategory) -> QuantumDims:
 
 
 def fusion_probabilities(cat: FusionCategory, dims: QuantumDims) -> FusionProbabilities:
-    """p[s,a,b] = d_b N[s,a,b] / (d_s d_a); rows normalized and associative to 1e-12."""
+    """p[s,a,b] = d_b N[s,a,b] / (d_s d_a); rows normalized and associative to 1e-12.
+
+    Computed once per category object when `dims` is that category's own
+    `quantum_dimensions`; other dims are not remembered.
+    """
+    if cat._memo.get("dims") is not dims:
+        return _fusion_probabilities(cat, dims)
+    return _memo(cat, "fp", lambda: _fusion_probabilities(cat, dims))
+
+
+def _fusion_probabilities(cat: FusionCategory, dims: QuantumDims) -> FusionProbabilities:
     d = dims.d
     p = cat.N * d[None, None, :] / (d[:, None, None] * d[None, :, None])
     row_residual = float(np.abs(p.sum(axis=2) - 1.0).max())
@@ -472,8 +553,13 @@ def fixed_point_iterative(fp: FusionProbabilities) -> FixedPoint:
 
     Requires every entry of M[a,b] = mean_s fp[s,a,b] to be strictly
     positive; then the Perron-Frobenius theorem guarantees existence and
-    uniqueness of q, and q is strictly positive.
+    uniqueness of q, and q is strictly positive.  Computed once per `fp`
+    object, which a category's `fusion_probabilities` keeps on the category.
     """
+    return _memo(fp, "fixed_point", lambda: _fixed_point_iterative(fp))
+
+
+def _fixed_point_iterative(fp: FusionProbabilities) -> FixedPoint:
     M = fp.p.mean(axis=0)  # M[a, b]
     zeros = np.argwhere(M <= 0.0)
     if len(zeros):

@@ -89,7 +89,13 @@ from .errors import (
     MalformedInput,
     RankDeficiency,
 )
-from .fusion import closed_form_fixed_point, double_zn_category, fusion_probabilities, quantum_dimensions
+from .fusion import (
+    check_double_zn_order,
+    closed_form_fixed_point,
+    double_zn_category,
+    fusion_probabilities,
+    quantum_dimensions,
+)
 from . import audit
 from .gfp import nullspace_mod_p, rref_mod_p
 
@@ -1145,7 +1151,7 @@ def check_nested_levels(part: AnnulusPartition, n: int) -> None:
     if n < 1:
         raise MalformedInput("need n >= 1 intermediate levels")
     part.thin(n + 1)  # InsufficientWidth unless A allows n + 1 more thinnings
-    double_zn_category(part.lattice.prime)
+    check_double_zn_order(part.lattice.prime)
 
 
 def _nested_ranks(state: StabilizerState, part: AnnulusPartition, n: int) -> dict[str, np.ndarray]:

@@ -16,6 +16,19 @@ def categories():
     return out
 
 
+@pytest.fixture
+def clear_category_caches():
+    """A function that empties the per-process category caches, so that the
+    next `bundled_category`, `zn_category` or `double_zn_category` call builds
+    a fresh category with no spectra computed yet."""
+
+    def clear():
+        for cached in (fusion._load_bundled_category, fusion.zn_category, fusion.double_zn_category):
+            cached.cache_clear()
+
+    return clear
+
+
 def ghz_vector(n_qubits: int, phase: float = 0.0) -> np.ndarray:
     """(|0...0> + e^{i phase} |1...1>)/sqrt(2)."""
     vec = np.zeros(2**n_qubits, dtype=complex)

@@ -244,6 +244,18 @@ def brute_force_associative(N: np.ndarray) -> bool:
     return True
 
 
+def associativity_failure_einsum(N: np.ndarray) -> tuple[int, int, int, int, int, int] | None:
+    """Slow path of `fusion._associativity_failure`: both sides of
+    associativity as int64 einsums, the first differing (a, b, c, d) in
+    row-major order with the two sums, or None."""
+    lhs = np.einsum("abe,ecd->abcd", N, N)
+    rhs = np.einsum("bcf,afd->abcd", N, N)
+    if np.array_equal(lhs, rhs):
+        return None
+    a, b, c, d = (int(i) for i in np.argwhere(lhs != rhs)[0])
+    return a, b, c, d, int(lhs[a, b, c, d]), int(rhs[a, b, c, d])
+
+
 def is_fusion_ring(N: np.ndarray, labels=None, dual=None) -> bool:
     """Brute-force check that N is a fusion (based) ring: a unit u with
     N[u,a,b] = N[a,u,b] = delta_ab; for each a exactly one a* with

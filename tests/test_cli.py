@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import json
 import math
 import re
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -191,6 +193,9 @@ def no_build(lat):
         ("stabilizer", {"p": 3, "size": 10.5}, []),
         ("stabilizer", {"p": 3, "size": 10, "widths": True}, []),
         ("fusion", {"category": "z2", "trials": 0.5}, []),
+        # only bundled names: no path outside the data directory, no unhashable value
+        ("fusion", {"category": "../categories/z2"}, []),
+        ("fusion", {"category": ["z2"]}, []),
     ],
 )
 def test_malformed_config_value_is_config_error(command, cfg, flags, tmp_path, capsys, monkeypatch):
@@ -504,3 +509,31 @@ class TestFusionTaylorSweep:
         # refused before the sweep allocates its arrays
         assert cli.main(["fusion", "--category", "z7", "--trials", "10000000"]) == 2
         assert "cap" in capsys.readouterr().err
+
+
+def load_workloads(monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    return workloads, root
+
+
+@pytest.mark.parametrize("workload", ["fusion_audit", "sector_algebra"])
+def test_benchmark_reports_do_not_depend_on_the_category_caches(
+    workload, monkeypatch, clear_category_caches
+):
+    # cold caches, warm caches, and cold again after cache_clear() give the same bytes
+    workloads, root = load_workloads(monkeypatch)
+    plan = workloads.scenarios(workload, 0, root)
+    assert all(sc.entry == "run" for sc in plan)
+
+    def reports():
+        return [cli.report_bytes(cli.run(sc.config)) for sc in plan]
+
+    clear_category_caches()
+    first = reports()
+    again = reports()
+    clear_category_caches()
+    assert first == again == reports()

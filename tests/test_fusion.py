@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -58,8 +61,13 @@ class TestLoadCategory:
                 for c, m in col.items():
                     N[order[a], order[b], order[c]] = m
         assert not brute_force_associative(N)
-        with pytest.raises(InvalidCategory, match="associativity"):
+        with pytest.raises(InvalidCategory) as exc:
             fusion.load_category(doc)
+        # the first failing (a, b, c, d) in row-major order, with both sums as integers
+        assert str(exc.value) == (
+            "associativity fails at (sigma,sigma,psi,1): sum_e N[sigma,sigma,e] N[e,psi,1] = 0 "
+            "but sum_f N[sigma,psi,f] N[sigma,f,1] = 1"
+        )
 
     def test_missing_fields(self):
         with pytest.raises(MalformedInput):
@@ -107,6 +115,94 @@ class TestLoadCategory:
         path.write_text(json.dumps(doc))
         from_file = fusion.load_category(path)
         assert from_text.labels == from_file.labels == ("0", "1")
+
+
+CACHED_SOURCES = [
+    pytest.param(lambda: fusion.bundled_category("ising"), id="bundled_ising"),
+    pytest.param(lambda: fusion.zn_category(3), id="z3"),
+    pytest.param(lambda: fusion.double_zn_category(2), id="double_z2"),
+]
+
+
+class TestBuiltOnce:
+    @pytest.mark.parametrize("source", CACHED_SOURCES)
+    def test_category_and_spectra_are_the_same_objects(self, source):
+        cat = source()
+        dims = fusion.quantum_dimensions(cat)
+        fp = fusion.fusion_probabilities(cat, dims)
+        assert source() is cat
+        assert fusion.quantum_dimensions(cat) is dims
+        assert fusion.fusion_probabilities(cat, dims) is fp
+        assert fusion.fixed_point_iterative(fp) is fusion.fixed_point_iterative(fp)
+
+    @pytest.mark.parametrize("source", CACHED_SOURCES)
+    def test_cached_category_is_read_only(self, source):
+        cat = source()
+        dims = fusion.quantum_dimensions(cat)
+        fp = fusion.fusion_probabilities(cat, dims)
+        p_star = fusion.closed_form_fixed_point(dims)
+        for array in (cat.N, dims.d, fp.p, p_star.probs,
+                      fusion.fixed_point_iterative(fp).distribution.probs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 2
+        with pytest.raises(TypeError):
+            cat.dual[cat.unit] = cat.labels[-1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cat.dual = {}
+        assert cat.dual[cat.unit] == cat.unit
+
+    def test_foreign_dims_are_not_remembered(self):
+        cat = fusion.bundled_category("fibonacci")
+        dims = fusion.quantum_dimensions(cat)
+        foreign = fusion.QuantumDims(cat.labels, dims.d.copy(), dims.total)
+        fp = fusion.fusion_probabilities(cat, foreign)
+        assert fp is not fusion.fusion_probabilities(cat, dims)
+        assert fp.p.tobytes() == fusion.fusion_probabilities(cat, dims).p.tobytes()
+
+    def test_spectra_live_and_die_with_their_category(self, tmp_path):
+        # a category from a user's file is held by no module-level table
+        path = tmp_path / "z2.json"
+        path.write_text(json.dumps({"labels": ["0", "1"], "N": {
+            "0": {"0": {"0": 1}, "1": {"1": 1}}, "1": {"0": {"1": 1}, "1": {"0": 1}}}}))
+        cat = fusion.load_category(path)
+        fp = fusion.fusion_probabilities(cat, fusion.quantum_dimensions(cat))
+        fusion.fixed_point_iterative(fp)
+        refs = [weakref.ref(cat), weakref.ref(fp)]
+        del cat, fp
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_cached_spectra_equal_a_fresh_computation_bit_for_bit(self, clear_category_caches):
+        sources = [lambda name=name: fusion.bundled_category(name)
+                   for name in fusion.bundled_category_names()]
+        sources += [lambda: fusion.zn_category(13), lambda: fusion.double_zn_category(3)]
+        for source in sources:
+            cat = source()
+            dims = fusion.quantum_dimensions(cat)
+            fp = fusion.fusion_probabilities(cat, dims)
+            fixed = fusion.fixed_point_iterative(fp)
+            clear_category_caches()
+            fresh = source()
+            assert fresh is not cat and fresh.N.tobytes() == cat.N.tobytes()
+            fresh_dims = fusion.quantum_dimensions(fresh)
+            fresh_fp = fusion.fusion_probabilities(fresh, fresh_dims)
+            fresh_fixed = fusion.fixed_point_iterative(fresh_fp)
+            assert fresh_fixed is not fixed
+            assert (fresh_dims.d.tobytes(), fresh_dims.total) == (dims.d.tobytes(), dims.total)
+            assert (fresh_fp.p.tobytes(), fresh_fp.row_sum_residual, fresh_fp.associativity_residual) == (
+                fp.p.tobytes(), fp.row_sum_residual, fp.associativity_residual)
+            assert fresh_fixed.distribution.probs.tobytes() == fixed.distribution.probs.tobytes()
+            assert (fresh_fixed.p_min, fresh_fixed.iterations, fresh_fixed.residual) == (
+                fixed.p_min, fixed.iterations, fixed.residual)
+
+    @pytest.mark.parametrize(
+        "name", ["../categories/z2", "../traces/adversarial_decreasing", "z2.json", "", ["z2"], None, 2]
+    )
+    def test_only_bundled_names_are_loaded(self, name):
+        # no path outside the data directory is read, and an unhashable
+        # value is a malformed input, not a TypeError from the cache
+        with pytest.raises(MalformedInput, match="available: fibonacci, ising, toric_code, z2"):
+            fusion.bundled_category(name)
 
 
 class TestQuantumDimensions:

@@ -35,6 +35,7 @@ from teelab.errors import InvalidCategory, MalformedInput, PremiseViolated, Rank
 
 from oracles import (  # noqa: E402
     assemble_bound_loop,
+    associativity_failure_einsum,
     charge_detector_loop,
     create_sector_loop,
     edge_midpoints_loop,
@@ -1017,3 +1018,57 @@ def test_edited_fusion_table_rejected_by_name_or_still_a_ring(name, edit, data):
         assert re.search(r"unit|dual|associativ|dimension", str(exc)), exc
     else:
         assert valid
+
+
+def _cyclic_table(m: int) -> np.ndarray:
+    N = np.zeros((m, m, m), dtype=np.int64)
+    a, b = np.indices((m, m))
+    N[a, b, (a + b) % m] = 1
+    return N
+
+
+def _rank_two_table(k: int) -> np.ndarray:
+    # x * x = 1 + k x: a commutative algebra on one generator, associative for every k
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = N[1, 1, 0] = 1
+    N[1, 1, 1] = k
+    return N
+
+
+@hst.composite
+def integer_tables(draw) -> np.ndarray:
+    """Integer tables up to 25 labels: associative ones (cyclic groups and
+    x^2 = 1 + k x rings, their tensor products, relabelled), the same with
+    one entry edited, and random ones.  Tables on either side of
+    BLAS_MIN_LABELS occur, and some are scaled by 3^16, past the float64
+    exactness bound (an odd scale, so float64 would round their products)
+    but not past int64, so every path of the products runs."""
+
+    def factor(orders):
+        if draw(hst.booleans()):
+            return _cyclic_table(draw(orders))
+        return _rank_two_table(draw(hst.integers(0, 3)))
+
+    N = factor(hst.integers(1, 5) | hst.integers(17, 20))
+    if len(N) <= 5 and draw(hst.booleans()):
+        other = factor(hst.integers(1, 5))
+        n = len(N) * len(other)
+        N = np.einsum("abc,ijk->aibjck", N, other).reshape(n, n, n)
+    n = len(N)
+    perm = np.array(draw(hst.permutations(range(n))))
+    N = N[np.ix_(perm, perm, perm)]
+    edit = draw(hst.sampled_from(("none", "entry", "random")))
+    if edit == "entry":
+        a, b, c = draw(hst.tuples(*[hst.integers(0, n - 1)] * 3))
+        N[a, b, c] = draw(hst.integers(0, 3).filter(lambda v: v != N[a, b, c]))
+    elif edit == "random":
+        N = np.random.default_rng(draw(hst.integers(0, 2**32 - 1))).integers(0, 3, (n, n, n))
+    return N * draw(hst.sampled_from((1, 3**16)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=integer_tables())
+def test_associativity_products_match_einsum_oracle(N):
+    # the matrix products, exact float64 or int64, accept and reject as the
+    # int64 einsums do, naming the same first (a, b, c, d) and sums
+    assert fusion._associativity_failure(N) == associativity_failure_einsum(N)

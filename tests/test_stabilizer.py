@@ -655,6 +655,20 @@ class TestNestedTable:
             with pytest.raises(error):
                 st.nested_annulus_table(state, part, n)
 
+    def test_level_checks_build_no_category(self, monkeypatch):
+        # p <= 9 is read off the prime: a --levels run checks its levels three times
+        def no_category(p):
+            raise AssertionError("a category was built")
+
+        monkeypatch.setattr(st, "double_zn_category", no_category)
+        for p in (3, 7, 11):
+            part = st.centered_annulus(st.Lattice(width=14, height=12, prime=p), width=2, a_width=5)
+            if p > 9:
+                with pytest.raises(MalformedInput, match="two-digit labels only support p <= 9"):
+                    st.check_nested_levels(part, 3)
+            else:
+                st.check_nested_levels(part, 3)
+
 
 class TestDenseImport:
     def test_detector_region_orthogonal_sectors(self, toric12, toric12_sectors):
