@@ -55,12 +55,13 @@ directed incidence matrix is totally unimodular, and its rank over every
 F_p is nodes - components, the size of a spanning forest (Schrijver, Theory
 of Linear and Integer Programming, 1986); leaving out the sentinel's row
 keeps it, since a component's rows sum to zero.  So g_R = 2|R| minus the
-size of a spanning forest of R's 2|R| columns, grown by union-find.  This
-is the counting behind the region entropies of Hamma, Ionicioiu & Zanardi,
-PRA 71, 022315 (2005).  The subgroup itself is read from the same graph, with
-no elimination.  A combination c . G vanishes on a column outside R iff c is
-equal on the column's two rows, or 0 on its one row, so c . G is supported in
-R iff c is constant on each cluster of rows that the columns outside R join,
+size of a spanning forest of R's 2|R| columns, counted as nodes minus
+components (`_forest_size`).  This is the counting behind the region
+entropies of Hamma, Ionicioiu & Zanardi, PRA 71, 022315 (2005).  The
+subgroup itself is read from the same graph, with no elimination.  A
+combination c . G vanishes on a column outside R iff c is equal on the
+column's two rows, or 0 on its one row, so c . G is supported in R iff c is
+constant on each cluster of rows that the columns outside R join,
 and 0 on the sentinel's cluster.  G has full rank, so the sums of the g_R
 clusters off the sentinel are a basis of the subgroup.  An element's phase is
 linear in the element, so a cluster's phase under a frame is the sum of its
@@ -355,12 +356,11 @@ def _check_independent(gens: SparseGenerators, p: int) -> None:
     """Raise RankDeficiency unless the rows are independent over F_p.
 
     The rank is nodes minus components of the column graph on the rows and
-    the sentinel n_rows (`_column_graph`, `_components`; see the module
+    the sentinel n_rows (`_column_graph`, `_forest_size`; see the module
     docstring), so the rows are independent iff that graph is connected.
     """
     u, v, _ = _column_graph(gens, np.arange(2 * gens.n_edges), p)
-    root = _components(u, v, gens.n_rows + 1)
-    rank = len(root) - int(np.count_nonzero(root == np.arange(len(root))))
+    rank = _forest_size(u, v, gens.n_rows + 1)
     if rank < gens.n_rows:
         raise RankDeficiency(f"generator matrix is not full rank: rank {rank} of {gens.n_rows} rows")
 
@@ -642,42 +642,13 @@ def _column_graph(
     return rows[lo[keep]], np.where(count[keep] == 2, second, gens.n_rows), keep
 
 
-def _union_find(a: np.ndarray, b: np.ndarray, n_nodes: int) -> tuple[np.ndarray, list[int]]:
-    """Kruskal's test on the graph edges (a[k], b[k]) in order, over nodes
-    0 .. n_nodes - 1: whether each edge joins two trees of the forest grown
-    from the edges before it, and the final parent links.
-
-    Union-find by size with path halving: O(k alpha(k)).  Every parent chain
-    ends at its tree's root, so pointer jumping (`_roots`) labels the trees.
-    A memoryview hands out the ids as Python ints one at a time, with no list
-    of them all.
-    """
-    parent, size = list(range(n_nodes)), [1] * n_nodes
-    joined = bytearray(len(a))
-    ids = (memoryview(np.ascontiguousarray(ends, dtype=np.int64)) for ends in (a, b))
-    for i, (x, y) in enumerate(zip(*ids)):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x != y:
-            if size[x] > size[y]:
-                x, y = y, x
-            parent[x] = y
-            size[y] += size[x]
-            joined[i] = 1
-    return np.frombuffer(joined, dtype=bool), parent
-
-
-def _roots(parent: list[int]) -> np.ndarray:
+def _roots(parent: np.ndarray) -> np.ndarray:
     """Each node's root, by pointer jumping over the parent links (Shiloach &
     Vishkin 1982): a chain of length l is resolved in log2(l) rounds."""
-    root = np.asarray(parent, dtype=np.int64)
-    while True:
-        up = root[root]
-        if np.array_equal(up, root):
-            return root
+    root = parent
+    while not np.array_equal(up := root[root], root):
         root = up
+    return root
 
 
 def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -697,39 +668,66 @@ def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return root
 
 
+def _compact(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The edges (u[k], v[k]) on the n nodes they touch, renumbered 0 .. n - 1, and n."""
+    nodes, ids = np.unique(np.concatenate([u, v]), return_inverse=True)
+    return ids[:len(u)], ids[len(u):], len(nodes)
+
+
+def _forest_size(u: np.ndarray, v: np.ndarray, n: int) -> int:
+    """Nodes minus components of the graph of edges (u[k], v[k]) on nodes 0 .. n - 1."""
+    return int(np.count_nonzero(_components(u, v, n) != np.arange(n)))
+
+
 def _forest_joins(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Whether graph edge k joins two trees of the forest grown from the edges
-    before it (`_union_find` over the nodes the edges touch).
+    before it, as Kruskal's algorithm grows it (Kruskal 1956).
 
-    The joined edges of any prefix span that prefix's graph, so a running
-    count of joins is each prefix's spanning-forest size.
+    With weight k on edge k the weights are distinct, so the minimum spanning
+    forest is unique and is Kruskal's; Borůvka rounds find it (Borůvka 1926).
+    Each round, every tree picks its lowest live edge, which joins, and its
+    root hooks along it; of two roots that picked the same edge, the only
+    cycle distinct weights allow, the smaller stays root.  Pointer jumping
+    (`_roots`) contracts the trees, and edges inside a tree drop out.  The
+    joined edges of any prefix span it, so a running count of joins is each
+    prefix's spanning-forest size.
     """
-    k = len(u)
-    _, ids = np.unique(np.concatenate([u, v]), return_inverse=True)
-    joined, _ = _union_find(ids[:k], ids[k:], int(ids.max()) + 1 if k else 0)
+    ru, rv, n = _compact(u, v)
+    joined, edge = np.zeros(len(ru), dtype=bool), np.arange(len(ru))
+    while (live := ru != rv).any():
+        edge, ru, rv = edge[live], ru[live], rv[live]  # still in position order
+        pick = np.full(n, len(edge))
+        np.minimum.at(pick, np.concatenate([ru, rv]), np.tile(np.arange(len(edge)), 2))
+        tree = np.flatnonzero(pick < len(edge))
+        k = pick[tree]
+        joined[edge[k]] = True
+        other = ru[k] + rv[k] - tree
+        hook = (pick[other] != k) | (tree > other)
+        parent = np.arange(n)
+        parent[tree[hook]] = other[hook]
+        root = _roots(parent)
+        ru, rv = root[ru], root[rv]
     return joined
 
 
 def _cluster_roots(
     gens: SparseGenerators, columns: np.ndarray, p: int, root: np.ndarray | None = None
 ) -> np.ndarray:
-    """The root of every row, and of the sentinel (node n_rows), in the forest
-    of the given columns as graph edges (`_column_graph`, which checks their
-    shape): the clusters of rows those columns join.  Given the roots of an
-    earlier forest, that forest is grown further: its trees are contracted to
-    their roots and only the new columns are run."""
+    """The label of every row, and of the sentinel (node n_rows), in the graph
+    of the given columns (`_column_graph`, which checks their shape): the
+    clusters of rows they join.  Given an earlier graph's labels, its
+    clusters are contracted to them and only the new columns are run."""
     u, v, _ = _column_graph(gens, columns, p)
     if root is None:
         root = np.arange(gens.n_rows + 1)
-    _, parent = _union_find(root[u], root[v], gens.n_rows + 1)
-    return _roots(parent)[root]
+    return _components(root[u], root[v], gens.n_rows + 1)[root]
 
 
 def _clusters(root: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The rows of the K clusters without the sentinel (the last node), as
     (rows, cluster, K), with cluster[i] in 0 .. K - 1 the cluster of rows[i].
-    For the roots of the forest of the columns outside a region, the K
-    cluster sums are a basis of its restricted group, so K = g_R (see the
+    For the cluster labels of the columns outside a region, the K cluster
+    sums are a basis of its restricted group, so K = g_R (see the
     module docstring)."""
     n = len(root) - 1
     rows = np.flatnonzero(root[:n] != root[n])
@@ -762,12 +760,12 @@ def region_rank(state: StabilizerState, region: tuple[int, ...]) -> int:
     quant-ph/0406168).  The identity needs a pure state (S_R = S_{R^c}),
     which the commutation and full-rank checks of `build_ground_state`
     guarantee.  rank(G|_R) is the size of a spanning forest of R's columns as
-    graph edges (see the module docstring); a column of another shape raises
-    MalformedInput.
+    graph edges, over the nodes they touch (see the module docstring); a
+    column of another shape raises MalformedInput.
     """
     columns = _region_columns(state, region)
     u, v, _ = _column_graph(state.gens, columns, state.lattice.prime)
-    return len(columns) - int(_forest_joins(u, v).sum())
+    return len(columns) - _forest_size(*_compact(u, v))
 
 
 def region_entropy(state: StabilizerState, region) -> float:
@@ -1159,10 +1157,10 @@ def _nested_ranks(state: StabilizerState, part: AnnulusPartition, n: int) -> dic
 
     An edge of the full A at doubled x-coordinate mx survives a thinning
     steps deeper than A's box (x0, x1) iff steps <= min(mx - x0, x1 - 1 - mx),
-    its depth, so it joins at level n + 1 - depth (0 if deeper).  Two forests
-    are grown once, over B then A's columns and over B, C then A's, with A's
-    columns in level order; every level's forest sizes, and B's and BC's,
-    are prefix counts of their joins.
+    its depth, so it joins at level n + 1 - depth (0 if deeper).  Two join
+    masks (`_forest_joins`) are taken once, over B then A's columns and over
+    B, C then A's, with A's columns in level order; every level's forest
+    sizes, and B's and BC's, are prefix counts of their joins.
     """
     gens, E, p = state.gens, state.n, state.lattice.prime
 
@@ -1217,10 +1215,9 @@ def nested_annulus_table(
     Level i uses the partition thinned n+1-i times (one edge-column per
     side per step); the full partition must be wide enough for n+1 steps.
     Ranks never read the frame, so one CMI per level on the given state
-    fills all p^2 sector rows.  Every level's ranks come from one incremental
-    pass (`_nested_ranks`), O(E alpha(E)) for all of them together, or are
-    the `ranks` that `nested_annulus_certificate` returned for this state,
-    partition and n.
+    fills all p^2 sector rows.  Every level's ranks are prefix counts of two
+    join masks (`_nested_ranks`, `_forest_joins`), or are the `ranks` that
+    `nested_annulus_certificate` returned for this state, partition and n.
     """
     check_nested_levels(part, n)
     p = state.lattice.prime

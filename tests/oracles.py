@@ -30,9 +30,11 @@ from teelab.stabilizer import (
     SectorLabel,
     SparseGenerators,
     StabilizerState,
+    _column_graph,
     _embed,
     _pairing,
     _region_columns,
+    _roots,
     _shared_gens,
     conjugate_by_string,
     pauli_repr,
@@ -525,3 +527,52 @@ def nested_levels_loop(state: StabilizerState, part: AnnulusPartition, n: int) -
         return (g["B"] + g["ABC"] - g["AB"] - g["BC"]) * math.log(state.lattice.prime)
 
     return [cmi(part.thin(n + 1 - i)) for i in range(n + 2)]
+
+
+def _union_find(a: np.ndarray, b: np.ndarray, n_nodes: int) -> tuple[np.ndarray, list[int]]:
+    """Kruskal's test on the graph edges (a[k], b[k]) in order, over nodes
+    0 .. n_nodes - 1: whether each edge joins two trees of the forest grown
+    from the edges before it, and the final parent links.
+
+    Union-find by size with path halving: O(k alpha(k)).  Every parent chain
+    ends at its tree's root, so pointer jumping (`_roots`) labels the trees.
+    A memoryview hands out the ids as Python ints one at a time, with no list
+    of them all.
+    """
+    parent, size = list(range(n_nodes)), [1] * n_nodes
+    joined = bytearray(len(a))
+    ids = (memoryview(np.ascontiguousarray(ends, dtype=np.int64)) for ends in (a, b))
+    for i, (x, y) in enumerate(zip(*ids)):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            if size[x] > size[y]:
+                x, y = y, x
+            parent[x] = y
+            size[y] += size[x]
+            joined[i] = 1
+    return np.frombuffer(joined, dtype=bool), parent
+
+
+def forest_joins_union_find(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Oracle for `stabilizer._forest_joins`: Kruskal's join mask, by
+    `_union_find` over the nodes the edges touch."""
+    k = len(u)
+    _, ids = np.unique(np.concatenate([u, v]), return_inverse=True)
+    joined, _ = _union_find(ids[:k], ids[k:], int(ids.max()) + 1 if k else 0)
+    return joined
+
+
+def cluster_roots_union_find(
+    gens: SparseGenerators, columns: np.ndarray, p: int, root: np.ndarray | None = None
+) -> np.ndarray:
+    """Oracle for `stabilizer._cluster_roots`: the roots of the `_union_find`
+    forest of the columns as graph edges, grown further from the trees of
+    `root` contracted to their roots."""
+    u, v, _ = _column_graph(gens, columns, p)
+    if root is None:
+        root = np.arange(gens.n_rows + 1)
+    _, parent = _union_find(root[u], root[v], gens.n_rows + 1)
+    return _roots(np.asarray(parent))[root]

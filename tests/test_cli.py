@@ -12,6 +12,8 @@ import pytest
 from teelab import audit, cli, ring, stabilizer
 from teelab.errors import ConfigError
 
+from oracles import cluster_roots_union_find, forest_joins_union_find
+
 
 def run_json(argv, tmp_path, name="report.json"):
     out = tmp_path / name
@@ -161,6 +163,28 @@ class TestStabilizerCommand:
             assert code == 0, extra
         with pytest.raises(AssertionError, match="sector state"):
             cli.main(["stabilizer", "--p", "3", "--size", "10", "--widths", "2", "--assumptions"])
+
+    @pytest.mark.parametrize("config", [
+        {"p": 3, "width": 310, "height": 10, "widths": 2, "a_width": 302, "levels": 300},
+        {"p": 3, "size": 16, "widths": 2, "assumptions": True},
+    ], ids=["levels-strip", "assumptions"])
+    def test_reports_match_the_union_find_kernel(self, config, monkeypatch):
+        # the Borůvka join masks and component labels give the report that
+        # Kruskal's union-find gives, byte for byte
+        config = {"scenario": "stabilizer", **config}
+        fast = cli.report_bytes(cli.run(config))
+        calls = []
+
+        def counted(oracle):
+            def run(*args):
+                calls.append(oracle.__name__)
+                return oracle(*args)
+            return run
+
+        monkeypatch.setattr(stabilizer, "_forest_joins", counted(forest_joins_union_find))
+        monkeypatch.setattr(stabilizer, "_cluster_roots", counted(cluster_roots_union_find))
+        assert cli.report_bytes(cli.run(config)) == fast
+        assert calls  # the oracle kernel ran
 
     def test_config_without_sector_runs_all_sectors(self, tmp_path):
         # an old config field that nothing reads any more: all p^2 sectors run

@@ -34,6 +34,7 @@ from teelab import audit, dense, fusion, gfp, stabilizer as st  # noqa: E402
 from teelab.errors import InvalidCategory, MalformedInput, PremiseViolated, RankDeficiency  # noqa: E402
 
 from oracles import (  # noqa: E402
+    _union_find,
     assemble_bound_loop,
     associativity_failure_einsum,
     charge_detector_loop,
@@ -41,6 +42,7 @@ from oracles import (  # noqa: E402
     edge_midpoints_loop,
     edges_in_box_scan,
     flux_detector_loop,
+    forest_joins_union_find,
     fusion_string_loop,
     is_fusion_ring,
     nested_levels_loop,
@@ -267,25 +269,32 @@ def test_commutation_message_names_the_oracle_first_pair(width, height, p, n_mix
 
 def _components_oracle(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """Oracle: union-find roots and the number of joining edges."""
-    joined, parent = st._union_find(u, v, n)
-    return st._roots(parent), int(joined.sum())
+    joined, parent = _union_find(u, v, n)
+    return st._roots(np.asarray(parent)), int(joined.sum())
+
+
+def _multigraph(draw, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random edges on nodes 0 .. n - 1, in a random order: self-loops,
+    parallel edges, isolated nodes and no edges at all all occur."""
+    node = hst.integers(0, n - 1)
+    pairs = draw(hst.lists(hst.tuples(node, node), max_size=60))
+    if pairs:
+        pairs += draw(hst.lists(hst.sampled_from(pairs), max_size=20))  # parallel edges
+        pairs = draw(hst.permutations(pairs))
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    return u, v
 
 
 @settings(max_examples=200, deadline=None)
 @given(n=hst.integers(1, 40), data=hst.data())
 def test_components_match_union_find(n, data):
-    # random multigraphs: self-loops, parallel edges, isolated nodes, no edges
-    node = hst.integers(0, n - 1)
-    pairs = data.draw(hst.lists(hst.tuples(node, node), max_size=60))
-    if pairs:
-        pairs += data.draw(hst.lists(hst.sampled_from(pairs), max_size=20))  # parallel edges
-    u = np.array([a for a, _ in pairs], dtype=np.int64)
-    v = np.array([b for _, b in pairs], dtype=np.int64)
+    u, v = _multigraph(data.draw, n)
     label = st._components(u, v, n)
     root, joined = _components_oracle(u, v, n)
     # the same partition: each label meets one root and each root one label
     assert len({(int(a), int(b)) for a, b in zip(label, root)}) == len(set(label.tolist())) == len(set(root.tolist()))
-    assert n - np.count_nonzero(label == np.arange(n)) == joined
+    assert n - np.count_nonzero(label == np.arange(n)) == joined == st._forest_size(u, v, n)
     # every label is the smallest node of its component
     np.testing.assert_array_equal(label, [min(np.flatnonzero(root == r)) for r in root])
 
@@ -297,6 +306,35 @@ def test_components_on_a_randomly_labelled_long_path():
     assert not label.any()  # one component, labelled by node 0
     _, joined = _components_oracle(order[:-1], order[1:], n)
     assert joined == n - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=hst.integers(1, 40), stride=hst.integers(1, 5), data=hst.data())
+def test_forest_joins_match_union_find(n, stride, data):
+    # the Borůvka mask is Kruskal's, edge by edge, not only in its count;
+    # a stride spreads the node ids, as a region's rows are spread
+    u, v = _multigraph(data.draw, n)
+    np.testing.assert_array_equal(st._forest_joins(stride * u, stride * v), forest_joins_union_find(u, v))
+
+
+def test_forest_joins_on_a_shuffled_lattice_column_graph():
+    state = ground(13, 11, 3)
+    u, v, _ = st._column_graph(state.gens, np.arange(2 * state.n), 3)
+    order = np.random.default_rng(20261019).permutation(len(u))
+    joined = st._forest_joins(u[order], v[order])
+    np.testing.assert_array_equal(joined, forest_joins_union_find(u[order], v[order]))
+    assert joined.sum() == state.n  # the generators have full rank
+
+
+def test_forest_joins_on_a_randomly_labelled_long_path():
+    # a path's edges in random order: every edge joins, over many Borůvka rounds
+    n = 100_000
+    rng = np.random.default_rng(20261019)
+    label, order = rng.permutation(n), rng.permutation(n - 1)
+    u, v = label[:-1][order], label[1:][order]
+    joined = st._forest_joins(u, v)
+    np.testing.assert_array_equal(joined, forest_joins_union_find(u, v))
+    assert joined.all()
 
 
 @hst.composite

@@ -98,12 +98,11 @@ class TestGroundState:
         assert state.gens.dense().shape == (40, 80)
 
     def test_build_grows_no_forest(self, monkeypatch):
-        # both build checks are array programs; only region ranks and the
-        # nested tables grow forests edge by edge
+        # the full-rank check needs component labels, never a join order
         def no_forest(*args):
-            raise AssertionError("the build grew a union-find forest")
+            raise AssertionError("the build asked for a join mask")
 
-        monkeypatch.setattr(st, "_union_find", no_forest)
+        monkeypatch.setattr(st, "_forest_joins", no_forest)
         state = st.build_ground_state(st.Lattice(width=13, height=11, prime=3))
         assert state.gens.n_rows == state.n
 
