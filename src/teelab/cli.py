@@ -261,8 +261,8 @@ def _stabilizer_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     sectors = [sector] if sector else [(c, f) for c in range(p) for f in range(p)]
     timings["gens_bytes"] = ground.gens.nbytes
     # sector states differ from the ground state only in their frame, which ranks
-    # never read: one certificate is every sector's, and only the assumption
-    # checks build the sector family.  A nested table's last level is the full
+    # never read: one certificate is every sector's, and the assumption checks
+    # read the sector strings by linearity.  A nested table's last level is the full
     # partition, so with levels the certificate is read from the table's ranks.
     with _stage(timings, "entropies"):
         if levels is None:
@@ -289,7 +289,7 @@ def _stabilizer_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     }
     if cfg.get("assumptions"):
         with _stage(timings, "assumptions"):
-            rep = stabilizer.verify_assumptions(stabilizer.sector_family(ground, part), part)
+            rep = stabilizer.verify_sector_assumptions(ground, part)
         checks.extend(
             _check(f"assumption_{r.name}", r.passed, violations=len(r.violations))
             for r in (rep.distinguishability, rep.indistinguishability, rep.fusion)

@@ -23,10 +23,11 @@ t_m on dual edges for magnetic flux, both along the origin's row.  The
 antiparticle is parked on the (east) lattice boundary.  The two strings sit
 on disjoint (Z and X) columns, so sector (c, f) has the frame c t_e + f t_m
 mod p, and a family of p^2 frames is formed from the two strings by
-linearity; the CLI builds one only to check the assumptions, since ranks
-never read a frame.  Orientation conventions: edges point +x / +y; a vertex
-operator uses X^{+1} on outgoing and X^{-1} on incoming edges; a plaquette
-operator takes Z around its boundary counterclockwise.
+linearity.  The CLI builds none: ranks never read a frame, and the
+assumption checks read the two strings (`verify_sector_assumptions`).
+Orientation conventions: edges point +x / +y; a vertex operator uses X^{+1}
+on outgoing and X^{-1} on incoming edges; a plaquette operator takes Z
+around its boundary counterclockwise.
 
 Generators.  Every generator acts on at most four edges, so the generator
 matrix is stored as local supports (`SparseGenerators`): O(E) memory.  Rows
@@ -263,12 +264,12 @@ class SparseGenerators:
         return self.cols.nbytes + self.vals.nbytes
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseGenerators)
-            and self.n_edges == other.n_edges
-            and np.array_equal(self.cols, other.cols)
-            and np.array_equal(self.vals, other.vals)
-        )
+        if not isinstance(other, SparseGenerators) or self.n_edges != other.n_edges:
+            return False
+        # every sector state shares the ground state's read-only arrays
+        if self.cols is other.cols and self.vals is other.vals:
+            return True
+        return np.array_equal(self.cols, other.cols) and np.array_equal(self.vals, other.vals)
 
     def dense(self) -> np.ndarray:
         """The full n_rows x 2 n_edges matrix, refused above GENS_BYTES_CAP."""
@@ -1001,19 +1002,27 @@ class FusionStringRule:
             raise MalformedInput("endpoint must be 'strips' or 'inside_a_prime'")
 
 
-def fusion_string(
-    state: StabilizerState, part: AnnulusPartition, s: SectorLabel, rule: FusionStringRule
-) -> np.ndarray:
-    """Open string for property 3: crosses A radially along the hole's middle
-    row, with both endpoints in the removed strips (or, in the documented
-    negative mode, stopping inside the retained A')."""
+def _fusion_strings(
+    lat: Lattice, part: AnnulusPartition, rule: FusionStringRule
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two unit strings (t_e, t_m) that every property-3 string is made
+    of: they cross A radially along the hole's middle row, with both
+    endpoints in the removed strips (or, in the documented negative mode,
+    stopping inside the retained A')."""
     hx0, hy0, hx1, hy1 = part.hole
     x_w = hx0 - part.a_width  # west boundary vertex column of A
     y = (hy0 + hy1) // 2  # a vertex row and a plaquette row of A, as hy0 < hy1
     # the hole's west boundary vertex and first plaquette column, or a vertex
     # and plaquette column strictly inside A'
     x_end = hx0 if rule.endpoint == "strips" else x_w + 1
-    t_e, t_m = _row_strings(state.lattice, y, (x_w, x_end), (x_w - 1, x_end))
+    return _row_strings(lat, y, (x_w, x_end), (x_w - 1, x_end))
+
+
+def fusion_string(
+    state: StabilizerState, part: AnnulusPartition, s: SectorLabel, rule: FusionStringRule
+) -> np.ndarray:
+    """Open string for property 3 that deposits s in the hole (`_fusion_strings`)."""
+    t_e, t_m = _fusion_strings(state.lattice, part, rule)
     # The anyon s must sit at the hole-side end of the string; sector strings
     # carry their anyon at the path start, so this eastward path runs with
     # inverted coefficients to deposit s (not its antiparticle) in the hole.
@@ -1056,15 +1065,9 @@ def verify_assumptions(
        A'BC (one thinning step) equals the reduction of sector s x a.
     All states share one generator matrix, so each region has one restricted
     group, and two reductions are equal iff their phases agree on a basis of
-    it, orthogonal otherwise.  The basis is the sums of the region's row
-    clusters (`_clusters`), and a phase is linear in the group element, so a
-    cluster's phase is the sum of its rows' phases: each region is one
-    (K, p^2) phase matrix, read from every frame at the cluster rows' columns
-    only, and two labels compare by their columns mod p.  For 3, the phases
-    of one string t_s per s are added to frame_a's.  A violation carries its
-    first mismatching element of the region's canonical basis
-    (`restricted_canonical`) as a witness; that basis is eliminated only for
-    a region with a violation to witness.
+    it, orthogonal otherwise (`_assumptions_report`).  Any family of p^2
+    states is accepted, with one string t_s per s; the sector family itself is
+    checked from two strings by `verify_sector_assumptions`.
     """
     p = next(iter(states.values())).lattice.prime
     if set(states) != {(c, f) for c in range(p) for f in range(p)}:
@@ -1072,69 +1075,126 @@ def verify_assumptions(
     base = _shared_gens(states.values())
     rule = rule or FusionStringRule()
     order = sorted(states)
-    frames = [states[a].frame for a in order]
+    strings = [fusion_string(base, part, s, rule) for s in order[1:]]  # order[0] is the vacuum (0, 0)
+    eye = np.eye(p * p, dtype=np.int64)
+    return _assumptions_report(base, part, ([states[a].frame for a in order], eye), (strings, eye[1:]), False)
+
+
+def verify_sector_assumptions(
+    ground: StabilizerState, part: AnnulusPartition, rule: FusionStringRule | None = None
+) -> AssumptionsReport:
+    """`verify_assumptions(sector_family(ground, part), part, rule)`, with no
+    sector state or fusion string built.
+
+    Sector (c, f) has the frame ground + c t_e + f t_m and the fusion string
+    for s is -c t_e' - f t_m', so every phase is linear in (c, f): a region
+    reads three vectors (A'BC five), and the fusion residual of (s, a) does
+    not depend on a.
+    """
+    lat = ground.lattice
+    labels = np.arange(lat.prime**2)
+    c, f = labels // lat.prime, labels % lat.prime
+    t_e, t_m = _sector_strings(lat, part.origin)
+    frames = ([ground.frame, t_e, t_m], np.stack([np.ones_like(c), c, f]))
+    strings = (list(_fusion_strings(lat, part, rule or FusionStringRule())), -np.stack([c, f]))
+    return _assumptions_report(ground, part, frames, strings, True)
+
+
+def _assumptions_report(
+    base: StabilizerState,
+    part: AnnulusPartition,
+    frames: tuple[list[np.ndarray], np.ndarray],
+    strings: tuple[list[np.ndarray], np.ndarray],
+    linear: bool,
+) -> AssumptionsReport:
+    """The three properties for p^2 labels, in the order (c, f) ascending.
+
+    `frames` is (vectors, coef): label a's frame is sum_k coef[k, a]
+    vectors[k] mod p, and `strings` gives property 3's string for each s the
+    same way.  A region's restricted basis is the sums of its row clusters
+    (`_clusters`), and a phase is linear in both the group element and the
+    frame, so each region is one (K, len(vectors)) matrix of cluster phases,
+    read at the cluster rows' partner columns only (`_row_phases`); the
+    labels' (K, p^2) table is that matrix times coef, and two labels compare
+    by their columns mod p.  With `linear`, the frames and strings are linear
+    in (c, f), so the fusion residual of (s, a) is read at a = (0, 0) alone.
+    A violation carries its first mismatching element of the region's
+    canonical basis (`restricted_canonical`) as a witness; that basis is
+    eliminated only for a region with a violation to witness.
+    """
+    p = base.lattice.prime
+    labels = np.arange(p * p)
+    order = [(int(c), int(f)) for c, f in zip(labels // p, labels % p)]
+    # target[s, a]: the label s x a
+    target = (labels[:, None] // p + labels // p) % p * p + (labels[:, None] + labels) % p
+    abc, ab, bc = (part.region_edges(name) for name in ("ABC", "AB", "BC"))
+    thinned = part.thin(1).region_edges("ABC")
+    vectors, coef = frames
 
     # every region below lies inside ABC, so the forest of the columns outside
     # ABC is grown once and each region's forest continues it over the
     # columns of ABC outside that region
     in_abc = np.zeros(2 * base.n, dtype=bool)
-    in_abc[_region_columns(base, part.region_edges("ABC"))] = True
+    in_abc[_region_columns(base, abc)] = True
     root_abc = _cluster_roots(base.gens, np.flatnonzero(~in_abc), p)
 
-    def on_region(region):
-        """(the region's X then Z columns, cluster phase sums of a list of
-        frames mod p, witnesses for frame differences on those columns)."""
-        edges = _edges(base, region)
+    def on_region(edges, vectors):
+        """(the cluster phase sums of the vectors mod p, the labels' (K, p^2)
+        table, and the witnessed violations: (order[i], order[j], relation,
+        witness) for each true bad[i, j] in row-major order, the witness taken
+        on the frame difference sum_k combine(i, js)[k] vectors[k])."""
         cols = _region_columns(base, edges)
         rest = in_abc.copy()  # ABC's columns outside the region
         rest[cols] = False
         rows, cluster, k = _clusters(_cluster_roots(base.gens, np.flatnonzero(rest), p, root_abc))
-        vecs = None
+        phases = np.zeros((k, len(vectors)), dtype=np.int64)
+        np.add.at(phases, cluster, _row_phases(base.gens, rows, vectors).T)
+        phases %= p
 
-        def phases(ts):
-            out = np.zeros((k, len(ts)), dtype=np.int64)
-            np.add.at(out, cluster, _row_phases(base.gens, rows, ts).T)
-            return out % p
-
-        def witnesses(diffs):
-            nonlocal vecs
-            if vecs is None:
+        def violations(bad, combine):
+            out, firsts = [], np.flatnonzero(bad.any(axis=1))
+            if firsts.size:
                 _, vecs = restricted_canonical(base, edges)
-            return [_relation(base, edges, vecs, first) for first in _first_mismatch(vecs, diffs, p)]
+                on_cols = np.stack([v[cols] for v in vectors], axis=1)
+            for i in firsts:
+                js = np.flatnonzero(bad[i])
+                first = _first_mismatch(vecs, on_cols @ combine(i, js), p).tolist()
+                rel = {f: _relation(base, edges, vecs, f) for f in set(first)}
+                out += [(order[i], order[j], *rel[f]) for j, f in zip(js, first)]
+            return out
 
-        return cols, phases, witnesses
+        return phases, phases[:, :len(coef)] @ coef % p, violations
 
-    def unlike(region, expect):
-        """(a, b, relation, witness) for each pair a < b whose relation is not `expect`."""
-        cols, phases, witnesses = on_region(region)
-        table = phases(frames)
-        out = []
-        for i, a in enumerate(order):
-            differ = (table[:, [i]] != table[:, i + 1:]).any(axis=0)
-            later = i + 1 + np.flatnonzero(differ if expect == "equal" else ~differ)
-            if expect == "orthogonal":
-                out += [(a, order[j], "equal", None) for j in later]
-            elif later.size:
-                diffs = np.stack([frames[i][cols] - frames[j][cols] for j in later], axis=1)
-                out += [(a, order[j], *rel) for j, rel in zip(later, witnesses(diffs))]
-        return out
+    def same(table):
+        """Whether labels a and b have equal columns in the table, over all (a, b)."""
+        ranked = np.lexsort(table) if len(table) else labels
+        step = (table[:, ranked[1:]] != table[:, ranked[:-1]]).any(axis=0)
+        cls = np.empty_like(labels)
+        cls[ranked] = np.concatenate([[0], np.cumsum(step)])
+        return cls[:, None] == cls
 
-    viol1 = unlike(part.region_edges("ABC"), "orthogonal")
+    _, table, _ = on_region(abc, vectors)
+    viol1 = [(order[i], order[j], "equal", None) for i, j in zip(*np.nonzero(np.triu(same(table), 1)))]
     prop1 = PropertyResult("global_distinguishability", not viol1, tuple(viol1))
-    viol2 = [(name, *v) for name in ("AB", "BC") for v in unlike(part.region_edges(name), "equal")]
+    viol2 = []
+    for name, edges in (("AB", ab), ("BC", bc)):
+        _, table, violations = on_region(edges, vectors)
+        differ = np.triu(~same(table), 1)
+        viol2 += [(name, *v) for v in violations(differ, lambda i, js: coef[:, [i]] - coef[:, js])]
     prop2 = PropertyResult("local_indistinguishability", not viol2, tuple(viol2))
 
-    cols, phases, witnesses = on_region(part.thin(1).region_edges("ABC"))
-    table = phases(frames)
-    index = {a: i for i, a in enumerate(order)}
-    viol3 = []
-    for s in order[1:]:  # order[0] is the vacuum (0, 0)
-        t = fusion_string(base, part, s, rule)
-        target = [index[((s[0] + a[0]) % p, (s[1] + a[1]) % p)] for a in order]
-        bad = np.flatnonzero(((table + phases([t]) - table[:, target]) % p).any(axis=0))
-        if bad.size:
-            diffs = np.stack([frames[j][cols] + t[cols] - frames[target[j]][cols] for j in bad], axis=1)
-            viol3 += [(s, order[j], *rel) for j, rel in zip(bad, witnesses(diffs))]
+    strings, string_coef = strings
+    phases, table, violations = on_region(thinned, vectors + strings)
+    string = phases[:, len(vectors):] @ string_coef % p
+    if linear:
+        bad = np.repeat(((table[:, :1] + string - table) % p).any(axis=0)[:, None], p * p, axis=1)
+    else:
+        bad = np.stack([((table + string[:, [s]] - table[:, target[s]]) % p).any(axis=0) for s in labels])
+
+    def fused(s, a):
+        return np.vstack([coef[:, a] - coef[:, target[s, a]], np.repeat(string_coef[:, [s]], len(a), axis=1)])
+
+    viol3 = violations(bad, fused)
     prop3 = PropertyResult("fusion", not viol3, tuple(viol3))
 
     return AssumptionsReport(prop1, prop2, prop3)

@@ -150,19 +150,42 @@ class TestStabilizerCommand:
         assert code == 0
         assert all(c["passed"] for c in report["results"])
 
-    def test_only_assumptions_build_sector_states(self, monkeypatch, tmp_path):
-        # ranks never read a frame: plain CMI, --sector and --levels runs
-        # build no sector state
+    def test_no_run_builds_sector_states(self, monkeypatch, tmp_path):
+        # ranks never read a frame, and the assumption checks read the two
+        # sector strings by linearity: plain CMI, --sector, --levels and
+        # --assumptions runs build no sector state
         def no_sector(*args, **kwargs):
             raise AssertionError("a sector state was built")
 
         for name in ("create_sector", "sector_family", "conjugate_by_string"):
             monkeypatch.setattr(stabilizer, name, no_sector)
-        for extra in ([], ["--sector", "1,1"], ["--a-width", "3", "--levels", "1"]):
+        for extra in ([], ["--sector", "1,1"], ["--a-width", "3", "--levels", "1"], ["--assumptions"]):
             code, _ = run_json(["stabilizer", "--p", "3", "--size", "10", "--widths", "2", *extra], tmp_path)
             assert code == 0, extra
-        with pytest.raises(AssertionError, match="sector state"):
-            cli.main(["stabilizer", "--p", "3", "--size", "10", "--widths", "2", "--assumptions"])
+
+    def test_assumptions_report_matches_the_sector_family_path(self, monkeypatch):
+        # --assumptions builds no sector state and no fusion string, and its
+        # report is byte for byte the one verify_assumptions gives on the
+        # built sector family
+        config = {"scenario": "stabilizer", "p": 3, "size": 12, "widths": 2, "assumptions": True}
+
+        def family_path(ground, part, rule=None):
+            return stabilizer.verify_assumptions(stabilizer.sector_family(ground, part), part, rule)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stabilizer, "verify_sector_assumptions", family_path)
+            family_report = cli.report_bytes(cli.run(dict(config)))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a sector state or fusion string was built")
+
+        for name in ("sector_family", "create_sector", "conjugate_by_string", "fusion_string"):
+            monkeypatch.setattr(stabilizer, name, refused)
+        report = cli.run(dict(config))
+        names = {c["name"] for c in report["results"]}
+        assert {"assumption_global_distinguishability", "assumption_fusion"} <= names
+        assert all(c["passed"] for c in report["results"])
+        assert cli.report_bytes(report) == family_report
 
     @pytest.mark.parametrize("config", [
         {"p": 3, "width": 310, "height": 10, "widths": 2, "a_width": 302, "levels": 300},

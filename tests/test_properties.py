@@ -751,6 +751,32 @@ def test_verify_assumptions_matches_loop_oracle(part, endpoint, family, data):
     assert st.verify_assumptions(states, part, rule) == verify_assumptions_loop(states, part, rule)
 
 
+@settings(max_examples=30, deadline=None)
+@given(part=annuli(), endpoint=hst.sampled_from(("strips", "inside_a_prime")))
+def test_sector_assumptions_match_the_family_path(part, endpoint):
+    # the report read from two strings by linearity is the one decided on the
+    # built p^2 sector frames, violations and witnesses included
+    assume(part.thin_steps + 1 <= part.a_width - 1)
+    lat = part.lattice
+    state = ground(lat.width, lat.height, lat.prime)
+    rule = st.FusionStringRule(endpoint=endpoint)
+    report = st.verify_sector_assumptions(state, part, rule)
+    assert report == st.verify_assumptions(st.sector_family(state, part), part, rule)
+    if endpoint == "strips":
+        assert report.passed
+
+
+@pytest.mark.parametrize("endpoint", ["strips", "inside_a_prime"])
+def test_sector_assumptions_match_the_family_path_at_p13(endpoint):
+    lat = st.Lattice(width=40, height=40, prime=13)
+    part = st.centered_annulus(lat, width=3)
+    state = ground(40, 40, 13)
+    rule = st.FusionStringRule(endpoint=endpoint)
+    report = st.verify_sector_assumptions(state, part, rule)
+    assert report == st.verify_assumptions(st.sector_family(state, part), part, rule)
+    assert report.passed == (endpoint == "strips")
+
+
 @settings(max_examples=25, deadline=None)
 @given(part=annuli(), data=hst.data())
 def test_cluster_count_matches_region_rank(part, data):
