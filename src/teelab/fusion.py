@@ -36,11 +36,10 @@ ITERATION_CAP = 100_000
 FIXED_POINT_STEP_TOL = 1e-14
 # The associativity products of a table with at least BLAS_MIN_LABELS labels
 # run as float64 BLAS products, exact while every partial sum stays below 2^53:
-# n * max(N)^2 < 2^53 over n labels; so does the associativity residual of its
-# fusion probabilities.  A smaller table takes under 2 ms in int64 (and its
-# residual in einsum), and keeping it there spares a process that makes no
-# other float64 matrix product the gemm buffer OpenBLAS allocates on its first
-# one (about 0.5 MiB resident).
+# n * max(N)^2 < 2^53 over n labels.  A smaller table takes under 2 ms in
+# int64, and keeping it there spares a process that makes no other float64
+# matrix product the gemm buffer OpenBLAS allocates on its first one (about
+# 0.5 MiB resident).
 FLOAT_EXACT_BOUND = 2**53
 BLAS_MIN_LABELS = 17
 
@@ -359,29 +358,22 @@ def _validate_category(labels, N, dual, name) -> FusionCategory:
     return FusionCategory(labels=labels, unit=labels[unit], dual=dual, N=N, name=name)
 
 
-def _associativity_sides(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_e M[a,b,e] M[e,c,d] and sum_f M[b,c,f] M[a,f,d] over (a, b, c, d),
-    as two (n^2, n) @ (n, n^2) matrix products, the right one over M with its
-    first two axes swapped."""
-    n = M.shape[0]
-    lhs = (M.reshape(n * n, n) @ M.reshape(n, n * n)).reshape(n, n, n, n)
-    # (b, c) x (a, d), reordered to (a, b, c, d)
-    rhs = (M.reshape(n * n, n) @ M.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
-    return lhs, rhs.transpose(2, 0, 1, 3)
-
-
 def _associativity_failure(N: np.ndarray) -> tuple[int, int, int, int, int, int] | None:
     """First (a, b, c, d) in row-major order where sum_e N[a,b,e] N[e,c,d]
     differs from sum_f N[b,c,f] N[a,f,d], with the two sums; None if N is
     associative.
 
-    Both sides (`_associativity_sides`) are taken in float64 when
-    n >= BLAS_MIN_LABELS and n * max(N)^2 < 2^53, where they are exact, and
-    in int64 otherwise.
+    Both sides are (n^2, n) @ (n, n^2) matrix products, the right one over
+    N with its first two axes swapped: in float64 when n >= BLAS_MIN_LABELS
+    and n * max(N)^2 < 2^53, where they are exact, and in int64 otherwise.
     """
     n = N.shape[0]
     blas = n >= BLAS_MIN_LABELS and n * int(N.max()) ** 2 < FLOAT_EXACT_BOUND
-    lhs, rhs = _associativity_sides(N.astype(np.float64) if blas else N)
+    M = N.astype(np.float64) if blas else N
+    lhs = (M.reshape(n * n, n) @ M.reshape(n, n * n)).reshape(n, n, n, n)
+    # (b, c) x (a, d), reordered to (a, b, c, d)
+    rhs = (M.reshape(n * n, n) @ M.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
+    rhs = rhs.transpose(2, 0, 1, 3)
     if np.array_equal(lhs, rhs):
         return None
     a, b, c, d = (int(i) for i in np.argwhere(lhs != rhs)[0])
@@ -519,12 +511,9 @@ def _fusion_probabilities(cat: FusionCategory, dims: QuantumDims) -> FusionProba
     d = dims.d
     p = cat.N * d[None, None, :] / (d[:, None, None] * d[None, :, None])
     row_residual = float(np.abs(p.sum(axis=2) - 1.0).max())
-    if len(d) >= BLAS_MIN_LABELS:
-        lhs, rhs = _associativity_sides(p)
-    else:
-        lhs, rhs = np.einsum("stu,uac->stac", p, p), np.einsum("tab,sbc->stac", p, p)
-    lhs -= rhs
-    assoc_residual = float(np.abs(lhs, out=lhs).max())
+    lhs = np.einsum("stu,uac->stac", p, p)
+    rhs = np.einsum("tab,sbc->stac", p, p)
+    assoc_residual = float(np.abs(lhs - rhs).max())
     if row_residual > STRUCT_TOL:
         raise InvalidCategory(f"fusion probability rows sum to 1 +- {row_residual:g}")
     if assoc_residual > STRUCT_TOL:

@@ -124,11 +124,9 @@ def phased_rref(rows: list[tuple[np.ndarray, int]], n: int, p: int) -> list[tupl
     identical.
 
     Test-only reference implementation: the library compares reductions by
-    the linear phase test, on the sums of row clusters in
-    `stabilizer.verify_sector_assumptions` and `stabilizer.verify_assumptions`
-    and on a phase-free basis in `stabilizer.reduction_relation`; the tests
-    compare `reduction_relation` with this form (`_phased_canonical` in
-    tests/test_stabilizer.py).
+    the linear phase test (on row-cluster sums in the assumption checks, on a
+    phase-free basis in `stabilizer.reduction_relation`), and the tests build
+    their oracle for both from this form (`_phased_canonical`).
     """
     work = [(np.array(v, dtype=np.int64) % p, int(f) % p) for v, f in rows]
     work = [(v, f) for v, f in work if v.any() or f]

@@ -23,11 +23,10 @@ t_m on dual edges for magnetic flux, both along the origin's row.  The
 antiparticle is parked on the (east) lattice boundary.  The two strings sit
 on disjoint (Z and X) columns, so sector (c, f) has the frame c t_e + f t_m
 mod p, and a family of p^2 frames is formed from the two strings by
-linearity.  The CLI builds none: ranks never read a frame, and the
-assumption checks read the two strings (`verify_sector_assumptions`).
-Orientation conventions: edges point +x / +y; a vertex operator uses X^{+1}
-on outgoing and X^{-1} on incoming edges; a plaquette operator takes Z
-around its boundary counterclockwise.
+linearity; the CLI builds none, since ranks never read a frame and the
+assumptions are read from the strings.  Orientation conventions: edges point
++x / +y; a vertex operator uses X^{+1} on outgoing and X^{-1} on incoming
+edges; a plaquette operator takes Z around its boundary counterclockwise.
 
 Generators.  Every generator acts on at most four edges, so the generator
 matrix is stored as local supports (`SparseGenerators`): O(E) memory.  Rows
@@ -264,12 +263,12 @@ class SparseGenerators:
         return self.cols.nbytes + self.vals.nbytes
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseGenerators) or self.n_edges != other.n_edges:
-            return False
-        # every sector state shares the ground state's read-only arrays
-        if self.cols is other.cols and self.vals is other.vals:
-            return True
-        return np.array_equal(self.cols, other.cols) and np.array_equal(self.vals, other.vals)
+        return (
+            isinstance(other, SparseGenerators)
+            and self.n_edges == other.n_edges
+            and (self.cols is other.cols or np.array_equal(self.cols, other.cols))
+            and (self.vals is other.vals or np.array_equal(self.vals, other.vals))
+        )
 
     def dense(self) -> np.ndarray:
         """The full n_rows x 2 n_edges matrix, refused above GENS_BYTES_CAP."""
@@ -1075,9 +1074,11 @@ def verify_assumptions(
     base = _shared_gens(states.values())
     rule = rule or FusionStringRule()
     order = sorted(states)
+    frames = [states[a].frame for a in order]
     strings = [fusion_string(base, part, s, rule) for s in order[1:]]  # order[0] is the vacuum (0, 0)
-    eye = np.eye(p * p, dtype=np.int64)
-    return _assumptions_report(base, part, ([states[a].frame for a in order], eye), (strings, eye[1:]), False)
+    return _assumptions_report(
+        base, part, frames, strings, lambda M, a: M[:, a], lambda M, s: M[:, p * p - 1 + s]
+    )
 
 
 def verify_sector_assumptions(
@@ -1086,41 +1087,30 @@ def verify_sector_assumptions(
     """`verify_assumptions(sector_family(ground, part), part, rule)`, with no
     sector state or fusion string built.
 
-    Sector (c, f) has the frame ground + c t_e + f t_m and the fusion string
-    for s is -c t_e' - f t_m', so every phase is linear in (c, f): a region
-    reads three vectors (A'BC five), and the fusion residual of (s, a) does
-    not depend on a.
+    Sector a = (c, f) has the frame ground + c t_e + f t_m and the fusion
+    string for s = (c, f) is -c t_e' - f t_m', so every phase is linear in
+    (c, f), and a region reads three vectors (A'BC five).
     """
-    lat = ground.lattice
-    labels = np.arange(lat.prime**2)
-    c, f = labels // lat.prime, labels % lat.prime
-    t_e, t_m = _sector_strings(lat, part.origin)
-    frames = ([ground.frame, t_e, t_m], np.stack([np.ones_like(c), c, f]))
-    strings = (list(_fusion_strings(lat, part, rule or FusionStringRule())), -np.stack([c, f]))
-    return _assumptions_report(ground, part, frames, strings, True)
+    p = ground.lattice.prime
+    coef = np.stack([np.ones(p * p, dtype=np.int64), *np.divmod(np.arange(p * p), p)])  # (1, c, f)
+    frames = [ground.frame, *_sector_strings(ground.lattice, part.origin)]
+    strings = list(_fusion_strings(ground.lattice, part, rule or FusionStringRule()))
+    return _assumptions_report(
+        ground, part, frames, strings, lambda M, a: M[:, :3] @ coef[:, a], lambda M, s: -M[:, 3:] @ coef[1:, s]
+    )
 
 
-def _assumptions_report(
-    base: StabilizerState,
-    part: AnnulusPartition,
-    frames: tuple[list[np.ndarray], np.ndarray],
-    strings: tuple[list[np.ndarray], np.ndarray],
-    linear: bool,
-) -> AssumptionsReport:
-    """The three properties for p^2 labels, in the order (c, f) ascending.
+def _assumptions_report(base, part, frames, strings, frame, string) -> AssumptionsReport:
+    """The three properties for p^2 labels, numbered a = c p + f.
 
-    `frames` is (vectors, coef): label a's frame is sum_k coef[k, a]
-    vectors[k] mod p, and `strings` gives property 3's string for each s the
-    same way.  A region's restricted basis is the sums of its row clusters
-    (`_clusters`), and a phase is linear in both the group element and the
-    frame, so each region is one (K, len(vectors)) matrix of cluster phases,
-    read at the cluster rows' partner columns only (`_row_phases`); the
-    labels' (K, p^2) table is that matrix times coef, and two labels compare
-    by their columns mod p.  With `linear`, the frames and strings are linear
-    in (c, f), so the fusion residual of (s, a) is read at a = (0, 0) alone.
-    A violation carries its first mismatching element of the region's
-    canonical basis (`restricted_canonical`) as a witness; that basis is
-    eliminated only for a region with a violation to witness.
+    A region's basis is the sums of its row clusters (`_clusters`), and a
+    phase is linear in the group element and the frame, so a region reads its
+    vectors (`frames`; on A'BC also `strings`) into one matrix M of cluster
+    phases (`_row_phases`).  `frame(M, a)` combines M's columns into the
+    frames of the labels in array a, `string(M, s)` into property 3's
+    strings for the labels s >= 1 in array s.  A witness
+    (`restricted_canonical`, eliminated only for a region with a violation)
+    is taken on those combinations of the vectors' columns.
     """
     p = base.lattice.prime
     labels = np.arange(p * p)
@@ -1128,8 +1118,6 @@ def _assumptions_report(
     # target[s, a]: the label s x a
     target = (labels[:, None] // p + labels // p) % p * p + (labels[:, None] + labels) % p
     abc, ab, bc = (part.region_edges(name) for name in ("ABC", "AB", "BC"))
-    thinned = part.thin(1).region_edges("ABC")
-    vectors, coef = frames
 
     # every region below lies inside ABC, so the forest of the columns outside
     # ABC is grown once and each region's forest continues it over the
@@ -1139,10 +1127,9 @@ def _assumptions_report(
     root_abc = _cluster_roots(base.gens, np.flatnonzero(~in_abc), p)
 
     def on_region(edges, vectors):
-        """(the cluster phase sums of the vectors mod p, the labels' (K, p^2)
-        table, and the witnessed violations: (order[i], order[j], relation,
-        witness) for each true bad[i, j] in row-major order, the witness taken
-        on the frame difference sum_k combine(i, js)[k] vectors[k])."""
+        """(M mod p, the labels' table, and the witnessed violations:
+        (order[i], order[j], relation, witness) for each true bad[i, j] in
+        row-major order, on the differences diff(vectors on cols, i, js))."""
         cols = _region_columns(base, edges)
         rest = in_abc.copy()  # ABC's columns outside the region
         rest[cols] = False
@@ -1150,51 +1137,46 @@ def _assumptions_report(
         phases = np.zeros((k, len(vectors)), dtype=np.int64)
         np.add.at(phases, cluster, _row_phases(base.gens, rows, vectors).T)
         phases %= p
+        phases = phases[phases.any(axis=1)]  # a cluster of phase 0 tells no labels apart
 
-        def violations(bad, combine):
+        def violations(bad, diff):
             out, firsts = [], np.flatnonzero(bad.any(axis=1))
             if firsts.size:
                 _, vecs = restricted_canonical(base, edges)
                 on_cols = np.stack([v[cols] for v in vectors], axis=1)
             for i in firsts:
                 js = np.flatnonzero(bad[i])
-                first = _first_mismatch(vecs, on_cols @ combine(i, js), p).tolist()
+                first = _first_mismatch(vecs, diff(on_cols, i, js), p).tolist()
                 rel = {f: _relation(base, edges, vecs, f) for f in set(first)}
                 out += [(order[i], order[j], *rel[f]) for j, f in zip(js, first)]
             return out
 
-        return phases, phases[:, :len(coef)] @ coef % p, violations
+        return phases, frame(phases, labels) % p, violations
 
     def same(table):
         """Whether labels a and b have equal columns in the table, over all (a, b)."""
         ranked = np.lexsort(table) if len(table) else labels
         step = (table[:, ranked[1:]] != table[:, ranked[:-1]]).any(axis=0)
         cls = np.empty_like(labels)
-        cls[ranked] = np.concatenate([[0], np.cumsum(step)])
+        cls[ranked] = np.cumsum(np.r_[False, step])
         return cls[:, None] == cls
 
-    _, table, _ = on_region(abc, vectors)
+    _, table, _ = on_region(abc, frames)
     viol1 = [(order[i], order[j], "equal", None) for i, j in zip(*np.nonzero(np.triu(same(table), 1)))]
     prop1 = PropertyResult("global_distinguishability", not viol1, tuple(viol1))
     viol2 = []
     for name, edges in (("AB", ab), ("BC", bc)):
-        _, table, violations = on_region(edges, vectors)
-        differ = np.triu(~same(table), 1)
-        viol2 += [(name, *v) for v in violations(differ, lambda i, js: coef[:, [i]] - coef[:, js])]
+        _, table, violations = on_region(edges, frames)
+        differ = violations(np.triu(~same(table), 1), lambda M, i, js: frame(M, labels[[i]]) - frame(M, js))
+        viol2 += [(name, *v) for v in differ]
     prop2 = PropertyResult("local_indistinguishability", not viol2, tuple(viol2))
 
-    strings, string_coef = strings
-    phases, table, violations = on_region(thinned, vectors + strings)
-    string = phases[:, len(vectors):] @ string_coef % p
-    if linear:
-        bad = np.repeat(((table[:, :1] + string - table) % p).any(axis=0)[:, None], p * p, axis=1)
-    else:
-        bad = np.stack([((table + string[:, [s]] - table[:, target[s]]) % p).any(axis=0) for s in labels])
-
-    def fused(s, a):
-        return np.vstack([coef[:, a] - coef[:, target[s, a]], np.repeat(string_coef[:, [s]], len(a), axis=1)])
-
-    viol3 = violations(bad, fused)
+    phases, table, violations = on_region(part.thin(1).region_edges("ABC"), frames + strings)
+    moved = string(phases, labels[1:])
+    bad = np.zeros((p * p, p * p), dtype=bool)
+    for s in labels[1:]:
+        bad[s] = ((table + moved[:, [s - 1]] - table[:, target[s]]) % p).any(axis=0)
+    viol3 = violations(bad, lambda M, s, js: frame(M, js) + string(M, labels[[s]]) - frame(M, target[s, js]))
     prop3 = PropertyResult("fusion", not viol3, tuple(viol3))
 
     return AssumptionsReport(prop1, prop2, prop3)
