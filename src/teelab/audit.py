@@ -36,11 +36,14 @@ from .fusion import AnyonDistribution, FusionProbabilities, _label_index, bound_
 MARGIN_TOL = 1e-9
 
 # Byte cap on the Taylor sweep's arrays, charged at 64 L^2 bytes per grid
-# point.  They take at most 48 L^2 + 24 L, under the charge for L >= 2: the
-# three (L, L, G) margin arrays (24 L^2), the (G, C) class buffer reused
-# across label pairs (8 C, with C <= L + L^2 classes), one pair's (G, C)
-# x log x (8 C) and its (G, L + L^2) gather back to the cells.  On z7, with
-# C = 14, that is 1848 bytes against the 3136 charged.
+# point.  They take at most 40 L^2 + 40 L, under the charge for L >= 2: the
+# three (L, L, G) margin arrays (24 L^2), the four x log x tables of the
+# label columns (three (L, G) tables and one L-vector: 24 L), the (G, C)
+# class buffer reused across label pairs (8 C, with C <= L + L^2 classes),
+# and one of two per-pair temporaries that are never alive together: the
+# x log x of the fused classes (8 (C - L)) or the (G, L + L^2) gather back
+# to the cells (8 (L + L^2)).  On z7, with C = 7, that is 1848 bytes
+# against the 3136 charged.
 SWEEP_BYTES_CAP = 2**28
 
 TRACE_SCHEMA = "teelab-trace/v1"
@@ -409,25 +412,32 @@ def taylor_bound_sweep(
     (`_fusion_classes`): a cell p_{a,s} is the in-order sum of its term
     list, the nonzeros (b, fp[s, b, a]) in ascending b, so cells with one
     term list are equal, a single term (b, 1.0) is p_b itself, and the cells
-    no term reaches are 0.  One (G, C) buffer V, reused by every pair, holds
-    the classes: per pair its first L columns are set to P[g] = p* +
-    eps_g (delta_b - delta_c), the term of rank k in each other class adds
+    no term reaches are 0.  A column a < L of P[g] = p* + eps_g (delta_b -
+    delta_c) holds one of four values: p*_a, p*_b + eps, p*_c - eps, or
+    (p*_b + eps) - eps when b = c.  Their masked x log x is taken once per
+    sweep, as an L-vector and three (L, G) tables; H(p*) is minus the sum
+    of the vector, which is `p_star.entropy()` bit for bit.  One
+    column-major (G, C) buffer V, reused by every pair, holds the classes.
+    Only the classes from L on, which a pointed category (every fusion
+    deterministic, C = L) does not have, are computed per pair: V's first L
+    columns are set to P, the term of rank k in each such class adds
     P[:, b] w to it in pass k (`_fuse`), and the masked x log x is taken of
-    V once, C columns instead of L + L^2 (14 instead of 56 for z7).  The
-    classes are then gathered back to the (G, L + 1, L) cells, whose sums
-    along the last axis are -H(p) and -H(p_{.,s}).
+    those C - L columns.  The first L columns are then copied from the
+    tables, and the classes are gathered back to the (G, L + 1, L) cells,
+    whose sums along the last axis are -H(p) and -H(p_{.,s}).  On z7 with
+    400 trials the sweep takes the log of 9,268 entries in all.
 
     Each margin is formed with the arithmetic of a per-point loop
     (`tests/oracles.py`): +eps at b before -eps at c, the sum over b in
     ascending order, and the sum over s in order from 0.  The gather hands
     each cell the bits it would have if computed on its own, and every sum
-    runs over the same entries in the same order, so the classes change no
-    bit.  P > 0 on the whole grid, so the terms a zero of fp would add are
-    zeros, and a dense sum, which starts at +0.0, is unchanged by them: the
-    sparse sums equal the dense in-order sums over b bit for bit.  numpy
-    sums a last axis of fewer than 8 entries in order, so for L <= 7 (every
-    bundled category) the zeros of the masked log add exactly too and the
-    report equals the loop's bit for bit.
+    runs over the same entries in the same order, so neither the classes nor
+    the tables change a bit.  P > 0 on the whole grid, so the terms a zero
+    of fp would add are zeros, and a dense sum, which starts at +0.0, is
+    unchanged by them: the sparse sums equal the dense in-order sums over b
+    bit for bit.  numpy sums a last axis of fewer than 8 entries in order,
+    so for L <= 7 (every bundled category) the zeros of the masked log add
+    exactly too and the report equals the loop's bit for bit.
     `worst_case` is the first (b, c, eps) in (b, c, grid) order at which
     min(taylor, concavity, combined) reaches its minimum.
     """
@@ -446,7 +456,6 @@ def taylor_bound_sweep(
     if float(probs.min()) <= 0.0:
         raise DegenerateDistribution("sweep needs a strictly positive fixed point")
     pmin = float(probs.min())
-    h_star = p_star.entropy()
     grid = np.linspace(-pmin / 2, pmin / 2, eps_points)
     if trials:
         rng = np.random.default_rng(seed)
@@ -454,14 +463,30 @@ def taylor_bound_sweep(
     quad = 2.0 * grid**2 / pmin
     taylor, conc, comb = np.empty((3, n, n, G))
     cls, n_classes, terms = _fusion_classes(fp)
-    V = np.zeros((G, n_classes))  # V[g, k] = class k at grid point g; V[:, :n] = P
+    # x log x of the four values a column of P takes: p*_a, p*_b + eps,
+    # p*_c - eps and, when b = c, (p*_b + eps) - eps
+    star = _x_log_x(probs)
+    column = probs[:, None]
+    plus, minus, same = _x_log_x(np.stack([column + grid, column - grid, column + grid - grid]))
+    h_star = -float(star.sum())  # p_star.entropy(), bit for bit
+    # V[g, k] = class k at grid point g: P, then the fused classes, then their
+    # x log x; column-major, so a class's column is contiguous
+    V = np.zeros((G, n_classes), order="F")
     for bi in range(n):
         for ci in range(n):
-            V[:, :n] = probs  # P[g] = p* + eps_g (delta_b - delta_c)
-            V[:, bi] += grid
-            V[:, ci] -= grid
+            if n_classes > n:
+                V[:, :n] = probs  # P[g] = p* + eps_g (delta_b - delta_c)
+                V[:, bi] += grid
+                V[:, ci] -= grid
+                V[:, n:] = _x_log_x(_fuse(V, terms)[:, n:])
+            V[:, :n] = star
+            if bi == ci:
+                V[:, bi] = same[bi]
+            else:
+                V[:, bi] = plus[bi]
+                V[:, ci] = minus[ci]
             # row 0 of H is H(p) and row 1 + s is H(p_{.,s})
-            H = -_x_log_x(_fuse(V, terms))[:, cls].reshape(G, n + 1, n).sum(axis=-1)
+            H = -V[:, cls].reshape(G, n + 1, n).sum(axis=-1)
             h_p, h_s = H[:, 0], H[:, 1:]
             h_mixed = 0.0
             for s in range(n):

@@ -206,33 +206,6 @@ class ResidualReport:
     worst_pair: tuple[str, str]
 
 
-@dataclass
-class DefectFusionSystem:
-    """Fusion data for a point defect: strings labeled by S act on sectors labeled by A.
-
-    p[s, b, a] = probability that string s applied to sector b yields sector a;
-    rows over a are normalized.  q_star lives on S, p_star on A, and the two
-    are tied by sum_s p[s, b, a] q*_s = p*_a for every b.
-    """
-
-    string_labels: tuple[str, ...]
-    sector_labels: tuple[str, ...]
-    p: np.ndarray  # shape (|S|, |A|, |A|), indexed (s, b, a)
-    q_star: np.ndarray | None = None
-    p_star: np.ndarray | None = None
-    residual: float | None = None
-    iterations: int = 0
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        expect = (len(self.string_labels), len(self.sector_labels), len(self.sector_labels))
-        if self.p.shape != expect:
-            raise MalformedInput(f"defect table shape {self.p.shape}, expected {expect}")
-        rows = self.p.sum(axis=2)
-        if np.abs(rows - 1.0).max() > STRUCT_TOL:
-            raise MalformedInput("defect fusion rows are not normalized over sectors")
-
-
 # ---------------------------------------------------------------------------
 # loading and validation
 
@@ -454,7 +427,10 @@ def _perron_radius(mat: np.ndarray) -> tuple[float, int]:
     Iterates with (mat + I), whose dominant eigenvalue r+1 is strictly
     separated in modulus from the rest of the spectrum, so the Rayleigh
     quotient converges even when mat itself has several eigenvalues on the
-    spectral circle (permutation matrices).
+    spectral circle (an imprimitive matrix, such as a cyclic block beside a
+    smaller one).  The result can be off by a few ulps (it gave
+    1.0000000000000004 for the permutation matrices of z2), so
+    `_perron_root` calls it only where the row sums do not give the radius.
     """
     n = mat.shape[0]
     shifted = mat.astype(float) + np.eye(n)
@@ -471,10 +447,29 @@ def _perron_radius(mat: np.ndarray) -> tuple[float, int]:
     raise NonConvergence(f"power iteration did not converge within {ITERATION_CAP} iterations")
 
 
+def _perron_root(mat: np.ndarray) -> float:
+    """Spectral radius of a non-negative integer matrix.
+
+    When every row sums to the same integer r it is r, exactly: the row sums
+    of a non-negative matrix bound its spectral radius from below and above
+    (Horn & Johnson, Matrix Analysis, Thm 8.1.22).  Every label of a group
+    category (a permutation matrix, r = 1) and the unit of any category take
+    this path.  Other matrices (Fibonacci tau, Ising sigma) take
+    `_perron_radius`.
+    """
+    rows = mat.sum(axis=1)
+    if (rows == rows[0]).all():
+        return float(rows[0])
+    return _perron_radius(mat)[0]
+
+
 def quantum_dimensions(cat: FusionCategory) -> QuantumDims:
     """Quantum dimension d_a = spectral radius of the fusion matrix (N_a)_{bc} = N[a,b,c].
 
-    Validates sum_c N[a,b,c] d_c = d_a d_b to 1e-10 and d_a = d_{dual a}.
+    d_a is N_a's common row sum, exactly, when its rows all have one sum (so
+    d_a = 1.0 for every abelian anyon), and its shifted power iteration
+    otherwise (`_perron_root`).  Every label, either way, is then checked:
+    sum_c N[a,b,c] d_c = d_a d_b to 1e-10 and d_a = d_{dual a}.
     Computed once per category object; later calls return the same dims.
     """
     return _memo(cat, "dims", lambda: _quantum_dimensions(cat))
@@ -482,9 +477,7 @@ def quantum_dimensions(cat: FusionCategory) -> QuantumDims:
 
 def _quantum_dimensions(cat: FusionCategory) -> QuantumDims:
     n = cat.n_labels
-    d = np.empty(n)
-    for a in range(n):
-        d[a], _ = _perron_radius(cat.N[a])
+    d = np.array([_perron_root(cat.N[a]) for a in range(n)])
     check = np.einsum("abc,c->ab", cat.N, d)
     residual = float(np.abs(check - np.outer(d, d)).max())
     if residual > SPECTRAL_TOL:
@@ -580,8 +573,11 @@ def _fixed_point_iterative(fp: FusionProbabilities) -> FixedPoint:
 
 
 def closed_form_fixed_point(dims: QuantumDims) -> AnyonDistribution:
-    """The closed-form fixed point p*_a = d_a^2 / D^2."""
-    return AnyonDistribution(dims.labels, dims.d**2 / dims.total**2)
+    """The closed-form fixed point p*_a = d_a^2 / D^2, divided by the sum
+    D^2 = sum_b d_b^2 itself rather than by `dims.total` squared, which the
+    square root does not round-trip: with d exact, z2 gets 0.5 and z5 0.2."""
+    squares = dims.d**2
+    return AnyonDistribution(dims.labels, squares / float(squares.sum()))
 
 
 def verify_fixed_point_identity(fp: FusionProbabilities, p_star: AnyonDistribution) -> ResidualReport:
@@ -619,36 +615,3 @@ def tee_lower_bound(a0: str, p_star: AnyonDistribution, n: int, K: float) -> flo
     if pa <= 0.0:
         raise DegenerateDistribution(f"p*_{a0} = 0")
     return math.log(1.0 / pa) - K / math.sqrt(n)
-
-
-def defect_fixed_point(sys: DefectFusionSystem) -> DefectFusionSystem:
-    """Fill in the sector fixed point of a defect fusion system.
-
-    With q* on the string labels (given, or uniform), the induced sector map
-    M[b, a] = sum_s p[s, b, a] q*_s is row stochastic; p* is its unique
-    stationary distribution, found by power iteration.  The recorded residual
-    is max_{b,a} |M[b,a] - p*_a|, i.e. the defect of the identity
-    sum_s p[s,b,a] q*_s = p*_a.
-    """
-    nS = len(sys.string_labels)
-    q = np.asarray(sys.q_star, dtype=float) if sys.q_star is not None else np.full(nS, 1.0 / nS)
-    if q.shape != (nS,) or abs(q.sum() - 1.0) > STRUCT_TOL or q.min() < -STRUCT_TOL:
-        raise MalformedInput("q_star is not a distribution on the string labels")
-    M = np.einsum("sba,s->ba", sys.p, q)
-    zeros = np.argwhere(M <= 0.0)
-    if len(zeros):
-        b, a = zeros[0]
-        raise ConditionOneViolated(
-            f"induced sector matrix entry M[{sys.sector_labels[b]},{sys.sector_labels[a]}] = 0"
-        )
-    pi, it = _power_iterate(M, "defect fixed point")
-    residual = float(np.abs(M - pi[None, :]).max())
-    return DefectFusionSystem(
-        string_labels=sys.string_labels,
-        sector_labels=sys.sector_labels,
-        p=sys.p,
-        q_star=q,
-        p_star=pi,
-        residual=residual,
-        iterations=it,
-    )

@@ -4,6 +4,7 @@ library's fast paths and validators are compared against."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +19,21 @@ from teelab.audit import (
     check_monotonicity,
     check_perturbed_step_bound,
 )
-from teelab.errors import DegenerateDistribution, EpsilonOutOfRange, MalformedInput, PremiseViolated
-from teelab.fusion import AnyonDistribution, FusionProbabilities, _label_index, bound_constant
+from teelab.errors import (
+    ConditionOneViolated,
+    DegenerateDistribution,
+    EpsilonOutOfRange,
+    MalformedInput,
+    PremiseViolated,
+)
+from teelab.fusion import (
+    STRUCT_TOL,
+    AnyonDistribution,
+    FusionProbabilities,
+    _label_index,
+    _power_iterate,
+    bound_constant,
+)
 from teelab.gfp import rank_mod_p
 from teelab.stabilizer import (
     AnnulusPartition,
@@ -92,9 +106,13 @@ def taylor_bound_sweep_loop(
                 # p_{a,s} for every s at once: mixed[s, a] = sum_b p_b fp[s, b, a]
                 mixed = np.einsum("b,sba->sa", p, fp.p)
                 h_mixed = float(sum(probs[s] * shannon(mixed[s]) for s in range(len(labels))))
-                taylor = h_p - (h_star + eps * base_log - 2.0 * eps**2 / pmin)
+                # eps * eps, the correctly rounded square, as numpy squares an
+                # array: a scalar eps**2 goes through libm's pow, which can be
+                # an ulp off (at eps = 0.0266206703050684 it read 1 ulp above)
+                quad = 2.0 * (eps * eps) / pmin
+                taylor = h_p - (h_star + eps * base_log - quad)
                 conc = h_star - h_mixed
-                comb = (h_p - h_mixed) - (eps * base_log - 2.0 * eps**2 / pmin)
+                comb = (h_p - h_mixed) - (eps * base_log - quad)
                 count += 1
                 if min(taylor, conc, comb) < min(worst_taylor, worst_conc, worst_comb):
                     worst_case = (lb, lc, float(eps))
@@ -288,6 +306,66 @@ def is_fusion_ring(N: np.ndarray, labels=None, dual=None) -> bool:
                 if N[a, b, c] != N[star[b], star[a], star[c]]:
                     return False
     return brute_force_associative(N)
+
+
+@dataclass
+class DefectFusionSystem:
+    """Fusion data for a point defect: strings labeled by S act on sectors labeled by A.
+
+    p[s, b, a] = probability that string s applied to sector b yields sector a;
+    rows over a are normalized.  q_star lives on S, p_star on A, and the two
+    are tied by sum_s p[s, b, a] q*_s = p*_a for every b.
+    """
+
+    string_labels: tuple[str, ...]
+    sector_labels: tuple[str, ...]
+    p: np.ndarray  # shape (|S|, |A|, |A|), indexed (s, b, a)
+    q_star: np.ndarray | None = None
+    p_star: np.ndarray | None = None
+    residual: float | None = None
+    iterations: int = 0
+
+    def __post_init__(self):
+        self.p = np.asarray(self.p, dtype=float)
+        expect = (len(self.string_labels), len(self.sector_labels), len(self.sector_labels))
+        if self.p.shape != expect:
+            raise MalformedInput(f"defect table shape {self.p.shape}, expected {expect}")
+        rows = self.p.sum(axis=2)
+        if np.abs(rows - 1.0).max() > STRUCT_TOL:
+            raise MalformedInput("defect fusion rows are not normalized over sectors")
+
+
+def defect_fixed_point(sys: DefectFusionSystem) -> DefectFusionSystem:
+    """Fill in the sector fixed point of a defect fusion system.
+
+    With q* on the string labels (given, or uniform), the induced sector map
+    M[b, a] = sum_s p[s, b, a] q*_s is row stochastic; p* is its unique
+    stationary distribution, found by power iteration.  The recorded residual
+    is max_{b,a} |M[b,a] - p*_a|, i.e. the defect of the identity
+    sum_s p[s,b,a] q*_s = p*_a.
+    """
+    nS = len(sys.string_labels)
+    q = np.asarray(sys.q_star, dtype=float) if sys.q_star is not None else np.full(nS, 1.0 / nS)
+    if q.shape != (nS,) or abs(q.sum() - 1.0) > STRUCT_TOL or q.min() < -STRUCT_TOL:
+        raise MalformedInput("q_star is not a distribution on the string labels")
+    M = np.einsum("sba,s->ba", sys.p, q)
+    zeros = np.argwhere(M <= 0.0)
+    if len(zeros):
+        b, a = zeros[0]
+        raise ConditionOneViolated(
+            f"induced sector matrix entry M[{sys.sector_labels[b]},{sys.sector_labels[a]}] = 0"
+        )
+    pi, it = _power_iterate(M, "defect fixed point")
+    residual = float(np.abs(M - pi[None, :]).max())
+    return DefectFusionSystem(
+        string_labels=sys.string_labels,
+        sector_labels=sys.sector_labels,
+        p=sys.p,
+        q_star=q,
+        p_star=pi,
+        residual=residual,
+        iterations=it,
+    )
 
 
 def _phase_test(basis, state1: StabilizerState, state2: StabilizerState) -> tuple[str, str | None]:

@@ -330,6 +330,47 @@ class TestTaylorSweep:
         audit.taylor_bound_sweep(p_star, fp, trials=400, seed=1)
         assert sum(logged) <= L * L * G * (L + L * L) // 3, sum(logged)
 
+    def test_label_columns_logged_once_per_sweep(self, categories, monkeypatch):
+        # a column of p holds p*_a, p*_b + eps, p*_c - eps or (p*_b + eps) - eps;
+        # their x log x is taken once per sweep, and z7 has no fused class
+        _, dims, fp = categories["z7"]
+        p_star = fusion.closed_form_fixed_point(dims)
+        L, G = 7, 41 + 400
+        logged = []
+        log = np.log
+
+        def counting(x, *args, **kwargs):
+            logged.append(np.size(x))
+            return log(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "log", counting)
+        audit.taylor_bound_sweep(p_star, fp, trials=400, seed=1)
+        assert sum(logged) <= 3 * L * G + L, sum(logged)
+
+    def test_diagonal_pair_where_eps_does_not_round_trip(self, categories):
+        # on z6's 2-point grid (1/6 + eps) - eps is not 1/6, so the b = c pairs
+        # read the (p*_b + eps) - eps column, not p*_b; the worst concavity
+        # margin, 0.0, sits on such a pair (with p*_b there it reads 2.2e-16)
+        _, dims, fp = categories["z6"]
+        p_star = fusion.closed_form_fixed_point(dims)
+        eps = np.linspace(-p_star.probs.min() / 2, p_star.probs.min() / 2, 2)
+        assert ((p_star.probs[0] + eps) - eps != p_star.probs[0]).any()
+        fast = audit.taylor_bound_sweep(p_star, fp, eps_points=2)
+        assert fast == taylor_bound_sweep_loop(p_star, fp, eps_points=2)
+        assert fast.worst_concavity == 0.0 and fast.worst_case[0] == fast.worst_case[1]
+
+    @pytest.mark.parametrize("name", ["fibonacci", "ising"])
+    def test_fused_classes_match_loop_oracle(self, categories, name):
+        # tau x tau and sigma x sigma split, so these sweeps fuse classes past
+        # the L columns of p; an off-center p* makes every column distinct
+        cat, _, fp = categories[name]
+        L = cat.n_labels
+        assert audit._fusion_classes(fp)[1] > L
+        weights = np.arange(1.0, L + 1.0)
+        p_star = AnyonDistribution(cat.labels, weights / weights.sum())
+        fast = audit.taylor_bound_sweep(p_star, fp, trials=7, eps_points=9, seed=4)
+        assert fast == taylor_bound_sweep_loop(p_star, fp, trials=7, eps_points=9, seed=4)
+
     def test_negative_seed_is_malformed(self, categories):
         # refused before numpy's generator sees it, with or without trials
         _, dims, fp = categories["z2"]

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from teelab import fusion
+from teelab import audit, fusion
 from teelab.errors import (
     ConditionOneViolated,
     DegenerateDistribution,
@@ -16,7 +16,7 @@ from teelab.errors import (
 )
 from teelab.fusion import AnyonDistribution
 
-from oracles import brute_force_associative
+from oracles import DefectFusionSystem, brute_force_associative, defect_fixed_point
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -224,6 +224,42 @@ class TestQuantumDimensions:
         _, dims, _ = categories["ising"]
         assert abs(dims.of("sigma") - math.sqrt(2.0)) < 1e-10
         assert abs(dims.total - 2.0) < 1e-10
+
+    @pytest.mark.parametrize(
+        "source",
+        [pytest.param(lambda name=name: fusion.bundled_category(name), id=name)
+         for name in ("z2", "z3", "z4", "z5", "z6", "z7", "toric_code")]
+        + [pytest.param(lambda: fusion.zn_category(13), id="z13"),
+           pytest.param(lambda: fusion.double_zn_category(3), id="double_z3")],
+    )
+    def test_pointed_categories_are_exact(self, source):
+        # every label's fusion matrix is a permutation, row sum 1: d = 1.0,
+        # fusion is deterministic, and the Taylor sweep's columns are p itself
+        cat = source()
+        dims = fusion.quantum_dimensions(cat)
+        fp = fusion.fusion_probabilities(cat, dims)
+        L = cat.n_labels
+        assert dims.d.tolist() == [1.0] * L
+        assert set(np.unique(fp.p).tolist()) == {0.0, 1.0}
+        cls, C, terms = audit._fusion_classes(fp)
+        assert (C, terms) == (L, [])
+        assert np.array_equal(cls[:L], np.arange(L))
+
+    def test_units_exact_and_other_labels_by_power_iteration(self, categories):
+        for name, iterated in (("fibonacci", ("tau",)), ("ising", ("sigma",))):
+            cat, dims, _ = categories[name]
+            for label in cat.labels:
+                a = cat.index(label)
+                if label in iterated:
+                    assert dims.of(label) == fusion._perron_radius(cat.N[a])[0], (name, label)
+                else:
+                    assert dims.of(label) == 1.0, (name, label)
+
+    def test_closed_form_is_exact_for_groups(self, categories):
+        # D^2 is summed, not squared back from D: sqrt(2)**2 is 2.0000000000000004
+        for name, value in (("z2", 0.5), ("z4", 0.25), ("z5", 0.2)):
+            _, dims, _ = categories[name]
+            assert fusion.closed_form_fixed_point(dims).probs.tolist() == [value] * len(dims.labels)
 
     def test_dimension_identity_all_bundled(self, categories):
         for name, (cat, dims, _) in categories.items():
@@ -439,26 +475,26 @@ class TestDefectFusion:
         p[1] = toggle
         p[2] = toggle
         p[3] = stay
-        sys = fusion.DefectFusionSystem(string_labels=strings, sector_labels=sectors, p=p)
-        out = fusion.defect_fixed_point(sys)
+        sys = DefectFusionSystem(string_labels=strings, sector_labels=sectors, p=p)
+        out = defect_fixed_point(sys)
         np.testing.assert_allclose(out.p_star, [0.5, 0.5], atol=1e-12)
         assert out.residual < 1e-12
 
     def test_group_case_reduces_to_uniform(self, categories):
         cat, _, fp = categories["z4"]
-        sys = fusion.DefectFusionSystem(
+        sys = DefectFusionSystem(
             string_labels=cat.labels, sector_labels=cat.labels, p=fp.p
         )
-        out = fusion.defect_fixed_point(sys)
+        out = defect_fixed_point(sys)
         np.testing.assert_allclose(out.p_star, 0.25, atol=1e-12)
         assert out.residual < 1e-12
 
     def test_ising_closed_form_round_trip(self, categories):
         _, dims, fp = categories["ising"]
         closed = fusion.closed_form_fixed_point(dims)
-        sys = fusion.DefectFusionSystem(
+        sys = DefectFusionSystem(
             string_labels=fp.labels, sector_labels=fp.labels, p=fp.p, q_star=closed.probs
         )
-        out = fusion.defect_fixed_point(sys)
+        out = defect_fixed_point(sys)
         np.testing.assert_allclose(out.p_star, closed.probs, atol=1e-10)
         assert out.residual < 1e-10

@@ -8,7 +8,8 @@ scan, restricted bases, frame phases and dense reductions against the
 dense-matrix oracles on random valid annulus geometries and primes, the frame-difference assumption
 checks against their per-pair loop oracle, the built rows and the sector
 detectors against the label-list oracle, rank_mod_p against a brute-force
-span count, the array Taylor sweep against its loop oracle on random
+span count, the row-sum Perron root of permutation sums against the
+power iteration, the array Taylor sweep against its loop oracle on random
 row-stochastic tensors and its sparse fused distributions against the
 dense einsum, the array audit premises against the per-point
 chain replay on random and chosen traces, the sorted edge dedupe against
@@ -856,6 +857,19 @@ def test_rank_mod_p_matches_span_count(p, shape, data):
     mat = np.array(entries, dtype=np.int64).reshape(rows, cols)
     span = {tuple(np.array(x, dtype=np.int64) @ mat % p) for x in product(range(p), repeat=rows)}
     assert len(span) == p ** gfp.rank_mod_p(mat, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=hst.integers(1, 8), k=hst.integers(1, 4), data=hst.data())
+def test_row_sum_root_of_permutation_sums_is_exact(n, k, data):
+    # a sum of k permutation matrices has every row sum k, hence spectral
+    # radius k: the row-sum path gives it exactly, the power iteration to
+    # SPECTRAL_TOL
+    mat = np.zeros((n, n), dtype=np.int64)
+    for _ in range(k):
+        mat[np.arange(n), data.draw(hst.permutations(range(n)))] += 1
+    assert fusion._perron_root(mat) == float(k)
+    assert abs(fusion._perron_radius(mat)[0] - k) <= fusion.SPECTRAL_TOL
 
 
 @settings(max_examples=60, deadline=None)
