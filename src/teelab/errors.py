@@ -25,24 +25,8 @@ class DegenerateDistribution(TeeLabError):
     """A probability distribution has a zero entry where strict positivity is required."""
 
 
-class UnknownFactor(TeeLabError):
-    """A factor id does not belong to the factor space at hand."""
-
-
 class DimensionCap(TeeLabError):
     """A requested dense object exceeds the configured dimension cap."""
-
-
-class SpectrumFailure(TeeLabError):
-    """The dense eigensolver failed to converge."""
-
-
-class InvalidOperator(TeeLabError):
-    """A matrix fails a density-operator invariant (hermiticity, trace, positivity)."""
-
-
-class SupportViolation(TeeLabError):
-    """A unitary acts on factors outside its allowed region."""
 
 
 class PremiseViolated(TeeLabError):
@@ -59,10 +43,6 @@ class PremiseViolated(TeeLabError):
 
 class EpsilonOutOfRange(TeeLabError):
     """A perturbation epsilon exceeds half the minimum fixed-point probability."""
-
-
-class SiteInThinnedRegion(TeeLabError):
-    """A fusion shift was requested on a site retained in the thinned region."""
 
 
 class InsufficientWidth(TeeLabError):

@@ -17,8 +17,14 @@ convention the product rule is
 which is exact for every prime p including 2 (no fourth roots of unity are
 ever needed: Y never appears as a generator, only as an XZ product).
 
-Stabilizer phases are read from a Pauli frame, so `left_nullspace_mod_p` and
-the phase-tracked rows below are kept only as the tests' reference oracles.
+Stabilizer phases are read from a Pauli frame and region ranks are forest
+counts, so no library path calls `rank_mod_p`, `left_nullspace_mod_p`, or the
+phase-tracked rows below (`pauli_mul`, `pauli_pow`, `combine_rows`,
+`phased_rref`); the tests use them as reference oracles.  They stay in this
+module because the benchmark's tracer (`bench/tracer.py`, `TRACED`) wraps
+`rank_mod_p`, `left_nullspace_mod_p`, `phased_rref` and `combine_rows` by
+name here, and `tests/test_tracer.py` requires every traced name to resolve.
+They can move to the tests once the tracer stops naming them.
 """
 
 from __future__ import annotations

@@ -19,11 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import audit
-from .dense import DensityOperator, FactorSpace, LocalUnitary, Partition, SectorFamily
-from .errors import DimensionCap, InsufficientWidth, MalformedInput, SiteInThinnedRegion
+from .errors import InsufficientWidth, MalformedInput
 from .fusion import closed_form_fixed_point, fusion_probabilities, quantum_dimensions, zn_category
-
-DENSE_CAP = 2**14
 
 
 @dataclass(frozen=True)
@@ -161,97 +158,6 @@ def exact_cmi(spec: RingSpec) -> float:
 def saturation_margin(spec: RingSpec) -> float:
     """exact_cmi minus log |A|; identically zero for this family."""
     return exact_cmi(spec) - math.log(spec.q)
-
-
-# ---------------------------------------------------------------------------
-# fusion shift
-
-
-def fusion_unitary(spec: RingSpec, s: int, site: int, removed_sites) -> "RingShift":
-    """Shift h_site by s; the site must be one removed by the thinning (A minus A').
-
-    Conjugation by the shift maps sector a exactly to sector (s + a) mod q.
-    """
-    a_sites = set(spec.region_sites("A"))
-    removed = set(removed_sites)
-    if not removed <= a_sites:
-        raise MalformedInput("removed sites must lie in A")
-    if site not in a_sites:
-        raise MalformedInput(f"site {site} is not in A")
-    if site not in removed:
-        raise SiteInThinnedRegion(f"site {site} is retained in the thinned region A'")
-    return RingShift(q=spec.q, s=s % spec.q, site=site)
-
-
-@dataclass(frozen=True)
-class RingShift:
-    """The permutation h_site -> h_site + s (mod q) on one site."""
-
-    q: int
-    s: int
-    site: int
-
-    def apply(self, state: RingSectorState) -> RingSectorState:
-        return state.shifted(self.s)
-
-    def compose(self, other: "RingShift") -> "RingShift":
-        if other.site != self.site or other.q != self.q:
-            raise MalformedInput("can only compose shifts on the same site")
-        return RingShift(q=self.q, s=(self.s + other.s) % self.q, site=self.site)
-
-    def as_local_unitary(self) -> LocalUnitary:
-        m = np.zeros((self.q, self.q))
-        for h in range(self.q):
-            m[(h + self.s) % self.q, h] = 1.0
-        return LocalUnitary((self.site,), m)
-
-
-def thinned_sites(spec: RingSpec, steps: int) -> tuple[int, ...]:
-    """The A sites removed by `steps` thinnings (lowest A indices first)."""
-    a_sites = spec.region_sites("A")
-    if steps < 0 or steps > len(a_sites):
-        raise InsufficientWidth(f"cannot remove {steps} sites from an A arc of {len(a_sites)}")
-    return a_sites[:steps]
-
-
-# ---------------------------------------------------------------------------
-# dense export
-
-
-def ring_partition(spec: RingSpec, removed: tuple[int, ...] = ()) -> Partition:
-    """Site -> region tags; removed A sites go to ENV."""
-    assignment = {}
-    for tag in ("A", "B1", "C", "B2"):
-        for site in spec.region_sites(tag):
-            assignment[site] = "B" if tag in ("B1", "B2") else tag
-    for site in removed:
-        if assignment.get(site) != "A":
-            raise MalformedInput(f"removed site {site} is not in A")
-        assignment[site] = "ENV"
-    return Partition(assignment)
-
-
-def dense_state(state: RingSectorState) -> DensityOperator:
-    """Diagonal density operator of one sector (DimensionCap guarded)."""
-    spec = state.spec
-    dim = spec.q**spec.n_sites
-    if dim > DENSE_CAP:
-        raise DimensionCap(f"ring dimension {dim} exceeds dense cap {DENSE_CAP}")
-    space = FactorSpace.of_dims([spec.q] * spec.n_sites)
-    diag = np.zeros(dim)
-    weight = 1.0 / state.support_size
-    for config in state.enumerate_support():
-        index = 0
-        for h in config:  # site 0 is the most significant axis
-            index = index * spec.q + h
-        diag[index] = weight
-    return DensityOperator(space, np.diag(diag).astype(complex))
-
-
-def dense_family(fam: RingFamily) -> SectorFamily:
-    """Dense export of the whole family for the dense checkers."""
-    states = {str(st.sector): dense_state(st) for st in fam.states}
-    return SectorFamily(labels=fam.labels, states=states, base_label="0")
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ use it.  `build_ground_state` certifies the matrix by two array programs over
 its column index: the symplectic form summed over generator pairs that share
 an edge, and full rank as the connectivity of the column graph (see
 Entropies below), labelled in hook-and-jump rounds.  The dense E x 2E matrix
-and its Gram product and rank are the tests' oracles, built only on request
-(`SparseGenerators.dense`).
+and its Gram product and rank are the tests' oracles, and are built only
+there.
 
 Entropies.  Every region entropy is (|R| - g_R) log p with g_R the rank of
 the subgroup of stabilizers supported inside R: an exact integer multiple of
@@ -69,8 +69,10 @@ rows' phases (`_row_phases`, the one place the sign convention above is
 written), and two reductions on R are compared by their clusters' phases
 alone.  A canonical basis of the subgroup, the symplectic complement of G|_R
 in R's columns by one elimination over F_p (`restricted_canonical`), is built
-only to write out a witness, for `reduction_relation`, and for the dense
-export; its dense generator block is refused above GENS_BYTES_CAP.
+only to write out a witness and for `reduction_relation`; its dense generator
+block is refused above GENS_BYTES_CAP.  No path here builds a dense density
+operator: the tests' dense reductions, read from that basis, are the
+oracles of the counted entropies.
 """
 
 from __future__ import annotations
@@ -78,11 +80,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product as iproduct
 
 import numpy as np
 
-from .dense import DensityOperator, FactorSpace
 from .errors import (
     DimensionCap,
     InsufficientWidth,
@@ -103,10 +103,11 @@ from .gfp import nullspace_mod_p, rref_mod_p
 SectorLabel = tuple[int, int]  # (electric charge, magnetic flux) in Z_p x Z_p
 
 # Byte cap on every large allocation.  A lattice is refused when its sparse
-# supports exceed it (square lattices up to 1447 x 1447 fit), a dense
-# reduction when its p^|R| x p^|R| complex matrix does, a restricted basis
-# when its dense (rows touching R) x 2|R| generator block does, and the
-# tests' dense E x 2E generator matrix too (square lattices up to 44 x 44).
+# supports exceed it (square lattices up to 1447 x 1447 fit), and a
+# restricted basis when its dense (rows touching R) x 2|R| generator block
+# does.  The tests' dense oracles are held to it too: a dense reduction's
+# p^|R| x p^|R| complex matrix, and the dense E x 2E generator matrix
+# (square lattices up to 44 x 44).
 # The build peaks well above the supports: ru_maxrss 373 MiB at 600 x 600
 # (44 MiB of supports) and 948 MiB at 1000 x 1000 (122 MiB), p = 2.
 GENS_BYTES_CAP = 2**28
@@ -270,14 +271,6 @@ class SparseGenerators:
             and (self.vals is other.vals or np.array_equal(self.vals, other.vals))
         )
 
-    def dense(self) -> np.ndarray:
-        """The full n_rows x 2 n_edges matrix, refused above GENS_BYTES_CAP."""
-        check_dense_cap(self.n_rows, 2 * self.n_edges)
-        out = np.zeros((self.n_rows, 2 * self.n_edges), dtype=np.int64)
-        rows, slots = np.nonzero(self.vals)
-        out[rows, self.cols[rows, slots]] = self.vals[rows, slots]
-        return out
-
     @cached_property
     def by_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzero entries grouped by column, as (start, rows, vals): column
@@ -321,11 +314,6 @@ class StabilizerState:
     @property
     def n(self) -> int:
         return self.lattice.n_edges
-
-    @property
-    def phases(self) -> np.ndarray:
-        """Per-generator phase exponents gx . t_z - gz . t_x mod p (for tests)."""
-        return _row_phases(self.gens, slice(None), [self.frame])[0] % self.lattice.prime
 
 
 def _check_commutation(gens: SparseGenerators, p: int) -> None:
@@ -806,7 +794,7 @@ def annulus_cmi(state: StabilizerState, part: AnnulusPartition) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reductions: restricted bases, frame differences, dense export
+# reductions: restricted bases and frame differences
 
 
 def restricted_canonical(
@@ -898,43 +886,6 @@ def reduction_relation(
     cols = _region_columns(state1, edges)
     first = _first_mismatch(vecs, (state1.frame[cols] - state2.frame[cols])[:, None], state1.lattice.prime)
     return _relation(state1, edges, vecs, first[0])
-
-
-def region_density(state: StabilizerState, region) -> DensityOperator:
-    """Dense export of a reduction: rho_R = p^{-|R|} sum over the restricted group.
-
-    Each element v of the group enters as omega^phase X^{v_x} Z^{v_z}, with
-    its phase read from the frame.  A region whose p^|R| x p^|R| complex
-    matrix would exceed GENS_BYTES_CAP is refused before anything is built.
-    """
-    edges = _edges(state, region)
-    n = len(edges)
-    p = state.lattice.prime
-    dim = p**n
-    if 16 * dim * dim > GENS_BYTES_CAP:
-        raise DimensionCap(f"p^|R| = {dim}: the dense reduction is over the {GENS_BYTES_CAP}-byte cap")
-    _, vecs = restricted_canonical(state, edges)
-    frame = state.frame[_region_columns(state, edges)]
-    omega = np.exp(2j * np.pi / p)
-    xmat = np.roll(np.eye(p, dtype=complex), 1, axis=0)  # X|j> = |j + 1>
-    zmat = np.diag(omega ** np.arange(p))
-
-    def embed(vec, phase):
-        op = np.array([[omega**phase]])
-        for k in range(n):
-            local = np.linalg.matrix_power(xmat, int(vec[k])) @ np.linalg.matrix_power(
-                zmat, int(vec[n + k])
-            )
-            op = np.kron(op, local)
-        return op
-
-    total = np.zeros((dim, dim), dtype=complex)
-    for exps in iproduct(range(p), repeat=len(vecs)):
-        vec = np.array(exps, dtype=np.int64) @ vecs % p
-        total += embed(vec, int(_pairing(vec, frame) % p))
-    total /= dim
-    space = FactorSpace(tuple((int(e), p) for e in edges))
-    return DensityOperator(space, total)
 
 
 # ---------------------------------------------------------------------------

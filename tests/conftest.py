@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from teelab import dense, fusion
+from teelab import fusion
+
+import dense_oracles as dense
 
 
 @pytest.fixture(scope="session")

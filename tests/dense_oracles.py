@@ -1,5 +1,10 @@
-"""Dense density-operator machinery: partial traces, entropies, conditional
-mutual information, and the three sector-family checkers.
+"""Dense test oracles: density operators, partial traces, entropies,
+conditional mutual information, the three sector-family checkers, and the
+dense exports of ring families and stabilizer states they run on.
+
+No CLI path builds a dense operator: teelab counts every entropy exactly.
+These are the same region entropies computed a second way, by eigenvalues
+of explicit matrices, and the tests compare the two.
 
 Operators live on a FactorSpace (ordered factors with local dimensions) and
 are immutable after construction.  All entropies are in nats.  Eigenvalues in
@@ -10,20 +15,42 @@ fails the positivity invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product as iproduct
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
+from teelab import stabilizer as st
+from teelab.errors import (
     DimensionCap,
-    InvalidOperator,
+    InsufficientWidth,
     MalformedInput,
     PremiseViolated,
-    SpectrumFailure,
-    SupportViolation,
-    UnknownFactor,
+    TeeLabError,
 )
-from .fusion import AnyonDistribution, FusionProbabilities
+from teelab.fusion import AnyonDistribution, FusionProbabilities
+from teelab.ring import RingFamily, RingSectorState, RingSpec
+
+
+class UnknownFactor(TeeLabError):
+    """A factor id does not belong to the factor space at hand."""
+
+
+class SpectrumFailure(TeeLabError):
+    """The dense eigensolver failed to converge."""
+
+
+class InvalidOperator(TeeLabError):
+    """A matrix fails a density-operator invariant (hermiticity, trace, positivity)."""
+
+
+class SupportViolation(TeeLabError):
+    """A unitary acts on factors outside its allowed region."""
+
+
+class SiteInThinnedRegion(TeeLabError):
+    """A fusion shift was requested on a site retained in the thinned region."""
+
 
 OPERATOR_DIM_CAP = 2**14
 VECTOR_DIM_CAP = 2**20
@@ -496,3 +523,149 @@ def mixture_cmi_decomposition(fam: SectorFamily, part: Partition, p: AnyonDistri
             "averaged_inequality_margin": margin,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# ring families: fusion shift and dense export
+
+DENSE_CAP = 2**14
+
+
+def fusion_unitary(spec: RingSpec, s: int, site: int, removed_sites) -> "RingShift":
+    """Shift h_site by s; the site must be one removed by the thinning (A minus A').
+
+    Conjugation by the shift maps sector a exactly to sector (s + a) mod q.
+    """
+    a_sites = set(spec.region_sites("A"))
+    removed = set(removed_sites)
+    if not removed <= a_sites:
+        raise MalformedInput("removed sites must lie in A")
+    if site not in a_sites:
+        raise MalformedInput(f"site {site} is not in A")
+    if site not in removed:
+        raise SiteInThinnedRegion(f"site {site} is retained in the thinned region A'")
+    return RingShift(q=spec.q, s=s % spec.q, site=site)
+
+
+@dataclass(frozen=True)
+class RingShift:
+    """The permutation h_site -> h_site + s (mod q) on one site."""
+
+    q: int
+    s: int
+    site: int
+
+    def apply(self, state: RingSectorState) -> RingSectorState:
+        return state.shifted(self.s)
+
+    def compose(self, other: "RingShift") -> "RingShift":
+        if other.site != self.site or other.q != self.q:
+            raise MalformedInput("can only compose shifts on the same site")
+        return RingShift(q=self.q, s=(self.s + other.s) % self.q, site=self.site)
+
+    def as_local_unitary(self) -> LocalUnitary:
+        m = np.zeros((self.q, self.q))
+        for h in range(self.q):
+            m[(h + self.s) % self.q, h] = 1.0
+        return LocalUnitary((self.site,), m)
+
+
+def thinned_sites(spec: RingSpec, steps: int) -> tuple[int, ...]:
+    """The A sites removed by `steps` thinnings (lowest A indices first)."""
+    a_sites = spec.region_sites("A")
+    if steps < 0 or steps > len(a_sites):
+        raise InsufficientWidth(f"cannot remove {steps} sites from an A arc of {len(a_sites)}")
+    return a_sites[:steps]
+
+
+def ring_partition(spec: RingSpec, removed: tuple[int, ...] = ()) -> Partition:
+    """Site -> region tags; removed A sites go to ENV."""
+    assignment = {}
+    for tag in ("A", "B1", "C", "B2"):
+        for site in spec.region_sites(tag):
+            assignment[site] = "B" if tag in ("B1", "B2") else tag
+    for site in removed:
+        if assignment.get(site) != "A":
+            raise MalformedInput(f"removed site {site} is not in A")
+        assignment[site] = "ENV"
+    return Partition(assignment)
+
+
+def dense_state(state: RingSectorState) -> DensityOperator:
+    """Diagonal density operator of one sector (DimensionCap guarded)."""
+    spec = state.spec
+    dim = spec.q**spec.n_sites
+    if dim > DENSE_CAP:
+        raise DimensionCap(f"ring dimension {dim} exceeds dense cap {DENSE_CAP}")
+    space = FactorSpace.of_dims([spec.q] * spec.n_sites)
+    diag = np.zeros(dim)
+    weight = 1.0 / state.support_size
+    for config in state.enumerate_support():
+        index = 0
+        for h in config:  # site 0 is the most significant axis
+            index = index * spec.q + h
+        diag[index] = weight
+    return DensityOperator(space, np.diag(diag).astype(complex))
+
+
+def dense_family(fam: RingFamily) -> SectorFamily:
+    """Dense export of the whole family for the dense checkers."""
+    states = {str(s.sector): dense_state(s) for s in fam.states}
+    return SectorFamily(labels=fam.labels, states=states, base_label="0")
+
+
+# ---------------------------------------------------------------------------
+# stabilizer states: dense generators, frame phases and reductions
+
+
+def dense_generators(gens: st.SparseGenerators) -> np.ndarray:
+    """The full n_rows x 2 n_edges matrix, refused above GENS_BYTES_CAP."""
+    st.check_dense_cap(gens.n_rows, 2 * gens.n_edges)
+    out = np.zeros((gens.n_rows, 2 * gens.n_edges), dtype=np.int64)
+    rows, slots = np.nonzero(gens.vals)
+    out[rows, gens.cols[rows, slots]] = gens.vals[rows, slots]
+    return out
+
+
+def frame_phases(state: st.StabilizerState) -> np.ndarray:
+    """Per-generator phase exponents gx . t_z - gz . t_x mod p."""
+    return st._row_phases(state.gens, slice(None), [state.frame])[0] % state.lattice.prime
+
+
+def region_density(state: st.StabilizerState, region) -> DensityOperator:
+    """Dense export of a reduction: rho_R = p^{-|R|} sum over the restricted group.
+
+    Each element v of the group enters as omega^phase X^{v_x} Z^{v_z}, with
+    its phase read from the frame.  A region whose p^|R| x p^|R| complex
+    matrix would exceed GENS_BYTES_CAP is refused before anything is built.
+    The cap and `restricted_canonical` are read from `teelab.stabilizer` at
+    call time, so a test can patch either there.
+    """
+    edges = st._edges(state, region)
+    n = len(edges)
+    p = state.lattice.prime
+    dim = p**n
+    if 16 * dim * dim > st.GENS_BYTES_CAP:
+        raise DimensionCap(f"p^|R| = {dim}: the dense reduction is over the {st.GENS_BYTES_CAP}-byte cap")
+    _, vecs = st.restricted_canonical(state, edges)
+    frame = state.frame[st._region_columns(state, edges)]
+    omega = np.exp(2j * np.pi / p)
+    xmat = np.roll(np.eye(p, dtype=complex), 1, axis=0)  # X|j> = |j + 1>
+    zmat = np.diag(omega ** np.arange(p))
+
+    def embed(vec, phase):
+        op = np.array([[omega**phase]])
+        for k in range(n):
+            local = np.linalg.matrix_power(xmat, int(vec[k])) @ np.linalg.matrix_power(
+                zmat, int(vec[n + k])
+            )
+            op = np.kron(op, local)
+        return op
+
+    total = np.zeros((dim, dim), dtype=complex)
+    for exps in iproduct(range(p), repeat=len(vecs)):
+        vec = np.array(exps, dtype=np.int64) @ vecs % p
+        total += embed(vec, int(st._pairing(vec, frame) % p))
+    total /= dim
+    space = FactorSpace(tuple((int(e), p) for e in edges))
+    return DensityOperator(space, total)

@@ -55,6 +55,8 @@ from teelab.stabilizer import (
     restricted_canonical,
 )
 
+from dense_oracles import dense_generators
+
 
 def taylor_bound_sweep_loop(
     p_star: AnyonDistribution,
@@ -552,7 +554,7 @@ def combine_label_rows(state: StabilizerState, wanted: set) -> tuple[np.ndarray,
     p = state.lattice.prime
     edges = np.unique(gens.cols[idx][gens.vals[idx] != 0] % state.n)
     cols = _region_columns(state, edges)
-    local = gens.dense()[np.ix_(idx, cols)].sum(axis=0) % p
+    local = dense_generators(gens)[np.ix_(idx, cols)].sum(axis=0) % p
     phase = int(_pairing(local, state.frame[cols]) % p)
     return _embed(state, edges, local), phase
 
@@ -582,7 +584,7 @@ def rows_on_scan(gens: SparseGenerators, edges: np.ndarray) -> np.ndarray:
     """Oracle for the rows of `SparseGenerators.region_block`: the rows of the
     dense matrix with a nonzero entry in the edges' X or Z columns."""
     edges = np.asarray(edges, dtype=np.int64)
-    return np.flatnonzero(gens.dense()[:, np.concatenate([edges, edges + gens.n_edges])].any(axis=1))
+    return np.flatnonzero(dense_generators(gens)[:, np.concatenate([edges, edges + gens.n_edges])].any(axis=1))
 
 
 def region_rank_elimination(state: StabilizerState, region) -> int:
@@ -591,7 +593,7 @@ def region_rank_elimination(state: StabilizerState, region) -> int:
     found by a scan of the dense matrix."""
     edges = np.unique(np.asarray(region, dtype=np.int64))
     cols = np.concatenate([edges, edges + state.n])
-    block = state.gens.dense()[np.ix_(rows_on_scan(state.gens, edges), cols)]
+    block = dense_generators(state.gens)[np.ix_(rows_on_scan(state.gens, edges), cols)]
     return 2 * len(edges) - rank_mod_p(block, state.lattice.prime)
 
 

@@ -12,8 +12,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from teelab import audit, cli, dense, fusion, ring, stabilizer as st
+from teelab import audit, cli, fusion, ring, stabilizer as st
 from teelab.errors import PremiseViolated
+
+import dense_oracles as dense
 from conftest import ghz_phase_family
 
 LN2 = math.log(2)
@@ -226,9 +228,9 @@ def test_criterion_10_ssa_and_mixture():
     ssa_ok = worst >= -1e-9
 
     spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2)
-    fam = ring.dense_family(ring.build_family(spec))
+    fam = dense.dense_family(ring.build_family(spec))
     rep_ring = dense.mixture_cmi_decomposition(
-        fam, ring.ring_partition(spec), fusion.AnyonDistribution.uniform(fam.labels)
+        fam, dense.ring_partition(spec), fusion.AnyonDistribution.uniform(fam.labels)
     )
     ghz = ghz_phase_family()
     rep_ghz = dense.mixture_cmi_decomposition(

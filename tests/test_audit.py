@@ -314,21 +314,29 @@ class TestTaylorSweep:
         assert audit.taylor_bound_sweep(p_star, fp, trials=5, seed=1) == expected
 
     def test_one_log_per_class_column(self, categories, monkeypatch):
-        # z7's L + L^2 = 56 columns (p and every p_{.,s}) fall into 14 classes
-        # of equal bits, and each label pair takes the log of each class once
-        _, dims, fp = categories["z7"]
-        p_star = fusion.closed_form_fixed_point(dims)
-        L, G = 7, 41 + 400
-        logged = []
+        # the L + L^2 columns (p and every p_{.,s}) fall into C classes of
+        # equal bits; each label pair takes the log of each of the C - L fused
+        # classes once, and the label columns' four values are logged once
+        # per sweep.  ising (L = 3, C = 5) and fibonacci (L = 2, C = 4) have
+        # fused classes, so the per-pair term is what this bound checks
+        G = 41 + 400
         log = np.log
+        for name, want_classes in (("ising", 5), ("fibonacci", 4)):
+            _, dims, fp = categories[name]
+            p_star = fusion.closed_form_fixed_point(dims)
+            L = len(fp.labels)
+            _, C, _ = audit._fusion_classes(fp)
+            assert C == want_classes > L, name
+            logged = []
 
-        def counting(x, *args, **kwargs):
-            logged.append(np.size(x))
-            return log(x, *args, **kwargs)
+            def counting(x, *args, **kwargs):
+                logged.append(np.size(x))
+                return log(x, *args, **kwargs)
 
-        monkeypatch.setattr(np, "log", counting)
-        audit.taylor_bound_sweep(p_star, fp, trials=400, seed=1)
-        assert sum(logged) <= L * L * G * (L + L * L) // 3, sum(logged)
+            monkeypatch.setattr(np, "log", counting)
+            audit.taylor_bound_sweep(p_star, fp, trials=400, seed=1)
+            monkeypatch.setattr(np, "log", log)
+            assert sum(logged) <= L * L * G * (C - L) + 3 * L * G + L, (name, sum(logged))
 
     def test_label_columns_logged_once_per_sweep(self, categories, monkeypatch):
         # a column of p holds p*_a, p*_b + eps, p*_c - eps or (p*_b + eps) - eps;

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from teelab import dense, fusion, ring
-from teelab.dense import DensityOperator, FactorSpace, LocalUnitary, Partition
-from teelab.errors import (
-    DimensionCap,
+from teelab import fusion, ring
+from teelab.errors import DimensionCap, MalformedInput, PremiseViolated
+
+import dense_oracles as dense
+from dense_oracles import (
+    DensityOperator,
+    FactorSpace,
     InvalidOperator,
-    MalformedInput,
-    PremiseViolated,
+    LocalUnitary,
+    Partition,
     SupportViolation,
     UnknownFactor,
 )
@@ -115,8 +118,8 @@ class TestCmi:
 
     def test_ring_export_ln2(self):
         spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2)
-        fam = ring.dense_family(ring.build_family(spec))
-        part = ring.ring_partition(spec)
+        fam = dense.dense_family(ring.build_family(spec))
+        part = dense.ring_partition(spec)
         value = dense.conditional_mutual_information(fam.states["0"], part)
         assert abs(value - LN2) < 1e-10
 
@@ -186,8 +189,8 @@ class TestRandomDensity:
 class TestCheckers:
     def setup_method(self):
         self.spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2)
-        self.fam = ring.dense_family(ring.build_family(self.spec))
-        self.part = ring.ring_partition(self.spec)
+        self.fam = dense.dense_family(ring.build_family(self.spec))
+        self.part = dense.ring_partition(self.spec)
 
     def test_ring_family_globally_distinguishable(self):
         report = dense.check_global_distinguishability(self.fam, self.part)
@@ -227,15 +230,15 @@ class TestCheckers:
 class TestFusionChecker:
     def setup_method(self):
         self.spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2)
-        self.fam = ring.dense_family(ring.build_family(self.spec))
-        self.part = ring.ring_partition(self.spec)
-        self.removed = ring.thinned_sites(self.spec, 1)
-        self.thin = ring.ring_partition(self.spec, self.removed)
+        self.fam = dense.dense_family(ring.build_family(self.spec))
+        self.part = dense.ring_partition(self.spec)
+        self.removed = dense.thinned_sites(self.spec, 1)
+        self.thin = dense.ring_partition(self.spec, self.removed)
         cat = fusion.zn_category(2)
         self.fp = fusion.fusion_probabilities(cat, fusion.quantum_dimensions(cat))
 
     def test_ring_shift_on_removed_site_passes_exactly(self):
-        shift = ring.fusion_unitary(self.spec, 1, self.removed[0], self.removed)
+        shift = dense.fusion_unitary(self.spec, 1, self.removed[0], self.removed)
         report = dense.check_fusion_property(
             self.fam, self.part, self.thin, shift.as_local_unitary(), "1", self.fp
         )
@@ -281,8 +284,8 @@ class TestFusionChecker:
 class TestMixtureDecomposition:
     def test_ring_uniform(self):
         spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2)
-        fam = ring.dense_family(ring.build_family(spec))
-        part = ring.ring_partition(spec)
+        fam = dense.dense_family(ring.build_family(spec))
+        part = dense.ring_partition(spec)
         p = fusion.AnyonDistribution.uniform(fam.labels)
         report = dense.mixture_cmi_decomposition(fam, part, p)
         assert report.passed

@@ -31,9 +31,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as hst  # noqa: E402
 
-from teelab import audit, dense, fusion, gfp, stabilizer as st  # noqa: E402
+from teelab import audit, fusion, gfp, stabilizer as st  # noqa: E402
 from teelab.errors import InvalidCategory, MalformedInput, PremiseViolated, RankDeficiency  # noqa: E402
 
+import dense_oracles as dense  # noqa: E402
+from dense_oracles import dense_generators, frame_phases  # noqa: E402
 from oracles import (  # noqa: E402
     _union_find,
     assemble_bound_loop,
@@ -68,7 +70,7 @@ def complement_rank(state: st.StabilizerState, region) -> int:
     E = state.n
     outside = np.setdiff1d(np.arange(E), np.asarray(region, dtype=np.int64))
     cols = np.concatenate([outside, outside + E])
-    return E - gfp.rank_mod_p(state.gens.dense()[:, cols], state.lattice.prime)
+    return E - gfp.rank_mod_p(dense_generators(state.gens)[:, cols], state.lattice.prime)
 
 
 def dense_restricted(state: st.StabilizerState, region) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +78,7 @@ def dense_restricted(state: st.StabilizerState, region) -> tuple[np.ndarray, np.
     of the off-region columns combines the generators into the group; one
     RREF gives (Pauli vectors at full width, generator coefficients)."""
     p, E = state.lattice.prime, state.n
-    gens = state.gens.dense()
+    gens = dense_generators(state.gens)
     outside = np.setdiff1d(np.arange(E), np.asarray(region, dtype=np.int64))
     null = gfp.left_nullspace_mod_p(gens[:, np.concatenate([outside, outside + E])], p)
     red, _ = gfp.rref_mod_p(np.hstack([null @ gens, null]), p)
@@ -88,9 +90,9 @@ def dense_region_density(state: st.StabilizerState, region) -> np.ndarray:
     the dense generators and their phases by the XZ-ordered product rule."""
     region = sorted(set(region))
     p, E = state.lattice.prime, state.n
-    gens = state.gens.dense()
+    gens = dense_generators(state.gens)
     _, coeffs = dense_restricted(state, region)
-    basis = [gfp.combine_rows(gens, state.phases, c, E, p) for c in coeffs]
+    basis = [gfp.combine_rows(gens, frame_phases(state), c, E, p) for c in coeffs]
     omega = np.exp(2j * np.pi / p)
     xmat = np.roll(np.eye(p), 1, axis=0)
     zmat = np.diag(omega ** np.arange(p))
@@ -167,7 +169,7 @@ def test_sparse_build_matches_dense_oracle(width, height, p, data):
     E = lat.n_edges
     state = ground(width, height, p)
     want = dense_build(lat)
-    np.testing.assert_array_equal(state.gens.dense(), want)
+    np.testing.assert_array_equal(dense_generators(state.gens), want)
     # the build's local checks passed; the dense oracles agree
     assert dense_commute(want, p) and dense_full_rank(want, p)
 
@@ -175,7 +177,7 @@ def test_sparse_build_matches_dense_oracle(width, height, p, data):
     for _ in range(3):
         t = rng.integers(0, p, size=2 * E)
         np.testing.assert_array_equal(
-            st.conjugate_by_string(state, t).phases, (want[:, :E] @ t[E:] - want[:, E:] @ t[:E]) % p
+            frame_phases(st.conjugate_by_string(state, t)), (want[:, :E] @ t[E:] - want[:, E:] @ t[:E]) % p
         )
 
     # one edited generator value breaks commutation, for both checks
@@ -185,7 +187,7 @@ def test_sparse_build_matches_dense_oracle(width, height, p, data):
     vals = gens.vals.copy()
     vals[i, k] = (vals[i, k] + data.draw(hst.integers(1, p - 1))) % p
     edited = st.SparseGenerators(cols=gens.cols.copy(), vals=vals, n_edges=E)
-    assert not dense_commute(edited.dense(), p)
+    assert not dense_commute(dense_generators(edited), p)
     with pytest.raises(RankDeficiency, match="do not commute"):
         st._check_commutation(edited, p)
 
@@ -198,7 +200,7 @@ def test_sparse_build_matches_dense_oracle(width, height, p, data):
     for k, (e, sign) in enumerate(lat.vertex_star(0, 0)):
         cols[j, k], vals[j, k] = e, sign % p
     restored = st.SparseGenerators(cols=cols, vals=vals, n_edges=E)
-    assert dense_commute(restored.dense(), p) and not dense_full_rank(restored.dense(), p)
+    assert dense_commute(dense_generators(restored), p) and not dense_full_rank(dense_generators(restored), p)
     st._check_commutation(restored, p)
     with pytest.raises(RankDeficiency, match="not full rank"):
         st._check_independent(restored, p)
@@ -217,7 +219,7 @@ def test_local_checks_against_dense_oracles_on_random_rows(p, n_edges, data):
         for k, c in enumerate(data.draw(hst.lists(column, max_size=st.MAX_SUPPORT, unique=True))):
             cols[i, k], vals[i, k] = c, data.draw(hst.integers(1, p - 1))
     gens = st.SparseGenerators(cols=cols, vals=vals, n_edges=n_edges)
-    mat = gens.dense()
+    mat = dense_generators(gens)
 
     try:
         st._check_commutation(gens, p)
@@ -260,7 +262,7 @@ def test_commutation_message_names_the_oracle_first_pair(width, height, p, n_mix
             cols[i, k] = c if c < 4 else E + c - 4
             vals[i, k] = data.draw(hst.integers(1, p - 1))
     edited = st.SparseGenerators(cols=cols, vals=vals, n_edges=E)
-    want = dense_first_noncommuting(edited.dense(), p)
+    want = dense_first_noncommuting(dense_generators(edited), p)
     if want is None:
         st._check_commutation(edited, p)
     else:
@@ -397,7 +399,7 @@ def test_column_index_reads_match_scans(part, data):
     for name, region in regions.items():
         edges = np.asarray(region, dtype=np.int64)
         cols = np.concatenate([edges, edges + lat.n_edges])
-        want = state.gens.dense()[np.ix_(rows_on_scan(state.gens, edges), cols)]
+        want = dense_generators(state.gens)[np.ix_(rows_on_scan(state.gens, edges), cols)]
         np.testing.assert_array_equal(state.gens.region_block(edges), want, err_msg=name)
         assert st.region_rank(state, region) == region_rank_elimination(state, region), name
 
@@ -492,7 +494,7 @@ def sheared(state: st.StabilizerState, edges) -> st.StabilizerState:
     """The state after a phase gate (x, z) -> (x, z + x) on each of the edges:
     still pure, but its generators mix X and Z (not CSS)."""
     E, p = state.n, state.lattice.prime
-    mat = state.gens.dense()
+    mat = dense_generators(state.gens)
     edges = np.asarray(sorted(set(edges)), dtype=np.int64)
     mat[:, E + edges] = (mat[:, E + edges] + mat[:, edges]) % p
     return replace(packed(state.lattice, mat), frame=state.frame.copy())
@@ -504,7 +506,7 @@ def test_local_restricted_basis_matches_dense_oracle(part, data):
     lat = part.lattice
     p, E = lat.prime, lat.n_edges
     state = framed(lat, data)
-    gens = state.gens.dense()
+    gens = dense_generators(state.gens)
     t = state.frame
     regions = {name: part.region_edges(name) for name in ("AB", "BC", "B", "ABC")}
     for i, edges in enumerate(_edge_sets(data.draw, E, 2)):
@@ -519,7 +521,7 @@ def test_local_restricted_basis_matches_dense_oracle(part, data):
         for vec, c in zip(vecs, coeffs):
             # the frame phase of the module docstring against the product of
             # the phased generator rows
-            combined, phase = gfp.combine_rows(gens, state.phases, c, E, p)
+            combined, phase = gfp.combine_rows(gens, frame_phases(state), c, E, p)
             np.testing.assert_array_equal(combined, vec)
             assert (vec[:E] @ t[E:] - vec[E:] @ t[:E]) % p == phase, name
 
@@ -565,7 +567,7 @@ def test_dense_reduction_entropy_matches_rank_entropy(part, data):
     pool |= {e for e, _ in lat.vertex_star(x, y)} | {e for e, _ in lat.vertex_star(x + 1, y + 1)}
     max_edges = max(k for k in range(1, len(pool) + 1) if p**k <= DENSE_DIM_CAP)
     region = data.draw(hst.sets(hst.sampled_from(sorted(pool)), min_size=1, max_size=max_edges))
-    rho = st.region_density(state, region)
+    rho = dense.region_density(state, region)
     assert abs(dense.von_neumann_entropy(rho) - st.region_entropy(state, region)) < 1e-10
 
 
@@ -581,7 +583,7 @@ def test_region_density_matches_dense_oracle(part, data):
     max_edges = max(k for k in range(1, len(pool) + 1) if lat.prime**k <= DENSE_DIM_CAP)
     region = data.draw(hst.sets(hst.sampled_from(sorted(pool)), min_size=1, max_size=max_edges))
     want = dense_region_density(state, region)
-    assert np.abs(st.region_density(state, region).matrix - want).max() < 1e-12
+    assert np.abs(dense.region_density(state, region).matrix - want).max() < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -788,7 +790,7 @@ def test_cluster_count_matches_region_rank(part, data):
     lat = part.lattice
     E, p = lat.n_edges, lat.prime
     state = ground(lat.width, lat.height, p)
-    gens = state.gens.dense()
+    gens = dense_generators(state.gens)
 
     def outside(edges, within=None):
         mask = np.ones(2 * E, dtype=bool) if within is None else within.copy()

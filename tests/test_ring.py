@@ -4,13 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from teelab import audit, dense, ring
-from teelab.errors import (
-    DimensionCap,
-    InsufficientWidth,
-    MalformedInput,
-    SiteInThinnedRegion,
-)
+from teelab import audit, ring
+from teelab.errors import DimensionCap, InsufficientWidth, MalformedInput
+
+import dense_oracles as dense
+from dense_oracles import SiteInThinnedRegion
 
 
 def enumerate_supports(spec):
@@ -100,8 +98,8 @@ class TestExactCmi:
 
     def test_dense_export_reproduces_counting(self):
         spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2)
-        fam = ring.dense_family(ring.build_family(spec))
-        part = ring.ring_partition(spec)
+        fam = dense.dense_family(ring.build_family(spec))
+        part = dense.ring_partition(spec)
         for label, op in fam.states.items():
             value = dense.conditional_mutual_information(op, part)
             assert abs(value - ring.exact_cmi(spec)) < 1e-10, label
@@ -109,32 +107,32 @@ class TestExactCmi:
     def test_dense_export_cap(self):
         spec = ring.RingSpec(q=3, sites_a=4, sites_b1=4, sites_c=4, sites_b2=4, sector=0)
         with pytest.raises(DimensionCap):
-            ring.dense_state(ring.RingSectorState(spec))
+            dense.dense_state(ring.RingSectorState(spec))
 
 
 class TestFusionShift:
     def setup_method(self):
         self.spec = ring.RingSpec(q=3, sites_a=2, sites_b1=1, sites_c=1, sites_b2=1)
-        self.removed = ring.thinned_sites(self.spec, 1)
+        self.removed = dense.thinned_sites(self.spec, 1)
 
     def test_identity_shift(self):
-        shift = ring.fusion_unitary(self.spec, 0, self.removed[0], self.removed)
+        shift = dense.fusion_unitary(self.spec, 0, self.removed[0], self.removed)
         lu = shift.as_local_unitary()
         np.testing.assert_array_equal(lu.matrix, np.eye(3))
 
     def test_shift_moves_sector(self):
         state = ring.RingSectorState(replace(self.spec, sector=0))
-        shift = ring.fusion_unitary(self.spec, 1, self.removed[0], self.removed)
+        shift = dense.fusion_unitary(self.spec, 1, self.removed[0], self.removed)
         assert shift.apply(state).sector == 1
         # dense cross-check: conjugation maps the sector-0 operator to sector 1
-        op0 = ring.dense_state(state)
-        op1 = ring.dense_state(state.shifted(1))
+        op0 = dense.dense_state(state)
+        op1 = dense.dense_state(state.shifted(1))
         moved = dense.apply_local_unitary(op0, shift.as_local_unitary())
         assert np.abs(moved.matrix - op1.matrix).max() < 1e-12
 
     def test_composition_is_group_action(self):
-        s = ring.fusion_unitary(self.spec, 1, self.removed[0], self.removed)
-        t = ring.fusion_unitary(self.spec, 2, self.removed[0], self.removed)
+        s = dense.fusion_unitary(self.spec, 1, self.removed[0], self.removed)
+        t = dense.fusion_unitary(self.spec, 2, self.removed[0], self.removed)
         assert s.compose(t).s == 0  # 1 + 2 = 0 mod 3
         state = ring.RingSectorState(replace(self.spec, sector=1))
         assert s.compose(t).apply(state).sector == 1
@@ -142,12 +140,12 @@ class TestFusionShift:
     def test_site_retained_in_a_prime_rejected(self):
         retained = [s for s in self.spec.region_sites("A") if s not in self.removed]
         with pytest.raises(SiteInThinnedRegion):
-            ring.fusion_unitary(self.spec, 1, retained[0], self.removed)
+            dense.fusion_unitary(self.spec, 1, retained[0], self.removed)
 
     def test_site_outside_a_rejected(self):
         b_site = self.spec.region_sites("B1")[0]
         with pytest.raises(MalformedInput):
-            ring.fusion_unitary(self.spec, 1, b_site, self.removed)
+            dense.fusion_unitary(self.spec, 1, b_site, self.removed)
 
 
 class TestNestedTable:
