@@ -35,15 +35,19 @@ from .fusion import AnyonDistribution, FusionProbabilities, _label_index, bound_
 
 MARGIN_TOL = 1e-9
 
-# Byte cap on the Taylor sweep's arrays, charged at 64 L^2 bytes per grid
-# point.  They take at most 40 L^2 + 40 L, under the charge for L >= 2: the
-# three (L, L, G) margin arrays (24 L^2), the four x log x tables of the
-# label columns (three (L, G) tables and one L-vector: 24 L), the (G, C)
-# class buffer reused across label pairs (8 C, with C <= L + L^2 classes),
-# and one of two per-pair temporaries that are never alive together: the
-# x log x of the fused classes (8 (C - L)) or the (G, L + L^2) gather back
-# to the cells (8 (L + L^2)).  On z7, with C = 7, that is 1848 bytes
-# against the 3136 charged.
+# Byte cap on the Taylor sweep's arrays, charged at 64 L^2 bytes, 8 L^2 rows
+# of float64, per grid point.  While `_sweep_entropies` forms the entropies
+# it holds the grid (1 row), h_p and h_mixed (2 L^2), one scratch for fusion
+# terms, gathered cells and mixture terms (L^2 for L >= 2), the table W of
+# cell values (C + 3 U rows, with C <= L + L^2 classes and U <= L distinct
+# p* values), the sums D of one group of label pairs (K rows) and masks of
+# at most L / 8 rows.  K is held to the rest of the charge,
+# 5 L^2 - C - 3 U - 1 - ceil(L / 8), which has room for one pair's L + 1
+# rows for every L >= 2.  The margins then take the grid, quad and four
+# (L, L, G) arrays: 4 L^2 + 2 rows.  The integer keys (a few arrays of
+# L^2 (L + 1) int64, the size of the fusion tensor itself) do not grow with
+# the grid and are not charged.  On z7 (C = 7, U = 1, K = 49) the peak is
+# 1 + 98 + 49 + 10 + 49 + 1 = 208 rows, 1664 bytes against the 3136 charged.
 SWEEP_BYTES_CAP = 2**28
 
 TRACE_SCHEMA = "teelab-trace/v1"
@@ -406,39 +410,16 @@ def taylor_bound_sweep(
     grid whose arrays would pass SWEEP_BYTES_CAP is DimensionCap, all before
     any work.
 
-    The sweep runs as one array program per label pair (b, c), over the
-    whole grid at once.  The L + L^2 columns it takes entropies of, p and
-    every p_{.,s}, are grouped once per sweep into C classes of equal bits
-    (`_fusion_classes`): a cell p_{a,s} is the in-order sum of its term
-    list, the nonzeros (b, fp[s, b, a]) in ascending b, so cells with one
-    term list are equal, a single term (b, 1.0) is p_b itself, and the cells
-    no term reaches are 0.  A column a < L of P[g] = p* + eps_g (delta_b -
-    delta_c) holds one of four values: p*_a, p*_b + eps, p*_c - eps, or
-    (p*_b + eps) - eps when b = c.  Their masked x log x is taken once per
-    sweep, as an L-vector and three (L, G) tables; H(p*) is minus the sum
-    of the vector, which is `p_star.entropy()` bit for bit.  One
-    column-major (G, C) buffer V, reused by every pair, holds the classes.
-    Only the classes from L on, which a pointed category (every fusion
-    deterministic, C = L) does not have, are computed per pair: V's first L
-    columns are set to P, the term of rank k in each such class adds
-    P[:, b] w to it in pass k (`_fuse`), and the masked x log x is taken of
-    those C - L columns.  The first L columns are then copied from the
-    tables, and the classes are gathered back to the (G, L + 1, L) cells,
-    whose sums along the last axis are -H(p) and -H(p_{.,s}).  On z7 with
-    400 trials the sweep takes the log of 9,268 entries in all.
-
-    Each margin is formed with the arithmetic of a per-point loop
-    (`tests/oracles.py`): +eps at b before -eps at c, the sum over b in
-    ascending order, and the sum over s in order from 0.  The gather hands
-    each cell the bits it would have if computed on its own, and every sum
-    runs over the same entries in the same order, so neither the classes nor
-    the tables change a bit.  P > 0 on the whole grid, so the terms a zero
-    of fp would add are zeros, and a dense sum, which starts at +0.0, is
-    unchanged by them: the sparse sums equal the dense in-order sums over b
-    bit for bit.  numpy sums a last axis of fewer than 8 entries in order,
-    so for L <= 7 (every bundled category) the zeros of the masked log add
-    exactly too and the report equals the loop's bit for bit.
-    `worst_case` is the first (b, c, eps) in (b, c, grid) order at which
+    The entropies come from `_sweep_entropies`, which sums each distinct
+    row of cells once for all label pairs and the whole grid; the margins
+    are then formed once over (L, L, G) arrays.  Each margin has the
+    arithmetic of a per-point loop: +eps at b before -eps at c, the sum over
+    b in ascending order, the sum over s in order from 0, and
+    log(p*_c/p*_b) from `math.log`.  The report equals that of the per-pair
+    array program in `tests/oracles.py` bit for bit for every L.  It equals
+    the per-point loop's for L <= 7, where numpy's sum of a contiguous
+    array, which the loop takes, also runs in order.  `worst_case` is the
+    first (b, c, eps) in (b, c, grid) order at which
     min(taylor, concavity, combined) reaches its minimum.
     """
     if eps_points < 2:
@@ -460,43 +441,23 @@ def taylor_bound_sweep(
     if trials:
         rng = np.random.default_rng(seed)
         grid = np.concatenate([grid, rng.uniform(-pmin / 2, pmin / 2, size=trials)])
+    h_p, h_mixed, h_star = _sweep_entropies(probs, fp, grid)
     quad = 2.0 * grid**2 / pmin
-    taylor, conc, comb = np.empty((3, n, n, G))
-    cls, n_classes, terms = _fusion_classes(fp)
-    # x log x of the four values a column of P takes: p*_a, p*_b + eps,
-    # p*_c - eps and, when b = c, (p*_b + eps) - eps
-    star = _x_log_x(probs)
-    column = probs[:, None]
-    plus, minus, same = _x_log_x(np.stack([column + grid, column - grid, column + grid - grid]))
-    h_star = -float(star.sum())  # p_star.entropy(), bit for bit
-    # V[g, k] = class k at grid point g: P, then the fused classes, then their
-    # x log x; column-major, so a class's column is contiguous
-    V = np.zeros((G, n_classes), order="F")
-    for bi in range(n):
-        for ci in range(n):
-            if n_classes > n:
-                V[:, :n] = probs  # P[g] = p* + eps_g (delta_b - delta_c)
-                V[:, bi] += grid
-                V[:, ci] -= grid
-                V[:, n:] = _x_log_x(_fuse(V, terms)[:, n:])
-            V[:, :n] = star
-            if bi == ci:
-                V[:, bi] = same[bi]
-            else:
-                V[:, bi] = plus[bi]
-                V[:, ci] = minus[ci]
-            # row 0 of H is H(p) and row 1 + s is H(p_{.,s})
-            H = -V[:, cls].reshape(G, n + 1, n).sum(axis=-1)
-            h_p, h_s = H[:, 0], H[:, 1:]
-            h_mixed = 0.0
-            for s in range(n):
-                h_mixed = h_mixed + probs[s] * h_s[:, s]
-            linear = math.log(probs[ci] / probs[bi]) * grid
-            taylor[bi, ci] = h_p - (h_star + linear - quad)
-            conc[bi, ci] = h_star - h_mixed
-            comb[bi, ci] = (h_p - h_mixed) - (linear - quad)
+    log_ratio = np.array([[math.log(probs[c] / probs[b]) for c in range(n)] for b in range(n)])[:, :, None]
+    # the margins [b, c, g] in four (L, L, G) arrays, each in the operand
+    # order of the per-point formula
+    lq = log_ratio * grid
+    lq -= quad  # linear - quad
+    comb = h_p - h_mixed
+    comb -= lq  # (h_p - h_mixed) - (linear - quad)
+    np.multiply(log_ratio, grid, out=lq)
+    lq += h_star
+    lq -= quad  # (h_star + linear) - quad
+    taylor = np.subtract(h_p, lq, out=h_p)
+    conc = np.subtract(h_star, h_mixed, out=h_mixed)
     worst_taylor, worst_conc, worst_comb = (float(m.min()) for m in (taylor, conc, comb))
-    b, c, g = np.unravel_index(int(np.minimum(np.minimum(taylor, conc), comb).argmin()), (n, n, G))
+    np.minimum(taylor, conc, out=lq)
+    b, c, g = np.unravel_index(int(np.minimum(lq, comb, out=lq).argmin()), (n, n, G))
     return TaylorSweepReport(
         worst_taylor=worst_taylor,
         worst_concavity=worst_conc,
@@ -505,6 +466,149 @@ def taylor_bound_sweep(
         passed=min(worst_taylor, worst_conc, worst_comb) >= -MARGIN_TOL,
         worst_case=(fp.labels[b], fp.labels[c], float(grid[g])),
     )
+
+
+def _sweep_entropies(probs: np.ndarray, fp: FusionProbabilities, grid: np.ndarray):
+    """H(p) and sum_s p*_s H(p_{.,s}) for every label pair and grid point, as
+    two (L, L, G) arrays [b, c, g], and H(p*).
+
+    The L + L^2 columns, p and every p_{.,s}, are grouped into C classes of
+    equal bits (`_fusion_classes`): a cell p_{a,s} is the in-order sum of
+    its term list, the nonzeros (b, fp[s, b, a]) in ascending b, a single
+    term (b, 1.0) is p_b itself, and the cells no term reaches are 0.  A
+    label class a < L of P[g] = p* + eps_g (delta_b - delta_c) holds one of
+    four values, each fixed by one p* entry: p*_a, p*_b + eps, p*_c - eps,
+    or (p*_b + eps) - eps when b = c.  Their masked x log x is taken once
+    per sweep, for each distinct p* value; H(p*) is minus the sum over the
+    labels, which is `p_star.entropy()` bit for bit.  The fused classes
+    (from L on; a pointed category has none) depend on the pair: for each
+    pair that needs them, P is set, the term of rank k in each class adds
+    P_b w to it in pass k (`_fuse`), and their masked x log x is taken.
+
+    A row of cells (p, or one p_{.,s}) at a pair is thus a sequence of these
+    values, and `_row_keys` gives every (pair, row) an integer key, equal for
+    equal sequences.  Each distinct key is summed once, by the kernel of the
+    per-pair program: its L cells are gathered with the grid innermost and
+    summed over the cell axis, so numpy adds them one after the other, in
+    order, for every L.  H(p) is a row's negated sum, and the mixture adds
+    p*_s H(p_{.,s}) to 0.0 over s in order from 0.  A pointed category has a
+    uniform p*, so its L^2 (L + 1) rows are L^2 distinct sequences: 49 of
+    392 on z7.  When more keys are distinct than SWEEP_BYTES_CAP's count
+    leaves room for, the label pairs are taken in groups small enough to
+    fit, and each group sums its own distinct keys.
+
+    P > 0 on the whole grid, so the terms a zero of fp would add are zeros,
+    and the sparse sums over b equal the dense in-order sums bit for bit.
+    """
+    L, G = len(probs), len(grid)
+    cls, C, terms = _fusion_classes(fp)
+    # with return_inverse np.unique sorts; without, numpy 2 takes a hash path
+    # whose first call imports numpy.ma, about 15 ms per process
+    values, u = np.unique(probs, return_inverse=True)
+    U = len(values)
+    cells, base, keys = _row_keys(cls, u)
+    # W[k] is one column of cells over the grid: rows 0 .. U - 1 hold x log x
+    # of the distinct p* values (the L rows from 0 hold P while a pair's
+    # classes are fused), rows L .. C - 1 that of the fused classes, and
+    # from C on, per distinct value, that of p*_b + eps, p*_c - eps and
+    # (p*_b + eps) - eps
+    W = np.zeros((C + 3 * U, G))
+    column = values[:, None]
+    W[C:] = _x_log_x(np.concatenate([column + grid, column - grid, column + grid - grid]))
+    star = _x_log_x(values)
+    W[:U] = star[:, None]
+    h_star = -float(star[u].sum())
+    distinct, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    pair, row = np.divmod(first, L + 1)  # the first (pair, row) of each distinct key
+    # the keys sort the rows without a fused class first, then the others by pair
+    shared = int(np.count_nonzero((cells[row] < L).all(axis=1)))
+    cap = 5 * L * L - C - 3 * U - 1 - (L + 7) // 8  # rows of D that fit; see SWEEP_BYTES_CAP
+    step = L * L if len(distinct) <= cap else max(1, cap // (L + 1))
+    inv = inv.reshape(L * L, L + 1)
+    h_p, h_mixed = np.empty((L * L, G)), np.zeros((L * L, G))
+    scratch = np.empty(max(L * L, 2 * L) * G)  # fusion terms, gathered cells, mixture terms
+    store = np.empty((min(len(distinct), step * (L + 1)), G))  # D: H of a group's distinct rows
+    used, slot = np.empty(len(distinct), dtype=bool), np.empty(len(distinct), dtype=np.intp)
+    for lo in range(0, L * L, step):
+        used[:] = False
+        used[inv[lo : lo + step]] = True
+        ids = np.flatnonzero(used)  # the group's distinct keys, and its rows' slots among them
+        slot[ids] = np.arange(len(ids))
+        part = slot[inv[lo : lo + step]]
+        # the rows of W each distinct key reads: base, with b's value at b's
+        # cell and c's at c's
+        b, c = np.divmod(pair[ids], L)
+        seen = cells[row[ids]]
+        offset = np.where(seen == b[:, None], C + 2 * U * (b == c)[:, None], (C + U) * (seen == c[:, None]))
+        columns = base[row[ids]] + offset
+        own = int(np.searchsorted(ids, shared))
+        pairs = pair[ids[own:]].tolist()
+        runs = [0, own, *(own + i for i in range(1, len(pairs)) if pairs[i] != pairs[i - 1]), len(ids)]
+        D = store[: len(ids)]
+        for i0, i1 in zip(runs, runs[1:]):
+            if own <= i0 < i1:
+                bi, ci = int(b[i0]), int(c[i0])
+                W[:L] = probs[:, None]  # P[g] = p* + eps_g (delta_b - delta_c)
+                W[bi] += grid
+                W[ci] -= grid
+                _fuse(W, terms, scratch)
+                for k in range(L, C, L):
+                    rows = slice(k, min(k + L, C))
+                    W[rows] = _x_log_x(W[rows], out=scratch[: (rows.stop - k) * G].reshape(-1, G))
+                W[:U] = star[:, None]
+            for i in range(i0, i1, L):
+                j = min(i + L, i1)
+                _row_entropies(W, columns[i:j], scratch, out=D[i:j])
+        terms_s = scratch[: len(part) * G].reshape(len(part), G)
+        for s in range(L):
+            D.take(part[:, s], axis=0, out=terms_s, mode="clip")
+            terms_s *= probs[s]
+            h_mixed[lo : lo + step] += terms_s
+        D.take(part[:, L], axis=0, out=h_p[lo : lo + step], mode="clip")
+    return h_p.reshape(L, L, G), h_mixed.reshape(L, L, G), h_star
+
+
+def _row_keys(cls: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of cells, their base sequences, and an integer key for every
+    (pair, row) that is equal for rows with equal cell values.
+
+    `cls` is `_fusion_classes`' class list and u[a] numbers p*_a among the
+    distinct p* values.  Returns (cells, base, keys): cells[s] is the class
+    of each cell of p_{.,s} and cells[L] those of p (classes 0 .. L - 1);
+    base is cells with each label class a replaced by u[a]; keys[b L + c, r]
+    is the key of row r at the pair (b, c).
+
+    A row's values at a pair are fixed by its base sequence, by where b and
+    where c sit in it and by whether b = c: a label fills at most one cell
+    of a row, as a second (b, 1.0) would make fp[s, b] sum to 2.  A row with
+    a fused class is keyed by its pair too.  The key packs these numbers,
+    each below L^2 + 1, L + 2 or 2, into one int64; for the L <= 1448 that
+    SWEEP_BYTES_CAP admits it stays below 2^54.
+    """
+    L = len(u)
+    cells = np.concatenate((cls[L:], cls[:L])).reshape(L + 1, L)  # p_{.,0} .. p_{.,L-1}, then p
+    base = np.concatenate((u, np.arange(L, len(cls))))[cells]
+    bases: dict = {}
+    beta = np.array([bases.setdefault(seq, len(bases)) for seq in map(tuple, base.tolist())])
+    at = np.zeros((L + 1, L + 1), dtype=np.int64)  # at[a, r]: 1 + position of label a in row r, or 0
+    r, j = np.nonzero(cells < L)
+    at[cells[r, j], r] = j + 1
+    at = at[:L]
+    keyed = np.arange(1, L * L + 1).reshape(L, L, 1) * (cells >= L).any(axis=1)  # 1 + pair where fused
+    keys = ((keyed * len(bases) + beta) * (L + 1) + at[:, None]) * (L + 1) + at[None]
+    return cells, base, (keys * 2 + np.eye(L, dtype=np.int64)[:, :, None]).reshape(L * L, L + 1)
+
+
+def _row_entropies(W: np.ndarray, columns: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = minus the sum of W's rows columns[i], in order along the line:
+    the rows are gathered into `scratch` as (lines, L, G) and summed over
+    the middle axis, so numpy adds them one after the other with the grid
+    innermost.  mode="clip" (the rows are in range) lets `take` write
+    straight into `scratch`, where "raise" would go through a buffer."""
+    (k, L), G = columns.shape, W.shape[1]
+    gathered = W.take(columns.ravel(), axis=0, out=scratch[: k * L * G].reshape(k * L, G), mode="clip")
+    np.add.reduce(gathered.reshape(k, L, G), axis=1, out=out)
+    np.negative(out, out=out)
 
 
 def _fusion_classes(fp: FusionProbabilities) -> tuple[np.ndarray, int, list]:
@@ -538,22 +642,30 @@ def _fusion_classes(fp: FusionProbabilities) -> tuple[np.ndarray, int, list]:
     return np.array(cls), len(ids), [tuple(map(np.array, zip(*terms))) for terms in ranked]
 
 
-def _fuse(V: np.ndarray, terms: list) -> np.ndarray:
-    """Fill V[:, k] = sum_b V[:, b] fp[s, b, a] in place for every class k >= L
-    of `_fusion_classes`, in ascending b, from P = V[:, :L]; a class with no
-    terms keeps its value in V."""
+def _fuse(W: np.ndarray, terms: list, scratch: np.ndarray) -> np.ndarray:
+    """Fill row W[k] = sum_b W[b] fp[s, b, a] in place for every class k >= L
+    of `_fusion_classes`, in ascending b, from P = W[:L]; a class with no
+    terms keeps its value in W.  A rank is applied to as many classes at a
+    time as two of their rows fit in `scratch`, which holds the terms."""
+    G = W.shape[1]
+    width = len(scratch) // (2 * G)
     for rank, (classes, b, w) in enumerate(terms):
-        if rank:
-            V[:, classes] += V[:, b] * w
-        else:
-            V[:, classes] = V[:, b] * w
-    return V
+        for i in range(0, len(classes), width):
+            k = classes[i : i + width]
+            term = W.take(b[i : i + width], axis=0, out=scratch[: len(k) * G].reshape(-1, G), mode="clip")
+            term *= w[i : i + width, None]
+            if rank:
+                term += W.take(k, axis=0, out=scratch[len(k) * G : 2 * len(k) * G].reshape(-1, G), mode="clip")
+            W[k] = term
+    return W
 
 
-def _x_log_x(v: np.ndarray) -> np.ndarray:
+def _x_log_x(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """v log v elementwise (nats), masked so that a zero entry gives 0: the
-    Shannon entropy terms, negated."""
-    out = np.where(v > 0, v, 1.0)
+    Shannon entropy terms, negated.  Written to `out` when given."""
+    out = np.empty_like(v) if out is None else out
+    out.fill(1.0)
+    np.copyto(out, v, where=v > 0)
     np.log(out, out=out)
     out *= v
     return out

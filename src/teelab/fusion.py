@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     ConditionOneViolated,
     DegenerateDistribution,
+    DimensionCap,
     InvalidCategory,
     MalformedInput,
     NonConvergence,
@@ -42,6 +43,12 @@ FIXED_POINT_STEP_TOL = 1e-14
 # 0.5 MiB resident).
 FLOAT_EXACT_BOUND = 2**53
 BLAS_MIN_LABELS = 17
+# Byte cap on the arrays that validating a category file of n labels builds:
+# the associativity check's two (n^2, n^2) products and fusion_probabilities'
+# (n, n, n, n) einsums, their difference and its absolute value, charged at
+# 32 n^4 bytes, four float64 arrays of n^4 entries.  double_z7 (n = 49)
+# takes 184 MB of it; 53 labels is the most it admits.
+CATEGORY_BYTES_CAP = 2**28
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +242,9 @@ def load_category(document) -> FusionCategory:
     The document carries `labels` (array of strings), an optional `dual`
     map, and `N`, a nested map label -> label -> label -> multiplicity with
     absent entries meaning 0.  The unit is inferred from the multiplicity
-    table; if `dual` is absent it is inferred from the unit channel.
+    table; if `dual` is absent it is inferred from the unit channel.  A
+    label set whose validation arrays would pass CATEGORY_BYTES_CAP is
+    DimensionCap before the table is read.
     """
     doc = _as_document(document)
     if "labels" not in doc or "N" not in doc:
@@ -246,6 +255,10 @@ def load_category(document) -> FusionCategory:
     if not labels:
         raise MalformedInput("empty label set")
     n = len(labels)
+    if 32 * n**4 > CATEGORY_BYTES_CAP:
+        raise DimensionCap(
+            f"{n} labels: the associativity checks' n^4-entry arrays are over the {CATEGORY_BYTES_CAP}-byte cap"
+        )
     idx = {lab: i for i, lab in enumerate(labels)}
 
     N = np.zeros((n, n, n), dtype=np.int64)

@@ -8,7 +8,9 @@ three sector-family assumptions hold with defect exactly zero and
 I(A:C|B) = log q saturates the Abelian bound log |A|.
 
 Sites are arranged in cyclic order A, B1, C, B2.  Thinning removes one A
-site per step (the removed sites are the lowest-index A sites).
+site per step (the removed sites are the lowest-index A sites).  This module
+holds the geometry and the counting formulas; the sector states themselves
+are never built, since every entropy is a count.
 """
 
 from __future__ import annotations
@@ -62,65 +64,6 @@ class RingSpec:
         return arcs[tag]
 
 
-@dataclass(frozen=True)
-class RingSectorState:
-    """Uniform mixture over {h in Z_q^N : sum h = sector mod q}, held implicitly."""
-
-    spec: RingSpec
-
-    def __post_init__(self):
-        if self.spec.sector is None:
-            raise MalformedInput("sector state needs a definite sector")
-
-    @property
-    def sector(self) -> int:
-        return self.spec.sector
-
-    @property
-    def support_size(self) -> int:
-        return self.spec.q ** (self.spec.n_sites - 1)
-
-    def contains(self, config) -> bool:
-        if len(config) != self.spec.n_sites:
-            raise MalformedInput("configuration length mismatch")
-        return sum(int(h) for h in config) % self.spec.q == self.sector
-
-    def enumerate_support(self):
-        """All supporting configurations (only sensible for small N)."""
-        q, n = self.spec.q, self.spec.n_sites
-        for code in range(q ** (n - 1)):
-            rest = []
-            x = code
-            for _ in range(n - 1):
-                rest.append(x % q)
-                x //= q
-            last = (self.sector - sum(rest)) % q
-            yield tuple(rest) + (last,)
-
-    def shifted(self, s: int) -> "RingSectorState":
-        return RingSectorState(replace(self.spec, sector=(self.sector + s) % self.spec.q))
-
-
-@dataclass(frozen=True)
-class RingFamily:
-    """All q sector states over one ring geometry."""
-
-    spec: RingSpec  # template, sector = None
-    states: tuple[RingSectorState, ...]
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(str(a) for a in range(self.spec.q))
-
-
-def build_family(spec: RingSpec) -> RingFamily:
-    """The q sector states of a ring template (template must not fix a sector)."""
-    if spec.sector is not None:
-        raise MalformedInput("build_family takes a template without a sector")
-    states = tuple(RingSectorState(replace(spec, sector=a)) for a in range(spec.q))
-    return RingFamily(spec=spec, states=states)
-
-
 # ---------------------------------------------------------------------------
 # exact entropies by counting
 
@@ -132,11 +75,6 @@ def entropy_coefficient(spec: RingSpec, n_region_sites: int) -> int:
     if n_region_sites == spec.n_sites:
         return spec.n_sites - 1
     return n_region_sites
-
-
-def counting_entropy(spec: RingSpec, n_region_sites: int) -> float:
-    """S of a region in nats; integer counting with the log applied last."""
-    return entropy_coefficient(spec, n_region_sites) * math.log(spec.q)
 
 
 def cmi_coefficient(spec: RingSpec) -> int:

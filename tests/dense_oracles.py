@@ -1,6 +1,7 @@
 """Dense test oracles: density operators, partial traces, entropies,
-conditional mutual information, the three sector-family checkers, and the
-dense exports of ring families and stabilizer states they run on.
+conditional mutual information, the three sector-family checkers, the ring
+sector states, and the dense exports of ring families and stabilizer states
+they run on.
 
 No CLI path builds a dense operator: teelab counts every entropy exactly.
 These are the same region entropies computed a second way, by eigenvalues
@@ -14,7 +15,8 @@ fails the positivity invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
@@ -29,7 +31,7 @@ from teelab.errors import (
     TeeLabError,
 )
 from teelab.fusion import AnyonDistribution, FusionProbabilities
-from teelab.ring import RingFamily, RingSectorState, RingSpec
+from teelab.ring import RingSpec, entropy_coefficient
 
 
 class UnknownFactor(TeeLabError):
@@ -526,9 +528,73 @@ def mixture_cmi_decomposition(fam: SectorFamily, part: Partition, p: AnyonDistri
 
 
 # ---------------------------------------------------------------------------
-# ring families: fusion shift and dense export
+# ring families: sector states, fusion shift and dense export
 
 DENSE_CAP = 2**14
+
+
+@dataclass(frozen=True)
+class RingSectorState:
+    """Uniform mixture over {h in Z_q^N : sum h = sector mod q}, held implicitly."""
+
+    spec: RingSpec
+
+    def __post_init__(self):
+        if self.spec.sector is None:
+            raise MalformedInput("sector state needs a definite sector")
+
+    @property
+    def sector(self) -> int:
+        return self.spec.sector
+
+    @property
+    def support_size(self) -> int:
+        return self.spec.q ** (self.spec.n_sites - 1)
+
+    def contains(self, config) -> bool:
+        if len(config) != self.spec.n_sites:
+            raise MalformedInput("configuration length mismatch")
+        return sum(int(h) for h in config) % self.spec.q == self.sector
+
+    def enumerate_support(self):
+        """All supporting configurations (only sensible for small N)."""
+        q, n = self.spec.q, self.spec.n_sites
+        for code in range(q ** (n - 1)):
+            rest = []
+            x = code
+            for _ in range(n - 1):
+                rest.append(x % q)
+                x //= q
+            last = (self.sector - sum(rest)) % q
+            yield tuple(rest) + (last,)
+
+    def shifted(self, s: int) -> "RingSectorState":
+        return RingSectorState(replace(self.spec, sector=(self.sector + s) % self.spec.q))
+
+
+@dataclass(frozen=True)
+class RingFamily:
+    """All q sector states over one ring geometry."""
+
+    spec: RingSpec  # template, sector = None
+    states: tuple[RingSectorState, ...]
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(str(a) for a in range(self.spec.q))
+
+
+def build_family(spec: RingSpec) -> RingFamily:
+    """The q sector states of a ring template (template must not fix a sector)."""
+    if spec.sector is not None:
+        raise MalformedInput("build_family takes a template without a sector")
+    states = tuple(RingSectorState(replace(spec, sector=a)) for a in range(spec.q))
+    return RingFamily(spec=spec, states=states)
+
+
+def counting_entropy(spec: RingSpec, n_region_sites: int) -> float:
+    """S of a region in nats; integer counting with the log applied last."""
+    return entropy_coefficient(spec, n_region_sites) * math.log(spec.q)
 
 
 def fusion_unitary(spec: RingSpec, s: int, site: int, removed_sites) -> "RingShift":

@@ -11,9 +11,12 @@ import numpy as np
 from teelab.audit import (
     _CHAIN_NAMES,
     MARGIN_TOL,
+    SWEEP_BYTES_CAP,
     AuditReport,
     AuditTrace,
     TaylorSweepReport,
+    _fusion_classes,
+    _x_log_x,
     check_average_level_bound,
     check_mixture_entropy_bound,
     check_monotonicity,
@@ -22,6 +25,7 @@ from teelab.audit import (
 from teelab.errors import (
     ConditionOneViolated,
     DegenerateDistribution,
+    DimensionCap,
     EpsilonOutOfRange,
     MalformedInput,
     PremiseViolated,
@@ -130,6 +134,109 @@ def taylor_bound_sweep_loop(
         passed=passed,
         worst_case=worst_case,
     )
+
+
+def taylor_bound_sweep_pairs(
+    p_star: AnyonDistribution,
+    fp: FusionProbabilities,
+    trials: int = 0,
+    eps_points: int = 41,
+    seed: int = 0,
+) -> TaylorSweepReport:
+    """Oracle for `audit.taylor_bound_sweep`: the same sweep as one array
+    program per label pair (b, c), over the whole grid at once.  It is the
+    library's sweep before the rows of cells were shared across pairs, and
+    the bit-for-bit reference for every L.
+
+    The L + L^2 columns, p and every p_{.,s}, are grouped into C classes of
+    equal bits (`_fusion_classes`).  One column-major (G, C) buffer V, reused
+    by every pair, holds them: V's first L columns are set to P, the fused
+    classes (from L on) are filled by `_fuse` and their x log x is taken,
+    the first L columns are then copied from the x log x tables of p*_a,
+    p*_b + eps, p*_c - eps and (p*_b + eps) - eps, and the classes are
+    gathered back to the (G, L + 1, L) cells.  That gather is a view whose
+    cell axis is strided, so numpy sums each row of cells in order, for
+    every L; the per-point loop's contiguous sums are pairwise from 8 cells
+    on.  `worst_case` is the first (b, c, eps) in (b, c, grid) order at
+    which min(taylor, concavity, combined) reaches its minimum.
+    """
+    if eps_points < 2:
+        raise MalformedInput(f"the eps grid needs at least 2 points, got {eps_points}")
+    if trials < 0:
+        raise MalformedInput(f"trials must be non-negative, got {trials}")
+    if seed < 0:
+        raise MalformedInput(f"seed must be non-negative, got {seed}")
+    if tuple(p_star.labels) != tuple(fp.labels):
+        raise MalformedInput("labels do not match")
+    n, G = len(fp.labels), eps_points + trials
+    if 64 * n * n * G > SWEEP_BYTES_CAP:
+        raise DimensionCap(f"a sweep of {G} eps points over {n} labels is over the {SWEEP_BYTES_CAP}-byte cap")
+    probs = p_star.probs
+    if float(probs.min()) <= 0.0:
+        raise DegenerateDistribution("sweep needs a strictly positive fixed point")
+    pmin = float(probs.min())
+    grid = np.linspace(-pmin / 2, pmin / 2, eps_points)
+    if trials:
+        rng = np.random.default_rng(seed)
+        grid = np.concatenate([grid, rng.uniform(-pmin / 2, pmin / 2, size=trials)])
+    quad = 2.0 * grid**2 / pmin
+    taylor, conc, comb = np.empty((3, n, n, G))
+    cls, n_classes, terms = _fusion_classes(fp)
+    # x log x of the four values a column of P takes: p*_a, p*_b + eps,
+    # p*_c - eps and, when b = c, (p*_b + eps) - eps
+    star = _x_log_x(probs)
+    column = probs[:, None]
+    plus, minus, same = _x_log_x(np.stack([column + grid, column - grid, column + grid - grid]))
+    h_star = -float(star.sum())  # p_star.entropy(), bit for bit
+    # V[g, k] = class k at grid point g: P, then the fused classes, then their
+    # x log x; column-major, so a class's column is contiguous
+    V = np.zeros((G, n_classes), order="F")
+    for bi in range(n):
+        for ci in range(n):
+            if n_classes > n:
+                V[:, :n] = probs  # P[g] = p* + eps_g (delta_b - delta_c)
+                V[:, bi] += grid
+                V[:, ci] -= grid
+                V[:, n:] = _x_log_x(_fuse(V, terms)[:, n:])
+            V[:, :n] = star
+            if bi == ci:
+                V[:, bi] = same[bi]
+            else:
+                V[:, bi] = plus[bi]
+                V[:, ci] = minus[ci]
+            # row 0 of H is H(p) and row 1 + s is H(p_{.,s})
+            H = -V[:, cls].reshape(G, n + 1, n).sum(axis=-1)
+            h_p, h_s = H[:, 0], H[:, 1:]
+            h_mixed = 0.0
+            for s in range(n):
+                h_mixed = h_mixed + probs[s] * h_s[:, s]
+            linear = math.log(probs[ci] / probs[bi]) * grid
+            taylor[bi, ci] = h_p - (h_star + linear - quad)
+            conc[bi, ci] = h_star - h_mixed
+            comb[bi, ci] = (h_p - h_mixed) - (linear - quad)
+    worst_taylor, worst_conc, worst_comb = (float(m.min()) for m in (taylor, conc, comb))
+    b, c, g = np.unravel_index(int(np.minimum(np.minimum(taylor, conc), comb).argmin()), (n, n, G))
+    return TaylorSweepReport(
+        worst_taylor=worst_taylor,
+        worst_concavity=worst_conc,
+        worst_combined=worst_comb,
+        evaluations=n * n * G,
+        passed=min(worst_taylor, worst_conc, worst_comb) >= -MARGIN_TOL,
+        worst_case=(fp.labels[b], fp.labels[c], float(grid[g])),
+    )
+
+
+def _fuse(V: np.ndarray, terms: list) -> np.ndarray:
+    """The fusion step of `taylor_bound_sweep_pairs`, on a column-major V:
+    fill V[:, k] = sum_b V[:, b] fp[s, b, a] in place for every class k >= L
+    of `_fusion_classes`, in ascending b, from P = V[:, :L]; a class with no
+    terms keeps its value in V."""
+    for rank, (classes, b, w) in enumerate(terms):
+        if rank:
+            V[:, classes] += V[:, b] * w
+        else:
+            V[:, classes] = V[:, b] * w
+    return V
 
 
 def _delta(trace: AuditTrace, level: int, b: str) -> float:

@@ -228,7 +228,7 @@ def test_criterion_10_ssa_and_mixture():
     ssa_ok = worst >= -1e-9
 
     spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2)
-    fam = dense.dense_family(ring.build_family(spec))
+    fam = dense.dense_family(dense.build_family(spec))
     rep_ring = dense.mixture_cmi_decomposition(
         fam, dense.ring_partition(spec), fusion.AnyonDistribution.uniform(fam.labels)
     )

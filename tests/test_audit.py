@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -10,7 +11,7 @@ from teelab.audit import AuditTrace
 from teelab.errors import EpsilonOutOfRange, MalformedInput, PremiseViolated
 from teelab.fusion import AnyonDistribution, FusionProbabilities
 
-from oracles import taylor_bound_sweep_loop
+from oracles import taylor_bound_sweep_loop, taylor_bound_sweep_pairs
 
 LN2 = math.log(2)
 
@@ -299,6 +300,78 @@ class TestTaylorSweep:
             for seed in (1, 2, 3):
                 fast = audit.taylor_bound_sweep(p_star, fp, trials=trials, seed=seed)
                 assert fast == taylor_bound_sweep_loop(p_star, fp, trials=trials, seed=seed)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: fusion.zn_category(13), lambda: fusion.double_zn_category(3)], ids=["z13", "double_z3"]
+    )
+    def test_matches_pairs_oracle_past_seven_labels(self, make):
+        # from 8 labels on, the per-point loop's contiguous sums are pairwise,
+        # so the per-pair program is the reference.  The closed-form p* is
+        # uniform, which leaves L^2 distinct rows of cells; the off-center p*
+        # has no ties, so more rows are distinct than one group of label
+        # pairs holds (SWEEP_BYTES_CAP) and the pairs are summed in groups
+        cat = make()
+        dims = fusion.quantum_dimensions(cat)
+        fp = fusion.fusion_probabilities(cat, dims)
+        L = cat.n_labels
+        weights = np.arange(1.0, L + 1.0)
+        off_center = AnyonDistribution(cat.labels, weights / weights.sum())
+        _, u = np.unique(off_center.probs, return_inverse=True)
+        assert len(np.unique(audit._row_keys(audit._fusion_classes(fp)[0], u)[2])) > 5 * L * L
+        for p_star in (fusion.closed_form_fixed_point(dims), off_center):
+            fast = audit.taylor_bound_sweep(p_star, fp, trials=400, seed=3)
+            assert fast == taylor_bound_sweep_pairs(p_star, fp, trials=400, seed=3)
+
+    @pytest.mark.parametrize("name, distinct", [("z7", 49), ("toric_code", 16)])
+    def test_pointed_rows_summed_once_per_sequence(self, categories, monkeypatch, name, distinct):
+        # a pointed category's p* is uniform, so each of its L^2 (L + 1) rows
+        # of cells reads p*'s value everywhere but at b's and c's cells: L^2
+        # distinct sequences, and each is summed once
+        _, dims, fp = categories[name]
+        p_star = fusion.closed_form_fixed_point(dims)
+        L = len(fp.labels)
+        _, u = np.unique(p_star.probs, return_inverse=True)
+        keys = audit._row_keys(audit._fusion_classes(fp)[0], u)[2]
+        assert keys.shape == (L * L, L + 1)
+        assert len(np.unique(keys)) == distinct == L * L
+        summed = []
+        row_entropies = audit._row_entropies
+
+        def counting(W, columns, *args, **kwargs):
+            summed.append(len(columns))
+            return row_entropies(W, columns, *args, **kwargs)
+
+        monkeypatch.setattr(audit, "_row_entropies", counting)
+        fast = audit.taylor_bound_sweep(p_star, fp, trials=400, seed=1)
+        assert fast == taylor_bound_sweep_pairs(p_star, fp, trials=400, seed=1)
+        assert sum(summed) == distinct
+
+    def test_peak_memory_within_the_charge(self):
+        # SWEEP_BYTES_CAP charges 64 L^2 bytes per grid point.  An off-center
+        # p* on z13 and a random fused tensor have no tied rows, so their
+        # distinct sums are taken in groups of pairs, each held to the rest
+        # of the charge; the keys, which do not grow with the grid, get a
+        # fixed allowance
+        rng = np.random.default_rng(7)
+        cat = fusion.zn_category(13)
+        fp13 = fusion.fusion_probabilities(cat, fusion.quantum_dimensions(cat))
+        weights = np.arange(1.0, 14.0)
+        raw = rng.random((5, 5, 5))
+        labels = tuple("abcde")
+        cases = [
+            (AnyonDistribution(cat.labels, weights / weights.sum()), fp13),
+            (AnyonDistribution(labels, np.full(5, 0.2)), FusionProbabilities(labels, raw / raw.sum(axis=2, keepdims=True))),
+        ]
+        G = 4000
+        for p_star, fp in cases:
+            L = len(fp.labels)
+            tracemalloc.start()
+            try:
+                audit.taylor_bound_sweep(p_star, fp, eps_points=G)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 64 * L * L * G + 2**20, (L, peak / G)
 
     def test_sweep_makes_no_dense_einsum(self, categories, monkeypatch):
         # the fused distributions come from the fusion tensor's nonzeros, not

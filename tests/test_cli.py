@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -48,6 +49,27 @@ class TestFusionCommand:
     def test_unknown_base_label_is_config_error(self, capsys):
         assert cli.main(["fusion", "--category", "z2", "--a0", "bogus"]) == 2
         assert "unknown label 'bogus'" in capsys.readouterr().err
+
+    def test_oversize_category_file_exits_2_before_the_table(self, tmp_path, capsys):
+        # a valid Z_150 group table passes every check up to associativity,
+        # whose two (n^2, n^2) products would take about 4 GB each: it is
+        # refused from its label count, before even the n^3 table (27 MB) is
+        # built
+        n = 150
+        labels = [str(k) for k in range(n)]
+        doc = {"labels": labels, "N": {a: {b: {str((int(a) + int(b)) % n): 1} for b in labels} for a in labels}}
+        path = tmp_path / "z150.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="150 labels"):
+                cli.run({"scenario": "fusion", "category_file": str(path)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24, peak
+        assert cli.main(["fusion", "--category-file", str(path)]) == 2
+        assert "byte cap" in capsys.readouterr().err
 
     def test_stage_timings_outside_canonical_report(self, tmp_path):
         code, report = run_json(["fusion", "--category", "ising", "--trials", "3"], tmp_path)

@@ -118,7 +118,7 @@ class TestCmi:
 
     def test_ring_export_ln2(self):
         spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2)
-        fam = dense.dense_family(ring.build_family(spec))
+        fam = dense.dense_family(dense.build_family(spec))
         part = dense.ring_partition(spec)
         value = dense.conditional_mutual_information(fam.states["0"], part)
         assert abs(value - LN2) < 1e-10
@@ -189,7 +189,7 @@ class TestRandomDensity:
 class TestCheckers:
     def setup_method(self):
         self.spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2)
-        self.fam = dense.dense_family(ring.build_family(self.spec))
+        self.fam = dense.dense_family(dense.build_family(self.spec))
         self.part = dense.ring_partition(self.spec)
 
     def test_ring_family_globally_distinguishable(self):
@@ -230,7 +230,7 @@ class TestCheckers:
 class TestFusionChecker:
     def setup_method(self):
         self.spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2)
-        self.fam = dense.dense_family(ring.build_family(self.spec))
+        self.fam = dense.dense_family(dense.build_family(self.spec))
         self.part = dense.ring_partition(self.spec)
         self.removed = dense.thinned_sites(self.spec, 1)
         self.thin = dense.ring_partition(self.spec, self.removed)
@@ -284,7 +284,7 @@ class TestFusionChecker:
 class TestMixtureDecomposition:
     def test_ring_uniform(self):
         spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2)
-        fam = dense.dense_family(ring.build_family(spec))
+        fam = dense.dense_family(dense.build_family(spec))
         part = dense.ring_partition(spec)
         p = fusion.AnyonDistribution.uniform(fam.labels)
         report = dense.mixture_cmi_decomposition(fam, part, p)

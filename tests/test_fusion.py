@@ -11,6 +11,7 @@ from teelab import audit, fusion
 from teelab.errors import (
     ConditionOneViolated,
     DegenerateDistribution,
+    DimensionCap,
     InvalidCategory,
     MalformedInput,
 )
@@ -106,6 +107,24 @@ class TestLoadCategory:
     def test_dual_inferred_for_z3(self):
         cat = fusion.zn_category(3)
         assert cat.dual == {"0": "0", "1": "2", "2": "1"}
+
+    def test_label_cap_admits_double_z7(self):
+        # 49 labels: the validation arrays, 32 n^4 bytes, are 184 MB of the
+        # cap; a file with the same table loads as the built category does
+        cat = fusion.double_zn_category(7)
+        table = {
+            a: {b: {cat.labels[int(cat.N[i, j].argmax())]: 1} for j, b in enumerate(cat.labels)}
+            for i, a in enumerate(cat.labels)
+        }
+        loaded = fusion.load_category({"labels": list(cat.labels), "N": table})
+        assert np.array_equal(loaded.N, cat.N) and loaded.unit == cat.unit
+        assert 32 * 49**4 <= fusion.CATEGORY_BYTES_CAP < 32 * 54**4
+
+    def test_label_cap_refuses_before_the_table(self):
+        # 54 labels are over the cap; nothing of N is read, so an empty table
+        # fails on the label count, not on a missing unit
+        with pytest.raises(DimensionCap, match="54 labels"):
+            fusion.load_category({"labels": [str(k) for k in range(54)], "N": {}})
 
     def test_json_text_and_file(self, tmp_path):
         doc = {"labels": ["0", "1"], "N": {"0": {"0": {"0": 1}, "1": {"1": 1}},

@@ -10,7 +10,8 @@ checks against their per-pair loop oracle, the built rows and the sector
 detectors against the label-list oracle, rank_mod_p against a brute-force
 span count, the row-sum Perron root of permutation sums against the
 power iteration, the array Taylor sweep against its loop oracle on random
-row-stochastic tensors and its sparse fused distributions against the
+row-stochastic tensors and against its per-pair program on random
+categories of up to 12 labels, its sparse fused distributions against the
 dense einsum, the array audit premises against the per-point
 chain replay on random and chosen traces, the sorted edge dedupe against
 np.unique, fusion-table validation against a brute-force fusion-ring
@@ -54,6 +55,7 @@ from oracles import (  # noqa: E402
     rows_on_scan,
     sector_witness_phases_loop,
     taylor_bound_sweep_loop,
+    taylor_bound_sweep_pairs,
     verify_assumptions_loop,
 )
 
@@ -924,6 +926,39 @@ def test_taylor_sweep_matches_loop_oracle_on_colliding_term_lists(n, eps_points,
     assert audit.taylor_bound_sweep(p_star, fp, **args) == taylor_bound_sweep_loop(p_star, fp, **args)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=hst.integers(1, 12),
+    eps_points=hst.integers(2, 5),
+    trials=hst.integers(0, 4),
+    seed=hst.integers(0, 2**32 - 1),
+    data=hst.data(),
+)
+def test_taylor_sweep_matches_pairs_oracle(n, eps_points, trials, seed, data):
+    # every row (s, b) is a permutation's single 1.0 (a pointed row, whose
+    # cells read p itself) or splits its mass over drawn labels (fused
+    # classes); p* is drawn from two values or from an interval, so it has
+    # tied entries or none.  Rows of cells repeat across pairs and rows, and
+    # with few ties the distinct rows outgrow one group of label pairs
+    p = np.zeros((n, n, n))
+    pointed = data.draw(hst.booleans())
+    for s in range(n):
+        if pointed or data.draw(hst.booleans()):
+            p[s, np.arange(n), data.draw(hst.permutations(range(n)))] = 1.0
+            continue
+        for b in range(n):
+            pieces = data.draw(hst.sampled_from((1, 2, 4)))
+            for a in data.draw(hst.lists(hst.integers(0, n - 1), min_size=pieces, max_size=pieces)):
+                p[s, b, a] += 1.0 / pieces
+    weight = hst.sampled_from((0.5, 1.0)) if data.draw(hst.booleans()) else hst.floats(0.01, 1.0)
+    q = np.array(data.draw(hst.lists(weight, min_size=n, max_size=n)))
+    labels = tuple(f"l{i}" for i in range(n))
+    fp = fusion.FusionProbabilities(labels, p)
+    p_star = fusion.AnyonDistribution(labels, q / q.sum())
+    args = dict(trials=trials, eps_points=eps_points, seed=seed)
+    assert audit.taylor_bound_sweep(p_star, fp, **args) == taylor_bound_sweep_pairs(p_star, fp, **args)
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=hst.integers(1, 7), G=hst.integers(1, 4), data=hst.data())
 def test_sparse_fusion_matches_dense_einsum_bit_for_bit(n, G, data):
@@ -941,11 +976,12 @@ def test_sparse_fusion_matches_dense_einsum_bit_for_bit(n, G, data):
     dense = np.vstack([np.eye(n), fp.p.transpose(0, 2, 1).reshape(n * n, n)])
     assert np.array_equal(cls[:, None] == cls, (dense[:, None] == dense).all(axis=-1))
     assert C == len(np.unique(cls)) and np.array_equal(cls[:n], np.arange(n))
+    width = data.draw(hst.integers(1, C))  # classes fused at a time
 
     def cells(P):  # the fused block p_{a,s}, expanded from the classes to the (s, a) cells
-        V = np.zeros((len(P), C))
-        V[:, :n] = P
-        return audit._fuse(V, terms)[:, cls[n:]]
+        W = np.zeros((C, len(P)))
+        W[:n] = P.T
+        return audit._fuse(W, terms, np.empty(2 * width * len(P)))[cls[n:]].T
 
     assert cells(P).tobytes() == np.einsum("gb,sba->gsa", P, fp.p).tobytes()
     assert cells(P[:1]).tobytes() == np.einsum("b,sba->sa", P[0], fp.p).tobytes()

@@ -21,14 +21,14 @@ def enumerate_supports(spec):
 class TestFamily:
     def test_q2_support_sizes(self):
         spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2)
-        fam = ring.build_family(spec)
+        fam = dense.build_family(spec)
         assert len(fam.states) == 2
         for state in fam.states:
             assert state.support_size == 2**7
 
     def test_q3_supports_disjoint(self):
         spec = ring.RingSpec(q=3, sites_a=1, sites_b1=1, sites_c=1, sites_b2=1)
-        fam = ring.build_family(spec)
+        fam = dense.build_family(spec)
         supports = [set(map(tuple, s.enumerate_support())) for s in fam.states]
         assert all(len(s) == 27 for s in supports)
         assert not (supports[0] & supports[1])
@@ -37,7 +37,7 @@ class TestFamily:
 
     def test_enumeration_matches_implicit_support(self):
         spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2, sector=1)
-        state = ring.RingSectorState(spec)
+        state = dense.RingSectorState(spec)
         oracle = enumerate_supports(replace(spec, sector=None))[1]
         listed = sorted(map(tuple, state.enumerate_support()))
         assert listed == sorted(map(tuple, oracle))
@@ -56,7 +56,7 @@ class TestFamily:
     def test_template_must_not_fix_sector(self):
         spec = ring.RingSpec(q=2, sites_a=2, sites_b1=1, sites_c=1, sites_b2=1, sector=0)
         with pytest.raises(MalformedInput):
-            ring.build_family(spec)
+            dense.build_family(spec)
 
 
 class TestExactCmi:
@@ -92,13 +92,13 @@ class TestExactCmi:
                 _, counts = np.unique(proj, axis=0, return_counts=True)
                 assert (counts == q ** (n - 1 - len(sites))).all()
         # with uniform marginals established, the counting entropies are exact
-        s_b = ring.counting_entropy(spec, len(spec.region_sites("B")))
+        s_b = dense.counting_entropy(spec, len(spec.region_sites("B")))
         assert abs(s_b - len(spec.region_sites("B")) * math.log(q)) == 0.0
         assert abs(ring.exact_cmi(spec) - math.log(q)) < 1e-15
 
     def test_dense_export_reproduces_counting(self):
         spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2)
-        fam = dense.dense_family(ring.build_family(spec))
+        fam = dense.dense_family(dense.build_family(spec))
         part = dense.ring_partition(spec)
         for label, op in fam.states.items():
             value = dense.conditional_mutual_information(op, part)
@@ -107,7 +107,7 @@ class TestExactCmi:
     def test_dense_export_cap(self):
         spec = ring.RingSpec(q=3, sites_a=4, sites_b1=4, sites_c=4, sites_b2=4, sector=0)
         with pytest.raises(DimensionCap):
-            dense.dense_state(ring.RingSectorState(spec))
+            dense.dense_state(dense.RingSectorState(spec))
 
 
 class TestFusionShift:
@@ -121,7 +121,7 @@ class TestFusionShift:
         np.testing.assert_array_equal(lu.matrix, np.eye(3))
 
     def test_shift_moves_sector(self):
-        state = ring.RingSectorState(replace(self.spec, sector=0))
+        state = dense.RingSectorState(replace(self.spec, sector=0))
         shift = dense.fusion_unitary(self.spec, 1, self.removed[0], self.removed)
         assert shift.apply(state).sector == 1
         # dense cross-check: conjugation maps the sector-0 operator to sector 1
@@ -134,7 +134,7 @@ class TestFusionShift:
         s = dense.fusion_unitary(self.spec, 1, self.removed[0], self.removed)
         t = dense.fusion_unitary(self.spec, 2, self.removed[0], self.removed)
         assert s.compose(t).s == 0  # 1 + 2 = 0 mod 3
-        state = ring.RingSectorState(replace(self.spec, sector=1))
+        state = dense.RingSectorState(replace(self.spec, sector=1))
         assert s.compose(t).apply(state).sector == 1
 
     def test_site_retained_in_a_prime_rejected(self):
