@@ -697,7 +697,7 @@ def load_trace(source) -> AuditTrace:
         path = Path(source)
         try:
             doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise MalformedInput(f"cannot read trace {path}: {exc}") from exc
     required = {"labels", "a0", "I", "fusion_probabilities", "p_star"}
     missing = required - set(doc)

@@ -50,6 +50,16 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
 
+def _report_header(config: dict) -> dict:
+    """The fields that open every report: schema, tool, scenario and input hash."""
+    return {
+        "schema": REPORT_SCHEMA,
+        "tool": {"name": "teelab", "version": __version__},
+        "scenario": config,
+        "input_hash": _config_hash(config),
+    }
+
+
 def _check(name: str, passed: bool, **extra) -> dict:
     entry = {"name": name, "passed": bool(passed)}
     entry.update(extra)
@@ -108,7 +118,7 @@ def _fusion_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     cat = fu.bundled_category(name) if name else fu.load_category(Path(path))
     with _stage(timings, "spectra"):
         dims = fu.quantum_dimensions(cat)
-        fp = fu.fusion_probabilities(cat, dims)
+        fp = fu.fusion_probabilities(cat)
         fixed = fu.fixed_point_iterative(fp)
         closed = fu.closed_form_fixed_point(dims)
         agreement = float(np.abs(fixed.distribution.probs - closed.probs).max())
@@ -313,22 +323,17 @@ def _audit_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
         trace = audit.load_trace(path)
     eps = _float(cfg.get("eps"), "eps")
     alpha = _float(cfg.get("alpha"), "alpha")
+    premise = {}
     try:
         with _stage(timings, "audit"):
             rep = audit.assemble_bound(trace, b=cfg.get("b"), eps=eps, alpha=alpha)
-        checks = [
-            _check(f"audit_{name}", entry["passed"], margin=entry["margin"], note=entry["note"])
-            for name, entry in rep.checks.items()
-        ]
-        data = {"trace": str(path), "report": rep.to_dict()}
     except PremiseViolated as exc:
-        rep = exc.report
-        checks = [
-            _check(f"audit_{name}", entry["passed"], margin=entry["margin"], note=entry["note"])
-            for name, entry in rep.checks.items()
-        ]
-        data = {"trace": str(path), "report": rep.to_dict(), "premise_violated": str(exc)}
-    return checks, data
+        rep, premise = exc.report, {"premise_violated": str(exc)}
+    checks = [
+        _check(f"audit_{name}", entry["passed"], margin=entry["margin"], note=entry["note"])
+        for name, entry in rep.checks.items()
+    ]
+    return checks, {"trace": str(path), "report": rep.to_dict(), **premise}
 
 
 def _selftest_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
@@ -336,7 +341,7 @@ def _selftest_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     for name in fu.bundled_category_names():
         cat = fu.bundled_category(name)
         dims = fu.quantum_dimensions(cat)
-        fp = fu.fusion_probabilities(cat, dims)
+        fp = fu.fusion_probabilities(cat)
         fixed = fu.fixed_point_iterative(fp)
         agree = float(np.abs(fixed.distribution.probs - fu.closed_form_fixed_point(dims).probs).max())
         checks.append(_check(f"fusion_{name}", fixed.residual < 1e-12 and agree < 1e-10,
@@ -393,10 +398,7 @@ def run(config: dict) -> dict:
         raise ConfigError(f"{kind} scenario rejected its inputs: {exc}") from exc
     elapsed = time.perf_counter() - t0
     return {
-        "schema": REPORT_SCHEMA,
-        "tool": {"name": "teelab", "version": __version__},
-        "scenario": config,
-        "input_hash": _config_hash(config),
+        **_report_header(config),
         "results": checks,
         "data": data,
         "all_passed": all(c["passed"] for c in checks),
@@ -467,10 +469,7 @@ def run_sweep(config: dict) -> tuple[list[dict], list[dict]]:
             return run(point)
         except TeeLabError as exc:
             return {
-                "schema": REPORT_SCHEMA,
-                "tool": {"name": "teelab", "version": __version__},
-                "scenario": point,
-                "input_hash": _config_hash(point),
+                **_report_header(point),
                 "results": [_check("scenario_error", False, error=str(exc))],
                 "data": {},
                 "all_passed": False,
@@ -561,7 +560,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -592,31 +591,23 @@ def main(argv=None) -> int:
         config = _merge_config(args)
         if args.command == "sweep":
             reports, rows = run_sweep(config)
-            bundle = {
-                "schema": REPORT_SCHEMA,
-                "tool": {"name": "teelab", "version": __version__},
-                "scenario": config,
-                "input_hash": _config_hash(config),
+            report = {
+                **_report_header(config),
                 "reports": reports,
                 "all_passed": all(r["all_passed"] for r in reports),
             }
-            _emit(bundle, args.out)
+            _emit(report, args.out)
             if config.get("csv"):
                 with open(config["csv"], "w", newline="") as fh:
                     writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
                     writer.writeheader()
                     writer.writerows(rows)
-            if not bundle["all_passed"]:
-                failing = next(
-                    c["name"] for r in reports for c in r["results"] if not c["passed"]
-                )
-                print(f"teelab: check failed: {failing}", file=sys.stderr)
-                return 1
-            return 0
-        report = run(config)
-        _emit(report, args.out)
+        else:
+            reports = [run(config)]
+            report = reports[0]
+            _emit(report, args.out)
         if not report["all_passed"]:
-            failing = next(c["name"] for c in report["results"] if not c["passed"])
+            failing = next(c["name"] for r in reports for c in r["results"] if not c["passed"])
             print(f"teelab: check failed: {failing}", file=sys.stderr)
             return 1
         return 0

@@ -6,7 +6,10 @@ labels).  Everything here is a pure function of immutable inputs.  Each
 category and its spectra are built once per process: the bundled, Z_n and
 Z_p x Z_p categories are cached, and a category's dimensions, fusion
 probabilities and fixed point are kept on the objects they were computed
-from (`_memo`), so they are freed with them.
+from (`_memo`), so they are freed with them.  Associativity is checked
+exactly on N and as a float residual on the fusion probabilities by the same
+two float64 matrix products, both bounded before N is allocated
+(FLOAT_EXACT_BOUND, CATEGORY_BYTES_CAP).
 """
 
 from __future__ import annotations
@@ -35,19 +38,14 @@ STRUCT_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
 ITERATION_CAP = 100_000
 FIXED_POINT_STEP_TOL = 1e-14
-# The associativity products of a table with at least BLAS_MIN_LABELS labels
-# run as float64 BLAS products, exact while every partial sum stays below 2^53:
-# n * max(N)^2 < 2^53 over n labels.  A smaller table takes under 2 ms in
-# int64, and keeping it there spares a process that makes no other float64
-# matrix product the gemm buffer OpenBLAS allocates on its first one (about
-# 0.5 MiB resident).
+# Float64 products of an n-label integer table are exact while every partial
+# sum stays below 2^53, n * max(N)^2 < FLOAT_EXACT_BOUND, so `load_category`
+# refuses a larger multiplicity while it parses.
 FLOAT_EXACT_BOUND = 2**53
-BLAS_MIN_LABELS = 17
-# Byte cap on the arrays that validating a category file of n labels builds:
-# the associativity check's two (n^2, n^2) products and fusion_probabilities'
-# (n, n, n, n) einsums, their difference and its absolute value, charged at
-# 32 n^4 bytes, four float64 arrays of n^4 entries.  double_z7 (n = 49)
-# takes 184 MB of it; 53 labels is the most it admits.
+# Byte cap on checking a category of n labels, charged at 32 n^4 bytes.  Each
+# associativity check holds two (n^2, n^2) float64 products, and the integer
+# check a boolean n^4 array beside them: about 17 n^4 bytes at the peak, 94 MiB
+# for double_z7 (n = 49) under tracemalloc.  53 labels is the most it admits.
 CATEGORY_BYTES_CAP = 2**28
 
 
@@ -223,14 +221,14 @@ def _as_document(document) -> Mapping:
     if isinstance(document, Path):
         try:
             return json.loads(document.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or an int past the digit limit
             raise MalformedInput(f"cannot read category file {document}: {exc}") from exc
     if isinstance(document, str):
         text = document.strip()
         if text.startswith("{"):
             try:
                 return json.loads(text)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise MalformedInput(f"invalid JSON: {exc}") from exc
         return _as_document(Path(document))
     raise MalformedInput(f"unsupported document type {type(document).__name__}")
@@ -244,7 +242,8 @@ def load_category(document) -> FusionCategory:
     absent entries meaning 0.  The unit is inferred from the multiplicity
     table; if `dual` is absent it is inferred from the unit channel.  A
     label set whose validation arrays would pass CATEGORY_BYTES_CAP is
-    DimensionCap before the table is read.
+    DimensionCap before the table is read, and a multiplicity m with
+    n * m^2 >= FLOAT_EXACT_BOUND is MalformedInput before it is written.
     """
     doc = _as_document(document)
     if "labels" not in doc or "N" not in doc:
@@ -255,10 +254,7 @@ def load_category(document) -> FusionCategory:
     if not labels:
         raise MalformedInput("empty label set")
     n = len(labels)
-    if 32 * n**4 > CATEGORY_BYTES_CAP:
-        raise DimensionCap(
-            f"{n} labels: the associativity checks' n^4-entry arrays are over the {CATEGORY_BYTES_CAP}-byte cap"
-        )
+    _charge_labels(n)
     idx = {lab: i for i, lab in enumerate(labels)}
 
     N = np.zeros((n, n, n), dtype=np.int64)
@@ -274,8 +270,10 @@ def load_category(document) -> FusionCategory:
             for c, mult in col.items():
                 if c not in idx:
                     raise MalformedInput(f"unknown label {c!r} in N[{a}][{b}]")
-                if not isinstance(mult, int) or mult < 0:
+                if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
                     raise MalformedInput(f"N[{a}][{b}][{c}] = {mult!r} is not a non-negative integer")
+                if n * mult**2 >= FLOAT_EXACT_BOUND:
+                    raise MalformedInput(f"N[{a}][{b}][{c}] = {mult} is past the exact float64 bound n m^2 < 2^53")
                 N[idx[a], idx[b], idx[c]] = mult
 
     dual_doc = doc.get("dual")
@@ -292,9 +290,16 @@ def load_category(document) -> FusionCategory:
     return _validate_category(labels, N, dual, name)
 
 
+def _charge_labels(n: int) -> None:
+    """Raise DimensionCap unless validating n labels fits CATEGORY_BYTES_CAP."""
+    if 32 * n**4 > CATEGORY_BYTES_CAP:
+        raise DimensionCap(
+            f"{n} labels: the associativity checks' n^4-entry arrays are over the {CATEGORY_BYTES_CAP}-byte cap"
+        )
+
+
 def _validate_category(labels, N, dual, name) -> FusionCategory:
     n = len(labels)
-    idx = {lab: i for i, lab in enumerate(labels)}
     delta = np.eye(n, dtype=np.int64)
 
     # unit label: N[u, a, b] = N[a, u, b] = delta_{ab}
@@ -344,22 +349,26 @@ def _validate_category(labels, N, dual, name) -> FusionCategory:
     return FusionCategory(labels=labels, unit=labels[unit], dual=dual, N=N, name=name)
 
 
+def _associativity_products(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lhs[a,b,c,d] = sum_e T[a,b,e] T[e,c,d] and rhs[a,b,c,d] = sum_f T[b,c,f] T[a,f,d]
+    over a float64 T, each one (n^2, n) @ (n, n^2) product."""
+    n = T.shape[0]
+    flat = T.reshape(n * n, n)
+    lhs = (flat @ T.reshape(n, n * n)).reshape(n, n, n, n)
+    # (b, c) x (a, d), reordered to (a, b, c, d)
+    rhs = (flat @ T.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
+    return lhs, rhs.transpose(2, 0, 1, 3)
+
+
 def _associativity_failure(N: np.ndarray) -> tuple[int, int, int, int, int, int] | None:
     """First (a, b, c, d) in row-major order where sum_e N[a,b,e] N[e,c,d]
     differs from sum_f N[b,c,f] N[a,f,d], with the two sums; None if N is
     associative.
 
-    Both sides are (n^2, n) @ (n, n^2) matrix products, the right one over
-    N with its first two axes swapped: in float64 when n >= BLAS_MIN_LABELS
-    and n * max(N)^2 < 2^53, where they are exact, and in int64 otherwise.
+    The sums are `_associativity_products` of N in float64, exact for every
+    table `load_category` admits (n * max(N)^2 < FLOAT_EXACT_BOUND).
     """
-    n = N.shape[0]
-    blas = n >= BLAS_MIN_LABELS and n * int(N.max()) ** 2 < FLOAT_EXACT_BOUND
-    M = N.astype(np.float64) if blas else N
-    lhs = (M.reshape(n * n, n) @ M.reshape(n, n * n)).reshape(n, n, n, n)
-    # (b, c) x (a, d), reordered to (a, b, c, d)
-    rhs = (M.reshape(n * n, n) @ M.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
-    rhs = rhs.transpose(2, 0, 1, 3)
+    lhs, rhs = _associativity_products(N.astype(np.float64))
     if np.array_equal(lhs, rhs):
         return None
     a, b, c, d = (int(i) for i in np.argwhere(lhs != rhs)[0])
@@ -370,6 +379,7 @@ def group_category(labels, multiply, name="group") -> FusionCategory:
     """Fusion category of a finite group: N[a,b,c] = 1 iff a*b = c."""
     labels = tuple(labels)
     n = len(labels)
+    _charge_labels(n)
     idx = {lab: i for i, lab in enumerate(labels)}
     N = np.zeros((n, n, n), dtype=np.int64)
     for a in labels:
@@ -502,24 +512,18 @@ def _quantum_dimensions(cat: FusionCategory) -> QuantumDims:
     return QuantumDims(labels=cat.labels, d=d, total=total)
 
 
-def fusion_probabilities(cat: FusionCategory, dims: QuantumDims) -> FusionProbabilities:
-    """p[s,a,b] = d_b N[s,a,b] / (d_s d_a); rows normalized and associative to 1e-12.
-
-    Computed once per category object when `dims` is that category's own
-    `quantum_dimensions`; other dims are not remembered.
-    """
-    if cat._memo.get("dims") is not dims:
-        return _fusion_probabilities(cat, dims)
-    return _memo(cat, "fp", lambda: _fusion_probabilities(cat, dims))
+def fusion_probabilities(cat: FusionCategory) -> FusionProbabilities:
+    """p[s,a,b] = d_b N[s,a,b] / (d_s d_a) over the category's own `quantum_dimensions`;
+    rows normalized and associative to 1e-12.  Computed once per category object."""
+    return _memo(cat, "fp", lambda: _fusion_probabilities(cat, quantum_dimensions(cat)))
 
 
 def _fusion_probabilities(cat: FusionCategory, dims: QuantumDims) -> FusionProbabilities:
     d = dims.d
     p = cat.N * d[None, None, :] / (d[:, None, None] * d[None, :, None])
     row_residual = float(np.abs(p.sum(axis=2) - 1.0).max())
-    lhs = np.einsum("stu,uac->stac", p, p)
-    rhs = np.einsum("tab,sbc->stac", p, p)
-    assoc_residual = float(np.abs(lhs - rhs).max())
+    lhs, rhs = _associativity_products(p)
+    assoc_residual = float(np.abs(np.subtract(lhs, rhs, out=lhs), out=lhs).max())
     if row_residual > STRUCT_TOL:
         raise InvalidCategory(f"fusion probability rows sum to 1 +- {row_residual:g}")
     if assoc_residual > STRUCT_TOL:

@@ -125,7 +125,7 @@ def nested_annulus_table(spec: RingSpec, n: int) -> audit.AuditTrace:
         table[:, i] = value
     cat = zn_category(spec.q)
     dims = quantum_dimensions(cat)
-    fp = fusion_probabilities(cat, dims)
+    fp = fusion_probabilities(cat)
     return audit.AuditTrace(
         labels=cat.labels,
         table=table,

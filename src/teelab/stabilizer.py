@@ -1219,7 +1219,7 @@ def nested_annulus_table(
     table = np.tile(levels, (p * p, 1))
     cat = double_zn_category(p)
     dims = quantum_dimensions(cat)
-    fp = fusion_probabilities(cat, dims)
+    fp = fusion_probabilities(cat)
     return audit.AuditTrace(
         labels=cat.labels,
         table=table,

@@ -13,7 +13,7 @@ def categories():
     for name in fusion.bundled_category_names():
         cat = fusion.bundled_category(name)
         dims = fusion.quantum_dimensions(cat)
-        fp = fusion.fusion_probabilities(cat, dims)
+        fp = fusion.fusion_probabilities(cat)
         out[name] = (cat, dims, fp)
     return out
 

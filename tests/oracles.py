@@ -385,6 +385,15 @@ def associativity_failure_einsum(N: np.ndarray) -> tuple[int, int, int, int, int
     return a, b, c, d, int(lhs[a, b, c, d]), int(rhs[a, b, c, d])
 
 
+def associativity_residual_einsum(p: np.ndarray) -> float:
+    """Slow path of `fusion._fusion_probabilities`' associativity residual:
+    max |sum_u p[s,t,u] p[u,a,c] - sum_b p[t,a,b] p[s,b,c]| as two
+    (n, n, n, n) float einsums."""
+    lhs = np.einsum("stu,uac->stac", p, p)
+    rhs = np.einsum("tab,sbc->stac", p, p)
+    return float(np.abs(lhs - rhs).max())
+
+
 def is_fusion_ring(N: np.ndarray, labels=None, dual=None) -> bool:
     """Brute-force check that N is a fusion (based) ring: a unit u with
     N[u,a,b] = N[a,u,b] = delta_ab; for each a exactly one a* with

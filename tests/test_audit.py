@@ -312,7 +312,7 @@ class TestTaylorSweep:
         # pairs holds (SWEEP_BYTES_CAP) and the pairs are summed in groups
         cat = make()
         dims = fusion.quantum_dimensions(cat)
-        fp = fusion.fusion_probabilities(cat, dims)
+        fp = fusion.fusion_probabilities(cat)
         L = cat.n_labels
         weights = np.arange(1.0, L + 1.0)
         off_center = AnyonDistribution(cat.labels, weights / weights.sum())
@@ -354,7 +354,7 @@ class TestTaylorSweep:
         # fixed allowance
         rng = np.random.default_rng(7)
         cat = fusion.zn_category(13)
-        fp13 = fusion.fusion_probabilities(cat, fusion.quantum_dimensions(cat))
+        fp13 = fusion.fusion_probabilities(cat)
         weights = np.arange(1.0, 14.0)
         raw = rng.random((5, 5, 5))
         labels = tuple("abcde")

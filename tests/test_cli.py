@@ -71,6 +71,17 @@ class TestFusionCommand:
         assert cli.main(["fusion", "--category-file", str(path)]) == 2
         assert "byte cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mult", [2**70, 2**40, True], ids=["2^70", "2^40", "true"])
+    def test_unexact_or_boolean_multiplicity_exits_2(self, mult, tmp_path, capsys):
+        # 2^70 overflows int64 and 2^40 fits it but not the float64 products'
+        # exactness bound; a JSON true is not an integer multiplicity
+        doc = {"labels": ["1", "x"], "N": {"1": {"1": {"1": 1}, "x": {"x": 1}},
+                                           "x": {"1": {"x": 1}, "x": {"1": 1, "x": mult}}}}
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["fusion", "--category-file", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_stage_timings_outside_canonical_report(self, tmp_path):
         code, report = run_json(["fusion", "--category", "ising", "--trials", "3"], tmp_path)
         assert code == 0
@@ -92,6 +103,20 @@ class TestRingCommand:
         code, report = run_json(["ring", "--q", "2", "--arcs", "5,1,1,1", "--levels", "3"], tmp_path)
         assert code == 0
         assert report["data"]["audit"]["passed"]
+
+    def test_oversize_q_with_levels_exits_2_before_the_table(self, capsys):
+        # zn_category(54) is charged as a 54-label category file is: refused
+        # before its table and (54^2, 54^2) products are allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="54 labels"):
+                cli.run({"scenario": "ring", "q": 54, "levels": 1, "arcs": [3, 1, 1, 1]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24, peak
+        assert cli.main(["ring", "--q", "54", "--levels", "1", "--arcs", "3,1,1,1"]) == 2
+        assert "byte cap" in capsys.readouterr().err
 
     def test_levels_stage_timings_outside_canonical_report(self, tmp_path):
         code, report = run_json(["ring", "--q", "3", "--arcs", "5,1,1,1", "--levels", "3"], tmp_path)
@@ -402,6 +427,21 @@ class TestAuditCommand:
         path.write_text(json.dumps(doc))
         assert cli.main(["audit", "--trace", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    b'{"labels": ["1"], "N": {"1": {"1": {"1": 1' + b"0" * 5000 + b"}}}}",
+    b'{"labels": ["\xff"]}',
+], ids=["5001-digit integer", "invalid UTF-8"])
+@pytest.mark.parametrize("flag", ["category-file", "trace", "config"])
+def test_unreadable_json_file_is_config_error(text, flag, tmp_path, capsys):
+    # json.loads raises a plain ValueError past the integer digit limit, and
+    # read_text a UnicodeDecodeError, neither of them a JSONDecodeError
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    command = {"category-file": "fusion", "trace": "audit", "config": "selftest"}[flag]
+    assert cli.main([command, f"--{flag}", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cfg", [

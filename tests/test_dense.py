@@ -235,7 +235,7 @@ class TestFusionChecker:
         self.removed = dense.thinned_sites(self.spec, 1)
         self.thin = dense.ring_partition(self.spec, self.removed)
         cat = fusion.zn_category(2)
-        self.fp = fusion.fusion_probabilities(cat, fusion.quantum_dimensions(cat))
+        self.fp = fusion.fusion_probabilities(cat)
 
     def test_ring_shift_on_removed_site_passes_exactly(self):
         shift = dense.fusion_unitary(self.spec, 1, self.removed[0], self.removed)
@@ -257,7 +257,7 @@ class TestFusionChecker:
         thin = Partition({0: "ENV", 1: "A", 2: "B", 3: "C"})
         flip = LocalUnitary((1,), np.array([[0, 1], [1, 0]], dtype=complex))
         cat = fusion.zn_category(2)
-        fp = fusion.fusion_probabilities(cat, fusion.quantum_dimensions(cat))
+        fp = fusion.fusion_probabilities(cat)
         report = dense.check_fusion_property(fam, part, thin, flip, "1", fp)
         assert not report.passed
         assert report.worst > 0.999  # orthogonal supports: distance 1
@@ -268,7 +268,7 @@ class TestFusionChecker:
         part = Partition({0: "A", 1: "A", 2: "B", 3: "C"})
         thin = Partition({0: "ENV", 1: "A", 2: "B", 3: "C"})
         cat = fusion.zn_category(2)
-        fp = fusion.fusion_probabilities(cat, fusion.quantum_dimensions(cat))
+        fp = fusion.fusion_probabilities(cat)
         with pytest.raises(SupportViolation):
             dense.check_fusion_property(fam, part, thin, flip, "1", fp)
 

@@ -17,7 +17,12 @@ from teelab.errors import (
 )
 from teelab.fusion import AnyonDistribution
 
-from oracles import DefectFusionSystem, brute_force_associative, defect_fixed_point
+from oracles import (
+    DefectFusionSystem,
+    associativity_residual_einsum,
+    brute_force_associative,
+    defect_fixed_point,
+)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -126,6 +131,20 @@ class TestLoadCategory:
         with pytest.raises(DimensionCap, match="54 labels"):
             fusion.load_category({"labels": [str(k) for k in range(54)], "N": {}})
 
+    def test_multiplicity_bound_is_the_float64_exactness_bound(self):
+        # two labels: 2 m^2 < 2^53 admits m = 2^26 - 1 and refuses m = 2^26
+        # while the table is parsed, whatever else the table holds
+        assert fusion.load_category(rank_two_document(2**26 - 1)).N[1, 1, 1] == 2**26 - 1
+        for mult in (2**26, 2**40, 2**70):
+            with pytest.raises(MalformedInput, match=r"past the exact float64 bound n m\^2 < 2\^53"):
+                fusion.load_category(rank_two_document(mult))
+
+    def test_group_categories_are_charged_before_the_table(self):
+        # zn_category shares load_category's label charge, so Z_54 is refused
+        # before its table (or the (54^2, 54^2) products) is allocated
+        with pytest.raises(DimensionCap, match="54 labels"):
+            fusion.zn_category(54)
+
     def test_json_text_and_file(self, tmp_path):
         doc = {"labels": ["0", "1"], "N": {"0": {"0": {"0": 1}, "1": {"1": 1}},
                                            "1": {"0": {"1": 1}, "1": {"0": 1}}}}
@@ -134,6 +153,33 @@ class TestLoadCategory:
         path.write_text(json.dumps(doc))
         from_file = fusion.load_category(path)
         assert from_text.labels == from_file.labels == ("0", "1")
+
+
+def rank_two_document(k) -> dict:
+    """The ring x * x = 1 + k x on labels 1 and x, associative for every k."""
+    return {
+        "labels": ["1", "x"],
+        "N": {"1": {"1": {"1": 1}, "x": {"x": 1}}, "x": {"1": {"x": 1}, "x": {"1": 1, "x": k}}},
+    }
+
+
+class TestAssociativityResidual:
+    @pytest.mark.parametrize(
+        "source",
+        [pytest.param(lambda name=name: fusion.bundled_category(name), id=name)
+         for name in fusion.bundled_category_names()]
+        + [pytest.param(lambda: fusion.zn_category(13), id="z13")]
+        + [pytest.param(lambda p=p: fusion.double_zn_category(p), id=f"double_z{p}") for p in (3, 5)],
+    )
+    def test_products_equal_the_einsum_oracle_bit_for_bit(self, source):
+        # the printed `fusion_associative` value is unchanged by the products
+        fp = fusion.fusion_probabilities(source())
+        assert fp.associativity_residual.hex() == associativity_residual_einsum(fp.p).hex()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_products_agree_with_the_oracle_on_rank_two_rings(self, k):
+        fp = fusion.fusion_probabilities(fusion.load_category(rank_two_document(k)))
+        assert abs(fp.associativity_residual - associativity_residual_einsum(fp.p)) <= 1e-15
 
 
 CACHED_SOURCES = [
@@ -148,17 +194,17 @@ class TestBuiltOnce:
     def test_category_and_spectra_are_the_same_objects(self, source):
         cat = source()
         dims = fusion.quantum_dimensions(cat)
-        fp = fusion.fusion_probabilities(cat, dims)
+        fp = fusion.fusion_probabilities(cat)
         assert source() is cat
         assert fusion.quantum_dimensions(cat) is dims
-        assert fusion.fusion_probabilities(cat, dims) is fp
+        assert fusion.fusion_probabilities(cat) is fp
         assert fusion.fixed_point_iterative(fp) is fusion.fixed_point_iterative(fp)
 
     @pytest.mark.parametrize("source", CACHED_SOURCES)
     def test_cached_category_is_read_only(self, source):
         cat = source()
         dims = fusion.quantum_dimensions(cat)
-        fp = fusion.fusion_probabilities(cat, dims)
+        fp = fusion.fusion_probabilities(cat)
         p_star = fusion.closed_form_fixed_point(dims)
         for array in (cat.N, dims.d, fp.p, p_star.probs,
                       fusion.fixed_point_iterative(fp).distribution.probs):
@@ -170,21 +216,13 @@ class TestBuiltOnce:
             cat.dual = {}
         assert cat.dual[cat.unit] == cat.unit
 
-    def test_foreign_dims_are_not_remembered(self):
-        cat = fusion.bundled_category("fibonacci")
-        dims = fusion.quantum_dimensions(cat)
-        foreign = fusion.QuantumDims(cat.labels, dims.d.copy(), dims.total)
-        fp = fusion.fusion_probabilities(cat, foreign)
-        assert fp is not fusion.fusion_probabilities(cat, dims)
-        assert fp.p.tobytes() == fusion.fusion_probabilities(cat, dims).p.tobytes()
-
     def test_spectra_live_and_die_with_their_category(self, tmp_path):
         # a category from a user's file is held by no module-level table
         path = tmp_path / "z2.json"
         path.write_text(json.dumps({"labels": ["0", "1"], "N": {
             "0": {"0": {"0": 1}, "1": {"1": 1}}, "1": {"0": {"1": 1}, "1": {"0": 1}}}}))
         cat = fusion.load_category(path)
-        fp = fusion.fusion_probabilities(cat, fusion.quantum_dimensions(cat))
+        fp = fusion.fusion_probabilities(cat)
         fusion.fixed_point_iterative(fp)
         refs = [weakref.ref(cat), weakref.ref(fp)]
         del cat, fp
@@ -198,13 +236,13 @@ class TestBuiltOnce:
         for source in sources:
             cat = source()
             dims = fusion.quantum_dimensions(cat)
-            fp = fusion.fusion_probabilities(cat, dims)
+            fp = fusion.fusion_probabilities(cat)
             fixed = fusion.fixed_point_iterative(fp)
             clear_category_caches()
             fresh = source()
             assert fresh is not cat and fresh.N.tobytes() == cat.N.tobytes()
             fresh_dims = fusion.quantum_dimensions(fresh)
-            fresh_fp = fusion.fusion_probabilities(fresh, fresh_dims)
+            fresh_fp = fusion.fusion_probabilities(fresh)
             fresh_fixed = fusion.fixed_point_iterative(fresh_fp)
             assert fresh_fixed is not fixed
             assert (fresh_dims.d.tobytes(), fresh_dims.total) == (dims.d.tobytes(), dims.total)
@@ -256,7 +294,7 @@ class TestQuantumDimensions:
         # fusion is deterministic, and the Taylor sweep's columns are p itself
         cat = source()
         dims = fusion.quantum_dimensions(cat)
-        fp = fusion.fusion_probabilities(cat, dims)
+        fp = fusion.fusion_probabilities(cat)
         L = cat.n_labels
         assert dims.d.tolist() == [1.0] * L
         assert set(np.unique(fp.p).tolist()) == {0.0, 1.0}

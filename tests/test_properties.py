@@ -1128,7 +1128,7 @@ def test_edited_fusion_table_rejected_by_name_or_still_a_ring(name, edit, data):
     valid = is_fusion_ring(N, cat.labels, dual)
     try:
         edited = fusion.load_category(doc)
-        fusion.fusion_probabilities(edited, fusion.quantum_dimensions(edited))
+        fusion.fusion_probabilities(edited)
     except (InvalidCategory, MalformedInput) as exc:
         assert not valid, exc
         assert re.search(r"unit|dual|associativ|dimension", str(exc)), exc
@@ -1155,10 +1155,9 @@ def _rank_two_table(k: int) -> np.ndarray:
 def integer_tables(draw) -> np.ndarray:
     """Integer tables up to 25 labels: associative ones (cyclic groups and
     x^2 = 1 + k x rings, their tensor products, relabelled), the same with
-    one entry edited, and random ones.  Tables on either side of
-    BLAS_MIN_LABELS occur, and some are scaled by 3^16, past the float64
-    exactness bound (an odd scale, so float64 would round their products)
-    but not past int64, so every path of the products runs."""
+    one entry edited, and random ones.  Some are scaled by 3^16, an odd
+    scale, which puts most of them past the float64 exactness bound
+    n * max(N)^2 < 2^53 (float64 products would round there)."""
 
     def factor(orders):
         if draw(hst.booleans()):
@@ -1185,6 +1184,18 @@ def integer_tables(draw) -> np.ndarray:
 @settings(max_examples=300, deadline=None)
 @given(N=integer_tables())
 def test_associativity_products_match_einsum_oracle(N):
-    # the matrix products, exact float64 or int64, accept and reject as the
-    # int64 einsums do, naming the same first (a, b, c, d) and sums
-    assert fusion._associativity_failure(N) == associativity_failure_einsum(N)
+    # an admitted table's float64 products accept and reject as the int64
+    # einsums do, naming the same first (a, b, c, d) and sums; a table past
+    # the exactness bound is refused while it is parsed
+    n = len(N)
+    if n * int(N.max()) ** 2 < fusion.FLOAT_EXACT_BOUND:
+        assert fusion._associativity_failure(N) == associativity_failure_einsum(N)
+        return
+    labels = [str(k) for k in range(n)]
+    doc = {
+        "labels": labels,
+        "N": {labels[a]: {labels[b]: {labels[c]: int(N[a, b, c]) for c in range(n)} for b in range(n)}
+              for a in range(n)},
+    }
+    with pytest.raises(MalformedInput, match="exact float64 bound"):
+        fusion.load_category(doc)

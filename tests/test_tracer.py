@@ -31,7 +31,7 @@ def small_calls() -> dict:
     """One small real call, (args, kwargs), per counted function."""
     cat = fusion.bundled_category("z2")
     dims = fusion.quantum_dimensions(cat)
-    fp = fusion.fusion_probabilities(cat, dims)
+    fp = fusion.fusion_probabilities(cat)
     mat = np.array([[1, 2], [2, 4]], dtype=np.int64)
     return {
         "gfp.rank_mod_p": ((mat, 3), {}),
