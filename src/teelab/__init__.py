@@ -3,7 +3,7 @@
 The toolkit has five working parts:
 
 * :mod:`teelab.fusion` - anyon fusion algebra: quantum dimensions, fusion
-  probabilities, the fusion convolution and its fixed point, bound constants.
+  probabilities, the fixed point of the fusion convolution, bound constants.
 * :mod:`teelab.gfp` - exact linear algebra over F_p for canonical bases and
   witnesses.
 * :mod:`teelab.ring` - exact synthetic Abelian sector families on a
@@ -15,6 +15,10 @@ The toolkit has five working parts:
 
 Every entropy is an exact count; no part builds a dense density operator.
 The dense checkers that compare against those counts live with the tests.
+Every definition here is reached by a CLI run or by a name that
+bench/tracer.py traces; tests/test_package.py walks the call graph to check
+it, and allows only `cli.canonical_report`, `cli.report_bytes` and
+`audit.save_trace` by name.
 
 :mod:`teelab.cli` stitches these into the `teelab` command.
 """

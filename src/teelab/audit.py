@@ -50,6 +50,10 @@ MARGIN_TOL = 1e-9
 # 1 + 98 + 49 + 10 + 49 + 1 = 208 rows, 1664 bytes against the 3136 charged.
 SWEEP_BYTES_CAP = 2**28
 
+# Bytes of one chunk of `assemble_bound`'s perturbed step margins, (levels,
+# L, L) float64: a chunk holds max(1, this // (8 L^2)) levels.
+_PERTURBED_CHUNK_BYTES = 2**24
+
 TRACE_SCHEMA = "teelab-trace/v1"
 
 
@@ -96,11 +100,6 @@ class AuditTrace:
     def p_min(self) -> float:
         return float(self.p_star.probs.min())
 
-    def level(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.n_levels:
-            raise MalformedInput(f"level {i} outside 0..{self.n_levels - 1}")
-        return self.table[:, i]
-
 
 def _annotate(margin: float) -> tuple[bool, str]:
     if margin >= 0.0:
@@ -111,72 +110,13 @@ def _annotate(margin: float) -> tuple[bool, str]:
 
 
 # ---------------------------------------------------------------------------
-# individual lemma checks
-
-
-def check_mixture_entropy_bound(trace: AuditTrace, level: int, p: AnyonDistribution) -> float:
-    """Margin of  sum_a p_a I_i^(a) >= H(p)  at one level."""
-    if tuple(p.labels) != trace.labels:
-        raise MalformedInput("distribution labels do not match the trace")
-    return float(p.probs @ trace.level(level) - p.entropy())
-
-
-def mixed_step_distribution(trace: AuditTrace, p: AnyonDistribution, s: str) -> AnyonDistribution:
-    """p_{a,s} = sum_b p_b fp[s,b,a]: distribution after fusing a p-sample with s."""
-    si = trace.fp.index(s)
-    out = np.einsum("b,ba->a", p.probs, trace.fp.p[si])
-    return AnyonDistribution(trace.labels, out / out.sum())
-
-
-def check_fusion_step(trace: AuditTrace, level: int, p: AnyonDistribution, s: str) -> float:
-    """Margin of the step inequality between levels i and i+1:
-
-    sum_a p_a I_{i+1}^(a) - H(p)  >=  sum_a p_{a,s} I_i^(a) - H(p_{a,s}).
-    """
-    if level + 1 >= trace.n_levels:
-        raise MalformedInput(f"no level pair {level} -> {level + 1}")
-    p_as = mixed_step_distribution(trace, p, s)
-    lhs = float(p.probs @ trace.level(level + 1) - p.entropy())
-    rhs = float(p_as.probs @ trace.level(level) - p_as.entropy())
-    return lhs - rhs
+# lemma checks
 
 
 def check_monotonicity(trace: AuditTrace) -> float:
     """Worst margin of  I_{i+1}^(a) >= I_i^(a)  over all labels and level pairs."""
     diffs = trace.table[:, 1:] - trace.table[:, :-1]
     return float(diffs.min())
-
-
-def check_average_level_bound(trace: AuditTrace, level: int, b: str) -> float:
-    """Margin of  I_{i+1}^(b) >= sum_a p*_a I_i^(a) - log n_labels."""
-    if level + 1 >= trace.n_levels:
-        raise MalformedInput(f"no level pair {level} -> {level + 1}")
-    bi = _label_index(trace.labels, b)
-    rhs = float(trace.p_star.probs @ trace.level(level)) - math.log(len(trace.labels))
-    return float(trace.table[bi, level + 1]) - rhs
-
-
-def check_perturbed_step_bound(trace: AuditTrace, level: int, b: str, c: str, eps: float) -> float:
-    """Margin of the two-label perturbation bound at one level:
-
-    sum_a p*_a (I_{i+1}^(a) - I_i^(a))
-        >=  eps pmin [I_i^(c) - I_i^(b) + log(p*_c/p*_b)] - 2 eps^2,
-
-    valid for |eps| <= pmin/2.
-    """
-    pmin = trace.p_min
-    if abs(eps) > pmin / 2 + 1e-15:
-        raise EpsilonOutOfRange(f"|eps| = {abs(eps):g} exceeds pmin/2 = {pmin / 2:g}")
-    if level + 1 >= trace.n_levels:
-        raise MalformedInput(f"no level pair {level} -> {level + 1}")
-    bi, ci = _label_index(trace.labels, b), _label_index(trace.labels, c)
-    lhs = float(trace.p_star.probs @ (trace.level(level + 1) - trace.level(level)))
-    bracket = (
-        float(trace.table[ci, level] - trace.table[bi, level])
-        + math.log(trace.p_star.probs[ci] / trace.p_star.probs[bi])
-    )
-    rhs = eps * pmin * bracket - 2.0 * eps**2
-    return lhs - rhs
 
 
 def _deltas(trace: AuditTrace, bi: int) -> np.ndarray:
@@ -271,9 +211,11 @@ def assemble_bound(
     The premises are array programs over the table: the (n+1, L) averaged
     level margins and the (n, L, L) perturbed step margins [i, b, c] are
     formed elementwise from one dot p* . I_i per level and one dot
-    p* . (I_{i+1} - I_i) per step, with the arithmetic of the scalar
-    `check_*` functions, which define each point.  A premise's worst_case
-    is its first minimum in (level, label, label) order.
+    p* . (I_{i+1} - I_i) per step, with the arithmetic of the scalar checks
+    in `tests/oracles.py`, which define each point.  The perturbed margins
+    are formed a chunk of levels at a time, at most _PERTURBED_CHUNK_BYTES
+    each, so their memory does not grow with n.  A premise's worst_case is
+    its first minimum in (level, label, label) order.
     """
     n = trace.n
     if n < 1:
@@ -328,14 +270,20 @@ def assemble_bound(
     steps = np.array([ps @ row for row in levels[1 : n + 1] - levels[:n]])  # p* . (I_{i+1} - I_i)
     ep, quad = eps * pmin, 2.0 * eps**2
     log_ratio = np.array([[math.log(ps[c] / ps[lb]) for c in range(L)] for lb in range(L)])  # [b, c]
-    # [i, b, c]: steps_i - (eps pmin [I_i^(c) - I_i^(b) + log(p*_c/p*_b)] - 2 eps^2), in place
-    perturbed = np.subtract(levels[:n, None, :], levels[:n, :, None])
-    perturbed += log_ratio
-    perturbed *= ep
-    perturbed -= quad
-    np.subtract(steps[:, None, None], perturbed, out=perturbed)
-    margin, (i, lb, lc) = _first_min(perturbed)
-    premise("perturbed_step_bound", margin, {"worst_case": f"{i}:{labels[lb]}->{labels[lc]}"})
+    chunk = max(1, _PERTURBED_CHUNK_BYTES // (8 * L * L))  # levels per (chunk, L, L) array
+    margin = worst = None
+    for i0 in range(0, n, chunk):
+        i1 = min(i0 + chunk, n)
+        # [i, b, c]: steps_i - (eps pmin [I_i^(c) - I_i^(b) + log(p*_c/p*_b)] - 2 eps^2), in place
+        perturbed = np.subtract(levels[i0:i1, None, :], levels[i0:i1, :, None])
+        perturbed += log_ratio
+        perturbed *= ep
+        perturbed -= quad
+        np.subtract(steps[i0:i1, None, None], perturbed, out=perturbed)
+        low, (i, lb, lc) = _first_min(perturbed)
+        if margin is None or low < margin:  # strict: of a tie the earlier chunk's entry stays
+            margin, worst = low, f"{i0 + i}:{labels[lb]}->{labels[lc]}"
+    premise("perturbed_step_bound", margin, {"worst_case": worst})
 
     # chain arithmetic
     bi = _label_index(labels, b)

@@ -148,10 +148,6 @@ class FusionProbabilities:
     def index(self, label: str) -> int:
         return _label_index(self.labels, label)
 
-    def prob(self, s: str, a: str, b: str) -> float:
-        i = self.index
-        return float(self.p[i(s), i(a), i(b)])
-
 
 @dataclass(frozen=True)
 class AnyonDistribution:
@@ -185,12 +181,6 @@ class AnyonDistribution:
     def uniform(labels) -> "AnyonDistribution":
         n = len(labels)
         return AnyonDistribution(tuple(labels), np.full(n, 1.0 / n))
-
-    @staticmethod
-    def point_mass(labels, a: str) -> "AnyonDistribution":
-        probs = np.zeros(len(labels))
-        probs[list(labels).index(a)] = 1.0
-        return AnyonDistribution(tuple(labels), probs)
 
 
 @dataclass(frozen=True)
@@ -246,8 +236,10 @@ def load_category(document) -> FusionCategory:
     n * m^2 >= FLOAT_EXACT_BOUND is MalformedInput before it is written.
     """
     doc = _as_document(document)
-    if "labels" not in doc or "N" not in doc:
+    if not isinstance(doc, Mapping) or "labels" not in doc or "N" not in doc:
         raise MalformedInput("category document needs 'labels' and 'N' fields")
+    if not isinstance(doc["labels"], (list, tuple)):
+        raise MalformedInput("'labels' must be an array")
     labels = tuple(str(x) for x in doc["labels"])
     if len(set(labels)) != len(labels):
         raise MalformedInput("duplicate labels")
@@ -264,9 +256,13 @@ def load_category(document) -> FusionCategory:
     for a, row in table.items():
         if a not in idx:
             raise MalformedInput(f"unknown label {a!r} in N")
+        if not isinstance(row, Mapping):
+            raise MalformedInput(f"N[{a}] must be a map")
         for b, col in row.items():
             if b not in idx:
                 raise MalformedInput(f"unknown label {b!r} in N[{a}]")
+            if not isinstance(col, Mapping):
+                raise MalformedInput(f"N[{a}][{b}] must be a map")
             for c, mult in col.items():
                 if c not in idx:
                     raise MalformedInput(f"unknown label {c!r} in N[{a}][{b}]")
@@ -534,15 +530,7 @@ def _fusion_probabilities(cat: FusionCategory, dims: QuantumDims) -> FusionProba
 
 
 # ---------------------------------------------------------------------------
-# the star convolution and its fixed point
-
-
-def star(p: AnyonDistribution, q: AnyonDistribution, fp: FusionProbabilities) -> AnyonDistribution:
-    """Fusion convolution: (p * q)_b = sum_{s,a} fp[s,a,b] p_s q_a."""
-    if p.labels != fp.labels or q.labels != fp.labels:
-        raise MalformedInput("distribution labels do not match fusion probabilities")
-    out = np.einsum("sab,s,a->b", fp.p, p.probs, q.probs)
-    return AnyonDistribution(fp.labels, out)
+# the fixed point of the fusion convolution
 
 
 def _power_iterate(M: np.ndarray, what: str) -> tuple[np.ndarray, int]:
@@ -610,14 +598,12 @@ def verify_fixed_point_identity(fp: FusionProbabilities, p_star: AnyonDistributi
 # bound constants
 
 
-def bound_constant(p_star: AnyonDistribution, set_size: int | None = None) -> float:
+def bound_constant(p_star: AnyonDistribution) -> float:
     """Finite-size constant K = 1 + (2/pmin^2) log(n_labels / pmin), natural log."""
-    if set_size is None:
-        set_size = len(p_star.labels)
     pmin = float(p_star.probs.min())
     if pmin <= 0.0:
         raise DegenerateDistribution("fixed-point distribution has a zero entry")
-    return 1.0 + (2.0 / pmin**2) * math.log(set_size / pmin)
+    return 1.0 + (2.0 / pmin**2) * math.log(len(p_star.labels) / pmin)
 
 
 def tee_lower_bound(a0: str, p_star: AnyonDistribution, n: int, K: float) -> float:

@@ -34,7 +34,6 @@ class RingSpec:
     sites_b1: int
     sites_c: int
     sites_b2: int
-    sector: int | None = None
 
     def __post_init__(self):
         if self.q < 2:
@@ -44,8 +43,6 @@ class RingSpec:
                 raise MalformedInput("every arc needs at least one site")
         if self.n_sites < 4:
             raise MalformedInput("ring needs at least 4 sites")
-        if self.sector is not None and not 0 <= self.sector < self.q:
-            raise MalformedInput(f"sector {self.sector} outside Z_{self.q}")
 
     @property
     def n_sites(self) -> int:
@@ -109,8 +106,6 @@ def nested_annulus_table(spec: RingSpec, n: int) -> audit.AuditTrace:
     n+1-i thinning steps, i.e. a ring with that many fewer A sites.  Every
     level keeps at least one A site (sites_a >= n+2).
     """
-    if spec.sector is not None:
-        raise MalformedInput("pass the template spec (no sector)")
     if n < 1:
         raise MalformedInput("need n >= 1 intermediate levels")
     if spec.sites_a < n + 2:

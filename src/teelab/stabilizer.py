@@ -32,8 +32,7 @@ Generators.  Every generator acts on at most four edges, so the generator
 matrix is stored as local supports (`SparseGenerators`): O(E) memory.  Rows
 are numbered by arithmetic (`_generator_rows`): plaquette (x, y) is row
 y W + x, then vertex (x, y) is row W H + y (W + 1) + x - 1, in raster order
-without the redundant vertex (0, 0); the build and the sector detectors both
-use it.  `build_ground_state` certifies the matrix by two array programs over
+without the redundant vertex (0, 0).  `build_ground_state` certifies the matrix by two array programs over
 its column index: the symplectic form summed over generator pairs that share
 an edge, and full rank as the connectivity of the column graph (see
 Entropies below), labelled in hook-and-jump rounds.  The dense E x 2E matrix
@@ -68,9 +67,10 @@ linear in the element, so a cluster's phase under a frame is the sum of its
 rows' phases (`_row_phases`, the one place the sign convention above is
 written), and two reductions on R are compared by their clusters' phases
 alone.  A canonical basis of the subgroup, the symplectic complement of G|_R
-in R's columns by one elimination over F_p (`restricted_canonical`), is built
-only to write out a witness and for `reduction_relation`; its dense generator
-block is refused above GENS_BYTES_CAP.  No path here builds a dense density
+in R's columns by two eliminations over F_p, a nullspace and then its RREF
+(`restricted_canonical`), is built only to write out a witness and for
+`reduction_relation`; its dense generator block is refused above
+GENS_BYTES_CAP.  No path here builds a dense density
 operator: the tests' dense reductions, read from that basis, are the
 oracles of the counted entropies.
 """
@@ -203,30 +203,6 @@ class Lattice:
         v = rectangle(range(max((x0 + 1) // 2, 0), min((x1 + 1) // 2, W + 1)),
                       range(max(y0 // 2, 0), min(y1 // 2, H)), W + 1, self.n_h_edges)
         return np.concatenate([h, v])
-
-    def vertex_star(self, x: int, y: int) -> list[tuple[int, int]]:
-        """(edge, orientation sign) pairs of the vertex operator at (x, y)."""
-        star = []
-        if x < self.width:
-            star.append((self.h_edge(x, y), +1))
-        if x > 0:
-            star.append((self.h_edge(x - 1, y), -1))
-        if y < self.height:
-            star.append((self.v_edge(x, y), +1))
-        if y > 0:
-            star.append((self.v_edge(x, y - 1), -1))
-        return star
-
-    def plaquette_boundary(self, x: int, y: int) -> list[tuple[int, int]]:
-        """(edge, sign) pairs of the plaquette operator at (x, y), counterclockwise."""
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise MalformedInput(f"no plaquette at ({x},{y})")
-        return [
-            (self.h_edge(x, y), +1),
-            (self.v_edge(x + 1, y), +1),
-            (self.h_edge(x, y + 1), -1),
-            (self.v_edge(x, y), -1),
-        ]
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -450,11 +426,6 @@ class AnnulusPartition:
 
     # doubled-coordinate boxes -------------------------------------------------
 
-    @property
-    def hole_box(self) -> tuple[int, int, int, int]:
-        hx0, hy0, hx1, hy1 = self.hole
-        return (2 * hx0, 2 * hy0, 2 * hx1, 2 * hy1)
-
     def bar_boxes(self) -> dict[str, tuple[int, int, int, int]]:
         hx0, hy0, hx1, hy1 = self.hole
         w = self.width
@@ -481,18 +452,14 @@ class AnnulusPartition:
         return _sorted_unique(np.concatenate(parts))
 
 
-def centered_annulus(
-    lat: Lattice, width: int, hole_size: int = 3, thin_steps: int = 0, a_width: int | None = None
-) -> AnnulusPartition:
+def centered_annulus(lat: Lattice, width: int, hole_size: int = 3, a_width: int | None = None) -> AnnulusPartition:
     """An annulus of the given bar width with a centered hole and centered origin."""
     aw = width if a_width is None else a_width
     hx0 = (lat.width - hole_size + (aw - width)) // 2
     hy0 = (lat.height - hole_size) // 2
     hole = (hx0, hy0, hx0 + hole_size, hy0 + hole_size)
     origin = (hx0 + hole_size // 2, hy0 + hole_size // 2)
-    return AnnulusPartition(
-        lattice=lat, origin=origin, hole=hole, width=width, thin_steps=thin_steps, a_width=aw
-    )
+    return AnnulusPartition(lattice=lat, origin=origin, hole=hole, width=width, a_width=aw)
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +518,6 @@ def create_sector(
         origin = (lat.width // 2, lat.height // 2)
     t_e, t_m = _sector_strings(lat, origin)
     return conjugate_by_string(state, c * t_e + f * t_m)
-
-
-def sector_family(state: StabilizerState, part: AnnulusPartition) -> dict[SectorLabel, StabilizerState]:
-    """All p^2 sector states, anchored at the partition's origin: the two
-    strings are built once and every frame is c t_e + f t_m by linearity."""
-    p = state.lattice.prime
-    t_e, t_m = _sector_strings(state.lattice, part.origin)
-    return {(c, f): conjugate_by_string(state, c * t_e + f * t_m) for c in range(p) for f in range(p)}
 
 
 # ---------------------------------------------------------------------------
@@ -756,12 +715,6 @@ def region_rank(state: StabilizerState, region: tuple[int, ...]) -> int:
     return len(columns) - _forest_size(*_compact(u, v))
 
 
-def region_entropy(state: StabilizerState, region) -> float:
-    """S(rho_R) = (|R| - g_R) log p, exactly."""
-    edges = _edges(state, region)
-    return (len(edges) - region_rank(state, edges)) * math.log(state.lattice.prime)
-
-
 @dataclass(frozen=True)
 class CmiCertificate:
     """Integer rank data behind one conditional mutual information value."""
@@ -785,12 +738,6 @@ def annulus_cmi_certificate(state: StabilizerState, part: AnnulusPartition) -> t
     sizes = {k: len(v) for k, v in regions.items()}
     ranks = {k: region_rank(state, v) for k, v in regions.items()}
     return _certificate(state.lattice.prime, sizes, ranks)
-
-
-def annulus_cmi(state: StabilizerState, part: AnnulusPartition) -> float:
-    """I(A:C|B) on the annulus, an exact integer multiple of log p."""
-    value, _ = annulus_cmi_certificate(state, part)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -886,55 +833,6 @@ def reduction_relation(
     cols = _region_columns(state1, edges)
     first = _first_mismatch(vecs, (state1.frame[cols] - state2.frame[cols])[:, None], state1.lattice.prime)
     return _relation(state1, edges, vecs, first[0])
-
-
-# ---------------------------------------------------------------------------
-# sector detectors
-
-
-def _combine_rows(state: StabilizerState, rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """Product of the given generator rows and its phase, at the full 2 n_edges
-    width; the padding (column 0, value 0) adds nothing."""
-    p = state.lattice.prime
-    vec = np.zeros(2 * state.n, dtype=np.int64)
-    np.add.at(vec, state.gens.cols[rows], state.gens.vals[rows])
-    vec %= p
-    return vec, int(_pairing(vec, state.frame) % p)
-
-
-def charge_detector(state: StabilizerState, part: AnnulusPartition) -> tuple[np.ndarray, int]:
-    """Product of vertex operators over the closed hole, which the clearance rule keeps off
-    the dropped vertex (0, 0): the X-type loop whose phase reads out the enclosed charge."""
-    hx0, hy0, hx1, hy1 = part.hole
-    y, x = np.mgrid[hy0:hy1 + 1, hx0:hx1 + 1]
-    return _combine_rows(state, _generator_rows(state.lattice, "vertex", x, y).ravel())
-
-
-def flux_detector(state: StabilizerState, part: AnnulusPartition) -> tuple[np.ndarray, int]:
-    """Product of plaquette operators over the hole plus one ring to the
-    south-west: the Z-type loop whose phase reads out the enclosed flux.
-
-    The extra ring keeps the loop's support inside the annulus edge set:
-    under the half-open box convention the hole owns its own south and west
-    perimeter edges.
-    """
-    hx0, hy0, hx1, hy1 = part.hole
-    y, x = np.mgrid[hy0 - 1:hy1, hx0 - 1:hx1]
-    return _combine_rows(state, _generator_rows(state.lattice, "plaquette", x, y).ravel())
-
-
-def sector_witness_phases(state: StabilizerState, part: AnnulusPartition) -> dict[str, int]:
-    """Phase exponents of the two enclosing loop operators in this state."""
-    abc = set(part.region_edges("ABC").tolist())
-    out = {}
-    for name, builder in (("charge", charge_detector), ("flux", flux_detector)):
-        vec, phase = builder(state, part)
-        E = state.n
-        support = set(np.flatnonzero(vec[:E] | vec[E:]).tolist())
-        if not support <= abc:
-            raise InvalidGeometry(f"{name} detector leaks outside the annulus")
-        out[name] = int(phase)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1035,8 +933,9 @@ def verify_assumptions(
 def verify_sector_assumptions(
     ground: StabilizerState, part: AnnulusPartition, rule: FusionStringRule | None = None
 ) -> AssumptionsReport:
-    """`verify_assumptions(sector_family(ground, part), part, rule)`, with no
-    sector state or fusion string built.
+    """`verify_assumptions` on the p^2 sector states anchored at the
+    partition's origin (`create_sector`), with no sector state or fusion
+    string built.
 
     Sector a = (c, f) has the frame ground + c t_e + f t_m and the fusion
     string for s = (c, f) is -c t_e' - f t_m', so every phase is linear in

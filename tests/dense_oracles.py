@@ -16,7 +16,7 @@ fails the positivity invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
@@ -538,14 +538,11 @@ class RingSectorState:
     """Uniform mixture over {h in Z_q^N : sum h = sector mod q}, held implicitly."""
 
     spec: RingSpec
+    sector: int
 
     def __post_init__(self):
-        if self.spec.sector is None:
-            raise MalformedInput("sector state needs a definite sector")
-
-    @property
-    def sector(self) -> int:
-        return self.spec.sector
+        if not 0 <= self.sector < self.spec.q:
+            raise MalformedInput(f"sector {self.sector} outside Z_{self.spec.q}")
 
     @property
     def support_size(self) -> int:
@@ -569,14 +566,14 @@ class RingSectorState:
             yield tuple(rest) + (last,)
 
     def shifted(self, s: int) -> "RingSectorState":
-        return RingSectorState(replace(self.spec, sector=(self.sector + s) % self.spec.q))
+        return RingSectorState(self.spec, (self.sector + s) % self.spec.q)
 
 
 @dataclass(frozen=True)
 class RingFamily:
     """All q sector states over one ring geometry."""
 
-    spec: RingSpec  # template, sector = None
+    spec: RingSpec
     states: tuple[RingSectorState, ...]
 
     @property
@@ -585,10 +582,8 @@ class RingFamily:
 
 
 def build_family(spec: RingSpec) -> RingFamily:
-    """The q sector states of a ring template (template must not fix a sector)."""
-    if spec.sector is not None:
-        raise MalformedInput("build_family takes a template without a sector")
-    states = tuple(RingSectorState(replace(spec, sector=a)) for a in range(spec.q))
+    """The q sector states of a ring geometry."""
+    states = tuple(RingSectorState(spec, a) for a in range(spec.q))
     return RingFamily(spec=spec, states=states)
 
 

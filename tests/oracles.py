@@ -1,5 +1,7 @@
 """Test-only oracles: slow reference paths and brute-force checks that the
-library's fast paths and validators are compared against."""
+library's fast paths and validators are compared against, and the scalar
+lemma checks, lattice operators, sector families and entropy shorthands that
+only the tests call."""
 
 from __future__ import annotations
 
@@ -17,16 +19,14 @@ from teelab.audit import (
     TaylorSweepReport,
     _fusion_classes,
     _x_log_x,
-    check_average_level_bound,
-    check_mixture_entropy_bound,
     check_monotonicity,
-    check_perturbed_step_bound,
 )
 from teelab.errors import (
     ConditionOneViolated,
     DegenerateDistribution,
     DimensionCap,
     EpsilonOutOfRange,
+    InvalidGeometry,
     MalformedInput,
     PremiseViolated,
 )
@@ -49,13 +49,17 @@ from teelab.stabilizer import (
     SparseGenerators,
     StabilizerState,
     _column_graph,
+    _edges,
     _embed,
     _pairing,
     _region_columns,
     _roots,
+    _sector_strings,
     _shared_gens,
+    annulus_cmi_certificate,
     conjugate_by_string,
     pauli_repr,
+    region_rank,
     restricted_canonical,
 )
 
@@ -239,12 +243,78 @@ def _fuse(V: np.ndarray, terms: list) -> np.ndarray:
     return V
 
 
-def _delta(trace: AuditTrace, level: int, b: str) -> float:
+def level(trace: AuditTrace, i: int) -> np.ndarray:
+    """Column i of the trace's table, I_i^(a) over the labels a."""
+    if not 0 <= i < trace.n_levels:
+        raise MalformedInput(f"level {i} outside 0..{trace.n_levels - 1}")
+    return trace.table[:, i]
+
+
+def check_mixture_entropy_bound(trace: AuditTrace, i: int, p: AnyonDistribution) -> float:
+    """Margin of  sum_a p_a I_i^(a) >= H(p)  at one level."""
+    if tuple(p.labels) != trace.labels:
+        raise MalformedInput("distribution labels do not match the trace")
+    return float(p.probs @ level(trace, i) - p.entropy())
+
+
+def mixed_step_distribution(trace: AuditTrace, p: AnyonDistribution, s: str) -> AnyonDistribution:
+    """p_{a,s} = sum_b p_b fp[s,b,a]: distribution after fusing a p-sample with s."""
+    si = trace.fp.index(s)
+    out = np.einsum("b,ba->a", p.probs, trace.fp.p[si])
+    return AnyonDistribution(trace.labels, out / out.sum())
+
+
+def check_fusion_step(trace: AuditTrace, i: int, p: AnyonDistribution, s: str) -> float:
+    """Margin of the step inequality between levels i and i+1:
+
+    sum_a p_a I_{i+1}^(a) - H(p)  >=  sum_a p_{a,s} I_i^(a) - H(p_{a,s}).
+    """
+    if i + 1 >= trace.n_levels:
+        raise MalformedInput(f"no level pair {i} -> {i + 1}")
+    p_as = mixed_step_distribution(trace, p, s)
+    lhs = float(p.probs @ level(trace, i + 1) - p.entropy())
+    rhs = float(p_as.probs @ level(trace, i) - p_as.entropy())
+    return lhs - rhs
+
+
+def check_average_level_bound(trace: AuditTrace, i: int, b: str) -> float:
+    """Margin of  I_{i+1}^(b) >= sum_a p*_a I_i^(a) - log n_labels."""
+    if i + 1 >= trace.n_levels:
+        raise MalformedInput(f"no level pair {i} -> {i + 1}")
+    bi = _label_index(trace.labels, b)
+    rhs = float(trace.p_star.probs @ level(trace, i)) - math.log(len(trace.labels))
+    return float(trace.table[bi, i + 1]) - rhs
+
+
+def check_perturbed_step_bound(trace: AuditTrace, i: int, b: str, c: str, eps: float) -> float:
+    """Margin of the two-label perturbation bound at one level:
+
+    sum_a p*_a (I_{i+1}^(a) - I_i^(a))
+        >=  eps pmin [I_i^(c) - I_i^(b) + log(p*_c/p*_b)] - 2 eps^2,
+
+    valid for |eps| <= pmin/2.
+    """
+    pmin = trace.p_min
+    if abs(eps) > pmin / 2 + 1e-15:
+        raise EpsilonOutOfRange(f"|eps| = {abs(eps):g} exceeds pmin/2 = {pmin / 2:g}")
+    if i + 1 >= trace.n_levels:
+        raise MalformedInput(f"no level pair {i} -> {i + 1}")
+    bi, ci = _label_index(trace.labels, b), _label_index(trace.labels, c)
+    lhs = float(trace.p_star.probs @ (level(trace, i + 1) - level(trace, i)))
+    bracket = (
+        float(trace.table[ci, i] - trace.table[bi, i])
+        + math.log(trace.p_star.probs[ci] / trace.p_star.probs[bi])
+    )
+    rhs = eps * pmin * bracket - 2.0 * eps**2
+    return lhs - rhs
+
+
+def _delta(trace: AuditTrace, i: int, b: str) -> float:
     """delta_i^(b) = sum_a p*_a [I_i^(a) - I_i^(b) + log(p*_a/p*_b)]."""
     bi = _label_index(trace.labels, b)
     ps = trace.p_star.probs
     return float(
-        ps @ (trace.level(level) - trace.table[bi, level] + np.log(ps) - math.log(ps[bi]))
+        ps @ (level(trace, i) - trace.table[bi, i] + np.log(ps) - math.log(ps[bi]))
     )
 
 
@@ -326,14 +396,14 @@ def assemble_bound_loop(
 
     # averaged steps: sum_a p*_a (I_{i+1} - I_i) >= eps pmin delta_i - 2 eps^2
     step_margins = [
-        float(ps @ (trace.level(i + 1) - trace.level(i))) - (eps * pmin * deltas[i] - 2.0 * eps**2)
+        float(ps @ (level(trace, i + 1) - level(trace, i))) - (eps * pmin * deltas[i] - 2.0 * eps**2)
         for i in range(n)
     ]
     report.record("average_step_bounds", min(step_margins), {"per_level": step_margins})
 
     # summed chain: sum_a p*_a I_n^(a) >= sum_i (eps pmin delta_i - 2 eps^2)
     chain_rhs = sum(eps * pmin * d - 2.0 * eps**2 for d in deltas)
-    chain_margin = float(ps @ trace.level(n)) - chain_rhs
+    chain_margin = float(ps @ level(trace, n)) - chain_rhs
     report.record("chain_sum", chain_margin, {"rhs": chain_rhs})
 
     # substitute into the averaged level bound at i = n:
@@ -392,6 +462,27 @@ def associativity_residual_einsum(p: np.ndarray) -> float:
     lhs = np.einsum("stu,uac->stac", p, p)
     rhs = np.einsum("tab,sbc->stac", p, p)
     return float(np.abs(lhs - rhs).max())
+
+
+def prob(fp: FusionProbabilities, s: str, a: str, b: str) -> float:
+    """fp[s, a, b] by label."""
+    i = fp.index
+    return float(fp.p[i(s), i(a), i(b)])
+
+
+def point_mass(labels, a: str) -> AnyonDistribution:
+    """The distribution with all its weight on label a."""
+    probs = np.zeros(len(labels))
+    probs[list(labels).index(a)] = 1.0
+    return AnyonDistribution(tuple(labels), probs)
+
+
+def star(p: AnyonDistribution, q: AnyonDistribution, fp: FusionProbabilities) -> AnyonDistribution:
+    """Fusion convolution: (p * q)_b = sum_{s,a} fp[s,a,b] p_s q_a."""
+    if p.labels != fp.labels or q.labels != fp.labels:
+        raise MalformedInput("distribution labels do not match fusion probabilities")
+    out = np.einsum("sab,s,a->b", fp.p, p.probs, q.probs)
+    return AnyonDistribution(fp.labels, out)
 
 
 def is_fusion_ring(N: np.ndarray, labels=None, dual=None) -> bool:
@@ -578,6 +669,32 @@ def edges_in_box_scan(lat: Lattice, box: tuple[int, int, int, int]) -> np.ndarra
     return np.flatnonzero((m[:, 0] >= x0) & (m[:, 0] < x1) & (m[:, 1] >= y0) & (m[:, 1] < y1))
 
 
+def vertex_star(lat: Lattice, x: int, y: int) -> list[tuple[int, int]]:
+    """(edge, orientation sign) pairs of the vertex operator at (x, y)."""
+    out = []
+    if x < lat.width:
+        out.append((lat.h_edge(x, y), +1))
+    if x > 0:
+        out.append((lat.h_edge(x - 1, y), -1))
+    if y < lat.height:
+        out.append((lat.v_edge(x, y), +1))
+    if y > 0:
+        out.append((lat.v_edge(x, y - 1), -1))
+    return out
+
+
+def plaquette_boundary(lat: Lattice, x: int, y: int) -> list[tuple[int, int]]:
+    """(edge, sign) pairs of the plaquette operator at (x, y), counterclockwise."""
+    if not (0 <= x < lat.width and 0 <= y < lat.height):
+        raise MalformedInput(f"no plaquette at ({x},{y})")
+    return [
+        (lat.h_edge(x, y), +1),
+        (lat.v_edge(x + 1, y), +1),
+        (lat.h_edge(x, y + 1), -1),
+        (lat.v_edge(x, y), -1),
+    ]
+
+
 # A string path is a tuple of (edge index, sign) pairs.
 
 
@@ -622,6 +739,14 @@ def create_sector_loop(
     return conjugate_by_string(state, t)
 
 
+def sector_family(state: StabilizerState, part: AnnulusPartition) -> dict[SectorLabel, StabilizerState]:
+    """All p^2 sector states, anchored at the partition's origin: the two
+    strings are built once and every frame is c t_e + f t_m by linearity."""
+    p = state.lattice.prime
+    t_e, t_m = _sector_strings(state.lattice, part.origin)
+    return {(c, f): conjugate_by_string(state, c * t_e + f * t_m) for c in range(p) for f in range(p)}
+
+
 def fusion_string_loop(
     state: StabilizerState, part: AnnulusPartition, s: SectorLabel, rule: FusionStringRule
 ) -> np.ndarray:
@@ -659,8 +784,9 @@ def row_labels(lat: Lattice) -> tuple[tuple[str, int, int], ...]:
 
 
 def combine_label_rows(state: StabilizerState, wanted: set) -> tuple[np.ndarray, int]:
-    """Oracle for `stabilizer._combine_rows`: the rows found by a scan of the
-    label list, their product in row order formed on their own edges."""
+    """The product of the generator rows with the wanted labels, found by a
+    scan of the label list, and its phase: formed in row order on the rows'
+    own edges and returned at the full 2 n_edges width."""
     labels = row_labels(state.lattice)
     idx = np.array([i for i, lab in enumerate(labels) if lab in wanted], dtype=np.int64)
     if len(idx) != len(wanted):
@@ -676,24 +802,39 @@ def combine_label_rows(state: StabilizerState, wanted: set) -> tuple[np.ndarray,
 
 
 def charge_detector_loop(state: StabilizerState, part: AnnulusPartition) -> tuple[np.ndarray, int]:
-    """Oracle for `stabilizer.charge_detector`: the vertex rows over the closed
-    hole, found by label."""
+    """The product of the vertex operators over the closed hole, which the
+    clearance rule keeps off the dropped vertex (0, 0): the X-type loop whose
+    phase reads out the enclosed charge."""
     hx0, hy0, hx1, hy1 = part.hole
     wanted = {("vertex", x, y) for x in range(hx0, hx1 + 1) for y in range(hy0, hy1 + 1)}
     return combine_label_rows(state, wanted)
 
 
 def flux_detector_loop(state: StabilizerState, part: AnnulusPartition) -> tuple[np.ndarray, int]:
-    """Oracle for `stabilizer.flux_detector`: the plaquette rows over the hole
-    and one ring to the south-west, found by label."""
+    """The product of the plaquette operators over the hole plus one ring to
+    the south-west: the Z-type loop whose phase reads out the enclosed flux.
+
+    The extra ring keeps the loop's support inside the annulus edge set:
+    under the half-open box convention the hole owns its own south and west
+    perimeter edges.
+    """
     hx0, hy0, hx1, hy1 = part.hole
     wanted = {("plaquette", x, y) for x in range(hx0 - 1, hx1) for y in range(hy0 - 1, hy1)}
     return combine_label_rows(state, wanted)
 
 
 def sector_witness_phases_loop(state: StabilizerState, part: AnnulusPartition) -> dict[str, int]:
-    """Oracle for `stabilizer.sector_witness_phases` on the label-scan detectors."""
-    return {"charge": charge_detector_loop(state, part)[1], "flux": flux_detector_loop(state, part)[1]}
+    """Phase exponents of the two enclosing loop operators in this state;
+    InvalidGeometry when a loop's support leaves ABC."""
+    abc = set(part.region_edges("ABC").tolist())
+    out = {}
+    for name, detector in (("charge", charge_detector_loop), ("flux", flux_detector_loop)):
+        vec, phase = detector(state, part)
+        support = set(np.flatnonzero(vec[:state.n] | vec[state.n:]).tolist())
+        if not support <= abc:
+            raise InvalidGeometry(f"{name} detector leaks outside the annulus")
+        out[name] = phase
+    return out
 
 
 def rows_on_scan(gens: SparseGenerators, edges: np.ndarray) -> np.ndarray:
@@ -711,6 +852,18 @@ def region_rank_elimination(state: StabilizerState, region) -> int:
     cols = np.concatenate([edges, edges + state.n])
     block = dense_generators(state.gens)[np.ix_(rows_on_scan(state.gens, edges), cols)]
     return 2 * len(edges) - rank_mod_p(block, state.lattice.prime)
+
+
+def region_entropy(state: StabilizerState, region) -> float:
+    """S(rho_R) = (|R| - g_R) log p, exactly."""
+    edges = _edges(state, region)
+    return (len(edges) - region_rank(state, edges)) * math.log(state.lattice.prime)
+
+
+def annulus_cmi(state: StabilizerState, part: AnnulusPartition) -> float:
+    """I(A:C|B) on the annulus, an exact integer multiple of log p."""
+    value, _ = annulus_cmi_certificate(state, part)
+    return value
 
 
 def nested_levels_loop(state: StabilizerState, part: AnnulusPartition, n: int) -> list[float]:

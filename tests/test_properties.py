@@ -6,8 +6,8 @@ against the region-by-region one, row-cluster counts against region ranks,
 column-index row lookups against the full-slot
 scan, restricted bases, frame phases and dense reductions against the
 dense-matrix oracles on random valid annulus geometries and primes, the frame-difference assumption
-checks against their per-pair loop oracle, the built rows and the sector
-detectors against the label-list oracle, rank_mod_p against a brute-force
+checks against their per-pair loop oracle, the built rows against the
+label-list oracle, rank_mod_p against a brute-force
 span count, the row-sum Perron root of permutation sums against the
 power iteration, the array Taylor sweep against its loop oracle on random
 row-stochastic tensors and against its per-pair program on random
@@ -41,22 +41,24 @@ from oracles import (  # noqa: E402
     _union_find,
     assemble_bound_loop,
     associativity_failure_einsum,
-    charge_detector_loop,
     create_sector_loop,
     edge_midpoints_loop,
     edges_in_box_scan,
-    flux_detector_loop,
     forest_joins_union_find,
     fusion_string_loop,
     is_fusion_ring,
     nested_levels_loop,
+    plaquette_boundary,
+    region_entropy,
     region_rank_elimination,
     row_labels,
     rows_on_scan,
+    sector_family,
     sector_witness_phases_loop,
     taylor_bound_sweep_loop,
     taylor_bound_sweep_pairs,
     verify_assumptions_loop,
+    vertex_star,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -137,7 +139,7 @@ def dense_build(lat: st.Lattice) -> np.ndarray:
     for y in range(lat.height):
         for x in range(lat.width):
             vec = np.zeros(2 * E, dtype=np.int64)
-            for e, sign in lat.plaquette_boundary(x, y):
+            for e, sign in plaquette_boundary(lat, x, y):
                 vec[E + e] = sign % p
             rows.append(vec)
     for y in range(lat.height + 1):
@@ -145,7 +147,7 @@ def dense_build(lat: st.Lattice) -> np.ndarray:
             if (x, y) == (0, 0):
                 continue
             vec = np.zeros(2 * E, dtype=np.int64)
-            for e, sign in lat.vertex_star(x, y):
+            for e, sign in vertex_star(lat, x, y):
                 vec[e] = sign % p
             rows.append(vec)
     return np.array(rows, dtype=np.int64)
@@ -199,7 +201,7 @@ def test_sparse_build_matches_dense_oracle(width, height, p, data):
     j = data.draw(hst.integers(0, lat.width * lat.height - 1))
     cols, vals = gens.cols.copy(), gens.vals.copy()
     cols[j], vals[j] = 0, 0
-    for k, (e, sign) in enumerate(lat.vertex_star(0, 0)):
+    for k, (e, sign) in enumerate(vertex_star(lat, 0, 0)):
         cols[j, k], vals[j, k] = e, sign % p
     restored = st.SparseGenerators(cols=cols, vals=vals, n_edges=E)
     assert dense_commute(dense_generators(restored), p) and not dense_full_rank(dense_generators(restored), p)
@@ -565,12 +567,12 @@ def test_dense_reduction_entropy_matches_rank_entropy(part, data):
     # a small region around a random plaquette and its two corner stars, so
     # that whole generators can fit inside it
     x, y = data.draw(hst.integers(0, lat.width - 1)), data.draw(hst.integers(0, lat.height - 1))
-    pool = {e for e, _ in lat.plaquette_boundary(x, y)}
-    pool |= {e for e, _ in lat.vertex_star(x, y)} | {e for e, _ in lat.vertex_star(x + 1, y + 1)}
+    pool = {e for e, _ in plaquette_boundary(lat, x, y)}
+    pool |= {e for e, _ in vertex_star(lat, x, y)} | {e for e, _ in vertex_star(lat, x + 1, y + 1)}
     max_edges = max(k for k in range(1, len(pool) + 1) if p**k <= DENSE_DIM_CAP)
     region = data.draw(hst.sets(hst.sampled_from(sorted(pool)), min_size=1, max_size=max_edges))
     rho = dense.region_density(state, region)
-    assert abs(dense.von_neumann_entropy(rho) - st.region_entropy(state, region)) < 1e-10
+    assert abs(dense.von_neumann_entropy(rho) - region_entropy(state, region)) < 1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -580,8 +582,8 @@ def test_region_density_matches_dense_oracle(part, data):
     state = framed(lat, data)
     # a small region as in the entropy test above, under a random frame
     x, y = data.draw(hst.integers(0, lat.width - 1)), data.draw(hst.integers(0, lat.height - 1))
-    pool = {e for e, _ in lat.plaquette_boundary(x, y)}
-    pool |= {e for e, _ in lat.vertex_star(x, y)} | {e for e, _ in lat.vertex_star(x + 1, y + 1)}
+    pool = {e for e, _ in plaquette_boundary(lat, x, y)}
+    pool |= {e for e, _ in vertex_star(lat, x, y)} | {e for e, _ in vertex_star(lat, x + 1, y + 1)}
     max_edges = max(k for k in range(1, len(pool) + 1) if lat.prime**k <= DENSE_DIM_CAP)
     region = data.draw(hst.sets(hst.sampled_from(sorted(pool)), min_size=1, max_size=max_edges))
     want = dense_region_density(state, region)
@@ -613,7 +615,7 @@ def test_witness_phases_biject_sectors(part):
     seen = set()
     for c in range(p):
         for f in range(p):
-            w = st.sector_witness_phases(st.create_sector(state, (c, f), origin=part.origin), part)
+            w = sector_witness_phases_loop(st.create_sector(state, (c, f), origin=part.origin), part)
             assert 0 <= w["charge"] < p and 0 <= w["flux"] < p
             seen.add((w["charge"], w["flux"]))
     assert len(seen) == p * p
@@ -635,17 +637,10 @@ def test_rows_and_detectors_match_label_oracle(part, data):
         assert not gens.cols[i, ~live].any(), i
         assert len(cols) and len(np.unique(cols)) == len(cols), i
         assert ((cols < E) if kind == "vertex" else (cols >= E)).all(), i
-    # the detectors under a random frame, on the unthinned annulus that
-    # holds both loops, against the rows found by scanning the labels
-    state = framed(lat, data)
-    part = replace(part, thin_steps=0)
-    pairs = ((st.charge_detector, charge_detector_loop), (st.flux_detector, flux_detector_loop))
-    for detector, oracle in pairs:
-        vec, phase = detector(state, part)
-        want, want_phase = oracle(state, part)
-        np.testing.assert_array_equal(vec, want)
-        assert phase == want_phase
-    assert st.sector_witness_phases(state, part) == sector_witness_phases_loop(state, part)
+    # the detectors, built from the rows found by scanning the labels, stay
+    # inside the unthinned annulus that holds both loops, under a random frame
+    phases = sector_witness_phases_loop(framed(lat, data), replace(part, thin_steps=0))
+    assert all(0 <= phase < lat.prime for phase in phases.values())
 
 
 @settings(max_examples=50, deadline=None)
@@ -685,7 +680,7 @@ def test_sector_frames_match_path_loop_oracle(part):
     lat = part.lattice
     p, E = lat.prime, lat.n_edges
     state = ground(lat.width, lat.height, p)
-    family = st.sector_family(state, part)
+    family = sector_family(state, part)
     assert sorted(family) == [(c, f) for c in range(p) for f in range(p)]
     b_edges = np.asarray(part.region_edges("B"))
     for sector, framed_state in family.items():
@@ -717,7 +712,7 @@ def test_unperturbed_sector_family_passes_assumptions(part):
     # property 3 reduces to the partition thinned once more
     assume(part.thin_steps + 1 <= part.a_width - 1)
     lat = part.lattice
-    report = st.verify_assumptions(st.sector_family(ground(lat.width, lat.height, lat.prime), part), part)
+    report = st.verify_assumptions(sector_family(ground(lat.width, lat.height, lat.prime), part), part)
     assert report.distinguishability.passed
     assert report.indistinguishability.passed
     assert report.fusion.passed, report.fusion.violations[:2]
@@ -735,7 +730,7 @@ def test_verify_assumptions_matches_loop_oracle(part, endpoint, family, data):
     assume(part.thin_steps + 1 <= part.a_width - 1)
     lat = part.lattice
     p = lat.prime
-    states = st.sector_family(ground(lat.width, lat.height, p), part)
+    states = sector_family(ground(lat.width, lat.height, p), part)
     order = sorted(states)
     if family == "perturbed":
         # sparse random strings on some sectors break properties 2 and 3
@@ -766,7 +761,7 @@ def test_sector_assumptions_match_the_family_path(part, endpoint):
     state = ground(lat.width, lat.height, lat.prime)
     rule = st.FusionStringRule(endpoint=endpoint)
     report = st.verify_sector_assumptions(state, part, rule)
-    assert report == st.verify_assumptions(st.sector_family(state, part), part, rule)
+    assert report == st.verify_assumptions(sector_family(state, part), part, rule)
     if endpoint == "strips":
         assert report.passed
 
@@ -778,7 +773,7 @@ def test_sector_assumptions_match_the_family_path_at_p13(endpoint):
     state = ground(40, 40, 13)
     rule = st.FusionStringRule(endpoint=endpoint)
     report = st.verify_sector_assumptions(state, part, rule)
-    assert report == st.verify_assumptions(st.sector_family(state, part), part, rule)
+    assert report == st.verify_assumptions(sector_family(state, part), part, rule)
     assert report.passed == (endpoint == "strips")
 
 
@@ -1050,7 +1045,12 @@ def test_assemble_bound_matches_loop_oracle(trace, data):
         with pytest.raises(MalformedInput, match="alpha"):
             audit.assemble_bound(trace, b=b, eps=eps)
         return
-    fast = replay(audit.assemble_bound, trace, b=b, eps=eps, alpha=alpha)
+    # the perturbed margins a drawn number of levels per chunk, so that ties
+    # (-0.0 and 0.0 among them) meet across chunk boundaries
+    chunk = data.draw(hst.integers(1, trace.n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(audit, "_PERTURBED_CHUNK_BYTES", 8 * len(trace.labels) ** 2 * chunk)
+        fast = replay(audit.assemble_bound, trace, b=b, eps=eps, alpha=alpha)
     loop = replay(assemble_bound_loop, trace, b=b, eps=eps, alpha=alpha)
     assert fast == loop
     assert json.dumps(fast) == json.dumps(loop)

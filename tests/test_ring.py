@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,9 +35,9 @@ class TestFamily:
         assert not (supports[1] & supports[2])
 
     def test_enumeration_matches_implicit_support(self):
-        spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2, sector=1)
-        state = dense.RingSectorState(spec)
-        oracle = enumerate_supports(replace(spec, sector=None))[1]
+        spec = ring.RingSpec(q=2, sites_a=2, sites_b1=2, sites_c=2, sites_b2=2)
+        state = dense.RingSectorState(spec, 1)
+        oracle = enumerate_supports(spec)[1]
         listed = sorted(map(tuple, state.enumerate_support()))
         assert listed == sorted(map(tuple, oracle))
         assert all(state.contains(cfg) for cfg in listed)
@@ -52,11 +51,6 @@ class TestFamily:
                 proj = support[:, sites]
                 _, counts = np.unique(proj, axis=0, return_counts=True)
                 assert (counts == 2 ** (7 - len(sites))).all()
-
-    def test_template_must_not_fix_sector(self):
-        spec = ring.RingSpec(q=2, sites_a=2, sites_b1=1, sites_c=1, sites_b2=1, sector=0)
-        with pytest.raises(MalformedInput):
-            dense.build_family(spec)
 
 
 class TestExactCmi:
@@ -105,9 +99,9 @@ class TestExactCmi:
             assert abs(value - ring.exact_cmi(spec)) < 1e-10, label
 
     def test_dense_export_cap(self):
-        spec = ring.RingSpec(q=3, sites_a=4, sites_b1=4, sites_c=4, sites_b2=4, sector=0)
+        spec = ring.RingSpec(q=3, sites_a=4, sites_b1=4, sites_c=4, sites_b2=4)
         with pytest.raises(DimensionCap):
-            dense.dense_state(dense.RingSectorState(spec))
+            dense.dense_state(dense.RingSectorState(spec, 0))
 
 
 class TestFusionShift:
@@ -121,7 +115,7 @@ class TestFusionShift:
         np.testing.assert_array_equal(lu.matrix, np.eye(3))
 
     def test_shift_moves_sector(self):
-        state = dense.RingSectorState(replace(self.spec, sector=0))
+        state = dense.RingSectorState(self.spec, 0)
         shift = dense.fusion_unitary(self.spec, 1, self.removed[0], self.removed)
         assert shift.apply(state).sector == 1
         # dense cross-check: conjugation maps the sector-0 operator to sector 1
@@ -134,7 +128,7 @@ class TestFusionShift:
         s = dense.fusion_unitary(self.spec, 1, self.removed[0], self.removed)
         t = dense.fusion_unitary(self.spec, 2, self.removed[0], self.removed)
         assert s.compose(t).s == 0  # 1 + 2 = 0 mod 3
-        state = dense.RingSectorState(replace(self.spec, sector=1))
+        state = dense.RingSectorState(self.spec, 1)
         assert s.compose(t).apply(state).sector == 1
 
     def test_site_retained_in_a_prime_rejected(self):
