@@ -233,21 +233,6 @@ def _ring_enumeration_agrees(spec: ring.RingSpec) -> bool:
     return True
 
 
-def _parse_sector(text: str, p: int) -> tuple[int, int]:
-    try:
-        c, f = (int(x) for x in text.split(","))
-    except (AttributeError, ValueError) as exc:
-        raise ConfigError(f"sector must look like 'c,f': {text!r}") from exc
-    if not (0 <= c < p and 0 <= f < p):
-        raise ConfigError(f"sector {text!r} outside Z_{p} x Z_{p}")
-    return (c, f)
-
-
-# Canonical report bytes per sector entry (its "sectors" item and its
-# certificate), measured at p = 13 on a 12 x 12 lattice.
-SECTOR_REPORT_BYTES = 281
-
-
 def _stabilizer_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     p = _int(cfg.get("p"), "p")
     width = _int(cfg.get("width"), "width", _int(cfg.get("size"), "size", 12))
@@ -256,32 +241,27 @@ def _stabilizer_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     hole = _int(cfg.get("hole"), "hole", 3)
     a_width = _int(cfg.get("a_width"), "a_width", None)
     levels = _int(cfg.get("levels"), "levels", None)
-    sector = _parse_sector(cfg["sector"], p) if cfg.get("sector") else None
     # a bad geometry, prime or level count is refused before the build
     lat = stabilizer.Lattice(width=width, height=height, prime=p)
     part = stabilizer.centered_annulus(lat, width=bar, hole_size=hole, a_width=a_width)
-    if sector is None and SECTOR_REPORT_BYTES * p * p > stabilizer.GENS_BYTES_CAP:
-        raise ConfigError(f"p = {p}: p^2 sector entries are over the {stabilizer.GENS_BYTES_CAP}-byte cap")
-    if sector is not None and (cfg.get("assumptions") or levels is not None):
-        raise ConfigError("assumption checks and nested tables need all sectors")
     if levels is not None:
         stabilizer.check_nested_levels(part, levels)
     if cfg.get("assumptions"):
+        stabilizer.check_label_tables(p)
         part.thin(1)  # property 3 reduces to A' BC, one thinning step in
     with _stage(timings, "build"):
         ground = stabilizer.build_ground_state(lat)
-    sectors = [sector] if sector else [(c, f) for c in range(p) for f in range(p)]
     timings["gens_bytes"] = ground.gens.nbytes
     # sector states differ from the ground state only in their frame, which ranks
-    # never read: one certificate is every sector's, and the assumption checks
-    # read the sector strings by linearity.  A nested table's last level is the full
-    # partition, so with levels the certificate is read from the table's ranks.
+    # never read: one certificate, reported once under "all", is every sector's,
+    # and the assumption checks read the sector strings by linearity.  A nested
+    # table's last level is the full partition, so with levels the certificate is
+    # read from the table's ranks.
     with _stage(timings, "entropies"):
         if levels is None:
             value, cert = stabilizer.annulus_cmi_certificate(ground, part)
         else:
             value, cert, nested = stabilizer.nested_annulus_certificate(ground, part, levels)
-    cert_entry = {"coefficient": cert.coefficient, "ranks": cert.ranks, "sizes": cert.sizes}
     gamma = value / 2
     checks = [
         _check("cmi_saturates_2_log_D", cert.coefficient == 2, coefficients=[cert.coefficient]),
@@ -293,11 +273,10 @@ def _stabilizer_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
         "lattice": [width, height],
         "bar_width": bar,
         "a_width": part.a_width,
-        "sectors": [f"{c},{f}" for c, f in sectors],
         "cmi": _both_bases(value),
         "gamma": _both_bases(gamma),
         "log_total_dimension": _both_bases(math.log(p)),
-        "certificates": {f"{c},{f}": cert_entry for c, f in sectors},
+        "certificates": {"all": {"coefficient": cert.coefficient, "ranks": cert.ranks, "sizes": cert.sizes}},
     }
     if cfg.get("assumptions"):
         with _stage(timings, "assumptions"):
@@ -348,7 +327,7 @@ def _selftest_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
                              residual=fixed.residual, agreement=agree))
     for q in (2, 3):
         spec = ring.RingSpec(q=q, sites_a=2, sites_b1=1, sites_c=1, sites_b2=1)
-        checks.append(_check(f"ring_q{q}", abs(ring.saturation_margin(spec)) < 1e-12))
+        checks.append(_check(f"ring_q{q}", _ring_enumeration_agrees(spec)))
     lat = stabilizer.Lattice(width=10, height=10, prime=2)
     part = stabilizer.centered_annulus(lat, width=2)
     state = stabilizer.create_sector(stabilizer.build_ground_state(lat), (1, 1), origin=part.origin)
@@ -523,7 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--widths", type=int, help="annulus bar width (default 2)")
     sp.add_argument("--hole", type=int, help="hole size (default 3)")
     sp.add_argument("--a-width", dest="a_width", type=int, help="wider A bar for nested tables")
-    sp.add_argument("--sector", help="one sector 'c,f' instead of all p^2")
     sp.add_argument("--assumptions", action="store_true", default=None,
                     help="verify the three sector-family properties")
     sp.add_argument("--levels", type=int, help="emit a nested-annulus table with n levels and audit it")

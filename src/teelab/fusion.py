@@ -91,9 +91,6 @@ class FusionCategory:
         object.__setattr__(self, "dual", MappingProxyType(dict(self.dual)))
         self.N.setflags(write=False)
 
-    def index(self, label: str) -> int:
-        return _label_index(self.labels, label)
-
     @property
     def n_labels(self) -> int:
         return len(self.labels)
@@ -144,9 +141,6 @@ class FusionProbabilities:
     @property
     def n_labels(self) -> int:
         return len(self.labels)
-
-    def index(self, label: str) -> int:
-        return _label_index(self.labels, label)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ are never built, since every entropy is a count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,12 +112,12 @@ def nested_annulus_table(spec: RingSpec, n: int) -> audit.AuditTrace:
         raise InsufficientWidth(
             f"sites_a = {spec.sites_a} cannot host {n + 1} one-site thinnings with a nonempty A_0"
         )
-    levels = n + 2
-    table = np.empty((spec.q, levels))
-    for i in range(levels):
-        level_spec = replace(spec, sites_a=spec.sites_a - (n + 1 - i))
-        value = exact_cmi(level_spec)
-        table[:, i] = value
+    size_a = spec.sites_a - (n + 1 - np.arange(n + 2))  # |A_i|
+    n_b, n_c = spec.sites_b1 + spec.sites_b2, spec.sites_c
+    # the four entropy counts of `cmi_coefficient` at every level at once:
+    # AB, BC and B are proper subsets (|R|), ABC is the whole ring (N - 1)
+    coefficient = (size_a + n_b) + (n_b + n_c) - n_b - (size_a + n_b + n_c - 1)
+    table = np.tile(coefficient * math.log(spec.q), (spec.q, 1))
     cat = zn_category(spec.q)
     dims = quantum_dimensions(cat)
     fp = fusion_probabilities(cat)

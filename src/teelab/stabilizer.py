@@ -115,6 +115,23 @@ GENS_BYTES_CAP = 2**28
 # Every toric-code generator acts on at most this many edges.
 MAX_SUPPORT = 4
 
+# Bytes per p^4 that the assumption checks charge against GENS_BYTES_CAP: their
+# (p^2, p^2) int64 label tables (the fusion targets and their temporaries)
+# peaked under tracemalloc at 24.0-25.0 bytes per p^4 for p = 13 to 53 (181 MiB
+# at p = 53), so p = 53 is admitted and p = 59 refused.
+LABEL_TABLE_BYTES = 24
+
+
+def check_label_tables(p: int) -> None:
+    """Raise DimensionCap when the assumption checks' (p^2, p^2) label tables
+    would exceed GENS_BYTES_CAP (LABEL_TABLE_BYTES per p^4)."""
+    nbytes = LABEL_TABLE_BYTES * p**4
+    if nbytes > GENS_BYTES_CAP:
+        raise DimensionCap(
+            f"p = {p}: the assumption checks' (p^2, p^2) label tables would take {nbytes} bytes, "
+            f"over the {GENS_BYTES_CAP}-byte cap"
+        )
+
 
 def check_dense_cap(n_rows: int, n_cols: int) -> None:
     """Raise DimensionCap when a dense n_rows x n_cols int64 block of
@@ -839,38 +856,20 @@ def reduction_relation(
 # assumption checks
 
 
-@dataclass(frozen=True)
-class FusionStringRule:
-    """Where property-3 fusion strings run and where their endpoints sit."""
-
-    endpoint: str = "strips"  # or "inside_a_prime"
-
-    def __post_init__(self):
-        if self.endpoint not in ("strips", "inside_a_prime"):
-            raise MalformedInput("endpoint must be 'strips' or 'inside_a_prime'")
-
-
-def _fusion_strings(
-    lat: Lattice, part: AnnulusPartition, rule: FusionStringRule
-) -> tuple[np.ndarray, np.ndarray]:
+def _fusion_strings(lat: Lattice, part: AnnulusPartition) -> tuple[np.ndarray, np.ndarray]:
     """The two unit strings (t_e, t_m) that every property-3 string is made
-    of: they cross A radially along the hole's middle row, with both
-    endpoints in the removed strips (or, in the documented negative mode,
-    stopping inside the retained A')."""
+    of: they cross A radially along the hole's middle row, from A's west
+    boundary to the hole's west boundary vertex and first plaquette column,
+    so both endpoints sit in the removed strips."""
     hx0, hy0, hx1, hy1 = part.hole
     x_w = hx0 - part.a_width  # west boundary vertex column of A
     y = (hy0 + hy1) // 2  # a vertex row and a plaquette row of A, as hy0 < hy1
-    # the hole's west boundary vertex and first plaquette column, or a vertex
-    # and plaquette column strictly inside A'
-    x_end = hx0 if rule.endpoint == "strips" else x_w + 1
-    return _row_strings(lat, y, (x_w, x_end), (x_w - 1, x_end))
+    return _row_strings(lat, y, (x_w, hx0), (x_w - 1, hx0))
 
 
-def fusion_string(
-    state: StabilizerState, part: AnnulusPartition, s: SectorLabel, rule: FusionStringRule
-) -> np.ndarray:
+def fusion_string(state: StabilizerState, part: AnnulusPartition, s: SectorLabel) -> np.ndarray:
     """Open string for property 3 that deposits s in the hole (`_fusion_strings`)."""
-    t_e, t_m = _fusion_strings(state.lattice, part, rule)
+    t_e, t_m = _fusion_strings(state.lattice, part)
     # The anyon s must sit at the hole-side end of the string; sector strings
     # carry their anyon at the path start, so this eastward path runs with
     # inverted coefficients to deposit s (not its antiparticle) in the hole.
@@ -900,11 +899,7 @@ class AssumptionsReport:
         )
 
 
-def verify_assumptions(
-    states: dict[SectorLabel, StabilizerState],
-    part: AnnulusPartition,
-    rule: FusionStringRule | None = None,
-) -> AssumptionsReport:
+def verify_assumptions(states: dict[SectorLabel, StabilizerState], part: AnnulusPartition) -> AssumptionsReport:
     """Check the three sector-family properties exactly on the annulus.
 
     1. Global distinguishability: reductions on ABC are pairwise orthogonal.
@@ -921,18 +916,15 @@ def verify_assumptions(
     if set(states) != {(c, f) for c in range(p) for f in range(p)}:
         raise MalformedInput(f"need all {p * p} sectors, got {len(states)}")
     base = _shared_gens(states.values())
-    rule = rule or FusionStringRule()
     order = sorted(states)
     frames = [states[a].frame for a in order]
-    strings = [fusion_string(base, part, s, rule) for s in order[1:]]  # order[0] is the vacuum (0, 0)
+    strings = [fusion_string(base, part, s) for s in order[1:]]  # order[0] is the vacuum (0, 0)
     return _assumptions_report(
         base, part, frames, strings, lambda M, a: M[:, a], lambda M, s: M[:, p * p - 1 + s]
     )
 
 
-def verify_sector_assumptions(
-    ground: StabilizerState, part: AnnulusPartition, rule: FusionStringRule | None = None
-) -> AssumptionsReport:
+def verify_sector_assumptions(ground: StabilizerState, part: AnnulusPartition) -> AssumptionsReport:
     """`verify_assumptions` on the p^2 sector states anchored at the
     partition's origin (`create_sector`), with no sector state or fusion
     string built.
@@ -944,7 +936,7 @@ def verify_sector_assumptions(
     p = ground.lattice.prime
     coef = np.stack([np.ones(p * p, dtype=np.int64), *np.divmod(np.arange(p * p), p)])  # (1, c, f)
     frames = [ground.frame, *_sector_strings(ground.lattice, part.origin)]
-    strings = list(_fusion_strings(ground.lattice, part, rule or FusionStringRule()))
+    strings = list(_fusion_strings(ground.lattice, part))
     return _assumptions_report(
         ground, part, frames, strings, lambda M, a: M[:, :3] @ coef[:, a], lambda M, s: -M[:, 3:] @ coef[1:, s]
     )
@@ -963,6 +955,7 @@ def _assumptions_report(base, part, frames, strings, frame, string) -> Assumptio
     is taken on those combinations of the vectors' columns.
     """
     p = base.lattice.prime
+    check_label_tables(p)
     labels = np.arange(p * p)
     order = [(int(c), int(f)) for c, f in zip(labels // p, labels % p)]
     # target[s, a]: the label s x a

@@ -30,7 +30,7 @@ from teelab.errors import (
     PremiseViolated,
     TeeLabError,
 )
-from teelab.fusion import AnyonDistribution, FusionProbabilities
+from teelab.fusion import AnyonDistribution, FusionProbabilities, _label_index
 from teelab.ring import RingSpec, entropy_coefficient
 
 
@@ -467,7 +467,7 @@ def check_fusion_property(
         raise MalformedInput("fusion probability labels do not match the family")
     region = part_thinned.region("A", "B", "C")
     reduced = {a: partial_trace(fam.states[a], region) for a in fam.labels}
-    si = fp.index(s)
+    si = _label_index(fp.labels, s)
     distances = {}
     violations = []
     worst = 0.0

@@ -6,10 +6,13 @@ only the tests call."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
+import pytest
 
+from teelab import stabilizer
 from teelab.audit import (
     _CHAIN_NAMES,
     MARGIN_TOL,
@@ -39,10 +42,10 @@ from teelab.fusion import (
     bound_constant,
 )
 from teelab.gfp import rank_mod_p
+from teelab.ring import RingSpec, exact_cmi
 from teelab.stabilizer import (
     AnnulusPartition,
     AssumptionsReport,
-    FusionStringRule,
     Lattice,
     PropertyResult,
     SectorLabel,
@@ -54,6 +57,7 @@ from teelab.stabilizer import (
     _pairing,
     _region_columns,
     _roots,
+    _row_strings,
     _sector_strings,
     _shared_gens,
     annulus_cmi_certificate,
@@ -259,7 +263,7 @@ def check_mixture_entropy_bound(trace: AuditTrace, i: int, p: AnyonDistribution)
 
 def mixed_step_distribution(trace: AuditTrace, p: AnyonDistribution, s: str) -> AnyonDistribution:
     """p_{a,s} = sum_b p_b fp[s,b,a]: distribution after fusing a p-sample with s."""
-    si = trace.fp.index(s)
+    si = label_index(trace.fp, s)
     out = np.einsum("b,ba->a", p.probs, trace.fp.p[si])
     return AnyonDistribution(trace.labels, out / out.sum())
 
@@ -464,10 +468,15 @@ def associativity_residual_einsum(p: np.ndarray) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
+def label_index(table, label: str) -> int:
+    """The position of a label in a fusion category's or fusion probability
+    table's labels; MalformedInput for an unknown label."""
+    return _label_index(table.labels, label)
+
+
 def prob(fp: FusionProbabilities, s: str, a: str, b: str) -> float:
     """fp[s, a, b] by label."""
-    i = fp.index
-    return float(fp.p[i(s), i(a), i(b)])
+    return float(fp.p[label_index(fp, s), label_index(fp, a), label_index(fp, b)])
 
 
 def point_mass(labels, a: str) -> AnyonDistribution:
@@ -594,12 +603,11 @@ def _phase_test(basis, state1: StabilizerState, state2: StabilizerState) -> tupl
 
 
 def verify_assumptions_loop(
-    states: dict[SectorLabel, StabilizerState],
-    part: AnnulusPartition,
-    rule: FusionStringRule | None = None,
+    states: dict[SectorLabel, StabilizerState], part: AnnulusPartition, endpoint: str = "strips"
 ) -> AssumptionsReport:
     """Oracle for `stabilizer.verify_assumptions`: one phase test per pair, with
-    a full-width fusion string and a conjugated state per property-3 pair.
+    a full-width fusion string (`fusion_string_loop`, ending at `endpoint`)
+    and a conjugated state per property-3 pair.
 
     1. Global distinguishability: reductions on ABC are pairwise orthogonal.
     2. Local indistinguishability: reductions on AB and on BC are pairwise equal.
@@ -611,7 +619,6 @@ def verify_assumptions_loop(
     if set(states) != expected:
         raise MalformedInput(f"need all {p * p} sectors, got {len(states)}")
     base = _shared_gens(states.values())
-    rule = rule or FusionStringRule()
     order = sorted(states)
 
     basis = restricted_canonical(base, part.region_edges("ABC"))
@@ -640,7 +647,7 @@ def verify_assumptions_loop(
             continue
         for a in order:
             target = ((s[0] + a[0]) % p, (s[1] + a[1]) % p)
-            t = fusion_string_loop(states[a], part, s, rule)
+            t = fusion_string_loop(states[a], part, s, endpoint)
             conjugated = conjugate_by_string(states[a], t)
             relation, witness = _phase_test(basis, conjugated, states[target])
             if relation != "equal":
@@ -739,6 +746,15 @@ def create_sector_loop(
     return conjugate_by_string(state, t)
 
 
+def ring_table_loop(spec: RingSpec, n: int) -> np.ndarray:
+    """Oracle for the table of `ring.nested_annulus_table`: level i as the
+    spec with n + 1 - i fewer A sites, one `exact_cmi` per level."""
+    table = np.empty((spec.q, n + 2))
+    for i in range(n + 2):
+        table[:, i] = exact_cmi(replace(spec, sites_a=spec.sites_a - (n + 1 - i)))
+    return table
+
+
 def sector_family(state: StabilizerState, part: AnnulusPartition) -> dict[SectorLabel, StabilizerState]:
     """All p^2 sector states, anchored at the partition's origin: the two
     strings are built once and every frame is c t_e + f t_m by linearity."""
@@ -747,19 +763,48 @@ def sector_family(state: StabilizerState, part: AnnulusPartition) -> dict[Sector
     return {(c, f): conjugate_by_string(state, c * t_e + f * t_m) for c in range(p) for f in range(p)}
 
 
-def fusion_string_loop(
-    state: StabilizerState, part: AnnulusPartition, s: SectorLabel, rule: FusionStringRule
-) -> np.ndarray:
-    """Oracle for `stabilizer.fusion_string`: the two paths across A built
-    edge by edge, from A's west boundary vertex column hx0 - a_width."""
-    lat = state.lattice
-    p = lat.prime
+def _fusion_string_ends(part: AnnulusPartition, endpoint: str) -> tuple[int, int, int]:
+    """(x_w, x_end, y) of property 3's strings: from A's west boundary vertex
+    column x_w = hx0 - a_width east to x_end along row y, the hole's middle
+    row.  x_end is the hole's west boundary for "strips", so both endpoints
+    sit in the removed strips, and x_w + 1, a vertex and plaquette column
+    inside the retained A', for "inside_a_prime"."""
+    if endpoint not in ("strips", "inside_a_prime"):
+        raise MalformedInput("endpoint must be 'strips' or 'inside_a_prime'")
     hx0, hy0, hx1, hy1 = part.hole
     x_w = hx0 - part.a_width
-    y = (hy0 + hy1) // 2
+    return x_w, hx0 if endpoint == "strips" else x_w + 1, (hy0 + hy1) // 2
+
+
+@contextmanager
+def fusion_strings_ending(endpoint: str):
+    """Within the block, the library's property-3 strings end at `endpoint`:
+    "strips" leaves them as they are, and "inside_a_prime" patches
+    `stabilizer._fusion_strings`, which `fusion_string`, `verify_assumptions`
+    and `verify_sector_assumptions` read.  `pytest.MonkeyPatch.context()`
+    undoes the patch on exit, so it also serves inside a Hypothesis test."""
+
+    def ending(lat: Lattice, part: AnnulusPartition) -> tuple[np.ndarray, np.ndarray]:
+        x_w, x_end, y = _fusion_string_ends(part, endpoint)
+        return _row_strings(lat, y, (x_w, x_end), (x_w - 1, x_end))
+
+    with pytest.MonkeyPatch.context() as patch:
+        if endpoint != "strips":
+            patch.setattr(stabilizer, "_fusion_strings", ending)
+        yield
+
+
+def fusion_string_loop(
+    state: StabilizerState, part: AnnulusPartition, s: SectorLabel, endpoint: str = "strips"
+) -> np.ndarray:
+    """Oracle for `stabilizer.fusion_string`: the two paths across A built
+    edge by edge, from A's west boundary vertex column hx0 - a_width to the
+    column that `endpoint` names (`_fusion_string_ends`)."""
+    lat = state.lattice
+    p = lat.prime
+    x_w, x_end, y = _fusion_string_ends(part, endpoint)
     c, f = s
     t = np.zeros(2 * state.n, dtype=np.int64)
-    x_end = hx0 if rule.endpoint == "strips" else x_w + 1
     if c:
         path = tuple((lat.h_edge(x, y), +1) for x in range(x_w, x_end))
         t = (t + _string_vector(lat, path, (-c) % p, "z")) % p

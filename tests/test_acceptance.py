@@ -17,7 +17,7 @@ from teelab.errors import PremiseViolated
 
 import dense_oracles as dense
 from conftest import ghz_phase_family
-from oracles import annulus_cmi, sector_family
+from oracles import annulus_cmi, fusion_strings_ending, sector_family
 
 LN2 = math.log(2)
 
@@ -100,7 +100,8 @@ def test_criterion_04_assumptions_and_negative_geometries(toric_lab):
     lat3 = st.Lattice(width=14, height=12, prime=2)
     part3 = st.centered_annulus(lat3, width=3)
     fam3 = sector_family(st.build_ground_state(lat3), part3)
-    neg2 = st.verify_assumptions(fam3, part3, st.FusionStringRule(endpoint="inside_a_prime"))
+    with fusion_strings_ending("inside_a_prime"):
+        neg2 = st.verify_assumptions(fam3, part3)
     neg2_ok = (
         not neg2.fusion.passed
         and {v[0] for v in neg2.fusion.violations} == {(0, 1), (1, 0), (1, 1)}

@@ -146,8 +146,8 @@ class TestStabilizerCommand:
         )
         assert code == 0
         assert abs(report["data"]["gamma"]["nats"] - math.log(2)) < 1e-12
-        assert report["data"]["certificates"]["0,0"]["coefficient"] == 2
-        assert len(report["data"]["sectors"]) == 4
+        assert report["data"]["certificates"]["all"]["coefficient"] == 2
+        assert list(report["data"]["certificates"]) == ["all"] and "sectors" not in report["data"]
 
     def test_oversize_lattice_is_config_error(self, capsys, tmp_path):
         # the cap is on the O(E) sparse storage: 5000 x 5000 is refused before
@@ -156,7 +156,7 @@ class TestStabilizerCommand:
         assert "cap" in capsys.readouterr().err
         code, report = run_json(["stabilizer", "--p", "2", "--size", "64", "--widths", "2"], tmp_path)
         assert code == 0
-        assert report["data"]["certificates"]["0,0"]["coefficient"] == 2
+        assert report["data"]["certificates"]["all"]["coefficient"] == 2
 
     def test_assumptions_limited_only_by_storage_cap(self, capsys, monkeypatch, tmp_path):
         # restricted bases are computed on the regions' own columns, so a
@@ -192,13 +192,6 @@ class TestStabilizerCommand:
         assert timings["gens_bytes"] == 2 * 8 * stabilizer.MAX_SUPPORT * n_edges
         assert "timings" not in json.loads(cli.report_bytes(report))
 
-    def test_single_sector(self, tmp_path):
-        code, report = run_json(
-            ["stabilizer", "--p", "2", "--size", "10", "--widths", "2", "--sector", "1,1"], tmp_path
-        )
-        assert code == 0
-        assert report["data"]["sectors"] == ["1,1"]
-
     def test_wide_a_assumptions_pass(self, tmp_path):
         # fusion strings start at A's west boundary, hx0 - a_width, so with
         # a_width > widths both endpoints still leave the thinned A'
@@ -211,14 +204,14 @@ class TestStabilizerCommand:
 
     def test_no_run_builds_sector_states(self, monkeypatch, tmp_path):
         # ranks never read a frame, and the assumption checks read the two
-        # sector strings by linearity: plain CMI, --sector, --levels and
-        # --assumptions runs build no sector state
+        # sector strings by linearity: plain CMI, --levels and --assumptions
+        # runs build no sector state
         def no_sector(*args, **kwargs):
             raise AssertionError("a sector state was built")
 
         for name in ("create_sector", "conjugate_by_string"):
             monkeypatch.setattr(stabilizer, name, no_sector)
-        for extra in ([], ["--sector", "1,1"], ["--a-width", "3", "--levels", "1"], ["--assumptions"]):
+        for extra in ([], ["--a-width", "3", "--levels", "1"], ["--assumptions"]):
             code, _ = run_json(["stabilizer", "--p", "3", "--size", "10", "--widths", "2", *extra], tmp_path)
             assert code == 0, extra
 
@@ -228,8 +221,8 @@ class TestStabilizerCommand:
         # built sector family
         config = {"scenario": "stabilizer", "p": 3, "size": 12, "widths": 2, "assumptions": True}
 
-        def family_path(ground, part, rule=None):
-            return stabilizer.verify_assumptions(sector_family(ground, part), part, rule)
+        def family_path(ground, part):
+            return stabilizer.verify_assumptions(sector_family(ground, part), part)
 
         with monkeypatch.context() as patch:
             patch.setattr(stabilizer, "verify_sector_assumptions", family_path)
@@ -269,12 +262,13 @@ class TestStabilizerCommand:
         assert calls  # the oracle kernel ran
 
     def test_config_without_sector_runs_all_sectors(self, tmp_path):
-        # an old config field that nothing reads any more: all p^2 sectors run
+        # an old config field that nothing reads any more: the one certificate
+        # that every sector shares is reported
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"p": 3, "size": 10, "widths": 2, "all_sectors": False}))
         code, report = run_json(["stabilizer", "--config", str(cfg)], tmp_path)
         assert code == 0
-        assert len(report["data"]["sectors"]) == 9
+        assert list(report["data"]["certificates"]) == ["all"] and "sectors" not in report["data"]
 
 
 def no_build(lat):
@@ -287,7 +281,7 @@ def no_build(lat):
         ("stabilizer", {"p": 2, "hole": "x"}, []),
         ("stabilizer", {"p": 2, "levels": "x"}, []),
         ("stabilizer", {"p": 2, "a_width": "x"}, []),
-        ("stabilizer", {"p": 2, "sector": [1, 1]}, []),
+        ("stabilizer", {"p": 2, "width": "x"}, []),
         ("stabilizer", {"p": 2}, ["--a-width", "0"]),
         ("stabilizer", {"p": 2}, ["--levels", "0"]),
         ("fusion", {"category": "z2", "n": "x"}, []),
@@ -329,13 +323,14 @@ def test_assumptions_without_a_thinning_step_refused_before_build(flags, capsys,
     [
         (["--p", "1000000007"], "overflow"),
         (["--p", "4294967311"], "overflow"),
-        (["--p", "1009"], "sector entries"),
+        (["--p", "59", "--assumptions"], "label tables"),
         (["--p", "11", "--size", "14", "--a-width", "5", "--levels", "3"], "p <= 9"),
+        (["--p", "211", "--assumptions"], "label tables"),
     ],
 )
 def test_large_prime_is_config_error_before_build(flags, message, capsys, monkeypatch):
-    # int64 residue sums, the report's p^2 sector entries and the two-digit
-    # sector labels of a nested table each bound p
+    # int64 residue sums, the assumption checks' (p^2, p^2) label tables and
+    # the two-digit sector labels of a nested table each bound p
     monkeypatch.setattr(stabilizer, "build_ground_state", no_build)
     assert cli.main(["stabilizer", "--size", "12", "--widths", "2", *flags]) == 2
     assert message in capsys.readouterr().err
@@ -349,13 +344,21 @@ def test_integral_config_numbers_parse(p, tmp_path):
     assert code == 0 and report["data"]["p"] == 3
 
 
-def test_one_sector_of_a_large_prime_runs(tmp_path):
-    # the sector-entry charge counts the sectors listed, one here
-    code, report = run_json(
-        ["stabilizer", "--p", "1009", "--size", "12", "--widths", "2", "--sector", "1,1"], tmp_path
-    )
+def test_large_prime_reports_one_certificate(tmp_path):
+    # every sector shares the one certificate, so the report does not grow
+    # with p^2 and a plain run over all sectors of a large prime is small
+    code, report = run_json(["stabilizer", "--p", "1009", "--size", "12", "--widths", "2"], tmp_path)
     assert code == 0
-    assert report["data"]["certificates"]["1,1"]["coefficient"] == 2
+    assert report["data"]["certificates"]["all"]["coefficient"] == 2
+    assert len(cli.report_bytes(report)) < 10_000
+
+
+def test_sector_flag_is_gone(capsys):
+    # every sector shares the one certificate, so no flag picks one
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["stabilizer", "--p", "2", "--sector", "1,1"])
+    assert exc.value.code == 2
+    assert "--sector" in capsys.readouterr().err
 
 
 class TestAuditCommand:

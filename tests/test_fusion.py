@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from oracles import (
     associativity_residual_einsum,
     brute_force_associative,
     defect_fixed_point,
+    label_index,
     point_mass,
     prob,
     star,
@@ -90,7 +92,8 @@ class TestLoadCategory:
 
     def test_unknown_label_lookups(self, categories):
         cat, dims, fp = categories["ising"]
-        lookups = (cat.index, dims.of, fp.index, fusion.closed_form_fixed_point(dims).of)
+        lookups = (partial(label_index, cat), dims.of, partial(label_index, fp),
+                   fusion.closed_form_fixed_point(dims).of)
         for lookup in lookups:
             with pytest.raises(MalformedInput, match="unknown label 'bogus'"):
                 lookup("bogus")
@@ -309,7 +312,7 @@ class TestQuantumDimensions:
         for name, iterated in (("fibonacci", ("tau",)), ("ising", ("sigma",))):
             cat, dims, _ = categories[name]
             for label in cat.labels:
-                a = cat.index(label)
+                a = label_index(cat, label)
                 if label in iterated:
                     assert dims.of(label) == fusion._perron_radius(cat.N[a])[0], (name, label)
                 else:

@@ -46,6 +46,7 @@ from oracles import (  # noqa: E402
     edges_in_box_scan,
     forest_joins_union_find,
     fusion_string_loop,
+    fusion_strings_ending,
     is_fusion_ring,
     nested_levels_loop,
     plaquette_boundary,
@@ -699,11 +700,10 @@ def test_sector_frames_match_path_loop_oracle(part):
 def test_fusion_strings_match_path_loop_oracle(part, endpoint):
     lat = part.lattice
     state = ground(lat.width, lat.height, lat.prime)
-    rule = st.FusionStringRule(endpoint=endpoint)
     for s in product(range(lat.prime), repeat=2):
-        np.testing.assert_array_equal(
-            st.fusion_string(state, part, s, rule), fusion_string_loop(state, part, s, rule), err_msg=str(s)
-        )
+        with fusion_strings_ending(endpoint):
+            fast = st.fusion_string(state, part, s)
+        np.testing.assert_array_equal(fast, fusion_string_loop(state, part, s, endpoint), err_msg=str(s))
 
 
 @settings(max_examples=25, deadline=None)
@@ -747,8 +747,9 @@ def test_verify_assumptions_matches_loop_oracle(part, endpoint, family, data):
         # strings anchored at another plaquette than the partition's origin
         origin = (data.draw(hst.integers(0, lat.width - 1)), data.draw(hst.integers(0, lat.height - 1)))
         states = {a: st.create_sector(ground(lat.width, lat.height, p), a, origin=origin) for a in order}
-    rule = st.FusionStringRule(endpoint=endpoint)
-    assert st.verify_assumptions(states, part, rule) == verify_assumptions_loop(states, part, rule)
+    with fusion_strings_ending(endpoint):
+        report = st.verify_assumptions(states, part)
+    assert report == verify_assumptions_loop(states, part, endpoint)
 
 
 @settings(max_examples=30, deadline=None)
@@ -759,9 +760,9 @@ def test_sector_assumptions_match_the_family_path(part, endpoint):
     assume(part.thin_steps + 1 <= part.a_width - 1)
     lat = part.lattice
     state = ground(lat.width, lat.height, lat.prime)
-    rule = st.FusionStringRule(endpoint=endpoint)
-    report = st.verify_sector_assumptions(state, part, rule)
-    assert report == st.verify_assumptions(sector_family(state, part), part, rule)
+    with fusion_strings_ending(endpoint):
+        report = st.verify_sector_assumptions(state, part)
+        assert report == st.verify_assumptions(sector_family(state, part), part)
     if endpoint == "strips":
         assert report.passed
 
@@ -771,9 +772,9 @@ def test_sector_assumptions_match_the_family_path_at_p13(endpoint):
     lat = st.Lattice(width=40, height=40, prime=13)
     part = st.centered_annulus(lat, width=3)
     state = ground(40, 40, 13)
-    rule = st.FusionStringRule(endpoint=endpoint)
-    report = st.verify_sector_assumptions(state, part, rule)
-    assert report == st.verify_assumptions(sector_family(state, part), part, rule)
+    with fusion_strings_ending(endpoint):
+        report = st.verify_sector_assumptions(state, part)
+        assert report == st.verify_assumptions(sector_family(state, part), part)
     assert report.passed == (endpoint == "strips")
 
 

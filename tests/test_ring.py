@@ -8,6 +8,7 @@ from teelab.errors import DimensionCap, InsufficientWidth, MalformedInput
 
 import dense_oracles as dense
 from dense_oracles import SiteInThinnedRegion
+from oracles import ring_table_loop
 
 
 def enumerate_supports(spec):
@@ -159,6 +160,13 @@ class TestNestedTable:
         spec = ring.RingSpec(q=3, sites_a=4, sites_b1=2, sites_c=2, sites_b2=2)
         trace = ring.nested_annulus_table(spec, n=2)
         np.testing.assert_allclose(trace.table, math.log(3), atol=1e-15)
+
+    @pytest.mark.parametrize("q, arcs, n", [(2, (4, 1, 1, 1), 2), (3, (9, 2, 3, 1), 7), (53, (2002, 2, 2, 2), 2000)])
+    def test_table_matches_per_level_loop(self, q, arcs, n):
+        # the level column, read as one array expression, equals one exact_cmi
+        # per thinned spec bit for bit
+        spec = ring.RingSpec(q, *arcs)
+        np.testing.assert_array_equal(ring.nested_annulus_table(spec, n).table, ring_table_loop(spec, n))
 
     def test_insufficient_width(self):
         spec = ring.RingSpec(q=2, sites_a=3, sites_b1=1, sites_c=1, sites_b2=1)

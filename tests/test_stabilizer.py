@@ -19,6 +19,7 @@ import dense_oracles as dense
 from dense_oracles import dense_generators, frame_phases
 from oracles import (
     annulus_cmi,
+    fusion_strings_ending,
     plaquette_boundary,
     region_entropy,
     sector_family,
@@ -377,8 +378,8 @@ class TestAssumptions:
         ground = st.build_ground_state(lat)
         part = st.centered_annulus(lat, width=3)
         fam = sector_family(ground, part)
-        bad_rule = st.FusionStringRule(endpoint="inside_a_prime")
-        report = st.verify_assumptions(fam, part, bad_rule)
+        with fusion_strings_ending("inside_a_prime"):
+            report = st.verify_assumptions(fam, part)
         assert report.distinguishability.passed
         assert report.indistinguishability.passed
         assert not report.fusion.passed
@@ -393,12 +394,11 @@ class TestAssumptions:
         ground = st.build_ground_state(lat)
         part = st.centered_annulus(lat, width=2)
         fam = sector_family(ground, part)
-        rule = st.FusionStringRule()
         thin = part.thin(1)
         region = thin.region_edges("ABC")
         for s, a in (((1, 0), (0, 0)), ((0, 2), (1, 1)), ((2, 1), (2, 2))):
             target = ((s[0] + a[0]) % 3, (s[1] + a[1]) % 3)
-            conj = st.conjugate_by_string(fam[a], st.fusion_string(fam[a], part, s, rule))
+            conj = st.conjugate_by_string(fam[a], st.fusion_string(fam[a], part, s))
             relation, _ = st.reduction_relation(conj, fam[target], region)
             assert relation == "equal", (s, a)
 
@@ -422,7 +422,7 @@ def _oracle_relation(k1, k2, state):
     return "equal", None
 
 
-def _assumption_pairs(fam, part, rule):
+def _assumption_pairs(fam, part):
     """Every comparison verify_assumptions makes: (region name, labels, state1, state2)."""
     p = part.lattice.prime
     order = sorted(fam)
@@ -435,18 +435,17 @@ def _assumption_pairs(fam, part, rule):
     for s in order[1:]:
         for a in order:
             target = ((s[0] + a[0]) % p, (s[1] + a[1]) % p)
-            conj = st.conjugate_by_string(fam[a], st.fusion_string(fam[a], part, s, rule))
+            conj = st.conjugate_by_string(fam[a], st.fusion_string(fam[a], part, s))
             pairs.append(("A'BC", (s, a), conj, fam[target]))
     return pairs
 
 
-def _against_oracle(fam, part, rule=None, sample=False):
+def _against_oracle(fam, part, sample=False):
     """Assert reduction_relation == the phased-canonical comparison on the
     assumption pairs (or three per region); returns (name, labels, relation)."""
-    rule = rule or st.FusionStringRule()
     regions = {name: part.region_edges(name) for name in ("ABC", "AB", "BC")}
     regions["A'BC"] = part.thin(1).region_edges("ABC")
-    pairs = _assumption_pairs(fam, part, rule)
+    pairs = _assumption_pairs(fam, part)
     if sample:
         picked = []
         for name in regions:
@@ -505,8 +504,8 @@ class TestPhaseTestOracle:
         lat = st.Lattice(width=14, height=12, prime=2)
         part = st.centered_annulus(lat, width=3)
         fam = sector_family(st.build_ground_state(lat), part)
-        rule = st.FusionStringRule(endpoint="inside_a_prime")
-        results = _against_oracle(fam, part, rule, sample=True)
+        with fusion_strings_ending("inside_a_prime"):
+            results = _against_oracle(fam, part, sample=True)
         assert [rel[0] for name, _, rel in results if name == "A'BC"] == ["orthogonal"] * 3
 
     def test_p3_widths2_sample(self):
@@ -524,13 +523,13 @@ def _displaced_family(p):
     ground = st.build_ground_state(lat)
     displaced = st.AnnulusPartition(lattice=lat, origin=(6, 6), hole=(5, 5, 8, 8), width=3)
     fam = {(c, f): st.create_sector(ground, (c, f), origin=(3, 6)) for c in range(p) for f in range(p)}
-    return fam, displaced, None
+    return fam, displaced, "strips"
 
 
-def _centered_family(p, width, height, bar=2, rule=None):
+def _centered_family(p, width, height, bar=2, endpoint="strips"):
     lat = st.Lattice(width=width, height=height, prime=p)
     part = st.centered_annulus(lat, width=bar)
-    return sector_family(st.build_ground_state(lat), part), part, rule
+    return sector_family(st.build_ground_state(lat), part), part, endpoint
 
 
 FAMILIES = {
@@ -539,7 +538,7 @@ FAMILIES = {
     **{f"p{p}_displaced_anchor": (lambda p=p: _displaced_family(p)) for p in (2, 3)},
     **{
         f"p{p}_inside_a_prime": (
-            lambda p=p: _centered_family(p, 14, 12, bar=3, rule=st.FusionStringRule(endpoint="inside_a_prime"))
+            lambda p=p: _centered_family(p, 14, 12, bar=3, endpoint="inside_a_prime")
         )
         for p in (2, 3)
     },
@@ -552,9 +551,10 @@ class TestFrameDifferences:
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_report_matches_loop_oracle(self, name):
-        fam, part, rule = FAMILIES[name]()
-        report = st.verify_assumptions(fam, part, rule)
-        assert report == verify_assumptions_loop(fam, part, rule)
+        fam, part, endpoint = FAMILIES[name]()
+        with fusion_strings_ending(endpoint):
+            report = st.verify_assumptions(fam, part)
+        assert report == verify_assumptions_loop(fam, part, endpoint)
         if "displaced" in name or "inside" in name:
             assert not report.passed
 
@@ -563,9 +563,9 @@ class TestFrameDifferences:
         calls = []
         fusion_string = st.fusion_string
 
-        def counting(state, part, s, rule):
+        def counting(state, part, s):
             calls.append(s)
-            return fusion_string(state, part, s, rule)
+            return fusion_string(state, part, s)
 
         def no_conjugation(state, t):
             raise AssertionError("conjugate_by_string called")
@@ -585,6 +585,21 @@ class TestFrameDifferences:
 
         monkeypatch.setattr(st, "restricted_canonical", no_basis)
         assert st.verify_assumptions(fam, part).passed
+
+
+class TestLabelTableCap:
+    def test_p53_admitted_p59_refused(self):
+        # the assumption checks charge 24 bytes per p^4 for their (p^2, p^2)
+        # label tables against the one byte cap
+        st.check_label_tables(53)
+        with pytest.raises(DimensionCap, match="label tables"):
+            st.check_label_tables(59)
+
+    def test_sector_assumptions_refused_before_the_tables(self):
+        lat = st.Lattice(width=12, height=12, prime=59)
+        part = st.centered_annulus(lat, width=2)
+        with pytest.raises(DimensionCap, match="label tables"):
+            st.verify_sector_assumptions(st.build_ground_state(lat), part)
 
 
 class TestWitnessBlockCap:
