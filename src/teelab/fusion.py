@@ -42,11 +42,13 @@ FIXED_POINT_STEP_TOL = 1e-14
 # sum stays below 2^53, n * max(N)^2 < FLOAT_EXACT_BOUND, so `load_category`
 # refuses a larger multiplicity while it parses.
 FLOAT_EXACT_BOUND = 2**53
-# Byte cap on checking a category of n labels, charged at 32 n^4 bytes.  Each
-# associativity check holds two (n^2, n^2) float64 products, and the integer
-# check a boolean n^4 array beside them: about 17 n^4 bytes at the peak, 94 MiB
-# for double_z7 (n = 49) under tracemalloc.  53 labels is the most it admits.
+# Byte cap on checking a category of n labels, charged at CATEGORY_LABEL_BYTES
+# n^4 bytes.  Each associativity check holds two (n^2, n^2) float64 products,
+# and the integer check a boolean n^4 array beside them: the tracemalloc peak of
+# building Z_n is 17.18, 17.16 and 17.13 n^4 bytes at n = 49, 53 and 63 (94, 129
+# and 257 MiB).  62 labels is the most it admits.
 CATEGORY_BYTES_CAP = 2**28
+CATEGORY_LABEL_BYTES = 18
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +284,7 @@ def load_category(document) -> FusionCategory:
 
 def _charge_labels(n: int) -> None:
     """Raise DimensionCap unless validating n labels fits CATEGORY_BYTES_CAP."""
-    if 32 * n**4 > CATEGORY_BYTES_CAP:
+    if CATEGORY_LABEL_BYTES * n**4 > CATEGORY_BYTES_CAP:
         raise DimensionCap(
             f"{n} labels: the associativity checks' n^4-entry arrays are over the {CATEGORY_BYTES_CAP}-byte cap"
         )

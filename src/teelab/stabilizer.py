@@ -55,14 +55,17 @@ F_p is nodes - components, the size of a spanning forest (Schrijver, Theory
 of Linear and Integer Programming, 1986); leaving out the sentinel's row
 keeps it, since a component's rows sum to zero.  So g_R = 2|R| minus the
 size of a spanning forest of R's 2|R| columns, counted as nodes minus
-components (`_forest_size`).  This is the counting behind the region
-entropies of Hamma, Ionicioiu & Zanardi, PRA 71, 022315 (2005).  The
-subgroup itself is read from the same graph, with no elimination.  A
-combination c . G vanishes on a column outside R iff c is equal on the
-column's two rows, or 0 on its one row, so c . G is supported in R iff c is
-constant on each cluster of rows that the columns outside R join,
-and 0 on the sentinel's cluster.  G has full rank, so the sums of the g_R
-clusters off the sentinel are a basis of the subgroup.  An element's phase is
+components (`_edge_ranks`) on the column graph, which is built and checked
+once per matrix and prime (`SparseGenerators.column_graph`).  This is the
+counting behind the region entropies of Hamma, Ionicioiu & Zanardi, PRA 71,
+022315 (2005).  The subgroup itself is read from the same graph, with no
+elimination.  A combination c . G vanishes on a column outside R iff c is
+equal on the column's two rows, or 0 on its one row, so c . G is supported
+in R iff c is constant on each cluster of rows that the columns outside R
+join, and 0 on the sentinel's cluster.  G has full rank, so the sums of the
+g_R clusters off the sentinel are a basis of the subgroup; the clusters
+outside ABC are labelled once, and a region inside ABC relabels only the
+nodes that ABC's columns touch (`_region_phases`).  An element's phase is
 linear in the element, so a cluster's phase under a frame is the sum of its
 rows' phases (`_row_phases`, the one place the sign convention above is
 written), and two reductions on R are compared by their clusters' phases
@@ -78,7 +81,7 @@ oracles of the counted entropies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -120,6 +123,9 @@ MAX_SUPPORT = 4
 # peaked under tracemalloc at 24.0-25.0 bytes per p^4 for p = 13 to 53 (181 MiB
 # at p = 53), so p = 53 is admitted and p = 59 refused.
 LABEL_TABLE_BYTES = 24
+# Bytes per (cluster, s, a) entry of a fusion-step chunk: two int16 and up to
+# four bool planes.
+_FUSION_STEP_BYTES = 8
 
 
 def check_label_tables(p: int) -> None:
@@ -195,10 +201,14 @@ class Lattice:
     @cached_property
     def edge_midpoints(self) -> np.ndarray:
         """Doubled coordinates of every edge midpoint, shape (n_edges, 2)."""
-        hy, hx = np.divmod(np.arange(self.n_h_edges), self.width)
-        vy, vx = np.divmod(np.arange(self.n_edges - self.n_h_edges), self.width + 1)
-        h = np.stack([2 * hx + 1, 2 * hy], axis=1)
-        return np.concatenate([h, np.stack([2 * vx, 2 * vy + 1], axis=1)])
+        return self.midpoints(np.arange(self.n_edges))
+
+    def midpoints(self, edges: np.ndarray) -> np.ndarray:
+        """Doubled coordinates of the given edges' midpoints, shape (len(edges), 2):
+        (2x + 1, 2y) for horizontal edge (x, y), (2x, 2y + 1) for vertical."""
+        v = edges >= self.n_h_edges
+        y, x = np.divmod(edges - v * self.n_h_edges, self.width + v)
+        return np.stack([2 * x + 1 - v, 2 * y + v], axis=1)
 
     def edges_in_box(self, box: tuple[int, int, int, int]) -> np.ndarray:
         """Sorted int64 ids of the edges whose midpoints lie in the half-open
@@ -243,6 +253,7 @@ class SparseGenerators:
     cols: np.ndarray  # (rows, MAX_SUPPORT) int64
     vals: np.ndarray  # (rows, MAX_SUPPORT) int64 mod p, 0 = padding
     n_edges: int
+    _graphs: dict = field(default_factory=dict, init=False, repr=False)  # prime -> column graph
 
     def __post_init__(self):
         self.cols.setflags(write=False)
@@ -277,6 +288,14 @@ class SparseGenerators:
         for arr in index:
             arr.setflags(write=False)
         return index
+
+    def column_graph(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every column c as the graph edge (u[c], v[c]) over the rows and the
+        sentinel node n_rows (`_column_graph`), built and checked once per
+        prime; every rank and cluster label reads slices of it."""
+        if p not in self._graphs:
+            self._graphs[p] = _column_graph(self, p)
+        return self._graphs[p]
 
     def region_block(self, edges: np.ndarray) -> np.ndarray:
         """The rows with a nonzero entry on the sorted, unique edges, in row
@@ -337,11 +356,11 @@ def _check_independent(gens: SparseGenerators, p: int) -> None:
     """Raise RankDeficiency unless the rows are independent over F_p.
 
     The rank is nodes minus components of the column graph on the rows and
-    the sentinel n_rows (`_column_graph`, `_forest_size`; see the module
-    docstring), so the rows are independent iff that graph is connected.
+    the sentinel n_rows (`SparseGenerators.column_graph`, `_forest_size`; see
+    the module docstring), so the rows are independent iff that graph is
+    connected.
     """
-    u, v, _ = _column_graph(gens, np.arange(2 * gens.n_edges), p)
-    rank = _forest_size(u, v, gens.n_rows + 1)
+    rank = _forest_size(*gens.column_graph(p), gens.n_rows + 1)
     if rank < gens.n_rows:
         raise RankDeficiency(f"generator matrix is not full rank: rank {rank} of {gens.n_rows} rows")
 
@@ -458,15 +477,29 @@ class AnnulusPartition:
     def thin(self, steps: int = 1) -> "AnnulusPartition":
         return replace(self, thin_steps=self.thin_steps + steps)
 
+    @cached_property
+    def letter_masks(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The sorted int64 ids of the edges in the smallest box that holds
+        every bar, and so the hole, and each letter's mask over them, from
+        the edges' midpoints: built once per partition."""
+        boxes = self.bar_boxes()
+        x0, y0, x1, y1 = np.array(list(boxes.values())).T
+        window = self.lattice.edges_in_box((x0.min(), y0.min(), x1.max(), y1.max()))
+        mid = self.lattice.midpoints(window)
+        mx, my = mid[:, :1], mid[:, 1:]  # one row per edge, one column per box
+        inside = dict(zip(boxes, ((x0 <= mx) & (mx < x1) & (y0 <= my) & (my < y1)).T))
+        masks = {ch: np.logical_or.reduce([inside[name] for name in names]) for ch, names in _LETTER_BOXES.items()}
+        return window, masks
+
     def region_edges(self, spec: str) -> np.ndarray:
         """Sorted, unique int64 edge ids of a region: any combination of the letters A, B, C."""
-        boxes = self.bar_boxes()
-        parts = [np.empty(0, dtype=np.int64)]
+        window, masks = self.letter_masks
+        inside = np.zeros(len(window), dtype=bool)
         for ch in spec:
-            if ch not in _LETTER_BOXES:
+            if ch not in masks:
                 raise MalformedInput(f"unknown region letter {ch!r}")
-            parts += [self.lattice.edges_in_box(boxes[name]) for name in _LETTER_BOXES[ch]]
-        return _sorted_unique(np.concatenate(parts))
+            inside |= masks[ch]
+        return window[inside]
 
 
 def centered_annulus(lat: Lattice, width: int, hole_size: int = 3, a_width: int | None = None) -> AnnulusPartition:
@@ -582,35 +615,39 @@ def _pairing(vecs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return vecs[..., :n] @ t[n:] - vecs[..., n:] @ t[:n]
 
 
-def _column_graph(
-    gens: SparseGenerators, columns: np.ndarray, p: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero columns as graph edges (u, v, position in `columns`).
-
-    A column with two entries joins their two rows; a column with one entry
-    joins its row to the sentinel node n_rows.  A column with more than two
-    entries, or with two that do not cancel mod p, is no scaled incidence
-    column, and raises MalformedInput.
+def _column_graph(gens: SparseGenerators, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every column as a graph edge (u, v), indexed by column: a column with
+    two entries joins their two rows, one with one entry joins its row to
+    the sentinel node n_rows, and an empty one is a loop on the sentinel,
+    which joins nothing.  Node ids are int32 where they fit.  A column with
+    more than two entries, or with two that do not cancel mod p, is no
+    scaled incidence column, and raises MalformedInput.
     """
     start, rows, vals = gens.by_column
-    lo, count = start[columns], start[columns + 1] - start[columns]
+    lo, count = start[:-1], np.diff(start)
     if (count > 2).any():
         k = int(np.argmax(count > 2))
-        raise MalformedInput(f"column {columns[k]} has {count[k]} entries; a graph rank needs at most two")
+        raise MalformedInput(f"column {k} has {count[k]} entries; a graph rank needs at most two")
     two = np.flatnonzero(count == 2)
     odd = (vals[lo[two]] + vals[lo[two] + 1]) % p != 0
     if odd.any():
-        raise MalformedInput(f"the two entries of column {columns[two[odd][0]]} do not cancel mod {p}")
-    keep = np.flatnonzero(count)
-    second = rows[np.minimum(lo[keep] + 1, len(rows) - 1)]
-    return rows[lo[keep]], np.where(count[keep] == 2, second, gens.n_rows), keep
+        raise MalformedInput(f"the two entries of column {two[odd][0]} do not cancel mod {p}")
+    dtype = np.int32 if gens.n_rows < 2**31 - 1 else np.int64
+    u = np.full(len(count), gens.n_rows, dtype=dtype)
+    v = u.copy()
+    one = np.flatnonzero(count)
+    u[one] = rows[lo[one]]
+    v[two] = rows[lo[two] + 1]
+    for arr in (u, v):
+        arr.setflags(write=False)
+    return u, v
 
 
 def _roots(parent: np.ndarray) -> np.ndarray:
     """Each node's root, by pointer jumping over the parent links (Shiloach &
     Vishkin 1982): a chain of length l is resolved in log2(l) rounds."""
     root = parent
-    while not np.array_equal(up := root[root], root):
+    while ((up := root[root]) != root).any():
         root = up
     return root
 
@@ -622,13 +659,15 @@ def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     Each round, every edge that joins two trees hooks the larger root onto
     the smaller and pointer jumping (`_roots`) flattens the trees; links
     point down, so a component's smallest node is its one root at the end.
+    Labels are int32 where they fit.
     """
-    root = np.arange(n)
-    while (live := root[u] != root[v]).any():
-        u, v = u[live], v[live]
-        ru, rv = root[u], root[v]
+    root = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    ru, rv = u.astype(root.dtype, copy=False), v.astype(root.dtype, copy=False)  # each node is its own root
+    while (live := ru != rv).any():
+        u, v, ru, rv = u[live], v[live], ru[live], rv[live]
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
         root = _roots(root)
+        ru, rv = root[u], root[v]
     return root
 
 
@@ -674,19 +713,6 @@ def _forest_joins(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return joined
 
 
-def _cluster_roots(
-    gens: SparseGenerators, columns: np.ndarray, p: int, root: np.ndarray | None = None
-) -> np.ndarray:
-    """The label of every row, and of the sentinel (node n_rows), in the graph
-    of the given columns (`_column_graph`, which checks their shape): the
-    clusters of rows they join.  Given an earlier graph's labels, its
-    clusters are contracted to them and only the new columns are run."""
-    u, v, _ = _column_graph(gens, columns, p)
-    if root is None:
-        root = np.arange(gens.n_rows + 1)
-    return _components(root[u], root[v], gens.n_rows + 1)[root]
-
-
 def _clusters(root: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The rows of the K clusters without the sentinel (the last node), as
     (rows, cluster, K), with cluster[i] in 0 .. K - 1 the cluster of rows[i].
@@ -725,11 +751,26 @@ def region_rank(state: StabilizerState, region: tuple[int, ...]) -> int:
     which the commutation and full-rank checks of `build_ground_state`
     guarantee.  rank(G|_R) is the size of a spanning forest of R's columns as
     graph edges, over the nodes they touch (see the module docstring); a
-    column of another shape raises MalformedInput.
+    matrix with a column of another shape raises MalformedInput.
     """
-    columns = _region_columns(state, region)
-    u, v, _ = _column_graph(state.gens, columns, state.lattice.prime)
-    return len(columns) - _forest_size(*_compact(u, v))
+    return _edge_ranks(state, [_edges(state, region)])[0]
+
+
+def _edge_ranks(state: StabilizerState, regions) -> list[int]:
+    """`region_rank` of each sorted, unique edge array, from one labelling
+    (`_components`) of their column graphs side by side: node x of region
+    i's graph is node i (n_rows + 1) + x, renumbered to the nodes touched."""
+    u, v = state.gens.column_graph(state.lattice.prime)
+    n = state.gens.n_rows + 1
+    columns = [np.concatenate([edges, edges + state.n]) for edges in regions]
+    offset = np.repeat(np.arange(len(regions)) * n, [len(c) for c in columns])
+    picked = np.concatenate(columns)
+    ends = np.concatenate([u[picked] + offset, v[picked] + offset])
+    nodes = _sorted_unique(ends)
+    ids = np.searchsorted(nodes, ends)
+    root = _components(ids[:len(picked)], ids[len(picked):], len(nodes))
+    joins = np.bincount(nodes[root != np.arange(len(nodes))] // n, minlength=len(regions))
+    return [len(c) - int(j) for c, j in zip(columns, joins)]
 
 
 @dataclass(frozen=True)
@@ -751,9 +792,9 @@ def _certificate(p: int, sizes: dict[str, int], ranks: dict[str, int]) -> tuple[
 
 def annulus_cmi_certificate(state: StabilizerState, part: AnnulusPartition) -> tuple[float, CmiCertificate]:
     """I(A:C|B) with the integer rank certificate behind it."""
-    regions = {name: part.region_edges(name) for name in _CERTIFICATE_REGIONS}
-    sizes = {k: len(v) for k, v in regions.items()}
-    ranks = {k: region_rank(state, v) for k, v in regions.items()}
+    regions = [part.region_edges(name) for name in _CERTIFICATE_REGIONS]
+    sizes = {name: len(edges) for name, edges in zip(_CERTIFICATE_REGIONS, regions)}
+    ranks = dict(zip(_CERTIFICATE_REGIONS, _edge_ranks(state, regions)))
     return _certificate(state.lattice.prime, sizes, ranks)
 
 
@@ -942,51 +983,147 @@ def verify_sector_assumptions(ground: StabilizerState, part: AnnulusPartition) -
     )
 
 
+def _outside_clusters(state: StabilizerState, abc: np.ndarray, window: np.ndarray):
+    """The clusters of rows that the columns outside ABC join, other than the
+    sentinel's, in the order `_clusters` gives them over every row, read on
+    the columns of `window` (sorted edges that hold ABC's) alone.
+
+    A row with an entry outside the window is joined to the sentinel, which
+    can only merge clusters into the sentinel's, so each cluster found off
+    the sentinel's is one over every row.  The state is pure, so there are
+    g_ABC of those (see the module docstring), and the window holds them all
+    iff it finds g_ABC.  Returns (rows, cluster, K0, the cluster of each end
+    of ABC's X then Z columns, K0 for the sentinel's, g_ABC); g_ABC is
+    labelled in the same `_components` call, on a second copy of the nodes.
+    """
+    gens, E, p = state.gens, state.n, state.lattice.prime
+    u, v = gens.column_graph(p)
+    columns = np.concatenate([window, window + E])
+    in_abc = np.zeros(len(window), dtype=bool)
+    in_abc[np.searchsorted(window, abc)] = True
+    in_abc = np.tile(in_abc, 2)
+    ends = np.concatenate([u[columns], v[columns]])
+    rows = _sorted_unique(np.concatenate([ends, [gens.n_rows]]))  # the window's rows, then the sentinel
+    ids = np.searchsorted(rows, ends).reshape(2, -1)
+    m = len(rows)
+    entries = (gens.vals[rows[:-1]] != 0).sum(axis=1)
+    leaves = np.flatnonzero(np.bincount(ids.ravel(), minlength=m)[:-1] < entries)
+    outside, inner = ids[:, ~in_abc], ids[:, in_abc]
+    root = _components(
+        np.concatenate([outside[0], leaves, inner[0] + m]),
+        np.concatenate([outside[1], np.full(len(leaves), m - 1), inner[1] + m]),
+        2 * m,
+    )
+    nodes, cluster, k0 = _clusters(root[:m])
+    node = np.full(m, k0)
+    node[nodes] = cluster
+    g_abc = 2 * len(abc) - int(np.count_nonzero(root[m:] != np.arange(m, 2 * m)))
+    return rows[nodes], cluster, k0, node[inner], g_abc
+
+
+def _region_phases(state: StabilizerState, abc: np.ndarray, window: np.ndarray, vectors, regions):
+    """The cluster phases of each region inside ABC (sorted, unique edges),
+    labelled on the nodes that ABC's columns touch: a (K, len(vectors))
+    array mod p per region, K = g_R.
+
+    The clusters of the columns outside ABC are labelled once
+    (`_outside_clusters`), on the window's columns, or on every column if the
+    window does not hold them all.  Each becomes one node, carrying the sum
+    of its rows' phases under each vector (`_row_phases`), and the
+    sentinel's cluster node K0.  A region R inside ABC joins these K0 + 1
+    nodes by ABC's columns outside R, so its clusters cost O(|ABC|), not
+    O(E); every region is labelled in one `_components` call, side by side,
+    with their sentinels joined.
+    A node's id orders clusters by their smallest row, so a region's
+    clusters come in the order `_clusters` gives them over all rows.
+    """
+    rows, cluster, k0, ends, g_abc = _outside_clusters(state, abc, window)
+    if k0 != g_abc:  # a cluster leaves the window
+        rows, cluster, k0, ends, _ = _outside_clusters(state, abc, np.arange(state.n))
+    weight = np.zeros((k0, len(vectors)), dtype=np.int64)
+    np.add.at(weight, cluster, _row_phases(state.gens, rows, vectors).T)
+    k, n = k0 + 1, len(regions)
+    sentinel = np.arange(n) * k + k0  # joined, so that the last node is the one sentinel
+    graph = [np.stack([sentinel[:-1], sentinel[1:]])]
+    for i, edges in enumerate(regions):
+        inside = np.zeros(len(abc), dtype=bool)
+        inside[np.searchsorted(abc, edges)] = True
+        graph.append(ends[:, ~np.tile(inside, 2)] + i * k)  # ABC's columns outside the region
+    u, v = np.concatenate(graph, axis=1)
+    nodes, group, g = _clusters(_components(u, v, n * k))
+    phases = np.zeros((g, len(vectors)), dtype=np.int64)
+    np.add.at(phases, group, weight[nodes % k])
+    region = np.zeros(g, dtype=np.int64)
+    region[group] = nodes // k
+    return np.split(phases % state.lattice.prime, np.cumsum(np.bincount(region, minlength=n))[:-1])
+
+
+def _fused(s, a, p: int):
+    """The label s x a of Z_p x Z_p, labels numbered c p + f."""
+    return (s // p + a // p) % p * p + (s + a) % p
+
+
+def _fusion_step(table: np.ndarray, moved: np.ndarray, p: int, chunk: int) -> np.ndarray:
+    """bad[s, a]: whether property 3's string for s >= 1 moves label a off
+    s x a, (table[:, a] + moved[:, s - 1] - table[:, s x a]) mod p != 0 on
+    some cluster; row 0 is False.
+
+    Label (c, f) x (c', f') is (c + c', f + f') mod p, so the columns s x a
+    over all a are the table's (p, p) grid shifted cyclically by s: a window
+    of the grid tiled twice per axis, read with no index arithmetic.  Every
+    entry is a residue mod p <= 57 (`check_label_tables`), so the int16
+    differences lie in (-2p, p) and vanish mod p iff they are 0 or -p.  One
+    array program per `chunk` labels s.
+    """
+    k, n = table.shape
+    grid = np.tile(table.astype(np.int16).reshape(k, p, p), (1, 2, 2))
+    shifted = np.lib.stride_tricks.sliding_window_view(grid, (p, p), axis=(1, 2))  # [:, c, f]: s = (c, f)
+    steps = np.concatenate([np.zeros((k, 1), dtype=np.int16), (moved % p).astype(np.int16)], axis=1)
+    bad = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, chunk):
+        s = np.arange(lo, min(lo + chunk, n))
+        diff = shifted[:, s // p, s % p] - grid[:, None, :p, :p]
+        diff -= steps[:, s, None, None]
+        bad[s] = ((diff != 0) & (diff != -p)).any(axis=0).reshape(len(s), n)
+    return bad
+
+
 def _assumptions_report(base, part, frames, strings, frame, string) -> AssumptionsReport:
     """The three properties for p^2 labels, numbered a = c p + f.
 
-    A region's basis is the sums of its row clusters (`_clusters`), and a
+    A region's basis is the sums of its row clusters (`_region_phases`), and a
     phase is linear in the group element and the frame, so a region reads its
     vectors (`frames`; on A'BC also `strings`) into one matrix M of cluster
     phases (`_row_phases`).  `frame(M, a)` combines M's columns into the
     frames of the labels in array a, `string(M, s)` into property 3's
     strings for the labels s >= 1 in array s.  A witness
     (`restricted_canonical`, eliminated only for a region with a violation)
-    is taken on those combinations of the vectors' columns.
+    is taken on those combinations of the vectors' columns.  The fusion step
+    runs in chunks of labels s held to LABEL_TABLE_BYTES per p^4.
     """
     p = base.lattice.prime
     check_label_tables(p)
     labels = np.arange(p * p)
     order = [(int(c), int(f)) for c, f in zip(labels // p, labels % p)]
-    # target[s, a]: the label s x a
-    target = (labels[:, None] // p + labels // p) % p * p + (labels[:, None] + labels) % p
-    abc, ab, bc = (part.region_edges(name) for name in ("ABC", "AB", "BC"))
+    vectors = [*frames, *strings]
+    regions = [part.region_edges(name) for name in ("ABC", "AB", "BC")] + [part.thin(1).region_edges("ABC")]
+    # every region lies inside ABC, and the box around the bars holds the hole
+    region_phases = _region_phases(base, regions[0], part.letter_masks[0], vectors, regions)
 
-    # every region below lies inside ABC, so the forest of the columns outside
-    # ABC is grown once and each region's forest continues it over the
-    # columns of ABC outside that region
-    in_abc = np.zeros(2 * base.n, dtype=bool)
-    in_abc[_region_columns(base, abc)] = True
-    root_abc = _cluster_roots(base.gens, np.flatnonzero(~in_abc), p)
-
-    def on_region(edges, vectors):
-        """(M mod p, the labels' table, and the witnessed violations:
-        (order[i], order[j], relation, witness) for each true bad[i, j] in
-        row-major order, on the differences diff(vectors on cols, i, js))."""
-        cols = _region_columns(base, edges)
-        rest = in_abc.copy()  # ABC's columns outside the region
-        rest[cols] = False
-        rows, cluster, k = _clusters(_cluster_roots(base.gens, np.flatnonzero(rest), p, root_abc))
-        phases = np.zeros((k, len(vectors)), dtype=np.int64)
-        np.add.at(phases, cluster, _row_phases(base.gens, rows, vectors).T)
-        phases %= p
+    def on_region(r, read):
+        """(M mod p of region r on the first `read` vectors, the labels'
+        table, and the witnessed violations: (order[i], order[j], relation,
+        witness) for each true bad[i, j] in row-major order, on the
+        differences diff(vectors on the region's columns, i, js))."""
+        edges, phases = regions[r], region_phases[r][:, :read]
         phases = phases[phases.any(axis=1)]  # a cluster of phase 0 tells no labels apart
 
         def violations(bad, diff):
             out, firsts = [], np.flatnonzero(bad.any(axis=1))
             if firsts.size:
                 _, vecs = restricted_canonical(base, edges)
-                on_cols = np.stack([v[cols] for v in vectors], axis=1)
+                cols = np.concatenate([edges, edges + base.n])
+                on_cols = np.stack([v[cols] for v in vectors[:read]], axis=1)
             for i in firsts:
                 js = np.flatnonzero(bad[i])
                 first = _first_mismatch(vecs, diff(on_cols, i, js), p).tolist()
@@ -1001,25 +1138,25 @@ def _assumptions_report(base, part, frames, strings, frame, string) -> Assumptio
         ranked = np.lexsort(table) if len(table) else labels
         step = (table[:, ranked[1:]] != table[:, ranked[:-1]]).any(axis=0)
         cls = np.empty_like(labels)
-        cls[ranked] = np.cumsum(np.r_[False, step])
+        cls[ranked] = np.cumsum(np.concatenate([[False], step]))
         return cls[:, None] == cls
 
-    _, table, _ = on_region(abc, frames)
-    viol1 = [(order[i], order[j], "equal", None) for i, j in zip(*np.nonzero(np.triu(same(table), 1)))]
+    upper = labels[:, None] < labels  # each pair (a, b) once
+    _, table, _ = on_region(0, len(frames))
+    viol1 = [(order[i], order[j], "equal", None) for i, j in zip(*np.nonzero(same(table) & upper))]
     prop1 = PropertyResult("global_distinguishability", not viol1, tuple(viol1))
     viol2 = []
-    for name, edges in (("AB", ab), ("BC", bc)):
-        _, table, violations = on_region(edges, frames)
-        differ = violations(np.triu(~same(table), 1), lambda M, i, js: frame(M, labels[[i]]) - frame(M, js))
+    for i, name in ((1, "AB"), (2, "BC")):
+        _, table, violations = on_region(i, len(frames))
+        differ = violations(~same(table) & upper, lambda M, i, js: frame(M, labels[[i]]) - frame(M, js))
         viol2 += [(name, *v) for v in differ]
     prop2 = PropertyResult("local_indistinguishability", not viol2, tuple(viol2))
 
-    phases, table, violations = on_region(part.thin(1).region_edges("ABC"), frames + strings)
-    moved = string(phases, labels[1:])
-    bad = np.zeros((p * p, p * p), dtype=bool)
-    for s in labels[1:]:
-        bad[s] = ((table + moved[:, [s - 1]] - table[:, target[s]]) % p).any(axis=0)
-    viol3 = violations(bad, lambda M, s, js: frame(M, js) + string(M, labels[[s]]) - frame(M, target[s, js]))
+    phases, table, violations = on_region(3, len(vectors))
+    # a chunk's (K, chunk, p^2) program takes at most half the label tables' charge
+    chunk = max(1, LABEL_TABLE_BYTES * p**2 // (2 * _FUSION_STEP_BYTES * max(len(table), 1)))
+    bad = _fusion_step(table, string(phases, labels[1:]), p, chunk)
+    viol3 = violations(bad, lambda M, s, js: frame(M, js) + string(M, labels[[s]]) - frame(M, _fused(s, js, p)))
     prop3 = PropertyResult("fusion", not viol3, tuple(viol3))
 
     return AssumptionsReport(prop1, prop2, prop3)
@@ -1047,27 +1184,29 @@ def _nested_ranks(state: StabilizerState, part: AnnulusPartition, n: int) -> dic
     B, C then A's, with A's columns in level order; every level's forest
     sizes, and B's and BC's, are prefix counts of their joins.
     """
-    gens, E, p = state.gens, state.n, state.lattice.prime
+    E = state.n
+    u, v = state.gens.column_graph(state.lattice.prime)
 
     def graph(edges):
-        return _column_graph(gens, np.concatenate([edges, edges + E]), p)
+        columns = np.concatenate([edges, edges + E])
+        return u[columns], v[columns]
 
     def prefix_forests(u, v):
         return np.concatenate([[0], np.cumsum(_forest_joins(np.concatenate(u), np.concatenate(v)))])
 
     a = part.region_edges("A")
     x0, _, x1, _ = part.bar_boxes()["A"]
-    mx = state.lattice.edge_midpoints[a, 0]
+    mx = state.lattice.midpoints(a)[:, 0]
     join = np.maximum(n + 1 - np.minimum(mx - x0, x1 - 1 - mx), 0)
     levels = np.arange(n + 2)
     size_a = np.searchsorted(np.sort(join), levels, side="right")  # |A_i|
-    ua, va, pos = graph(a)
-    column_join = join[pos % len(a)]  # pos runs over A's X then Z columns
+    ua, va = graph(a)
+    column_join = np.tile(join, 2)  # A's X then Z columns
     order = np.argsort(column_join, kind="stable")
     ua, va = ua[order], va[order]
     present = np.searchsorted(column_join[order], levels, side="right")  # A's columns at level i
     b, c = part.region_edges("B"), part.region_edges("C")
-    (ub, vb, _), (uc, vc, _) = graph(b), graph(c)
+    (ub, vb), (uc, vc) = graph(b), graph(c)
     f_ab = prefix_forests((ub, ua), (vb, va))
     f_abc = prefix_forests((ub, uc, ua), (vb, vc, va))
     nb, nbc = len(ub), len(ub) + len(uc)

@@ -51,12 +51,17 @@ from teelab.stabilizer import (
     SectorLabel,
     SparseGenerators,
     StabilizerState,
-    _column_graph,
+    _clusters,
+    _compact,
+    _components,
     _edges,
     _embed,
+    _forest_size,
+    _fused,
     _pairing,
     _region_columns,
     _roots,
+    _row_phases,
     _row_strings,
     _sector_strings,
     _shared_gens,
@@ -959,14 +964,84 @@ def forest_joins_union_find(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return joined
 
 
-def cluster_roots_union_find(
+def column_graph_per_region(
+    gens: SparseGenerators, columns: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Oracle for `SparseGenerators.column_graph`: the given nonzero columns
+    as graph edges (u, v, position in `columns`), read and checked region by
+    region from the column index.  A column with two entries joins their two
+    rows; a column with one entry joins its row to the sentinel node n_rows.
+    A column with more than two entries, or with two that do not cancel mod
+    p, raises MalformedInput."""
+    start, rows, vals = gens.by_column
+    lo, count = start[columns], start[columns + 1] - start[columns]
+    if (count > 2).any():
+        k = int(np.argmax(count > 2))
+        raise MalformedInput(f"column {columns[k]} has {count[k]} entries; a graph rank needs at most two")
+    two = np.flatnonzero(count == 2)
+    odd = (vals[lo[two]] + vals[lo[two] + 1]) % p != 0
+    if odd.any():
+        raise MalformedInput(f"the two entries of column {columns[two[odd][0]]} do not cancel mod {p}")
+    keep = np.flatnonzero(count)
+    second = rows[np.minimum(lo[keep] + 1, len(rows) - 1)]
+    return rows[lo[keep]], np.where(count[keep] == 2, second, gens.n_rows), keep
+
+
+def region_rank_per_region(state: StabilizerState, region) -> int:
+    """Oracle for `stabilizer.region_rank`: the region's own column graph
+    (`column_graph_per_region`) and its spanning-forest size over the nodes
+    it touches."""
+    columns = _region_columns(state, region)
+    u, v, _ = column_graph_per_region(state.gens, columns, state.lattice.prime)
+    return len(columns) - _forest_size(*_compact(u, v))
+
+
+def cluster_roots(
     gens: SparseGenerators, columns: np.ndarray, p: int, root: np.ndarray | None = None
 ) -> np.ndarray:
-    """Oracle for `stabilizer._cluster_roots`: the roots of the `_union_find`
-    forest of the columns as graph edges, grown further from the trees of
-    `root` contracted to their roots."""
-    u, v, _ = _column_graph(gens, columns, p)
+    """Oracle for the cluster labels of `stabilizer._region_phases`: the label
+    of every row, and of the sentinel (node n_rows), in the graph of the
+    given columns (`column_graph_per_region`), over every row.  Given an
+    earlier graph's labels, its clusters are contracted to them and only the
+    new columns are run."""
+    u, v, _ = column_graph_per_region(gens, columns, p)
     if root is None:
         root = np.arange(gens.n_rows + 1)
-    _, parent = _union_find(root[u], root[v], gens.n_rows + 1)
-    return _roots(np.asarray(parent))[root]
+    return _components(root[u], root[v], gens.n_rows + 1)[root]
+
+
+def components_union_find(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Oracle for `stabilizer._components`: each node's root in the
+    `_union_find` forest, one node per component, not its smallest node."""
+    _, parent = _union_find(u, v, n)
+    return _roots(np.asarray(parent))
+
+
+def region_phases_per_region(state: StabilizerState, abc: np.ndarray, vectors, regions) -> list[np.ndarray]:
+    """Oracle for `stabilizer._region_phases`: each region's cluster phases,
+    the clusters labelled over every row (`cluster_roots`), the forest of the
+    columns outside ABC grown once and continued over ABC's columns outside
+    the region."""
+    gens, E, p = state.gens, state.n, state.lattice.prime
+    in_abc = np.zeros(2 * E, dtype=bool)
+    in_abc[_region_columns(state, abc)] = True
+    root_abc = cluster_roots(gens, np.flatnonzero(~in_abc), p)
+    out = []
+    for edges in regions:
+        rest = in_abc.copy()  # ABC's columns outside the region
+        rest[_region_columns(state, edges)] = False
+        rows, cluster, k = _clusters(cluster_roots(gens, np.flatnonzero(rest), p, root_abc))
+        phases = np.zeros((k, len(vectors)), dtype=np.int64)
+        np.add.at(phases, cluster, _row_phases(gens, rows, vectors).T)
+        out.append(phases % p)
+    return out
+
+
+def fusion_step_loop(table: np.ndarray, moved: np.ndarray, p: int) -> np.ndarray:
+    """Oracle for `stabilizer._fusion_step`: one (K, p^2) program per label s."""
+    n = table.shape[1]
+    labels = np.arange(n)
+    bad = np.zeros((n, n), dtype=bool)
+    for s in labels[1:]:
+        bad[s] = ((table + moved[:, [s - 1]] - table[:, _fused(s, labels, p)]) % p).any(axis=0)
+    return bad

@@ -1,4 +1,5 @@
 import csv
+import functools
 import importlib.util
 import json
 import math
@@ -10,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from teelab import audit, cli, ring, stabilizer
+from teelab import audit, cli, fusion, ring, stabilizer
 from teelab.errors import ConfigError
 
-from oracles import cluster_roots_union_find, forest_joins_union_find, sector_family
+from oracles import components_union_find, forest_joins_union_find, sector_family
 
 
 def run_json(argv, tmp_path, name="report.json"):
@@ -117,18 +118,34 @@ class TestRingCommand:
         assert report["data"]["audit"]["passed"]
 
     def test_oversize_q_with_levels_exits_2_before_the_table(self, capsys):
-        # zn_category(54) is charged as a 54-label category file is: refused
-        # before its table and (54^2, 54^2) products are allocated
+        # zn_category(63), the first q over the label charge, is charged as a
+        # 63-label category file is: refused before its table and
+        # (63^2, 63^2) products are allocated
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigError, match="54 labels"):
-                cli.run({"scenario": "ring", "q": 54, "levels": 1, "arcs": [3, 1, 1, 1]})
+            with pytest.raises(ConfigError, match="63 labels"):
+                cli.run({"scenario": "ring", "q": 63, "levels": 1, "arcs": [3, 1, 1, 1]})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**24, peak
-        assert cli.main(["ring", "--q", "54", "--levels", "1", "--arcs", "3,1,1,1"]) == 2
+        assert cli.main(["ring", "--q", "63", "--levels", "1", "--arcs", "3,1,1,1"]) == 2
         assert "byte cap" in capsys.readouterr().err
+
+    def test_largest_admitted_q_checks_its_table_within_the_cap(self):
+        # Z_62, the largest table the label charge admits, is built and
+        # checked under the cap that charged it
+        assert fusion.CATEGORY_LABEL_BYTES * 62**4 <= fusion.CATEGORY_BYTES_CAP
+        fusion.zn_category.cache_clear()
+        tracemalloc.start()
+        try:
+            report = cli.run({"scenario": "ring", "q": 62, "levels": 1, "arcs": [3, 1, 1, 1]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            fusion.zn_category.cache_clear()
+        assert report["data"]["audit"]["passed"]
+        assert fusion.CATEGORY_LABEL_BYTES * 62**4 * 0.9 < peak <= fusion.CATEGORY_BYTES_CAP, peak
 
     def test_levels_stage_timings_outside_canonical_report(self, tmp_path):
         code, report = run_json(["ring", "--q", "3", "--arcs", "5,1,1,1", "--levels", "3"], tmp_path)
@@ -257,9 +274,45 @@ class TestStabilizerCommand:
             return run
 
         monkeypatch.setattr(stabilizer, "_forest_joins", counted(forest_joins_union_find))
-        monkeypatch.setattr(stabilizer, "_cluster_roots", counted(cluster_roots_union_find))
+        monkeypatch.setattr(stabilizer, "_components", counted(components_union_find))
         assert cli.report_bytes(cli.run(config)) == fast
         assert calls  # the oracle kernel ran
+
+    def test_assumptions_run_labels_each_input_once(self, monkeypatch):
+        # one --assumptions run: the column graph is built and checked once
+        # for the one generator matrix, each partition finds its letters' edges
+        # once, in one box, and the only labelling over every row is the
+        # build's full-rank check: a labelling of more than half the rows
+        config = {"scenario": "stabilizer", "p": 3, "size": 30, "widths": 2, "assumptions": True}
+        want = cli.report_bytes(cli.run(dict(config)))
+        calls = {"graph": 0, "boxes": 0, "wide": 0}
+        partitions = []
+
+        def counted(name, fn):
+            def run(*args):
+                calls[name] += 1
+                return fn(*args)
+            return run
+
+        def letters(part):
+            partitions.append(part)
+            return letter_masks(part)
+
+        def components(u, v, n):
+            calls["wide"] += n > n_edges // 2
+            return label(u, v, n)
+
+        n_edges = stabilizer.Lattice(width=30, height=30, prime=3).n_edges
+        letter_masks, label = stabilizer.AnnulusPartition.letter_masks.func, stabilizer._components
+        prop = functools.cached_property(letters)
+        prop.__set_name__(stabilizer.AnnulusPartition, "letter_masks")
+        monkeypatch.setattr(stabilizer.AnnulusPartition, "letter_masks", prop)
+        monkeypatch.setattr(stabilizer, "_column_graph", counted("graph", stabilizer._column_graph))
+        monkeypatch.setattr(stabilizer.Lattice, "edges_in_box", counted("boxes", stabilizer.Lattice.edges_in_box))
+        monkeypatch.setattr(stabilizer, "_components", components)
+        assert cli.report_bytes(cli.run(dict(config))) == want
+        assert len(partitions) == len({id(part) for part in partitions}) == 2  # the annulus and A'BC's
+        assert calls == {"graph": 1, "boxes": 2, "wide": 1}
 
     def test_config_without_sector_runs_all_sectors(self, tmp_path):
         # an old config field that nothing reads any more: the one certificate

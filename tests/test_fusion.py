@@ -120,8 +120,9 @@ class TestLoadCategory:
         assert cat.dual == {"0": "0", "1": "2", "2": "1"}
 
     def test_label_cap_admits_double_z7(self):
-        # 49 labels: the validation arrays, 32 n^4 bytes, are 184 MB of the
-        # cap; a file with the same table loads as the built category does
+        # 49 labels: the validation arrays, charged 18 n^4 bytes, are 104 MB of
+        # the cap, which admits up to 62; a file with the same table loads as
+        # the built category does
         cat = fusion.double_zn_category(7)
         table = {
             a: {b: {cat.labels[int(cat.N[i, j].argmax())]: 1} for j, b in enumerate(cat.labels)}
@@ -129,13 +130,13 @@ class TestLoadCategory:
         }
         loaded = fusion.load_category({"labels": list(cat.labels), "N": table})
         assert np.array_equal(loaded.N, cat.N) and loaded.unit == cat.unit
-        assert 32 * 49**4 <= fusion.CATEGORY_BYTES_CAP < 32 * 54**4
+        assert fusion.CATEGORY_LABEL_BYTES * 62**4 <= fusion.CATEGORY_BYTES_CAP < fusion.CATEGORY_LABEL_BYTES * 63**4
 
     def test_label_cap_refuses_before_the_table(self):
-        # 54 labels are over the cap; nothing of N is read, so an empty table
+        # 63 labels are over the cap; nothing of N is read, so an empty table
         # fails on the label count, not on a missing unit
-        with pytest.raises(DimensionCap, match="54 labels"):
-            fusion.load_category({"labels": [str(k) for k in range(54)], "N": {}})
+        with pytest.raises(DimensionCap, match="63 labels"):
+            fusion.load_category({"labels": [str(k) for k in range(63)], "N": {}})
 
     def test_multiplicity_bound_is_the_float64_exactness_bound(self):
         # two labels: 2 m^2 < 2^53 admits m = 2^26 - 1 and refuses m = 2^26
@@ -146,10 +147,10 @@ class TestLoadCategory:
                 fusion.load_category(rank_two_document(mult))
 
     def test_group_categories_are_charged_before_the_table(self):
-        # zn_category shares load_category's label charge, so Z_54 is refused
-        # before its table (or the (54^2, 54^2) products) is allocated
-        with pytest.raises(DimensionCap, match="54 labels"):
-            fusion.zn_category(54)
+        # zn_category shares load_category's label charge, so Z_63 is refused
+        # before its table (or the (63^2, 63^2) products) is allocated
+        with pytest.raises(DimensionCap, match="63 labels"):
+            fusion.zn_category(63)
 
     def test_json_text_and_file(self, tmp_path):
         doc = {"labels": ["0", "1"], "N": {"0": {"0": {"0": 1}, "1": {"1": 1}},

@@ -167,6 +167,31 @@ def test_every_definition_is_reached_by_the_cli_or_a_traced_name():
     assert not dead, f"{len(dead)} definitions that nothing reaches: {', '.join(dead)}"
 
 
+# Fast paths of src/teelab and the slow paths in tests/oracles.py that the
+# tests compare them against.  The per-region column graph and the cluster
+# labelling over every row moved to the oracles; the names in MOVED are gone
+# from src/teelab.
+ORACLES = {
+    "stabilizer.SparseGenerators.column_graph": "column_graph_per_region",
+    "stabilizer.region_rank": "region_rank_per_region",
+    "stabilizer._region_phases": "region_phases_per_region",
+    "stabilizer._fusion_step": "fusion_step_loop",
+    "stabilizer._components": "components_union_find",
+    "stabilizer._forest_joins": "forest_joins_union_find",
+}
+MOVED = {"stabilizer._cluster_roots": "cluster_roots"}
+
+
+def test_fast_paths_keep_their_oracles():
+    import oracles
+
+    graph = CallGraph(PACKAGE)
+    for slow in [*ORACLES.values(), *MOVED.values()]:
+        assert callable(getattr(oracles, slow, None)), slow
+    assert set(ORACLES) <= set(graph.defs), set(ORACLES) - set(graph.defs)
+    assert not set(MOVED) & set(graph.defs)
+
+
 def test_call_graph_resolves_bare_names_by_module(tmp_path):
     # a local variable named like a definition of another module is no use of
     # it, as audit's local `star` was none of the old fusion.star; an alias of

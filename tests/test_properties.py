@@ -3,7 +3,9 @@ construction it replaced, graph ranks against elimination (on toric codes
 and on random graph-shaped generators) and the incremental nested table
 against its per-level loop, the certificate read from the nested ranks
 against the region-by-region one, row-cluster counts against region ranks,
-column-index row lookups against the full-slot
+the column graph read once and the clusters labelled on ABC's nodes against
+the per-region graph and the labelling over every row, the shifted-grid
+fusion step against its per-label loop, column-index row lookups against the full-slot
 scan, restricted bases, frame phases and dense reductions against the
 dense-matrix oracles on random valid annulus geometries and primes, the frame-difference assumption
 checks against their per-pair loop oracle, the built rows against the
@@ -40,18 +42,23 @@ from dense_oracles import dense_generators, frame_phases  # noqa: E402
 from oracles import (  # noqa: E402
     _union_find,
     assemble_bound_loop,
+    cluster_roots,
+    column_graph_per_region,
     associativity_failure_einsum,
     create_sector_loop,
     edge_midpoints_loop,
     edges_in_box_scan,
     forest_joins_union_find,
+    fusion_step_loop,
     fusion_string_loop,
     fusion_strings_ending,
     is_fusion_ring,
     nested_levels_loop,
     plaquette_boundary,
     region_entropy,
+    region_phases_per_region,
     region_rank_elimination,
+    region_rank_per_region,
     row_labels,
     rows_on_scan,
     sector_family,
@@ -327,7 +334,7 @@ def test_forest_joins_match_union_find(n, stride, data):
 
 def test_forest_joins_on_a_shuffled_lattice_column_graph():
     state = ground(13, 11, 3)
-    u, v, _ = st._column_graph(state.gens, np.arange(2 * state.n), 3)
+    u, v = state.gens.column_graph(3)
     order = np.random.default_rng(20261019).permutation(len(u))
     joined = st._forest_joins(u[order], v[order])
     np.testing.assert_array_equal(joined, forest_joins_union_find(u[order], v[order]))
@@ -798,7 +805,7 @@ def test_cluster_count_matches_region_rank(part, data):
     abc = part.region_edges("ABC")
     in_abc = np.zeros(2 * E, dtype=bool)
     in_abc[np.concatenate([abc, abc + E])] = True
-    root_abc = st._cluster_roots(state.gens, outside(abc), p)
+    root_abc = cluster_roots(state.gens, outside(abc), p)
     inner = {name: part.region_edges(name) for name in ("A", "B", "C", "AB", "BC", "ABC")}
     if part.thin_steps + 1 <= part.a_width - 1:
         inner["A'BC"] = part.thin(1).region_edges("ABC")
@@ -808,9 +815,9 @@ def test_cluster_count_matches_region_rank(part, data):
     for name, region in regions.items():
         edges = st._edges(state, region)
         g = st.region_rank(state, edges)
-        roots = [st._cluster_roots(state.gens, outside(edges), p)]
+        roots = [cluster_roots(state.gens, outside(edges), p)]
         if name in inner:
-            roots.append(st._cluster_roots(state.gens, outside(edges, in_abc), p, root_abc))
+            roots.append(cluster_roots(state.gens, outside(edges, in_abc), p, root_abc))
         for root in roots:
             rows, cluster, k = st._clusters(root)
             assert k == g, name
@@ -818,6 +825,70 @@ def test_cluster_count_matches_region_rank(part, data):
             np.add.at(sums, cluster, gens[rows])
             sums[:, np.concatenate([edges, edges + E])] = 0
             assert not (sums % p).any(), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(part=annuli(primes=(2, 3, 5, 7, 13)), data=hst.data())
+def test_region_ranks_and_clusters_match_per_region_oracles(part, data):
+    # the graph read once per matrix against each region's own checked
+    # graph; the clusters labelled on ABC's nodes against the clusters
+    # labelled over every row, region by region; and the window that holds
+    # the clusters outside ABC against every window that does not
+    lat = part.lattice
+    E, p = lat.n_edges, lat.prime
+    state = ground(lat.width, lat.height, p)
+    abc = part.region_edges("ABC")
+    inner = {name: part.region_edges(name) for name in ("ABC", "AB", "BC", "A", "B", "C")}
+    if part.thin_steps + 1 <= part.a_width - 1:
+        inner["A'BC"] = part.thin(1).region_edges("ABC")
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
+    inner["random"] = np.sort(rng.choice(abc, size=data.draw(hst.integers(0, len(abc))), replace=False))
+    outer = {f"anywhere{i}": np.asarray(r, dtype=np.int64) for i, r in enumerate(_edge_sets(data.draw, E, 2))}
+
+    u, v = state.gens.column_graph(p)
+    want_u, want_v, kept = column_graph_per_region(state.gens, np.arange(2 * E), p)
+    assert len(kept) == 2 * E  # no toric-code column is empty
+    np.testing.assert_array_equal(u, want_u)
+    np.testing.assert_array_equal(v, want_v)
+
+    ranks = dict(zip([*inner, *outer], st._edge_ranks(state, [*inner.values(), *outer.values()])))
+    for name, edges in {**inner, **outer}.items():
+        assert ranks[name] == st.region_rank(state, edges) == region_rank_per_region(state, edges), name
+
+    vectors = [state.frame, *st._sector_strings(lat, part.origin), *st._fusion_strings(lat, part),
+               rng.integers(0, p, size=2 * E)]
+    want = region_phases_per_region(state, abc, vectors, list(inner.values()))
+    coef = np.stack([np.ones(p * p, dtype=np.int64), *np.divmod(np.arange(p * p), p)])
+    *_, k0, _, g_abc = st._outside_clusters(state, abc, part.letter_masks[0])
+    assert k0 == g_abc == ranks["ABC"]  # the bar box holds every cluster outside ABC
+    for window in (part.letter_masks[0], abc, np.arange(E)):
+        got = st._region_phases(state, abc, window, vectors, list(inner.values()))
+        for name, phases, oracle in zip(inner, got, want):
+            np.testing.assert_array_equal(phases, oracle, err_msg=name)
+            assert len(phases) == ranks[name], name  # K = g_R
+            np.testing.assert_array_equal((phases[:, :3] @ coef) % p, (oracle[:, :3] @ coef) % p, err_msg=name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=hst.sampled_from((2, 3, 5, 7, 13)), k=hst.integers(0, 4), data=hst.data())
+def test_fusion_step_matches_per_label_loop(p, k, data):
+    # the shifted-grid program, in chunks of any size down to one label s,
+    # against one program per s; tables agree on some labels, so bad
+    # entries of both values occur
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
+    table = rng.integers(0, p, size=(k, p * p))
+    moved = rng.integers(-2 * p * p, 2 * p * p, size=(k, p * p - 1))
+    if k and data.draw(hst.booleans()):
+        # property 3 holding for the sector family: each string moves every
+        # label a to s x a
+        shift = rng.integers(0, p, size=(k, 2))
+        c, f = np.divmod(np.arange(p * p), p)
+        table = (shift[:, :1] * c + shift[:, 1:] * f) % p
+        moved = table[:, 1:] + p * rng.integers(-3, 3, size=(k, p * p - 1))
+    want = fusion_step_loop(table, moved, p)
+    assert not want[0].any()
+    for chunk in (1, data.draw(hst.integers(1, p * p)), p * p):
+        np.testing.assert_array_equal(st._fusion_step(table, moved, p, chunk), want, err_msg=str(chunk))
 
 
 @settings(max_examples=20, deadline=None)

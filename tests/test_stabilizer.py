@@ -2,12 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from teelab import audit, gfp, stabilizer as st
+from teelab import audit, cli, gfp, stabilizer as st
 from teelab.errors import (
     DimensionCap,
     InsufficientWidth,
@@ -601,6 +602,32 @@ class TestLabelTableCap:
         with pytest.raises(DimensionCap, match="label tables"):
             st.verify_sector_assumptions(st.build_ground_state(lat), part)
 
+    def test_p53_assumptions_peak_within_the_charge(self):
+        # the fusion step runs in chunks of labels s held to half the charge,
+        # so the whole run, build and every (p^2, p^2) table included, stays
+        # within the charge that admitted p = 53
+        config = {"scenario": "stabilizer", "p": 53, "size": 12, "widths": 2, "assumptions": True}
+        tracemalloc.start()
+        try:
+            report = cli.run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c["passed"] for c in report["results"])
+        assert peak <= st.LABEL_TABLE_BYTES * 53**4, peak
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_one_label_per_fusion_chunk_reports_the_same(self, p, monkeypatch):
+        lat = st.Lattice(width=12, height=12, prime=p)
+        ground, part = st.build_ground_state(lat), st.centered_annulus(lat, width=2)
+        want = st.verify_sector_assumptions(ground, part)
+        monkeypatch.setattr(st, "_FUSION_STEP_BYTES", st.LABEL_TABLE_BYTES * p**2)  # chunk = 1
+        chunks = []
+        step = st._fusion_step
+        monkeypatch.setattr(st, "_fusion_step", lambda *args: chunks.append(args[-1]) or step(*args))
+        assert st.verify_sector_assumptions(ground, part) == want
+        assert chunks == [1]
+
 
 class TestWitnessBlockCap:
     def test_region_block_over_the_cap_refused_before_allocation(self, toric12, monkeypatch):
@@ -672,7 +699,7 @@ class TestNestedTable:
             lat = st.Lattice(width=14, height=12, prime=p)
             # the build certifies full rank by a graph rank, so it runs before the patch
             cases.append((st.build_ground_state(lat), st.centered_annulus(lat, width=2, a_width=5), n, error))
-        monkeypatch.setattr(st, "_column_graph", no_rank)  # every graph rank reads its columns here
+        monkeypatch.setattr(st.SparseGenerators, "column_graph", no_rank)  # every graph rank reads it
         for state, part, n, error in cases:
             with pytest.raises(error):
                 st.check_nested_levels(part, n)
