@@ -4,8 +4,8 @@ The toolkit has five working parts:
 
 * :mod:`teelab.fusion` - anyon fusion algebra: quantum dimensions, fusion
   probabilities, the fixed point of the fusion convolution, bound constants.
-* :mod:`teelab.gfp` - exact linear algebra over F_p for canonical bases and
-  witnesses.
+* :mod:`teelab.gfp` - exact linear algebra over F_p for the canonical bases
+  that `stabilizer.reduction_relation` reads; no CLI run calls it.
 * :mod:`teelab.ring` - exact synthetic Abelian sector families on a
   constrained ring, where every entropy is a counting statement.
 * :mod:`teelab.stabilizer` - qudit toric codes with exact rank-based region

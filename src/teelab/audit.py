@@ -31,7 +31,16 @@ from .errors import (
     MalformedInput,
     PremiseViolated,
 )
-from .fusion import AnyonDistribution, FusionProbabilities, _label_index, bound_constant
+from .fusion import (
+    AnyonDistribution,
+    FusionCategory,
+    FusionProbabilities,
+    _label_index,
+    bound_constant,
+    closed_form_fixed_point,
+    fusion_probabilities,
+    quantum_dimensions,
+)
 
 MARGIN_TOL = 1e-9
 
@@ -99,6 +108,20 @@ class AuditTrace:
     @property
     def p_min(self) -> float:
         return float(self.p_star.probs.min())
+
+
+def nested_trace(cat: FusionCategory, levels, provenance: str) -> AuditTrace:
+    """The trace of a family whose every label has the one column `levels`,
+    on the group category `cat` with its closed-form fixed point, based at
+    the vacuum, its first label."""
+    return AuditTrace(
+        labels=cat.labels,
+        table=np.tile(levels, (len(cat.labels), 1)),
+        fp=fusion_probabilities(cat),
+        p_star=closed_form_fixed_point(quantum_dimensions(cat)),
+        a0=cat.labels[0],
+        provenance=provenance,
+    )
 
 
 def _annotate(margin: float) -> tuple[bool, str]:

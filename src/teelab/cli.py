@@ -176,12 +176,7 @@ def _ring_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     levels = _int(cfg.get("levels"), "levels", None)
     spec = ring.RingSpec(q=q, sites_a=a, sites_b1=b1, sites_c=c, sites_b2=b2)
     cmi = ring.exact_cmi(spec)
-    coeff = ring.cmi_coefficient(spec)
-    margin = ring.saturation_margin(spec)
-    checks = [
-        _check("cmi_equals_log_q", coeff == 1, value=cmi, coefficient=coeff),
-        _check("saturation_margin_zero", abs(margin) < 1e-12, value=margin),
-    ]
+    checks = []
     data = {
         "q": q,
         "arcs": [a, b1, c, b2],

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import audit
 from .errors import InsufficientWidth, MalformedInput
-from .fusion import closed_form_fixed_point, fusion_probabilities, quantum_dimensions, zn_category
+from .fusion import zn_category
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,4 @@ def nested_annulus_table(spec: RingSpec, n: int) -> audit.AuditTrace:
     # the four entropy counts of `cmi_coefficient` at every level at once:
     # AB, BC and B are proper subsets (|R|), ABC is the whole ring (N - 1)
     coefficient = (size_a + n_b) + (n_b + n_c) - n_b - (size_a + n_b + n_c - 1)
-    table = np.tile(coefficient * math.log(spec.q), (spec.q, 1))
-    cat = zn_category(spec.q)
-    dims = quantum_dimensions(cat)
-    fp = fusion_probabilities(cat)
-    return audit.AuditTrace(
-        labels=cat.labels,
-        table=table,
-        fp=fp,
-        p_star=closed_form_fixed_point(dims),
-        a0="0",
-        provenance="ring_family",
-    )
+    return audit.nested_trace(zn_category(spec.q), coefficient * math.log(spec.q), "ring_family")

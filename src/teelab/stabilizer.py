@@ -69,11 +69,12 @@ nodes that ABC's columns touch (`_region_phases`).  An element's phase is
 linear in the element, so a cluster's phase under a frame is the sum of its
 rows' phases (`_row_phases`, the one place the sign convention above is
 written), and two reductions on R are compared by their clusters' phases
-alone.  A canonical basis of the subgroup, the symplectic complement of G|_R
-in R's columns by two eliminations over F_p, a nullspace and then its RREF
-(`restricted_canonical`), is built only to write out a witness and for
-`reduction_relation`; its dense generator block is refused above
-GENS_BYTES_CAP.  No path here builds a dense density
+alone: the assumption checks report the violating labels with no
+elimination.  A canonical basis of the subgroup, the symplectic complement
+of G|_R in R's columns by two eliminations over F_p, a nullspace and then
+its RREF (`restricted_canonical`), is built only for `reduction_relation`,
+which writes out a witness; no CLI run calls either, and the dense generator
+block is refused above GENS_BYTES_CAP.  No path here builds a dense density
 operator: the tests' dense reductions, read from that basis, are the
 oracles of the counted entropies.
 """
@@ -93,13 +94,7 @@ from .errors import (
     MalformedInput,
     RankDeficiency,
 )
-from .fusion import (
-    check_double_zn_order,
-    closed_form_fixed_point,
-    double_zn_category,
-    fusion_probabilities,
-    quantum_dimensions,
-)
+from .fusion import check_double_zn_order, double_zn_category
 from . import audit
 from .gfp import nullspace_mod_p, rref_mod_p
 
@@ -577,8 +572,9 @@ def create_sector(
 def _sorted_unique(ids: np.ndarray) -> np.ndarray:
     """The ids sorted, each once.
 
-    Deduplicated by a sort and a neighbour mask: a plain `np.unique` takes a
-    slower hash path and, in numpy 2.4, imports `numpy.ma` on first use."""
+    Deduplicated by a sort and a neighbour mask: `np.unique` without
+    `return_inverse` takes a slower hash path and, in numpy 2.4, imports
+    `numpy.ma` on first use."""
     ids = np.sort(ids)
     keep = np.ones(ids.size, dtype=bool)
     keep[1:] = ids[1:] != ids[:-1]
@@ -671,10 +667,11 @@ def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return root
 
 
-def _compact(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The edges (u[k], v[k]) on the n nodes they touch, renumbered 0 .. n - 1, and n."""
+def _compact(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted nodes that the edges (u[k], v[k]) touch, and the edges
+    renumbered to the nodes' positions in that array."""
     nodes, ids = np.unique(np.concatenate([u, v]), return_inverse=True)
-    return ids[:len(u)], ids[len(u):], len(nodes)
+    return nodes, ids[:len(u)], ids[len(u):]
 
 
 def _forest_size(u: np.ndarray, v: np.ndarray, n: int) -> int:
@@ -695,7 +692,8 @@ def _forest_joins(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     joined edges of any prefix span it, so a running count of joins is each
     prefix's spanning-forest size.
     """
-    ru, rv, n = _compact(u, v)
+    nodes, ru, rv = _compact(u, v)
+    n = len(nodes)
     joined, edge = np.zeros(len(ru), dtype=bool), np.arange(len(ru))
     while (live := ru != rv).any():
         edge, ru, rv = edge[live], ru[live], rv[live]  # still in position order
@@ -765,10 +763,8 @@ def _edge_ranks(state: StabilizerState, regions) -> list[int]:
     columns = [np.concatenate([edges, edges + state.n]) for edges in regions]
     offset = np.repeat(np.arange(len(regions)) * n, [len(c) for c in columns])
     picked = np.concatenate(columns)
-    ends = np.concatenate([u[picked] + offset, v[picked] + offset])
-    nodes = _sorted_unique(ends)
-    ids = np.searchsorted(nodes, ends)
-    root = _components(ids[:len(picked)], ids[len(picked):], len(nodes))
+    nodes, iu, iv = _compact(u[picked] + offset, v[picked] + offset)
+    root = _components(iu, iv, len(nodes))
     joins = np.bincount(nodes[root != np.arange(len(nodes))] // n, minlength=len(regions))
     return [len(c) - int(j) for c, j in zip(columns, joins)]
 
@@ -852,45 +848,28 @@ def _shared_gens(states) -> StabilizerState:
     return first
 
 
-def _first_mismatch(vecs: np.ndarray, diffs: np.ndarray, p: int) -> np.ndarray:
-    """Per column of `diffs`, frame differences on the basis' columns with one
-    column per pair of states: the first basis row whose phases differ, or -1.
-
-    The phase v_x . t_z - v_z . t_x of element v is linear in the frame t, so
-    two states disagree on v iff v pairs to nonzero with their difference.
-    """
-    hit = np.vstack([_pairing(vecs, diffs) % p != 0, np.ones((1, diffs.shape[1]), dtype=bool)])
-    first = hit.argmax(axis=0)  # the all-true last row catches pairs with no mismatch
-    return np.where(first < len(vecs), first, -1)
-
-
-def _relation(
-    state: StabilizerState, edges: np.ndarray, vecs: np.ndarray, first: int
-) -> tuple[str, str | None]:
-    """'equal', or 'orthogonal' with basis row `first` written out as the witness."""
-    if first < 0:
-        return "equal", None
-    return "orthogonal", pauli_repr(state, _embed(state, edges, vecs[first]))
-
-
 def reduction_relation(
     state1: StabilizerState, state2: StabilizerState, region: tuple[int, ...]
 ) -> tuple[str, str | None]:
-    """Relation between two reductions on a region: 'equal' or 'orthogonal'.
+    """Relation between two reductions on a region: 'equal', or 'orthogonal'
+    with a witness.
 
     Both states must share one generator matrix, as every sector state does,
     so their restricted groups coincide.  The reductions are then equal iff
     the phase assignments agree on a basis, and orthogonal otherwise (the
     phase difference is a character of the group, so the cross trace sums to
-    zero).  The pair is decided on the canonical basis, and the witness is
-    the first basis element whose phases disagree, as in the witnesses of
-    `verify_assumptions`.
+    zero).  The pair is decided on the canonical basis: the phase
+    v_x . t_z - v_z . t_x of element v is linear in the frame t, so the
+    states disagree on v iff v pairs to nonzero with their frame difference,
+    and the witness is the first basis element on which they do.
     """
     _shared_gens((state1, state2))
     edges, vecs = restricted_canonical(state1, region)
     cols = _region_columns(state1, edges)
-    first = _first_mismatch(vecs, (state1.frame[cols] - state2.frame[cols])[:, None], state1.lattice.prime)
-    return _relation(state1, edges, vecs, first[0])
+    hit = np.flatnonzero(_pairing(vecs, state1.frame[cols] - state2.frame[cols]) % state1.lattice.prime)
+    if hit.size == 0:
+        return "equal", None
+    return "orthogonal", pauli_repr(state1, _embed(state1, edges, vecs[hit[0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -922,7 +901,7 @@ def fusion_string(state: StabilizerState, part: AnnulusPartition, s: SectorLabel
 class PropertyResult:
     name: str
     passed: bool
-    violations: tuple
+    violations: tuple  # the violating labels: (a, b), (region, a, b) or (s, a)
 
 
 @dataclass(frozen=True)
@@ -945,42 +924,35 @@ def verify_assumptions(states: dict[SectorLabel, StabilizerState], part: Annulus
 
     1. Global distinguishability: reductions on ABC are pairwise orthogonal.
     2. Local indistinguishability: reductions on AB and on BC are pairwise equal.
-    3. Fusion: conjugating sector a by the string t_s for s and reducing to
-       A'BC (one thinning step) equals the reduction of sector s x a.
+    3. Fusion: conjugating sector a by the string for s (`fusion_string`) and
+       reducing to A'BC (one thinning step) equals the reduction of sector s x a.
     All states share one generator matrix, so each region has one restricted
     group, and two reductions are equal iff their phases agree on a basis of
-    it, orthogonal otherwise (`_assumptions_report`).  Any family of p^2
-    states is accepted, with one string t_s per s; the sector family itself is
-    checked from two strings by `verify_sector_assumptions`.
+    it, orthogonal otherwise (`_assumptions_report`).  Each property lists
+    its violating labels, with no relation or witness: `reduction_relation`
+    writes out a pair's witness.  Any family of p^2 states is accepted, each
+    label's frame read as its own; the sector family itself is checked from
+    two strings by `verify_sector_assumptions`.
     """
     p = next(iter(states.values())).lattice.prime
     if set(states) != {(c, f) for c in range(p) for f in range(p)}:
         raise MalformedInput(f"need all {p * p} sectors, got {len(states)}")
     base = _shared_gens(states.values())
-    order = sorted(states)
-    frames = [states[a].frame for a in order]
-    strings = [fusion_string(base, part, s) for s in order[1:]]  # order[0] is the vacuum (0, 0)
-    return _assumptions_report(
-        base, part, frames, strings, lambda M, a: M[:, a], lambda M, s: M[:, p * p - 1 + s]
-    )
+    frames = [states[a].frame for a in sorted(states)]
+    return _assumptions_report(base, part, frames, np.eye(p * p, dtype=np.int64))
 
 
 def verify_sector_assumptions(ground: StabilizerState, part: AnnulusPartition) -> AssumptionsReport:
     """`verify_assumptions` on the p^2 sector states anchored at the
-    partition's origin (`create_sector`), with no sector state or fusion
-    string built.
+    partition's origin (`create_sector`), with no sector state built.
 
-    Sector a = (c, f) has the frame ground + c t_e + f t_m and the fusion
-    string for s = (c, f) is -c t_e' - f t_m', so every phase is linear in
-    (c, f), and a region reads three vectors (A'BC five).
+    Sector a = (c, f) has the frame ground + c t_e + f t_m, so every phase is
+    linear in (1, c, f), and a region reads three frames.
     """
     p = ground.lattice.prime
     coef = np.stack([np.ones(p * p, dtype=np.int64), *np.divmod(np.arange(p * p), p)])  # (1, c, f)
     frames = [ground.frame, *_sector_strings(ground.lattice, part.origin)]
-    strings = list(_fusion_strings(ground.lattice, part))
-    return _assumptions_report(
-        ground, part, frames, strings, lambda M, a: M[:, :3] @ coef[:, a], lambda M, s: -M[:, 3:] @ coef[1:, s]
-    )
+    return _assumptions_report(ground, part, frames, coef)
 
 
 def _outside_clusters(state: StabilizerState, abc: np.ndarray, window: np.ndarray):
@@ -1002,9 +974,9 @@ def _outside_clusters(state: StabilizerState, abc: np.ndarray, window: np.ndarra
     in_abc = np.zeros(len(window), dtype=bool)
     in_abc[np.searchsorted(window, abc)] = True
     in_abc = np.tile(in_abc, 2)
-    ends = np.concatenate([u[columns], v[columns]])
-    rows = _sorted_unique(np.concatenate([ends, [gens.n_rows]]))  # the window's rows, then the sentinel
-    ids = np.searchsorted(rows, ends).reshape(2, -1)
+    # a loop on the sentinel adds it as the last row and joins nothing
+    rows, iu, iv = _compact(*(np.append(w[columns], gens.n_rows) for w in (u, v)))
+    ids = np.stack([iu[:-1], iv[:-1]])
     m = len(rows)
     entries = (gens.vals[rows[:-1]] != 0).sum(axis=1)
     leaves = np.flatnonzero(np.bincount(ids.ravel(), minlength=m)[:-1] < entries)
@@ -1058,11 +1030,6 @@ def _region_phases(state: StabilizerState, abc: np.ndarray, window: np.ndarray, 
     return np.split(phases % state.lattice.prime, np.cumsum(np.bincount(region, minlength=n))[:-1])
 
 
-def _fused(s, a, p: int):
-    """The label s x a of Z_p x Z_p, labels numbered c p + f."""
-    return (s // p + a // p) % p * p + (s + a) % p
-
-
 def _fusion_step(table: np.ndarray, moved: np.ndarray, p: int, chunk: int) -> np.ndarray:
     """bad[s, a]: whether property 3's string for s >= 1 moves label a off
     s x a, (table[:, a] + moved[:, s - 1] - table[:, s x a]) mod p != 0 on
@@ -1088,50 +1055,35 @@ def _fusion_step(table: np.ndarray, moved: np.ndarray, p: int, chunk: int) -> np
     return bad
 
 
-def _assumptions_report(base, part, frames, strings, frame, string) -> AssumptionsReport:
-    """The three properties for p^2 labels, numbered a = c p + f.
+def _assumptions_report(base, part, frames, coef) -> AssumptionsReport:
+    """The three properties for p^2 labels, numbered a = c p + f, each as the
+    list of its violating labels in row-major order.
 
     A region's basis is the sums of its row clusters (`_region_phases`), and a
-    phase is linear in the group element and the frame, so a region reads its
-    vectors (`frames`; on A'BC also `strings`) into one matrix M of cluster
-    phases (`_row_phases`).  `frame(M, a)` combines M's columns into the
-    frames of the labels in array a, `string(M, s)` into property 3's
-    strings for the labels s >= 1 in array s.  A witness
-    (`restricted_canonical`, eliminated only for a region with a violation)
-    is taken on those combinations of the vectors' columns.  The fusion step
-    runs in chunks of labels s held to LABEL_TABLE_BYTES per p^4.
+    phase is linear in the group element and the frame, so a region reads
+    `frames` (on A'BC also the two unit strings t_e', t_m' of
+    `_fusion_strings`) into one matrix M of cluster phases.  Label a's frame
+    is sum_k coef[k, a] frames[k], so its column of the region's label table
+    is M coef[:, a] mod p, and two labels' reductions are equal iff their
+    columns are.  Property 3's string for s = (c, f) is -c t_e' - f t_m'
+    (`fusion_string`).  The fusion step runs in chunks of labels s held to
+    LABEL_TABLE_BYTES per p^4.
     """
     p = base.lattice.prime
     check_label_tables(p)
     labels = np.arange(p * p)
     order = [(int(c), int(f)) for c, f in zip(labels // p, labels % p)]
-    vectors = [*frames, *strings]
+    vectors = [*frames, *_fusion_strings(base.lattice, part)]
     regions = [part.region_edges(name) for name in ("ABC", "AB", "BC")] + [part.thin(1).region_edges("ABC")]
     # every region lies inside ABC, and the box around the bars holds the hole
     region_phases = _region_phases(base, regions[0], part.letter_masks[0], vectors, regions)
 
-    def on_region(r, read):
-        """(M mod p of region r on the first `read` vectors, the labels'
-        table, and the witnessed violations: (order[i], order[j], relation,
-        witness) for each true bad[i, j] in row-major order, on the
-        differences diff(vectors on the region's columns, i, js))."""
-        edges, phases = regions[r], region_phases[r][:, :read]
-        phases = phases[phases.any(axis=1)]  # a cluster of phase 0 tells no labels apart
-
-        def violations(bad, diff):
-            out, firsts = [], np.flatnonzero(bad.any(axis=1))
-            if firsts.size:
-                _, vecs = restricted_canonical(base, edges)
-                cols = np.concatenate([edges, edges + base.n])
-                on_cols = np.stack([v[cols] for v in vectors[:read]], axis=1)
-            for i in firsts:
-                js = np.flatnonzero(bad[i])
-                first = _first_mismatch(vecs, diff(on_cols, i, js), p).tolist()
-                rel = {f: _relation(base, edges, vecs, f) for f in set(first)}
-                out += [(order[i], order[j], *rel[f]) for j, f in zip(js, first)]
-            return out
-
-        return phases, frame(phases, labels) % p, violations
+    def table(r):
+        """Region r's M, less its clusters of phase 0, which tell no labels
+        apart, and its label table."""
+        phases = region_phases[r]
+        phases = phases[phases.any(axis=1)]
+        return phases, phases[:, :len(frames)] @ coef % p
 
     def same(table):
         """Whether labels a and b have equal columns in the table, over all (a, b)."""
@@ -1141,25 +1093,25 @@ def _assumptions_report(base, part, frames, strings, frame, string) -> Assumptio
         cls[ranked] = np.cumsum(np.concatenate([[False], step]))
         return cls[:, None] == cls
 
+    def pairs(bad):
+        """(order[i], order[j]) for each true bad[i, j], its rows screened first."""
+        rows = np.flatnonzero(bad.any(axis=1))
+        i, j = np.nonzero(bad[rows])
+        return [(order[a], order[b]) for a, b in zip(rows[i].tolist(), j.tolist())]
+
     upper = labels[:, None] < labels  # each pair (a, b) once
-    _, table, _ = on_region(0, len(frames))
-    viol1 = [(order[i], order[j], "equal", None) for i, j in zip(*np.nonzero(same(table) & upper))]
-    prop1 = PropertyResult("global_distinguishability", not viol1, tuple(viol1))
-    viol2 = []
-    for i, name in ((1, "AB"), (2, "BC")):
-        _, table, violations = on_region(i, len(frames))
-        differ = violations(~same(table) & upper, lambda M, i, js: frame(M, labels[[i]]) - frame(M, js))
-        viol2 += [(name, *v) for v in differ]
-    prop2 = PropertyResult("local_indistinguishability", not viol2, tuple(viol2))
-
-    phases, table, violations = on_region(3, len(vectors))
+    viol1 = pairs(same(table(0)[1]) & upper)
+    viol2 = [(name, *ab) for r, name in ((1, "AB"), (2, "BC")) for ab in pairs(~same(table(r)[1]) & upper)]
+    phases, thinned = table(3)
+    moved = -phases[:, -2:] @ np.stack(np.divmod(labels[1:], p))
     # a chunk's (K, chunk, p^2) program takes at most half the label tables' charge
-    chunk = max(1, LABEL_TABLE_BYTES * p**2 // (2 * _FUSION_STEP_BYTES * max(len(table), 1)))
-    bad = _fusion_step(table, string(phases, labels[1:]), p, chunk)
-    viol3 = violations(bad, lambda M, s, js: frame(M, js) + string(M, labels[[s]]) - frame(M, _fused(s, js, p)))
-    prop3 = PropertyResult("fusion", not viol3, tuple(viol3))
-
-    return AssumptionsReport(prop1, prop2, prop3)
+    chunk = max(1, LABEL_TABLE_BYTES * p**2 // (2 * _FUSION_STEP_BYTES * max(len(thinned), 1)))
+    viol3 = pairs(_fusion_step(thinned, moved, p, chunk))
+    return AssumptionsReport(*(
+        PropertyResult(name, not viol, tuple(viol))
+        for name, viol in (("global_distinguishability", viol1), ("local_indistinguishability", viol2),
+                           ("fusion", viol3))
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -1247,15 +1199,4 @@ def nested_annulus_table(
     p = state.lattice.prime
     g = _nested_ranks(state, part, n) if ranks is None else ranks
     levels = [int(c) * math.log(p) for c in g["B"] + g["ABC"] - g["AB"] - g["BC"]]
-    table = np.tile(levels, (p * p, 1))
-    cat = double_zn_category(p)
-    dims = quantum_dimensions(cat)
-    fp = fusion_probabilities(cat)
-    return audit.AuditTrace(
-        labels=cat.labels,
-        table=table,
-        fp=fp,
-        p_star=closed_form_fixed_point(dims),
-        a0="00",
-        provenance="stabilizer_tee",
-    )
+    return audit.nested_trace(double_zn_category(p), levels, "stabilizer_tee")

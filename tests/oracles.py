@@ -57,7 +57,6 @@ from teelab.stabilizer import (
     _edges,
     _embed,
     _forest_size,
-    _fused,
     _pairing,
     _region_columns,
     _roots,
@@ -67,7 +66,9 @@ from teelab.stabilizer import (
     _shared_gens,
     annulus_cmi_certificate,
     conjugate_by_string,
+    fusion_string,
     pauli_repr,
+    reduction_relation,
     region_rank,
     restricted_canonical,
 )
@@ -662,6 +663,34 @@ def verify_assumptions_loop(
     return AssumptionsReport(prop1, prop2, prop3)
 
 
+def witnessed(
+    report: AssumptionsReport, states: dict[SectorLabel, StabilizerState], part: AnnulusPartition
+) -> AssumptionsReport:
+    """The report with every violating pair written out as
+    `verify_assumptions_loop` writes it: its labels, then the relation and
+    witness that `stabilizer.reduction_relation` gives the pair.  Property
+    3's pair is sector a conjugated by `stabilizer.fusion_string` for s
+    against sector s x a on A'BC, so a report taken under
+    `fusion_strings_ending` is witnessed under it too."""
+    base = _shared_gens(states.values())
+    p = base.lattice.prime
+    abc, thinned = part.region_edges("ABC"), part.thin(1).region_edges("ABC")
+    dist, indist, fusion = report.distinguishability, report.indistinguishability, report.fusion
+    viol1 = [(a, b, *reduction_relation(states[a], states[b], abc)) for a, b in dist.violations]
+    viol2 = [
+        (name, a, b, *reduction_relation(states[a], states[b], part.region_edges(name)))
+        for name, a, b in indist.violations
+    ]
+    viol3 = []
+    for s, a in fusion.violations:
+        target = ((s[0] + a[0]) % p, (s[1] + a[1]) % p)
+        conjugated = conjugate_by_string(states[a], fusion_string(base, part, s))
+        viol3.append((s, a, *reduction_relation(conjugated, states[target], thinned)))
+    return AssumptionsReport(*(
+        replace(result, violations=tuple(viol)) for result, viol in ((dist, viol1), (indist, viol2), (fusion, viol3))
+    ))
+
+
 def edge_midpoints_loop(lat: Lattice) -> np.ndarray:
     """Oracle for `Lattice.edge_midpoints`: one edge at a time, by edge index."""
     mids = np.empty((lat.n_edges, 2), dtype=np.int64)
@@ -993,7 +1022,8 @@ def region_rank_per_region(state: StabilizerState, region) -> int:
     it touches."""
     columns = _region_columns(state, region)
     u, v, _ = column_graph_per_region(state.gens, columns, state.lattice.prime)
-    return len(columns) - _forest_size(*_compact(u, v))
+    nodes, cu, cv = _compact(u, v)
+    return len(columns) - _forest_size(cu, cv, len(nodes))
 
 
 def cluster_roots(
@@ -1035,6 +1065,11 @@ def region_phases_per_region(state: StabilizerState, abc: np.ndarray, vectors, r
         np.add.at(phases, cluster, _row_phases(gens, rows, vectors).T)
         out.append(phases % p)
     return out
+
+
+def _fused(s, a, p: int):
+    """The label s x a of Z_p x Z_p, labels numbered c p + f."""
+    return (s // p + a // p) % p * p + (s + a) % p
 
 
 def fusion_step_loop(table: np.ndarray, moved: np.ndarray, p: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from teelab.errors import PremiseViolated
 
 import dense_oracles as dense
 from conftest import ghz_phase_family
-from oracles import annulus_cmi, fusion_strings_ending, sector_family
+from oracles import annulus_cmi, fusion_strings_ending, sector_family, witnessed
 
 LN2 = math.log(2)
 
@@ -88,7 +88,7 @@ def test_criterion_04_assumptions_and_negative_geometries(toric_lab):
     # negative geometry 1: annulus displaced so the string anchor sits in A
     displaced = st.AnnulusPartition(lattice=lat, origin=(6, 6), hole=(5, 5, 8, 8), width=3)
     anchored = {sec: st.create_sector(ground, sec, origin=(3, 6)) for sec in sectors}
-    neg1 = st.verify_assumptions(anchored, displaced)
+    neg1 = witnessed(st.verify_assumptions(anchored, displaced), anchored, displaced)
     neg1_ok = (
         not neg1.indistinguishability.passed
         and {v[0] for v in neg1.indistinguishability.violations} == {"AB"}
@@ -101,7 +101,7 @@ def test_criterion_04_assumptions_and_negative_geometries(toric_lab):
     part3 = st.centered_annulus(lat3, width=3)
     fam3 = sector_family(st.build_ground_state(lat3), part3)
     with fusion_strings_ending("inside_a_prime"):
-        neg2 = st.verify_assumptions(fam3, part3)
+        neg2 = witnessed(st.verify_assumptions(fam3, part3), fam3, part3)
     neg2_ok = (
         not neg2.fusion.passed
         and {v[0] for v in neg2.fusion.violations} == {(0, 1), (1, 0), (1, 1)}

@@ -107,10 +107,8 @@ class TestRingCommand:
         code, report = run_json(["ring", "--q", "3", "--arcs", "2,1,1,1", "--enumerate"], tmp_path)
         assert code == 0
         assert abs(report["data"]["cmi"]["nats"] - math.log(3)) < 1e-12
-        names = {c["name"] for c in report["results"]}
-        assert "enumeration_agrees" in names
-        check = next(c for c in report["results"] if c["name"] == "cmi_equals_log_q")
-        assert check["passed"] and check["coefficient"] == 1
+        # the closed-form CMI is log q by construction, so enumeration is the one check
+        assert [(c["name"], c["passed"]) for c in report["results"]] == [("enumeration_agrees", True)]
 
     def test_levels_run_the_audit(self, tmp_path):
         code, report = run_json(["ring", "--q", "2", "--arcs", "5,1,1,1", "--levels", "3"], tmp_path)

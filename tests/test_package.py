@@ -168,9 +168,9 @@ def test_every_definition_is_reached_by_the_cli_or_a_traced_name():
 
 
 # Fast paths of src/teelab and the slow paths in tests/oracles.py that the
-# tests compare them against.  The per-region column graph and the cluster
-# labelling over every row moved to the oracles; the names in MOVED are gone
-# from src/teelab.
+# tests compare them against.  The cluster labelling over every row and the
+# label product that only the per-label fusion loop reads moved to the
+# oracles; the names in MOVED are gone from src/teelab.
 ORACLES = {
     "stabilizer.SparseGenerators.column_graph": "column_graph_per_region",
     "stabilizer.region_rank": "region_rank_per_region",
@@ -179,7 +179,7 @@ ORACLES = {
     "stabilizer._components": "components_union_find",
     "stabilizer._forest_joins": "forest_joins_union_find",
 }
-MOVED = {"stabilizer._cluster_roots": "cluster_roots"}
+MOVED = {"stabilizer._cluster_roots": "cluster_roots", "stabilizer._fused": "_fused"}
 
 
 def test_fast_paths_keep_their_oracles():
@@ -190,6 +190,15 @@ def test_fast_paths_keep_their_oracles():
         assert callable(getattr(oracles, slow, None)), slow
     assert set(ORACLES) <= set(graph.defs), set(ORACLES) - set(graph.defs)
     assert not set(MOVED) & set(graph.defs)
+
+
+def test_cli_runs_no_f_p_elimination():
+    # ranks are forest counts and the assumption checks decide from their
+    # phase tables, so no CLI run eliminates over F_p or builds a dense block;
+    # the roots leave out the traced names, which are kept only to be timed
+    reached = CallGraph(PACKAGE).reached(ROOTS)
+    assert not {name for name in reached if name.startswith("gfp.")}
+    assert not reached & {"stabilizer.restricted_canonical", "stabilizer.SparseGenerators.region_block"}
 
 
 def test_call_graph_resolves_bare_names_by_module(tmp_path):

@@ -27,6 +27,7 @@ from oracles import (
     sector_witness_phases_loop,
     verify_assumptions_loop,
     vertex_star,
+    witnessed,
 )
 
 
@@ -362,7 +363,7 @@ class TestAssumptions:
         anchor = (3, 6)
         fam = {sec: st.create_sector(ground, sec, origin=anchor) for sec in
                ((0, 0), (0, 1), (1, 0), (1, 1))}
-        report = st.verify_assumptions(fam, displaced)
+        report = witnessed(st.verify_assumptions(fam, displaced), fam, displaced)
         assert report.distinguishability.passed
         assert not report.indistinguishability.passed
         regions = {v[0] for v in report.indistinguishability.violations}
@@ -380,7 +381,7 @@ class TestAssumptions:
         part = st.centered_annulus(lat, width=3)
         fam = sector_family(ground, part)
         with fusion_strings_ending("inside_a_prime"):
-            report = st.verify_assumptions(fam, part)
+            report = witnessed(st.verify_assumptions(fam, part), fam, part)
         assert report.distinguishability.passed
         assert report.indistinguishability.passed
         assert not report.fusion.passed
@@ -489,7 +490,8 @@ class TestPhaseTestOracle:
         _, _, part = toric12
         results = _against_oracle(toric12_sectors, part)
         assert len(results) == 30
-        self._report_matches(st.verify_assumptions(toric12_sectors, part), results)
+        report = st.verify_assumptions(toric12_sectors, part)
+        self._report_matches(witnessed(report, toric12_sectors, part), results)
 
     def test_p2_displaced_anchor_every_pair(self):
         lat = st.Lattice(width=12, height=12, prime=2)
@@ -499,7 +501,7 @@ class TestPhaseTestOracle:
                ((0, 0), (0, 1), (1, 0), (1, 1))}
         results = _against_oracle(fam, displaced)
         assert any(rel[1] for name, _, rel in results if name == "AB")
-        self._report_matches(st.verify_assumptions(fam, displaced), results)
+        self._report_matches(witnessed(st.verify_assumptions(fam, displaced), fam, displaced), results)
 
     def test_p2_inside_a_prime_sample(self):
         lat = st.Lattice(width=14, height=12, prime=2)
@@ -555,30 +557,26 @@ class TestFrameDifferences:
         fam, part, endpoint = FAMILIES[name]()
         with fusion_strings_ending(endpoint):
             report = st.verify_assumptions(fam, part)
-        assert report == verify_assumptions_loop(fam, part, endpoint)
+            assert witnessed(report, fam, part) == verify_assumptions_loop(fam, part, endpoint)
         if "displaced" in name or "inside" in name:
             assert not report.passed
 
     def test_one_fusion_string_per_label_and_no_conjugation(self, monkeypatch):
+        # every property-3 string is read from the two unit strings by
+        # linearity: no string vector per label and no conjugated state
         fam, part, _ = _centered_family(3, 12, 12)
-        calls = []
-        fusion_string = st.fusion_string
 
-        def counting(state, part, s):
-            calls.append(s)
-            return fusion_string(state, part, s)
+        def refused(*args):
+            raise AssertionError("a fusion string or conjugated state was built")
 
-        def no_conjugation(state, t):
-            raise AssertionError("conjugate_by_string called")
-
-        monkeypatch.setattr(st, "fusion_string", counting)
-        monkeypatch.setattr(st, "conjugate_by_string", no_conjugation)
+        monkeypatch.setattr(st, "fusion_string", refused)
+        monkeypatch.setattr(st, "conjugate_by_string", refused)
         assert st.verify_assumptions(fam, part).passed
-        assert calls == sorted(fam)[1:]  # p^2 - 1 strings, one per nontrivial s
 
     def test_passing_family_builds_no_restricted_basis(self, monkeypatch):
         # pairs are decided from cluster phases; a basis is eliminated only to
-        # write out a violation's witness
+        # write out a witness, which reduction_relation does, so a failing
+        # family builds none either
         fam, part, _ = _centered_family(3, 12, 12)
 
         def no_basis(state, region):
@@ -586,6 +584,8 @@ class TestFrameDifferences:
 
         monkeypatch.setattr(st, "restricted_canonical", no_basis)
         assert st.verify_assumptions(fam, part).passed
+        fam, part, _ = _displaced_family(3)
+        assert not st.verify_assumptions(fam, part).passed
 
 
 class TestLabelTableCap:
