@@ -21,6 +21,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -323,23 +324,18 @@ def _selftest_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     for q in (2, 3):
         spec = ring.RingSpec(q=q, sites_a=2, sites_b1=1, sites_c=1, sites_b2=1)
         checks.append(_check(f"ring_q{q}", _ring_enumeration_agrees(spec)))
+    # ranks never read a frame, so the ground state's certificate is every sector's
     lat = stabilizer.Lattice(width=10, height=10, prime=2)
-    part = stabilizer.centered_annulus(lat, width=2)
-    state = stabilizer.create_sector(stabilizer.build_ground_state(lat), (1, 1), origin=part.origin)
-    value, cert = stabilizer.annulus_cmi_certificate(state, part)
+    value, cert = stabilizer.annulus_cmi_certificate(
+        stabilizer.build_ground_state(lat), stabilizer.centered_annulus(lat, width=2)
+    )
     checks.append(_check("stabilizer_10x10", cert.coefficient == 2, cmi=value))
     trace = ring.nested_annulus_table(ring.RingSpec(q=2, sites_a=4, sites_b1=1, sites_c=1, sites_b2=1), n=2)
     rep = audit.assemble_bound(trace)
     checks.append(_check("audit_ring_trace", rep.passed))
-    bad = audit.AuditTrace(
-        labels=trace.labels,
-        table=trace.table[:, ::-1] + np.linspace(0.4, 0.0, trace.n_levels),
-        fp=trace.fp,
-        p_star=trace.p_star,
-        a0=trace.a0,
-    )
+    bad = resources.files("teelab.data.traces").joinpath("adversarial_decreasing.json")
     try:
-        audit.assemble_bound(bad)
+        audit.assemble_bound(audit.load_trace(json.loads(bad.read_text())))
         checks.append(_check("audit_detects_decreasing_table", False))
     except PremiseViolated:
         checks.append(_check("audit_detects_decreasing_table", True))
@@ -391,6 +387,8 @@ def _grid_points(cfg: dict) -> list[dict]:
     axes: list[tuple[str, list]] = []
     for key in ("p", "widths", "q", "levels", "size"):
         if key in cfg and isinstance(cfg[key], list):
+            if not cfg[key]:
+                raise ConfigError(f"sweep axis {key!r} is empty")
             axes.append((key, cfg[key]))
     if not axes:
         raise ConfigError("sweep needs at least one list-valued parameter")
@@ -562,6 +560,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _merge_config(args)
+        csv_path = config.get("csv") if args.command == "sweep" else None
+        for path in filter(None, (args.out, csv_path)):
+            if not isinstance(path, str) or Path(path).is_dir() or not Path(path).parent.is_dir():
+                raise ConfigError(f"cannot write {path!r}: not a file in an existing directory")
         if args.command == "sweep":
             reports, rows = run_sweep(config)
             report = {
@@ -569,16 +571,18 @@ def main(argv=None) -> int:
                 "reports": reports,
                 "all_passed": all(r["all_passed"] for r in reports),
             }
-            _emit(report, args.out)
-            if config.get("csv"):
-                with open(config["csv"], "w", newline="") as fh:
-                    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-                    writer.writeheader()
-                    writer.writerows(rows)
         else:
             reports = [run(config)]
             report = reports[0]
+        try:
             _emit(report, args.out)
+            if csv_path:
+                with open(csv_path, "w", newline="") as fh:
+                    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+                    writer.writeheader()
+                    writer.writerows(rows)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report: {exc}") from exc
         if not report["all_passed"]:
             failing = next(c["name"] for r in reports for c in r["results"] if not c["passed"])
             print(f"teelab: check failed: {failing}", file=sys.stderr)

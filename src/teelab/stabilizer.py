@@ -30,9 +30,10 @@ edges; a plaquette operator takes Z around its boundary counterclockwise.
 
 Generators.  Every generator acts on at most four edges, so the generator
 matrix is stored as local supports (`SparseGenerators`): O(E) memory.  Rows
-are numbered by arithmetic (`_generator_rows`): plaquette (x, y) is row
-y W + x, then vertex (x, y) is row W H + y (W + 1) + x - 1, in raster order
-without the redundant vertex (0, 0).  `build_ground_state` certifies the matrix by two array programs over
+are numbered by arithmetic: plaquette (x, y) is row y W + x, then vertex
+(x, y) is row W H + y (W + 1) + x - 1, in raster order without the redundant
+vertex (0, 0).  `build_ground_state` fills the supports from that numbering
+in one array program, and certifies the matrix by two array programs over
 its column index: the symplectic form summed over generator pairs that share
 an edge, and full rank as the connectivity of the column graph (see
 Entropies below), labelled in hook-and-jump rounds.  The dense E x 2E matrix
@@ -106,8 +107,8 @@ SectorLabel = tuple[int, int]  # (electric charge, magnetic flux) in Z_p x Z_p
 # does.  The tests' dense oracles are held to it too: a dense reduction's
 # p^|R| x p^|R| complex matrix, and the dense E x 2E generator matrix
 # (square lattices up to 44 x 44).
-# The build peaks well above the supports: ru_maxrss 373 MiB at 600 x 600
-# (44 MiB of supports) and 948 MiB at 1000 x 1000 (122 MiB), p = 2.
+# The build peaks well above the supports: ru_maxrss 366 MiB at 600 x 600
+# (44 MiB of supports) and 921 MiB at 1000 x 1000 (122 MiB), p = 2.
 GENS_BYTES_CAP = 2**28
 
 # Every toric-code generator acts on at most this many edges.
@@ -360,13 +361,6 @@ def _check_independent(gens: SparseGenerators, p: int) -> None:
         raise RankDeficiency(f"generator matrix is not full rank: rank {rank} of {gens.n_rows} rows")
 
 
-def _generator_rows(lat: Lattice, kind: str, x: int | np.ndarray, y: int | np.ndarray):
-    """Row ids of the plaquette or vertex generators at (x, y); see the module docstring."""
-    if kind == "plaquette":
-        return y * lat.width + x
-    return lat.width * lat.height + y * (lat.width + 1) + x - 1
-
-
 def build_ground_state(lat: Lattice) -> StabilizerState:
     """Ground state: all plaquette operators plus all vertex operators but one.
 
@@ -374,26 +368,27 @@ def build_ground_state(lat: Lattice) -> StabilizerState:
     twice with opposite signs), so one vertex generator is redundant and the
     remaining V - 1 + P = n_edges generators (Euler) are independent.  Both
     facts are checked (`_check_commutation`, `_check_independent`), not
-    assumed.  Vertex slots are east, west, north, south; one off the lattice
-    keeps the padding (0, 0).
+    assumed.  The supports are filled from the row numbering in one array
+    program, over the n_h = W (H + 1) horizontal edges and then the vertical
+    ones: plaquette r = y W + x takes Z on edges r, n_h + r + y + 1, r + W and
+    n_h + r + y; vertex q = y (W + 1) + x takes X on its east, west, north and
+    south edges q - y, q - y - 1, n_h + q and n_h + q - W - 1 where they exist,
+    and the padding (0, 0) elsewhere.  The fill's temporaries are released
+    before the checks, which set the build's peak.
     """
-    p, E, W, H = lat.prime, lat.n_edges, lat.width, lat.height
-    cols = np.zeros((E, MAX_SUPPORT), dtype=np.int64)
-    vals = np.zeros((E, MAX_SUPPORT), dtype=np.int64)
-    y, x = np.divmod(np.arange(W * H), W)
-    rows = _generator_rows(lat, "plaquette", x, y)
-    cols[rows] = E + np.stack(
-        [lat.h_edge(x, y), lat.v_edge(x + 1, y), lat.h_edge(x, y + 1), lat.v_edge(x, y)], axis=1
-    )
-    vals[rows] = np.array([1, 1, -1, -1]) % p
-    y, x = np.divmod(np.arange(1, (W + 1) * (H + 1)), W + 1)
-    rows = _generator_rows(lat, "vertex", x, y)
-    for k, (has, edge, dx, dy, sign) in enumerate(
-        ((x < W, lat.h_edge, 0, 0, 1), (x > 0, lat.h_edge, -1, 0, -1),
-         (y < H, lat.v_edge, 0, 0, 1), (y > 0, lat.v_edge, 0, -1, -1))
-    ):
-        cols[rows[has], k] = edge(x[has] + dx, y[has] + dy)
-        vals[rows[has], k] = sign % p
+    p, E, W, H, n_h = lat.prime, lat.n_edges, lat.width, lat.height, lat.n_h_edges
+    P = W * H
+    cols = np.empty((E, MAX_SUPPORT), dtype=np.int64)
+    vals = np.empty((E, MAX_SUPPORT), dtype=np.int64)
+    r = np.arange(P)
+    cols[:P] = E + r[:, None] + [0, n_h + 1, W, n_h] + (r // W)[:, None] * [0, 1, 0, 1]
+    vals[:P] = np.array([1, 1, -1, -1]) % p
+    q = np.arange(1, (W + 1) * (H + 1))
+    y, x = np.divmod(q, W + 1)
+    has = np.stack([x < W, x > 0, y < H, y > 0], axis=1)
+    cols[P:] = (q[:, None] + [0, -1, n_h, n_h - W - 1] - y[:, None] * [1, 1, 0, 0]) * has
+    vals[P:] = has * (np.array([1, -1, 1, -1]) % p)
+    del r, q, y, x, has
     gens = SparseGenerators(cols=cols, vals=vals, n_edges=E)
     _check_commutation(gens, p)
     _check_independent(gens, p)

@@ -710,6 +710,30 @@ def edges_in_box_scan(lat: Lattice, box: tuple[int, int, int, int]) -> np.ndarra
     return np.flatnonzero((m[:, 0] >= x0) & (m[:, 0] < x1) & (m[:, 1] >= y0) & (m[:, 1] < y1))
 
 
+def ground_supports_per_slot(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for `stabilizer.build_ground_state`'s supports: each kind's rows
+    from its (x, y), each vertex slot written where its edge exists, every edge
+    id through the bounds-checked `Lattice.h_edge`/`v_edge`."""
+    p, E, W, H = lat.prime, lat.n_edges, lat.width, lat.height
+    cols = np.zeros((E, stabilizer.MAX_SUPPORT), dtype=np.int64)
+    vals = np.zeros((E, stabilizer.MAX_SUPPORT), dtype=np.int64)
+    y, x = np.divmod(np.arange(W * H), W)
+    rows = y * W + x
+    cols[rows] = E + np.stack(
+        [lat.h_edge(x, y), lat.v_edge(x + 1, y), lat.h_edge(x, y + 1), lat.v_edge(x, y)], axis=1
+    )
+    vals[rows] = np.array([1, 1, -1, -1]) % p
+    y, x = np.divmod(np.arange(1, (W + 1) * (H + 1)), W + 1)
+    rows = W * H + y * (W + 1) + x - 1
+    for k, (has, edge, dx, dy, sign) in enumerate(
+        ((x < W, lat.h_edge, 0, 0, 1), (x > 0, lat.h_edge, -1, 0, -1),
+         (y < H, lat.v_edge, 0, 0, 1), (y > 0, lat.v_edge, 0, -1, -1))
+    ):
+        cols[rows[has], k] = edge(x[has] + dx, y[has] + dy)
+        vals[rows[has], k] = sign % p
+    return cols, vals
+
+
 def vertex_star(lat: Lattice, x: int, y: int) -> list[tuple[int, int]]:
     """(edge, orientation sign) pairs of the vertex operator at (x, y)."""
     out = []

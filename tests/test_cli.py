@@ -219,8 +219,8 @@ class TestStabilizerCommand:
 
     def test_no_run_builds_sector_states(self, monkeypatch, tmp_path):
         # ranks never read a frame, and the assumption checks read the two
-        # sector strings by linearity: plain CMI, --levels and --assumptions
-        # runs build no sector state
+        # sector strings by linearity: plain CMI, --levels, --assumptions and
+        # selftest runs build no sector state
         def no_sector(*args, **kwargs):
             raise AssertionError("a sector state was built")
 
@@ -229,6 +229,8 @@ class TestStabilizerCommand:
         for extra in ([], ["--a-width", "3", "--levels", "1"], ["--assumptions"]):
             code, _ = run_json(["stabilizer", "--p", "3", "--size", "10", "--widths", "2", *extra], tmp_path)
             assert code == 0, extra
+        code, report = run_json(["selftest"], tmp_path)
+        assert code == 0 and report["data"]["checks_run"] == 15
 
     def test_assumptions_report_matches_the_sector_family_path(self, monkeypatch):
         # --assumptions builds no sector state and no fusion string, and its
@@ -615,6 +617,50 @@ class TestSweep:
         bundle = json.loads(out.read_text())
         assert len(bundle["reports"]) == 2
         assert [r["all_passed"] for r in bundle["reports"]] == [True, False]
+
+    @pytest.mark.parametrize("flags", [[], ["--csv", "sweep.csv"]])
+    def test_empty_axis_is_config_error(self, flags, tmp_path, capsys, monkeypatch):
+        # an empty axis has no grid point: refused, not an all-passed sweep
+        # of zero reports or a crash writing the CSV header
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "sweep_config.json"
+        config.write_text(json.dumps({"grid_scenario": "stabilizer", "p": [2], "size": []}))
+        assert cli.main(["sweep", "--config", str(config), *flags]) == 2
+        assert "sweep axis 'size' is empty" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+
+class TestOutputTarget:
+    @pytest.mark.parametrize("argv", [
+        ["ring", "--q", "3", "--out", "{missing}/report.json"],
+        ["sweep", "--grid-scenario", "ring", "--q", "2,3", "--csv", "{missing}/sweep.csv"],
+        ["sweep", "--grid-scenario", "ring", "--q", "2,3", "--out", "{missing}/sweep.json", "--csv", "sweep.csv"],
+        ["selftest", "--out", "{tmp}"],
+    ])
+    def test_unwritable_target_refused_before_any_run(self, argv, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run", no_run)
+        argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path) for a in argv]
+        assert cli.main(argv) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_failed_write_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the target's directory goes away while the scenario runs
+        target = tmp_path / "gone"
+        target.mkdir()
+        run = cli.run
+
+        def run_then_remove(config):
+            report = run(config)
+            target.rmdir()
+            return report
+
+        monkeypatch.setattr(cli, "run", run_then_remove)
+        assert cli.main(["ring", "--q", "3", "--out", str(target / "report.json")]) == 2
+        assert "cannot write" in capsys.readouterr().err
 
 
 class TestSelftest:

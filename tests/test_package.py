@@ -172,6 +172,7 @@ def test_every_definition_is_reached_by_the_cli_or_a_traced_name():
 # label product that only the per-label fusion loop reads moved to the
 # oracles; the names in MOVED are gone from src/teelab.
 ORACLES = {
+    "stabilizer.build_ground_state": "ground_supports_per_slot",
     "stabilizer.SparseGenerators.column_graph": "column_graph_per_region",
     "stabilizer.region_rank": "region_rank_per_region",
     "stabilizer._region_phases": "region_phases_per_region",

@@ -1,5 +1,6 @@
 """Property tests: the sparse ground-state build against the dense
-construction it replaced, graph ranks against elimination (on toric codes
+construction it replaced, its arithmetic support fill against the per-slot
+fill, graph ranks against elimination (on toric codes
 and on random graph-shaped generators) and the incremental nested table
 against its per-level loop, the certificate read from the nested ranks
 against the region-by-region one, row-cluster counts against region ranks,
@@ -31,7 +32,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as hst  # noqa: E402
 
 from teelab import audit, fusion, gfp, stabilizer as st  # noqa: E402
@@ -52,6 +53,7 @@ from oracles import (  # noqa: E402
     fusion_step_loop,
     fusion_string_loop,
     fusion_strings_ending,
+    ground_supports_per_slot,
     is_fusion_ring,
     nested_levels_loop,
     plaquette_boundary,
@@ -217,6 +219,19 @@ def test_sparse_build_matches_dense_oracle(width, height, p, data):
     st._check_commutation(restored, p)
     with pytest.raises(RankDeficiency, match="not full rank"):
         st._check_independent(restored, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=hst.integers(4, 40), height=hst.integers(4, 40), p=hst.sampled_from((2, 3, 5, 7, 13)))
+@example(width=4, height=40, p=13)
+@example(width=40, height=4, p=2)
+def test_support_fill_matches_per_slot_oracle(width, height, p):
+    lat = st.Lattice(width=width, height=height, prime=p)
+    gens = st.build_ground_state(lat).gens
+    want_cols, want_vals = ground_supports_per_slot(lat)
+    for got, want in ((gens.cols, want_cols), (gens.vals, want_vals)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -119,6 +119,24 @@ class TestGroundState:
         state = st.build_ground_state(st.Lattice(width=13, height=11, prime=3))
         assert state.gens.n_rows == state.n
 
+    def test_fill_temporaries_released_before_the_checks(self, monkeypatch):
+        # the checks set the build's peak, so only the supports may be held
+        # when they start; the fill's index arrays would add 25 bytes per vertex
+        lat = st.Lattice(width=100, height=100, prime=3)
+        check, held = st._check_commutation, []
+
+        def measured(gens, p):
+            held.append(tracemalloc.get_traced_memory()[0] - gens.nbytes)
+            check(gens, p)
+
+        monkeypatch.setattr(st, "_check_commutation", measured)
+        tracemalloc.start()
+        try:
+            st.build_ground_state(lat)
+        finally:
+            tracemalloc.stop()
+        assert held[0] < 64 * 1024, held
+
     def test_whole_system_pure(self, toric12):
         lat, ground, _ = toric12
         assert region_entropy(ground, range(lat.n_edges)) == 0.0
