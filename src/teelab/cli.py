@@ -185,10 +185,13 @@ def _ring_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
         "gamma": _both_bases(cmi / 2),
         "bound_log_labels": _both_bases(math.log(q)),
     }
-    if cfg.get("enumerate"):
+    # the closed-form CMI is log q by construction, so a run without a table
+    # checks its entropies by enumeration or is refused: it would check nothing
+    if cfg.get("enumerate") or levels is None:
         total = q**spec.n_sites
         if total > 4_000_000:
-            raise ConfigError(f"enumeration over {total} configurations refused")
+            plain = "" if cfg.get("enumerate") else "; without it a ring run with no levels checks nothing"
+            raise ConfigError(f"enumeration over {total} configurations refused{plain}")
         ok = _ring_enumeration_agrees(spec)
         checks.append(_check("enumeration_agrees", ok))
     if levels is not None:
@@ -214,16 +217,22 @@ def _ring_enumeration_agrees(spec: ring.RingSpec) -> bool:
     with the counting multiplicity, so entropies equal the closed forms.
 
     Each region's projection is read as a base-q number and counted over
-    all q^|R| values, so a value that never occurs counts 0."""
+    all q^|R| values, so a value that never occurs counts 0.  The caller
+    admits q^n <= 4,000,000 with n >= 4, so q <= 44 and the digits are int8;
+    a projection is summed site by site in int64, with no int64 copy of the
+    region's digits."""
     q, n = spec.q, spec.n_sites
-    digits = np.indices((q,) * n).reshape(n, -1).T  # all q^n configurations
+    digits = np.indices((q,) * n, dtype=np.int8).reshape(n, -1).T  # all q^n configurations
     for sector in range(q):
         support = digits[digits.sum(axis=1) % q == sector]
         if len(support) != q ** (n - 1):
             return False
         for tag in ("A", "B", "C"):
             sites = list(spec.region_sites(tag))
-            counts = np.bincount(support[:, sites] @ q ** np.arange(len(sites)), minlength=q ** len(sites))
+            value = np.zeros(len(support), dtype=np.int64)
+            for site in reversed(sites):  # Horner: sites[k] is digit k
+                value = value * q + support[:, site]
+            counts = np.bincount(value, minlength=q ** len(sites))
             if not (counts == q ** (n - 1 - len(sites))).all():
                 return False
     return True
@@ -484,7 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--arcs", help="four arc sizes A,B1,C,B2 (default 2,2,2,2)")
     sp.add_argument("--levels", type=int, help="emit a nested-annulus table with n levels and audit it")
     sp.add_argument("--enumerate", action="store_true", default=None,
-                    help="cross-check the counting entropies by exhaustive enumeration")
+                    help="cross-check the counting entropies by exhaustive enumeration, "
+                         "which a run without --levels always does")
     common(sp)
 
     sp = sub.add_parser("stabilizer", help="qudit toric code: exact annulus CMI and assumptions")

@@ -28,17 +28,19 @@ assumptions are read from the strings.  Orientation conventions: edges point
 +x / +y; a vertex operator uses X^{+1} on outgoing and X^{-1} on incoming
 edges; a plaquette operator takes Z around its boundary counterclockwise.
 
-Generators.  Every generator acts on at most four edges, so the generator
-matrix is stored as local supports (`SparseGenerators`): O(E) memory.  Rows
-are numbered by arithmetic: plaquette (x, y) is row y W + x, then vertex
-(x, y) is row W H + y (W + 1) + x - 1, in raster order without the redundant
-vertex (0, 0).  `build_ground_state` fills the supports from that numbering
-in one array program, and certifies the matrix by two array programs over
-its column index: the symplectic form summed over generator pairs that share
-an edge, and full rank as the connectivity of the column graph (see
-Entropies below), labelled in hook-and-jump rounds.  The dense E x 2E matrix
-and its Gram product and rank are the tests' oracles, and are built only
-there.
+Generators.  Rows are numbered by arithmetic: plaquette (x, y) is row
+y W + x, then vertex (x, y) is row W H + y (W + 1) + x - 1, in raster order
+without the redundant vertex (0, 0).  Every column of the generator matrix
+is +1 on one row and -1 on another, or has fewer entries (see Entropies
+below), so the matrix is stored as its oriented column graph
+(`ColumnGraph`): two int32 per column, 16 bytes per edge, the same at every
+prime.  `build_ground_state` writes the graph in closed form from that
+numbering, and certifies the matrix on it by two array programs: the
+symplectic form summed over the at most four (X end, Z end) pairs of each
+edge, and full rank as the graph's connectivity, labelled in hook-and-jump
+rounds.  The rows' own supports (`_fill`) are written only for the few rows
+whose phases or entry counts a reader needs.  The dense E x 2E matrix and
+its Gram product and rank are the tests' oracles, and are built only there.
 
 Entropies.  Every region entropy is (|R| - g_R) log p with g_R the rank of
 the subgroup of stabilizers supported inside R: an exact integer multiple of
@@ -56,8 +58,7 @@ F_p is nodes - components, the size of a spanning forest (Schrijver, Theory
 of Linear and Integer Programming, 1986); leaving out the sentinel's row
 keeps it, since a component's rows sum to zero.  So g_R = 2|R| minus the
 size of a spanning forest of R's 2|R| columns, counted as nodes minus
-components (`_edge_ranks`) on the column graph, which is built and checked
-once per matrix and prime (`SparseGenerators.column_graph`).  This is the
+components (`_edge_ranks`) on the column graph that the build wrote.  This is the
 counting behind the region entropies of Hamma, Ionicioiu & Zanardi, PRA 71,
 022315 (2005).  The subgroup itself is read from the same graph, with no
 elimination.  A combination c . G vanishes on a column outside R iff c is
@@ -83,7 +84,7 @@ oracles of the counted entropies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -101,15 +102,19 @@ from .gfp import nullspace_mod_p, rref_mod_p
 
 SectorLabel = tuple[int, int]  # (electric charge, magnetic flux) in Z_p x Z_p
 
-# Byte cap on every large allocation.  A lattice is refused when its sparse
-# supports exceed it (square lattices up to 1447 x 1447 fit), and a
-# restricted basis when its dense (rows touching R) x 2|R| generator block
-# does.  The tests' dense oracles are held to it too: a dense reduction's
-# p^|R| x p^|R| complex matrix, and the dense E x 2E generator matrix
-# (square lattices up to 44 x 44).
-# The build peaks well above the supports: ru_maxrss 366 MiB at 600 x 600
-# (44 MiB of supports) and 921 MiB at 1000 x 1000 (122 MiB), p = 2.
+# Byte cap on every large allocation.  A lattice is refused when its charge
+# of LATTICE_BYTES_PER_EDGE exceeds it (square lattices up to 1447 x 1447
+# fit), and a restricted basis when its dense (rows touching R) x 2|R|
+# generator block does.  The tests' dense oracles are held to it too: a dense
+# reduction's p^|R| x p^|R| complex matrix, and the dense E x 2E generator
+# matrix (square lattices up to 44 x 44).
+# The build peaks well above its 16-byte-per-edge column graph: ru_maxrss
+# 134 MiB at 600 x 600 (11 MiB of graph) and 310 MiB at 1000 x 1000
+# (31 MiB), p = 2.
 GENS_BYTES_CAP = 2**28
+
+# Bytes per edge that a lattice is charged against GENS_BYTES_CAP.
+LATTICE_BYTES_PER_EDGE = 64
 
 # Every toric-code generator acts on at most this many edges.
 MAX_SUPPORT = 4
@@ -169,11 +174,12 @@ class Lattice:
         if 2 * self.n_edges * self.prime**2 >= 2**63:
             raise DimensionCap(f"p = {self.prime}: a sum of 2E residue products mod p would overflow int64")
         _check_prime(self.prime)
-        storage = 16 * MAX_SUPPORT * self.n_edges  # two (E, MAX_SUPPORT) int64 arrays
-        if storage > GENS_BYTES_CAP:
+        charge = LATTICE_BYTES_PER_EDGE * self.n_edges
+        if charge > GENS_BYTES_CAP:
             raise DimensionCap(
-                f"{self.width} x {self.height} lattice: the sparse generators would take "
-                f"{storage} bytes, over the {GENS_BYTES_CAP}-byte cap"
+                f"{self.width} x {self.height} lattice: {self.n_edges} edges at the "
+                f"{LATTICE_BYTES_PER_EDGE}-byte-per-edge charge come to {charge} bytes, "
+                f"over the {GENS_BYTES_CAP}-byte cap"
             )
 
     @property
@@ -228,83 +234,53 @@ class Lattice:
         return np.concatenate([h, v])
 
 
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner i, index j) for every j in every half-open range [lo[i], hi[i])."""
-    counts = hi - lo
-    owner = np.repeat(np.arange(len(lo)), counts)
-    index = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts) + lo[owner]
-    return owner, index
-
-
 @dataclass(frozen=True, eq=False)
-class SparseGenerators:
-    """Generator rows over F_p stored as local supports, in symplectic layout.
+class ColumnGraph:
+    """The generator matrix over F_p stored as its oriented column graph.
 
-    Row i is sum_k vals[i, k] * e_{cols[i, k]} over 2 * n_edges columns:
-    column e is X on edge e and column n_edges + e is Z on edge e.  A row
-    has at most MAX_SUPPORT entries, on distinct columns; unused slots hold
-    the padding (column 0, value 0).
+    Column c, X on edge c for c < n_edges and Z on edge c - n_edges after,
+    is e_{u[c]} - e_{v[c]} over the rows: +1 on row u[c] and -1 on row
+    v[c], where the sentinel n_rows stands for a missing end.  Every toric-code
+    column has this shape (see the module docstring), so the pair is a
+    lossless encoding of the matrix at every prime: two int32 per column.
     """
 
-    cols: np.ndarray  # (rows, MAX_SUPPORT) int64
-    vals: np.ndarray  # (rows, MAX_SUPPORT) int64 mod p, 0 = padding
-    n_edges: int
-    _graphs: dict = field(default_factory=dict, init=False, repr=False)  # prime -> column graph
+    u: np.ndarray  # (2 n_edges,) int32: the row holding +1, or n_rows
+    v: np.ndarray  # (2 n_edges,) int32: the row holding -1, or n_rows
+    n_rows: int
 
     def __post_init__(self):
-        self.cols.setflags(write=False)
-        self.vals.setflags(write=False)
+        self.u.setflags(write=False)
+        self.v.setflags(write=False)
 
     @property
-    def n_rows(self) -> int:
-        return len(self.vals)
+    def n_edges(self) -> int:
+        return len(self.u) // 2
 
     @property
     def nbytes(self) -> int:
-        return self.cols.nbytes + self.vals.nbytes
+        return self.u.nbytes + self.v.nbytes
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, SparseGenerators)
-            and self.n_edges == other.n_edges
-            and (self.cols is other.cols or np.array_equal(self.cols, other.cols))
-            and (self.vals is other.vals or np.array_equal(self.vals, other.vals))
+            isinstance(other, ColumnGraph)
+            and self.n_rows == other.n_rows
+            and all(a is b or np.array_equal(a, b) for a, b in ((self.u, other.u), (self.v, other.v)))
         )
 
-    @cached_property
-    def by_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero entries grouped by column, as (start, rows, vals): column
-        c holds rows[start[c]:start[c + 1]], with values vals[...], in row
-        order.  Built once, by one stable sort of the nonzero slots."""
-        slot = np.flatnonzero(self.vals)  # in row-major order
-        cols = self.cols.ravel()[slot]
-        start = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=2 * self.n_edges))])
-        slot = slot[np.argsort(cols, kind="stable")]
-        index = (start, slot // self.vals.shape[1], self.vals.ravel()[slot])
-        for arr in index:
-            arr.setflags(write=False)
-        return index
-
-    def column_graph(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every column c as the graph edge (u[c], v[c]) over the rows and the
-        sentinel node n_rows (`_column_graph`), built and checked once per
-        prime; every rank and cluster label reads slices of it."""
-        if p not in self._graphs:
-            self._graphs[p] = _column_graph(self, p)
-        return self._graphs[p]
-
-    def region_block(self, edges: np.ndarray) -> np.ndarray:
+    def region_block(self, edges: np.ndarray, p: int) -> np.ndarray:
         """The rows with a nonzero entry on the sorted, unique edges, in row
-        order, on those edges' X then Z columns: shape (rows, 2 len(edges)).
-        Read from the column index in O(|edges|); a block over
+        order, on those edges' X then Z columns, mod p: shape (rows,
+        2 len(edges)).  Read from the graph in O(|edges|); a block over
         GENS_BYTES_CAP is DimensionCap before it is allocated."""
         columns = np.concatenate([edges, edges + self.n_edges])
-        start, rows, vals = self.by_column
-        col, index = _ranges(start[columns], start[columns + 1])
-        touching, row = np.unique(rows[index], return_inverse=True)
-        check_dense_cap(len(touching), len(columns))
-        out = np.zeros((len(touching), len(columns)), dtype=np.int64)
-        out[row, col] = vals[index]
+        touching, row = np.unique(np.concatenate([self.u[columns], self.v[columns]]), return_inverse=True)
+        k = int(np.searchsorted(touching, self.n_rows))  # the sentinel, if touched, is last
+        check_dense_cap(k, len(columns))
+        out = np.zeros((k, len(columns)), dtype=np.int64)
+        col, value = np.tile(np.arange(len(columns)), 2), np.repeat([1, p - 1], len(columns))
+        real = row < k
+        out[row[real], col[real]] = value[real]
         return out
 
 
@@ -313,7 +289,7 @@ class StabilizerState:
     """Full-rank ground generators over F_p conjugated by the Pauli frame."""
 
     lattice: Lattice
-    gens: SparseGenerators  # n_edges rows
+    gens: ColumnGraph  # n_edges rows
     frame: np.ndarray  # (2 n_edges,) mod p: the conjugating string's vector
 
     def __post_init__(self):
@@ -324,39 +300,74 @@ class StabilizerState:
         return self.lattice.n_edges
 
 
-def _check_commutation(gens: SparseGenerators, p: int) -> None:
+def _fill(lat: Lattice, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The supports (cols, vals) of the given generator rows, each of shape
+    (len(rows), MAX_SUPPORT) int64: row i is sum_k vals[i, k] e_{cols[i, k]}
+    mod p over the 2 n_edges columns, with the padding (column 0, value 0)
+    in unused slots.
+
+    Over the n_h = W (H + 1) horizontal edges and then the vertical ones:
+    plaquette r = y W + x takes Z on edges r, n_h + r + y + 1, r + W and
+    n_h + r + y; vertex q = y (W + 1) + x, row W H + q - 1, takes X on its
+    east, west, north and south edges q - y, q - y - 1, n_h + q and
+    n_h + q - W - 1 where they exist.
+    """
+    p, E, W, H, n_h = lat.prime, lat.n_edges, lat.width, lat.height, lat.n_h_edges
+    P = W * H
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.empty((len(rows), MAX_SUPPORT), dtype=np.int64)
+    vals = np.empty((len(rows), MAX_SUPPORT), dtype=np.int64)
+    plaquette = rows < P
+    r = rows[plaquette]
+    cols[plaquette] = E + r[:, None] + [0, n_h + 1, W, n_h] + (r // W)[:, None] * [0, 1, 0, 1]
+    vals[plaquette] = np.array([1, 1, -1, -1]) % p
+    q = rows[~plaquette] - (P - 1)
+    y, x = np.divmod(q, W + 1)
+    has = np.stack([x < W, x > 0, y < H, y > 0], axis=1)
+    cols[~plaquette] = (q[:, None] + [0, -1, n_h, n_h - W - 1] - y[:, None] * [1, 1, 0, 0]) * has
+    vals[~plaquette] = has * (np.array([1, -1, 1, -1]) % p)
+    return cols, vals
+
+
+def _check_graph_commutation(gens: ColumnGraph, p: int) -> None:
     """Raise RankDeficiency unless every pair of rows has symplectic form 0 mod p.
 
-    omega(a, b) = sum_e x_a[e] z_b[e] - z_a[e] x_b[e] is summed over the pairs
-    (X entry of column e, Z entry of column E + e) of the column index, keyed
-    by min(a, b) n_rows + max(a, b), after one sort.  The smallest bad key
-    names the rows.
+    omega(a, b) = sum_e x_a[e] z_b[e] - z_a[e] x_b[e].  Edge e's X column has
+    the ends u[e] (+1) and v[e] (-1), and its Z column u[E + e] (+1) and
+    v[E + e] (-1), so each of its at most four pairs (a X end, b Z end)
+    adds x_a z_b = +-1 to omega(a, b) and its negative to omega(b, a).  A
+    pair is keyed min(a, b) n_rows + max(a, b), with the sign of what it adds
+    to omega(min, max) as the key's low bit, and one sort groups the keys.
+    The smallest bad key names the rows.
     """
     E, n = gens.n_edges, gens.n_rows
-    start, rows, vals = gens.by_column
-    edge = np.repeat(np.arange(E), np.diff(start[:E + 1]))  # the edge of each X entry
-    xi, zi = _ranges(start[E + edge], start[E + edge + 1])
-    a, b = rows[xi], rows[zi]
-    key = np.minimum(a, b) * n + np.maximum(a, b)
-    order = np.argsort(key)
-    head = np.flatnonzero(np.diff(key[order], prepend=-1))
-    # a pair adds +v to omega(a, b) and -v to omega(b, a): 0 when a == b
-    form = np.add.reduceat((np.sign(b - a) * vals[xi] * vals[zi])[order], head)
+    keys = []
+    for i, a in enumerate((gens.u[:E], gens.v[:E])):
+        for j, b in enumerate((gens.u[E:], gens.v[E:])):
+            live = (a != n) & (b != n) & (a != b)  # a pair on one row adds 0
+            a_, b_ = a[live].astype(np.int64), b[live].astype(np.int64)
+            # x_a z_b is +1 iff both ends are u or both are v; omega(min, max)
+            # gets it with the sign of b - a
+            keys.append((np.minimum(a_, b_) * n + np.maximum(a_, b_)) * 2 + ((b_ > a_) == (i == j)))
+    key = np.concatenate(keys)
+    del keys, live, a_, b_
+    key.sort()
+    head = np.flatnonzero(np.diff(key >> 1, prepend=-1))
+    form = 2 * np.add.reduceat(key & 1, head) - np.diff(head, append=len(key))  # pairs adding +1 less -1
     bad = np.flatnonzero(form % p)
     if bad.size:
-        i, j = divmod(int(key[order[head[bad[0]]]]), n)
+        i, j = divmod(int(key[head[bad[0]]] >> 1), n)
         raise RankDeficiency(f"generators do not commute: rows {i} and {j}")
 
 
-def _check_independent(gens: SparseGenerators, p: int) -> None:
+def _check_graph_rank(gens: ColumnGraph) -> None:
     """Raise RankDeficiency unless the rows are independent over F_p.
 
     The rank is nodes minus components of the column graph on the rows and
-    the sentinel n_rows (`SparseGenerators.column_graph`, `_forest_size`; see
-    the module docstring), so the rows are independent iff that graph is
-    connected.
+    the sentinel n_rows (`_forest_size`; see the module docstring), so the
+    rows are independent iff that graph is connected.
     """
-    rank = _forest_size(*gens.column_graph(p), gens.n_rows + 1)
+    rank = _forest_size(gens.u, gens.v, gens.n_rows + 1)
     if rank < gens.n_rows:
         raise RankDeficiency(f"generator matrix is not full rank: rank {rank} of {gens.n_rows} rows")
 
@@ -367,31 +378,39 @@ def build_ground_state(lat: Lattice) -> StabilizerState:
     The product of all vertex operators is the identity (each edge enters
     twice with opposite signs), so one vertex generator is redundant and the
     remaining V - 1 + P = n_edges generators (Euler) are independent.  Both
-    facts are checked (`_check_commutation`, `_check_independent`), not
-    assumed.  The supports are filled from the row numbering in one array
-    program, over the n_h = W (H + 1) horizontal edges and then the vertical
-    ones: plaquette r = y W + x takes Z on edges r, n_h + r + y + 1, r + W and
-    n_h + r + y; vertex q = y (W + 1) + x takes X on its east, west, north and
-    south edges q - y, q - y - 1, n_h + q and n_h + q - W - 1 where they exist,
-    and the padding (0, 0) elsewhere.  The fill's temporaries are released
-    before the checks, which set the build's peak.
+    facts are checked on the column graph (`_check_graph_commutation`,
+    `_check_graph_rank`), not assumed.  The graph is written in closed form
+    from the row numbering and the signs of `_fill`: horizontal edge
+    e = y W + x runs from vertex q = e + y to q + 1 and vertical edge
+    n_h + q from vertex q to q + W + 1, so an X column joins rows
+    W H + q - 1 (+1) and the far end's row (-1); horizontal edge e is the
+    south edge of plaquette e (+1) and the north edge of e - W (-1), and
+    vertical edge n_h + q the east edge of plaquette q - y - 1 (+1) and the
+    west edge of q - y (-1).  The dropped vertex (0, 0) and the plaquettes
+    beyond the boundary are the sentinel E.  The closed form's temporaries
+    are released before the checks, which set the build's peak.
     """
-    p, E, W, H, n_h = lat.prime, lat.n_edges, lat.width, lat.height, lat.n_h_edges
-    P = W * H
-    cols = np.empty((E, MAX_SUPPORT), dtype=np.int64)
-    vals = np.empty((E, MAX_SUPPORT), dtype=np.int64)
-    r = np.arange(P)
-    cols[:P] = E + r[:, None] + [0, n_h + 1, W, n_h] + (r // W)[:, None] * [0, 1, 0, 1]
-    vals[:P] = np.array([1, 1, -1, -1]) % p
-    q = np.arange(1, (W + 1) * (H + 1))
-    y, x = np.divmod(q, W + 1)
-    has = np.stack([x < W, x > 0, y < H, y > 0], axis=1)
-    cols[P:] = (q[:, None] + [0, -1, n_h, n_h - W - 1] - y[:, None] * [1, 1, 0, 0]) * has
-    vals[P:] = has * (np.array([1, -1, 1, -1]) % p)
-    del r, q, y, x, has
-    gens = SparseGenerators(cols=cols, vals=vals, n_edges=E)
-    _check_commutation(gens, p)
-    _check_independent(gens, p)
+    p, E, W, n_h = lat.prime, lat.n_edges, lat.width, lat.n_h_edges
+    P = W * lat.height
+    u = np.empty(2 * E, dtype=np.int32)
+    v = np.empty(2 * E, dtype=np.int32)
+    e = np.arange(n_h, dtype=np.int32)
+    q = e + e // W
+    u[:n_h], v[:n_h] = q + (P - 1), q + P
+    u[E:E + n_h], v[E:E + n_h] = e, e - W
+    q = np.arange(E - n_h, dtype=np.int32)
+    u[n_h:E], v[n_h:E] = q + (P - 1), q + (P + W)
+    r = q - q // (W + 1)
+    u[E + n_h:], v[E + n_h:] = r - 1, r
+    del e, q, r
+    u[[0, n_h]] = E  # both edges at the dropped vertex (0, 0)
+    u[E + P:E + n_h] = E  # the north boundary's horizontal edges
+    v[E:E + W] = E  # the south boundary's
+    u[E + n_h::W + 1] = E  # the west boundary's vertical edges
+    v[E + n_h + W::W + 1] = E  # the east boundary's
+    gens = ColumnGraph(u=u, v=v, n_rows=E)
+    _check_graph_commutation(gens, p)
+    _check_graph_rank(gens)
     return StabilizerState(lattice=lat, gens=gens, frame=np.zeros(2 * E, dtype=np.int64))
 
 
@@ -606,34 +625,6 @@ def _pairing(vecs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return vecs[..., :n] @ t[n:] - vecs[..., n:] @ t[:n]
 
 
-def _column_graph(gens: SparseGenerators, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every column as a graph edge (u, v), indexed by column: a column with
-    two entries joins their two rows, one with one entry joins its row to
-    the sentinel node n_rows, and an empty one is a loop on the sentinel,
-    which joins nothing.  Node ids are int32 where they fit.  A column with
-    more than two entries, or with two that do not cancel mod p, is no
-    scaled incidence column, and raises MalformedInput.
-    """
-    start, rows, vals = gens.by_column
-    lo, count = start[:-1], np.diff(start)
-    if (count > 2).any():
-        k = int(np.argmax(count > 2))
-        raise MalformedInput(f"column {k} has {count[k]} entries; a graph rank needs at most two")
-    two = np.flatnonzero(count == 2)
-    odd = (vals[lo[two]] + vals[lo[two] + 1]) % p != 0
-    if odd.any():
-        raise MalformedInput(f"the two entries of column {two[odd][0]} do not cancel mod {p}")
-    dtype = np.int32 if gens.n_rows < 2**31 - 1 else np.int64
-    u = np.full(len(count), gens.n_rows, dtype=dtype)
-    v = u.copy()
-    one = np.flatnonzero(count)
-    u[one] = rows[lo[one]]
-    v[two] = rows[lo[two] + 1]
-    for arr in (u, v):
-        arr.setflags(write=False)
-    return u, v
-
-
 def _roots(parent: np.ndarray) -> np.ndarray:
     """Each node's root, by pointer jumping over the parent links (Shiloach &
     Vishkin 1982): a chain of length l is resolved in log2(l) rounds."""
@@ -719,16 +710,16 @@ def _clusters(root: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return rows, (np.cumsum(is_root) - 1)[root[rows]], int(is_root.sum())
 
 
-def _row_phases(gens: SparseGenerators, rows, frames) -> np.ndarray:
+def _row_phases(lat: Lattice, rows: np.ndarray, frames) -> np.ndarray:
     """The phase v_x . t_z - v_z . t_x of each given generator row v under
     each frame t, not reduced mod p: shape (len(frames), len(rows)).
 
     An X entry on edge e pairs with t_z[e] and a Z entry with -t_x[e], so a
-    frame is read only at its rows' partner columns; the padding (column 0,
-    value 0) adds nothing.
+    frame is read only at the partner columns of the rows' supports
+    (`_fill`); the padding (column 0, value 0) adds nothing.
     """
-    E = gens.n_edges
-    cols, vals = gens.cols[rows], gens.vals[rows]
+    E = lat.n_edges
+    cols, vals = _fill(lat, rows)
     is_x = cols < E
     partner = np.where(is_x, cols + E, cols - E)
     signed = np.where(is_x, vals, -vals)
@@ -743,8 +734,7 @@ def region_rank(state: StabilizerState, region: tuple[int, ...]) -> int:
     quant-ph/0406168).  The identity needs a pure state (S_R = S_{R^c}),
     which the commutation and full-rank checks of `build_ground_state`
     guarantee.  rank(G|_R) is the size of a spanning forest of R's columns as
-    graph edges, over the nodes they touch (see the module docstring); a
-    matrix with a column of another shape raises MalformedInput.
+    graph edges, over the nodes they touch (see the module docstring).
     """
     return _edge_ranks(state, [_edges(state, region)])[0]
 
@@ -753,7 +743,7 @@ def _edge_ranks(state: StabilizerState, regions) -> list[int]:
     """`region_rank` of each sorted, unique edge array, from one labelling
     (`_components`) of their column graphs side by side: node x of region
     i's graph is node i (n_rows + 1) + x, renumbered to the nodes touched."""
-    u, v = state.gens.column_graph(state.lattice.prime)
+    u, v = state.gens.u, state.gens.v
     n = state.gens.n_rows + 1
     columns = [np.concatenate([edges, edges + state.n]) for edges in regions]
     offset = np.repeat(np.arange(len(regions)) * n, [len(c) for c in columns])
@@ -809,8 +799,8 @@ def restricted_canonical(
     """
     edges = _edges(state, region)
     n = len(edges)
-    block = state.gens.region_block(edges)
     p = state.lattice.prime
+    block = state.gens.region_block(edges, p)
     vecs, _ = rref_mod_p(nullspace_mod_p(np.hstack([block[:, n:], -block[:, :n]]), p), p)
     return edges, vecs
 
@@ -963,17 +953,16 @@ def _outside_clusters(state: StabilizerState, abc: np.ndarray, window: np.ndarra
     of ABC's X then Z columns, K0 for the sentinel's, g_ABC); g_ABC is
     labelled in the same `_components` call, on a second copy of the nodes.
     """
-    gens, E, p = state.gens, state.n, state.lattice.prime
-    u, v = gens.column_graph(p)
+    gens, E = state.gens, state.n
     columns = np.concatenate([window, window + E])
     in_abc = np.zeros(len(window), dtype=bool)
     in_abc[np.searchsorted(window, abc)] = True
     in_abc = np.tile(in_abc, 2)
     # a loop on the sentinel adds it as the last row and joins nothing
-    rows, iu, iv = _compact(*(np.append(w[columns], gens.n_rows) for w in (u, v)))
+    rows, iu, iv = _compact(*(np.append(w[columns], gens.n_rows) for w in (gens.u, gens.v)))
     ids = np.stack([iu[:-1], iv[:-1]])
     m = len(rows)
-    entries = (gens.vals[rows[:-1]] != 0).sum(axis=1)
+    entries = np.count_nonzero(_fill(state.lattice, rows[:-1])[1], axis=1)
     leaves = np.flatnonzero(np.bincount(ids.ravel(), minlength=m)[:-1] < entries)
     outside, inner = ids[:, ~in_abc], ids[:, in_abc]
     root = _components(
@@ -1008,7 +997,7 @@ def _region_phases(state: StabilizerState, abc: np.ndarray, window: np.ndarray, 
     if k0 != g_abc:  # a cluster leaves the window
         rows, cluster, k0, ends, _ = _outside_clusters(state, abc, np.arange(state.n))
     weight = np.zeros((k0, len(vectors)), dtype=np.int64)
-    np.add.at(weight, cluster, _row_phases(state.gens, rows, vectors).T)
+    np.add.at(weight, cluster, _row_phases(state.lattice, rows, vectors).T)
     k, n = k0 + 1, len(regions)
     sentinel = np.arange(n) * k + k0  # joined, so that the last node is the one sentinel
     graph = [np.stack([sentinel[:-1], sentinel[1:]])]
@@ -1132,7 +1121,7 @@ def _nested_ranks(state: StabilizerState, part: AnnulusPartition, n: int) -> dic
     sizes, and B's and BC's, are prefix counts of their joins.
     """
     E = state.n
-    u, v = state.gens.column_graph(state.lattice.prime)
+    u, v = state.gens.u, state.gens.v
 
     def graph(edges):
         columns = np.concatenate([edges, edges + E])

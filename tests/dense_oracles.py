@@ -679,9 +679,19 @@ def dense_family(fam: RingFamily) -> SectorFamily:
 # stabilizer states: dense generators, frame phases and reductions
 
 
-def dense_generators(gens: st.SparseGenerators) -> np.ndarray:
-    """The full n_rows x 2 n_edges matrix, refused above GENS_BYTES_CAP."""
+def dense_generators(source) -> np.ndarray:
+    """The full n_rows x 2 n_edges matrix of a state or of local supports
+    (`oracles.SparseGenerators`), refused above GENS_BYTES_CAP.  A state's
+    column graph is read at its prime: +1 on row u[c] and -1 on row v[c] of
+    column c, the sentinel's row left out."""
+    gens = getattr(source, "gens", source)
     st.check_dense_cap(gens.n_rows, 2 * gens.n_edges)
+    if isinstance(gens, st.ColumnGraph):
+        out = np.zeros((gens.n_rows + 1, 2 * gens.n_edges), dtype=np.int64)
+        col = np.arange(2 * gens.n_edges)
+        out[gens.u, col] = 1
+        out[gens.v, col] = source.lattice.prime - 1
+        return out[:-1]
     out = np.zeros((gens.n_rows, 2 * gens.n_edges), dtype=np.int64)
     rows, slots = np.nonzero(gens.vals)
     out[rows, gens.cols[rows, slots]] = gens.vals[rows, slots]
@@ -690,7 +700,7 @@ def dense_generators(gens: st.SparseGenerators) -> np.ndarray:
 
 def frame_phases(state: st.StabilizerState) -> np.ndarray:
     """Per-generator phase exponents gx . t_z - gz . t_x mod p."""
-    return st._row_phases(state.gens, slice(None), [state.frame])[0] % state.lattice.prime
+    return st._row_phases(state.lattice, np.arange(state.n), [state.frame])[0] % state.lattice.prime
 
 
 def region_density(state: st.StabilizerState, region) -> DensityOperator:

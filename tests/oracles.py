@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from teelab.errors import (
     InvalidGeometry,
     MalformedInput,
     PremiseViolated,
+    RankDeficiency,
 )
 from teelab.fusion import (
     STRUCT_TOL,
@@ -46,10 +48,10 @@ from teelab.ring import RingSpec, exact_cmi
 from teelab.stabilizer import (
     AnnulusPartition,
     AssumptionsReport,
+    ColumnGraph,
     Lattice,
     PropertyResult,
     SectorLabel,
-    SparseGenerators,
     StabilizerState,
     _clusters,
     _compact,
@@ -734,6 +736,141 @@ def ground_supports_per_slot(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
     return cols, vals
 
 
+@dataclass(frozen=True, eq=False)
+class SparseGenerators:
+    """Generator rows over F_p stored as local supports, in symplectic layout:
+    the toric-code supports of `ground_supports_per_slot`, or a hand-built
+    matrix of any shape.
+
+    Row i is sum_k vals[i, k] * e_{cols[i, k]} over 2 * n_edges columns:
+    column e is X on edge e and column n_edges + e is Z on edge e.  A row
+    has its entries on distinct columns; unused slots hold the padding
+    (column 0, value 0).  A state may hold these in place of its column
+    graph for `stabilizer.restricted_canonical`, which reads only
+    `region_block`.
+    """
+
+    cols: np.ndarray  # (rows, slots) int64
+    vals: np.ndarray  # (rows, slots) int64 mod p, 0 = padding
+    n_edges: int
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.vals)
+
+    @cached_property
+    def by_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries grouped by column, as (start, rows, vals): column
+        c holds rows[start[c]:start[c + 1]], with values vals[...], in row
+        order.  Built once, by one stable sort of the nonzero slots."""
+        slot = np.flatnonzero(self.vals)  # in row-major order
+        cols = self.cols.ravel()[slot]
+        start = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=2 * self.n_edges))])
+        slot = slot[np.argsort(cols, kind="stable")]
+        return start, slot // self.vals.shape[1], self.vals.ravel()[slot]
+
+    def region_block(self, edges: np.ndarray, p: int) -> np.ndarray:
+        """Oracle for `stabilizer.ColumnGraph.region_block`: the rows with a
+        nonzero entry on the sorted, unique edges, in row order, on those
+        edges' X then Z columns, read from the column index.  The values are
+        residues mod p already."""
+        columns = np.concatenate([edges, edges + self.n_edges])
+        start, rows, vals = self.by_column
+        col, index = _ranges(start[columns], start[columns + 1])
+        touching, row = np.unique(rows[index], return_inverse=True)
+        stabilizer.check_dense_cap(len(touching), len(columns))
+        out = np.zeros((len(touching), len(columns)), dtype=np.int64)
+        out[row, col] = vals[index]
+        return out
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner i, index j) for every j in every half-open range [lo[i], hi[i])."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    index = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts) + lo[owner]
+    return owner, index
+
+
+def state_supports(state: StabilizerState) -> SparseGenerators:
+    """The toric-code supports of the state's lattice, filled slot by slot
+    (`ground_supports_per_slot`), not read from its column graph."""
+    cols, vals = ground_supports_per_slot(state.lattice)
+    return SparseGenerators(cols=cols, vals=vals, n_edges=state.n)
+
+
+def graph_supports(gens: ColumnGraph, p: int) -> SparseGenerators:
+    """The supports that a column graph encodes: +1 on row u[c] and -1 on
+    row v[c] of every column c, the sentinel's ends left out, each row's
+    entries in column order."""
+    n_cols = 2 * gens.n_edges
+    row = np.concatenate([gens.u, gens.v]).astype(np.int64)
+    col = np.tile(np.arange(n_cols), 2)
+    val = np.repeat([1, p - 1], n_cols)
+    keep = np.flatnonzero(row != gens.n_rows)
+    order = keep[np.lexsort((col[keep], row[keep]))]
+    row, col, val = row[order], col[order], val[order]
+    slot = np.arange(len(row)) - np.searchsorted(row, row)
+    width = int(np.bincount(row, minlength=gens.n_rows).max(initial=0))
+    cols = np.zeros((gens.n_rows, width), dtype=np.int64)
+    vals = np.zeros((gens.n_rows, width), dtype=np.int64)
+    cols[row, slot], vals[row, slot] = col, val
+    return SparseGenerators(cols=cols, vals=vals, n_edges=gens.n_edges)
+
+
+def _column_graph(gens: SparseGenerators, p: int) -> ColumnGraph:
+    """Oracle for the column graph that `stabilizer.build_ground_state`
+    writes in closed form: every column read and checked from the column
+    index (`column_graph_per_region`), then oriented by its signs, so that u
+    holds +1 and v holds -1.  At p = 2, where +1 = -1, the orientation is the
+    row order.  An empty column is a loop on the sentinel n_rows.  A column
+    with more than two entries, or with two that do not cancel mod p, raises
+    MalformedInput."""
+    n_cols = 2 * gens.n_edges
+    first, second, keep = column_graph_per_region(gens, np.arange(n_cols), p)
+    start, _, vals = gens.by_column
+    flip = (vals[start[keep]] == p - 1) & (p > 2)  # the first entry is -1
+    u = np.full(n_cols, gens.n_rows, dtype=np.int32)
+    v = u.copy()
+    u[keep], v[keep] = np.where(flip, second, first), np.where(flip, first, second)
+    return ColumnGraph(u=u, v=v, n_rows=gens.n_rows)
+
+
+def _check_commutation(gens: SparseGenerators, p: int) -> None:
+    """Oracle for `stabilizer._check_graph_commutation`: raise RankDeficiency
+    unless every pair of rows has symplectic form 0 mod p.
+
+    omega(a, b) = sum_e x_a[e] z_b[e] - z_a[e] x_b[e] is summed over the pairs
+    (X entry of column e, Z entry of column E + e) of the column index, keyed
+    by min(a, b) n_rows + max(a, b), after one sort.  The smallest bad key
+    names the rows.
+    """
+    E, n = gens.n_edges, gens.n_rows
+    start, rows, vals = gens.by_column
+    edge = np.repeat(np.arange(E), np.diff(start[:E + 1]))  # the edge of each X entry
+    xi, zi = _ranges(start[E + edge], start[E + edge + 1])
+    a, b = rows[xi], rows[zi]
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(key)
+    head = np.flatnonzero(np.diff(key[order], prepend=-1))
+    # a pair adds +v to omega(a, b) and -v to omega(b, a): 0 when a == b
+    form = np.add.reduceat((np.sign(b - a) * vals[xi] * vals[zi])[order], head)
+    bad = np.flatnonzero(form % p)
+    if bad.size:
+        i, j = divmod(int(key[order[head[bad[0]]]]), n)
+        raise RankDeficiency(f"generators do not commute: rows {i} and {j}")
+
+
+def _check_independent(gens: SparseGenerators, p: int) -> None:
+    """Oracle for `stabilizer._check_graph_rank`: raise RankDeficiency unless
+    the rows are independent over F_p, as nodes minus components of the
+    column graph read from the column index (`_column_graph`)."""
+    graph = _column_graph(gens, p)
+    rank = _forest_size(graph.u, graph.v, gens.n_rows + 1)
+    if rank < gens.n_rows:
+        raise RankDeficiency(f"generator matrix is not full rank: rank {rank} of {gens.n_rows} rows")
+
+
 def vertex_star(lat: Lattice, x: int, y: int) -> list[tuple[int, int]]:
     """(edge, orientation sign) pairs of the vertex operator at (x, y)."""
     out = []
@@ -895,7 +1032,7 @@ def combine_label_rows(state: StabilizerState, wanted: set) -> tuple[np.ndarray,
     if len(idx) != len(wanted):
         missing = wanted - {labels[i] for i in idx}
         raise MalformedInput(f"rows not present: {sorted(missing)[:3]}")
-    gens = state.gens
+    gens = state_supports(state)
     p = state.lattice.prime
     edges = np.unique(gens.cols[idx][gens.vals[idx] != 0] % state.n)
     cols = _region_columns(state, edges)
@@ -940,11 +1077,11 @@ def sector_witness_phases_loop(state: StabilizerState, part: AnnulusPartition) -
     return out
 
 
-def rows_on_scan(gens: SparseGenerators, edges: np.ndarray) -> np.ndarray:
-    """Oracle for the rows of `SparseGenerators.region_block`: the rows of the
+def rows_on_scan(state: StabilizerState, edges: np.ndarray) -> np.ndarray:
+    """Oracle for the rows of `ColumnGraph.region_block`: the rows of the
     dense matrix with a nonzero entry in the edges' X or Z columns."""
     edges = np.asarray(edges, dtype=np.int64)
-    return np.flatnonzero(dense_generators(gens)[:, np.concatenate([edges, edges + gens.n_edges])].any(axis=1))
+    return np.flatnonzero(dense_generators(state)[:, np.concatenate([edges, edges + state.n])].any(axis=1))
 
 
 def region_rank_elimination(state: StabilizerState, region) -> int:
@@ -953,7 +1090,7 @@ def region_rank_elimination(state: StabilizerState, region) -> int:
     found by a scan of the dense matrix."""
     edges = np.unique(np.asarray(region, dtype=np.int64))
     cols = np.concatenate([edges, edges + state.n])
-    block = dense_generators(state.gens)[np.ix_(rows_on_scan(state.gens, edges), cols)]
+    block = dense_generators(state)[np.ix_(rows_on_scan(state, edges), cols)]
     return 2 * len(edges) - rank_mod_p(block, state.lattice.prime)
 
 
@@ -1020,7 +1157,7 @@ def forest_joins_union_find(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def column_graph_per_region(
     gens: SparseGenerators, columns: np.ndarray, p: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Oracle for `SparseGenerators.column_graph`: the given nonzero columns
+    """Oracle for the column graph's region reads: the given nonzero columns
     as graph edges (u, v, position in `columns`), read and checked region by
     region from the column index.  A column with two entries joins their two
     rows; a column with one entry joins its row to the sentinel node n_rows.
@@ -1045,7 +1182,7 @@ def region_rank_per_region(state: StabilizerState, region) -> int:
     (`column_graph_per_region`) and its spanning-forest size over the nodes
     it touches."""
     columns = _region_columns(state, region)
-    u, v, _ = column_graph_per_region(state.gens, columns, state.lattice.prime)
+    u, v, _ = column_graph_per_region(state_supports(state), columns, state.lattice.prime)
     nodes, cu, cv = _compact(u, v)
     return len(columns) - _forest_size(cu, cv, len(nodes))
 
@@ -1076,7 +1213,7 @@ def region_phases_per_region(state: StabilizerState, abc: np.ndarray, vectors, r
     the clusters labelled over every row (`cluster_roots`), the forest of the
     columns outside ABC grown once and continued over ABC's columns outside
     the region."""
-    gens, E, p = state.gens, state.n, state.lattice.prime
+    gens, E, p = state_supports(state), state.n, state.lattice.prime
     in_abc = np.zeros(2 * E, dtype=bool)
     in_abc[_region_columns(state, abc)] = True
     root_abc = cluster_roots(gens, np.flatnonzero(~in_abc), p)
@@ -1086,7 +1223,7 @@ def region_phases_per_region(state: StabilizerState, abc: np.ndarray, vectors, r
         rest[_region_columns(state, edges)] = False
         rows, cluster, k = _clusters(cluster_roots(gens, np.flatnonzero(rest), p, root_abc))
         phases = np.zeros((k, len(vectors)), dtype=np.int64)
-        np.add.at(phases, cluster, _row_phases(gens, rows, vectors).T)
+        np.add.at(phases, cluster, _row_phases(state.lattice, rows, vectors).T)
         out.append(phases % p)
     return out
 

@@ -110,6 +110,16 @@ class TestRingCommand:
         # the closed-form CMI is log q by construction, so enumeration is the one check
         assert [(c["name"], c["passed"]) for c in report["results"]] == [("enumeration_agrees", True)]
 
+    def test_enumeration_detects_a_nonuniform_marginal(self, monkeypatch):
+        # a "region" of every site sees only its sector's q^(n-1) configurations
+        spec = ring.RingSpec(q=3, sites_a=2, sites_b1=1, sites_c=1, sites_b2=1)
+        assert cli._ring_enumeration_agrees(spec)
+        region_sites = ring.RingSpec.region_sites
+        every = tuple(range(spec.n_sites))
+        monkeypatch.setattr(ring.RingSpec, "region_sites",
+                            lambda self, tag: every if tag == "C" else region_sites(self, tag))
+        assert not cli._ring_enumeration_agrees(spec)
+
     def test_levels_run_the_audit(self, tmp_path):
         code, report = run_json(["ring", "--q", "2", "--arcs", "5,1,1,1", "--levels", "3"], tmp_path)
         assert code == 0
@@ -204,7 +214,7 @@ class TestStabilizerCommand:
         timings = report["timings"]
         assert set(timings["stages"]) == {"build", "entropies", "table", "audit"}
         n_edges = stabilizer.Lattice(width=10, height=10, prime=2).n_edges
-        assert timings["gens_bytes"] == 2 * 8 * stabilizer.MAX_SUPPORT * n_edges
+        assert timings["gens_bytes"] == 16 * n_edges  # the column graph: two int32 per column
         assert "timings" not in json.loads(cli.report_bytes(report))
 
     def test_wide_a_assumptions_pass(self, tmp_path):
@@ -307,7 +317,8 @@ class TestStabilizerCommand:
         prop = functools.cached_property(letters)
         prop.__set_name__(stabilizer.AnnulusPartition, "letter_masks")
         monkeypatch.setattr(stabilizer.AnnulusPartition, "letter_masks", prop)
-        monkeypatch.setattr(stabilizer, "_column_graph", counted("graph", stabilizer._column_graph))
+        check = stabilizer._check_graph_commutation
+        monkeypatch.setattr(stabilizer, "_check_graph_commutation", counted("graph", check))
         monkeypatch.setattr(stabilizer.Lattice, "edges_in_box", counted("boxes", stabilizer.Lattice.edges_in_box))
         monkeypatch.setattr(stabilizer, "_components", components)
         assert cli.report_bytes(cli.run(dict(config))) == want
@@ -546,6 +557,48 @@ class TestDeterminism:
         assert abs(cmi["bits"] - cmi["nats"] / math.log(2)) < 1e-15
 
 
+
+# Every subcommand under each flag that changes what it checks; "{trace}" is
+# a passing ring trace and "{bad}" the bundled adversarial one.
+EVERY_SCENARIO = [
+    ["fusion", "--category", "z2", "--taylor-points", "3"],
+    ["fusion", "--category", "ising", "--trials", "2", "--seed", "5", "--n", "10", "--a0", "sigma"],
+    ["ring", "--q", "3", "--arcs", "2,1,1,1"],
+    ["ring", "--q", "3", "--arcs", "2,1,1,1", "--enumerate"],
+    ["ring", "--q", "2", "--arcs", "5,1,1,1", "--levels", "3"],
+    ["ring", "--q", "2", "--arcs", "5,1,1,1", "--levels", "3", "--enumerate"],
+    ["stabilizer", "--p", "2", "--size", "10"],
+    ["stabilizer", "--p", "3", "--width", "14", "--height", "12", "--widths", "2", "--hole", "2", "--assumptions"],
+    ["stabilizer", "--p", "2", "--size", "10", "--a-width", "3", "--levels", "1"],
+    ["audit", "--trace", "{trace}"],
+    ["audit", "--trace", "{bad}", "--eps", "0.01", "--alpha", "0.5"],
+    ["sweep", "--grid-scenario", "ring", "--q", "2,3"],
+    ["sweep", "--grid-scenario", "ring", "--q", "2", "--levels", "1,2", "--config", "{arcs}"],
+    ["sweep", "--grid-scenario", "stabilizer", "--p", "2,3", "--size", "10"],
+    ["selftest"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_SCENARIO, ids=" ".join)
+def test_no_report_passes_with_no_checks(tmp_path, argv):
+    # all([]) is True, so a report with no results would pass having checked nothing
+    paths = {"trace": tmp_path / "trace.json", "bad": tmp_path / "bad.json", "arcs": _arcs_config(tmp_path)}
+    audit.save_trace(ring.nested_annulus_table(ring.RingSpec(q=2, sites_a=4, sites_b1=1, sites_c=1, sites_b2=1), n=2),
+                     paths["trace"])
+    paths["bad"].write_text(resources.files("teelab.data.traces").joinpath("adversarial_decreasing.json").read_text())
+    code, report = run_json([arg.format(**paths) for arg in argv], tmp_path)
+    assert code in (0, 1)
+    for one in report.get("reports", [report]):
+        assert one["results"], one["scenario"]
+
+
+def test_plain_ring_run_over_the_enumeration_cap_is_config_error(capsys):
+    # 7^8 configurations: with no --levels there would be nothing left to check
+    assert cli.main(["ring", "--q", "7", "--arcs", "2,2,2,2"]) == 2
+    assert "checks nothing" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="refused"):
+        cli.run({"scenario": "ring", "q": 7})
+
 def readme_cli_examples() -> list[list[str]]:
     """The `teelab ...` lines of README's `## CLI` block as argument lists,
     with bracketed optional parts and trailing comments dropped."""
@@ -569,7 +622,8 @@ def test_readme_cli_examples_parse():
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"q": 2, "arcs": [2, 2, 2, 2]}))
+        # five sites: q = 7 enumerates 7^5 configurations, under the cap
+        cfg.write_text(json.dumps({"q": 2, "arcs": [2, 1, 1, 1]}))
         code, report = run_json(["ring", "--config", str(cfg), "--q", "7"], tmp_path)
         assert code == 0
         assert report["scenario"]["q"] == 7
@@ -696,8 +750,10 @@ def _arcs_config(tmp_path):
 class TestSweepOrder:
     def test_reports_follow_grid_order(self, tmp_path):
         out = tmp_path / "sweep.json"
+        cfg = tmp_path / "arcs.json"
+        cfg.write_text(json.dumps({"arcs": [2, 1, 1, 1]}))  # q = 7 enumerates 7^5 configurations
         code = cli.main(["sweep", "--grid-scenario", "ring", "--q", "2,3,5,7",
-                         "--out", str(out)])
+                         "--config", str(cfg), "--out", str(out)])
         assert code == 0
         bundle = json.loads(out.read_text())
         # one report per grid point, in grid order

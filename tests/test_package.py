@@ -168,19 +168,31 @@ def test_every_definition_is_reached_by_the_cli_or_a_traced_name():
 
 
 # Fast paths of src/teelab and the slow paths in tests/oracles.py that the
-# tests compare them against.  The cluster labelling over every row and the
-# label product that only the per-label fusion loop reads moved to the
+# tests compare them against.  The cluster labelling over every row, the
+# label product that only the per-label fusion loop reads, and the supports'
+# column index with the graph and the checks read from it moved to the
 # oracles; the names in MOVED are gone from src/teelab.
 ORACLES = {
-    "stabilizer.build_ground_state": "ground_supports_per_slot",
-    "stabilizer.SparseGenerators.column_graph": "column_graph_per_region",
+    "stabilizer.build_ground_state": "_column_graph",
+    "stabilizer._fill": "ground_supports_per_slot",
+    "stabilizer._check_graph_commutation": "_check_commutation",
+    "stabilizer._check_graph_rank": "_check_independent",
+    "stabilizer.ColumnGraph.region_block": "rows_on_scan",
     "stabilizer.region_rank": "region_rank_per_region",
     "stabilizer._region_phases": "region_phases_per_region",
     "stabilizer._fusion_step": "fusion_step_loop",
     "stabilizer._components": "components_union_find",
     "stabilizer._forest_joins": "forest_joins_union_find",
 }
-MOVED = {"stabilizer._cluster_roots": "cluster_roots", "stabilizer._fused": "_fused"}
+MOVED = {
+    "stabilizer._cluster_roots": "cluster_roots",
+    "stabilizer._fused": "_fused",
+    "stabilizer.SparseGenerators": "SparseGenerators",
+    "stabilizer._column_graph": "_column_graph",
+    "stabilizer._check_commutation": "_check_commutation",
+    "stabilizer._check_independent": "_check_independent",
+    "stabilizer._ranges": "_ranges",
+}
 
 
 def test_fast_paths_keep_their_oracles():
@@ -199,7 +211,7 @@ def test_cli_runs_no_f_p_elimination():
     # the roots leave out the traced names, which are kept only to be timed
     reached = CallGraph(PACKAGE).reached(ROOTS)
     assert not {name for name in reached if name.startswith("gfp.")}
-    assert not reached & {"stabilizer.restricted_canonical", "stabilizer.SparseGenerators.region_block"}
+    assert not reached & {"stabilizer.restricted_canonical", "stabilizer.ColumnGraph.region_block"}
 
 
 def test_call_graph_resolves_bare_names_by_module(tmp_path):

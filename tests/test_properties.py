@@ -41,10 +41,13 @@ from teelab.errors import InvalidCategory, MalformedInput, PremiseViolated, Rank
 import dense_oracles as dense  # noqa: E402
 from dense_oracles import dense_generators, frame_phases  # noqa: E402
 from oracles import (  # noqa: E402
+    SparseGenerators,
+    _check_commutation,
+    _check_independent,
+    _column_graph,
     _union_find,
     assemble_bound_loop,
     cluster_roots,
-    column_graph_per_region,
     associativity_failure_einsum,
     create_sector_loop,
     edge_midpoints_loop,
@@ -53,6 +56,7 @@ from oracles import (  # noqa: E402
     fusion_step_loop,
     fusion_string_loop,
     fusion_strings_ending,
+    graph_supports,
     ground_supports_per_slot,
     is_fusion_ring,
     nested_levels_loop,
@@ -65,6 +69,7 @@ from oracles import (  # noqa: E402
     rows_on_scan,
     sector_family,
     sector_witness_phases_loop,
+    state_supports,
     taylor_bound_sweep_loop,
     taylor_bound_sweep_pairs,
     verify_assumptions_loop,
@@ -85,7 +90,7 @@ def complement_rank(state: st.StabilizerState, region) -> int:
     E = state.n
     outside = np.setdiff1d(np.arange(E), np.asarray(region, dtype=np.int64))
     cols = np.concatenate([outside, outside + E])
-    return E - gfp.rank_mod_p(dense_generators(state.gens)[:, cols], state.lattice.prime)
+    return E - gfp.rank_mod_p(dense_generators(state)[:, cols], state.lattice.prime)
 
 
 def dense_restricted(state: st.StabilizerState, region) -> tuple[np.ndarray, np.ndarray]:
@@ -93,7 +98,7 @@ def dense_restricted(state: st.StabilizerState, region) -> tuple[np.ndarray, np.
     of the off-region columns combines the generators into the group; one
     RREF gives (Pauli vectors at full width, generator coefficients)."""
     p, E = state.lattice.prime, state.n
-    gens = dense_generators(state.gens)
+    gens = dense_generators(state)
     outside = np.setdiff1d(np.arange(E), np.asarray(region, dtype=np.int64))
     null = gfp.left_nullspace_mod_p(gens[:, np.concatenate([outside, outside + E])], p)
     red, _ = gfp.rref_mod_p(np.hstack([null @ gens, null]), p)
@@ -105,7 +110,7 @@ def dense_region_density(state: st.StabilizerState, region) -> np.ndarray:
     the dense generators and their phases by the XZ-ordered product rule."""
     region = sorted(set(region))
     p, E = state.lattice.prime, state.n
-    gens = dense_generators(state.gens)
+    gens = dense_generators(state)
     _, coeffs = dense_restricted(state, region)
     basis = [gfp.combine_rows(gens, frame_phases(state), c, E, p) for c in coeffs]
     omega = np.exp(2j * np.pi / p)
@@ -184,7 +189,7 @@ def test_sparse_build_matches_dense_oracle(width, height, p, data):
     E = lat.n_edges
     state = ground(width, height, p)
     want = dense_build(lat)
-    np.testing.assert_array_equal(dense_generators(state.gens), want)
+    np.testing.assert_array_equal(dense_generators(state), want)
     # the build's local checks passed; the dense oracles agree
     assert dense_commute(want, p) and dense_full_rank(want, p)
 
@@ -196,15 +201,15 @@ def test_sparse_build_matches_dense_oracle(width, height, p, data):
         )
 
     # one edited generator value breaks commutation, for both checks
-    gens = state.gens
+    gens = state_supports(state)
     i = data.draw(hst.integers(0, E - 1))
     k = data.draw(hst.sampled_from(np.flatnonzero(gens.vals[i]).tolist()))
     vals = gens.vals.copy()
     vals[i, k] = (vals[i, k] + data.draw(hst.integers(1, p - 1))) % p
-    edited = st.SparseGenerators(cols=gens.cols.copy(), vals=vals, n_edges=E)
+    edited = SparseGenerators(cols=gens.cols.copy(), vals=vals, n_edges=E)
     assert not dense_commute(dense_generators(edited), p)
     with pytest.raises(RankDeficiency, match="do not commute"):
-        st._check_commutation(edited, p)
+        _check_commutation(edited, p)
 
     # the dropped (0, 0) vertex star back in place of a plaquette row: all
     # vertex stars together are dependent, and their spanning forest is one
@@ -214,24 +219,124 @@ def test_sparse_build_matches_dense_oracle(width, height, p, data):
     cols[j], vals[j] = 0, 0
     for k, (e, sign) in enumerate(vertex_star(lat, 0, 0)):
         cols[j, k], vals[j, k] = e, sign % p
-    restored = st.SparseGenerators(cols=cols, vals=vals, n_edges=E)
+    restored = SparseGenerators(cols=cols, vals=vals, n_edges=E)
     assert dense_commute(dense_generators(restored), p) and not dense_full_rank(dense_generators(restored), p)
-    st._check_commutation(restored, p)
-    with pytest.raises(RankDeficiency, match="not full rank"):
-        st._check_independent(restored, p)
+    _check_commutation(restored, p)
+    with pytest.raises(RankDeficiency, match="not full rank") as oracle:
+        _check_independent(restored, p)
+
+    # the same row on the column graph: plaquette j's Z columns lose their
+    # end j, and the star's east and north edges, which leave (0, 0) with
+    # +1, gain it in place of the sentinel
+    u, v = state.gens.u.copy(), state.gens.v.copy()
+    u[u == j], v[v == j] = E, E
+    u[[0, lat.n_h_edges]] = j
+    graph = st.ColumnGraph(u=u, v=v, n_rows=E)
+    np.testing.assert_array_equal(dense_generators(graph_supports(graph, p)), dense_generators(restored))
+    st._check_graph_commutation(graph, p)
+    with pytest.raises(RankDeficiency, match="not full rank") as fast:
+        st._check_graph_rank(graph)
+    assert str(fast.value) == str(oracle.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=hst.integers(4, 40), height=hst.integers(4, 40), p=hst.sampled_from((2, 3, 5, 7, 13)),
+    seed=hst.integers(0, 2**32 - 1),
+)
+@example(width=4, height=40, p=13, seed=0)
+@example(width=40, height=4, p=2, seed=1)
+def test_support_fill_matches_per_slot_oracle(width, height, p, seed):
+    # every row, and a random subset of rows in random order
+    lat = st.Lattice(width=width, height=height, prime=p)
+    want_cols, want_vals = ground_supports_per_slot(lat)
+    rng = np.random.default_rng(seed)
+    subset = rng.choice(lat.n_edges, size=rng.integers(0, lat.n_edges + 1), replace=False)
+    for rows in (np.arange(lat.n_edges), subset):
+        cols, vals = st._fill(lat, rows)
+        for got, want in ((cols, want_cols[rows]), (vals, want_vals[rows])):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(width=hst.integers(4, 40), height=hst.integers(4, 40), p=hst.sampled_from((2, 3, 5, 7, 13)))
 @example(width=4, height=40, p=13)
 @example(width=40, height=4, p=2)
-def test_support_fill_matches_per_slot_oracle(width, height, p):
+def test_closed_form_graph_matches_fill_oracle(width, height, p):
+    # the graph the build writes in closed form against the graph read from
+    # the per-slot supports' column index, oriented by their signs; at p = 2,
+    # where +1 = -1, the supports give no orientation to compare
     lat = st.Lattice(width=width, height=height, prime=p)
+    E = lat.n_edges
     gens = st.build_ground_state(lat).gens
-    want_cols, want_vals = ground_supports_per_slot(lat)
-    for got, want in ((gens.cols, want_cols), (gens.vals, want_vals)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    want = _column_graph(SparseGenerators(*ground_supports_per_slot(lat), n_edges=E), p)
+    assert gens.n_rows == want.n_rows == E and gens.nbytes == 16 * E
+    assert gens.u.dtype == gens.v.dtype == np.int32
+    assert not ((gens.u == E) & (gens.v == E)).any()  # no toric-code column is empty
+    if p > 2:
+        assert gens.u.tobytes() == want.u.tobytes() and gens.v.tobytes() == want.v.tobytes()
+    else:
+        for pick in (np.minimum, np.maximum):
+            np.testing.assert_array_equal(pick(gens.u, gens.v), pick(want.u, want.v))
+    # the graph does not depend on the prime
+    assert st.build_ground_state(st.Lattice(width=width, height=height, prime=3)).gens == gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(width=hst.integers(4, 9), height=hst.integers(4, 9), p=hst.sampled_from(PRIMES), data=hst.data())
+def test_graph_commutation_message_matches_supports_oracle(width, height, p, data):
+    # one moved end or one flipped orientation in the built graph: the graph
+    # check raises what the supports oracle raises on the supports that the
+    # edited graph encodes, or neither raises
+    gens = ground(width, height, p).gens
+    E = gens.n_edges
+    u, v = gens.u.copy(), gens.v.copy()
+    c = data.draw(hst.integers(0, 2 * E - 1))
+    flip = data.draw(hst.booleans())
+    if flip:
+        u[c], v[c] = v[c], u[c]
+    else:
+        end, other = (u, v) if data.draw(hst.booleans()) else (v, u)
+        end[c] = data.draw(hst.integers(0, E).filter(lambda r: r == E or r != other[c]))
+    edited = st.ColumnGraph(u=u, v=v, n_rows=E)
+    try:
+        _check_commutation(graph_supports(edited, p), p)
+        want = None
+    except RankDeficiency as exc:
+        want = str(exc)
+    # every edge has a vertex and a plaquette end, so a flip breaks a pair's form at p > 2
+    assert want is not None or not (flip and p > 2)
+    if want is None:
+        st._check_graph_commutation(edited, p)
+    else:
+        with pytest.raises(RankDeficiency) as fast:
+            st._check_graph_commutation(edited, p)
+        assert str(fast.value) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=hst.sampled_from((2, 3, 5)), n_edges=hst.integers(1, 4), data=hst.data())
+def test_graph_commutation_matches_supports_oracle_on_random_graphs(p, n_edges, data):
+    # rows with both X and Z ends, which the toric code never builds: a pair
+    # adds to the form with the sign of which of its rows comes first
+    n_rows = data.draw(hst.integers(1, 2 * n_edges))
+    ends = hst.lists(hst.integers(0, n_rows), min_size=2 * n_edges, max_size=2 * n_edges)  # n_rows: no end
+    u, v = (np.array(data.draw(ends), dtype=np.int32) for _ in range(2))
+    v[(u == v) & (u != n_rows)] = n_rows  # a column's two ends are distinct rows
+    graph = st.ColumnGraph(u=u, v=v, n_rows=n_rows)
+    try:
+        _check_commutation(graph_supports(graph, p), p)
+        want = None
+    except RankDeficiency as exc:
+        want = str(exc)
+    assert (want is None) == dense_commute(dense_generators(graph_supports(graph, p)), p)
+    if want is None:
+        st._check_graph_commutation(graph, p)
+    else:
+        with pytest.raises(RankDeficiency) as fast:
+            st._check_graph_commutation(graph, p)
+        assert str(fast.value) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -246,11 +351,11 @@ def test_local_checks_against_dense_oracles_on_random_rows(p, n_edges, data):
     for i in range(n_rows):
         for k, c in enumerate(data.draw(hst.lists(column, max_size=st.MAX_SUPPORT, unique=True))):
             cols[i, k], vals[i, k] = c, data.draw(hst.integers(1, p - 1))
-    gens = st.SparseGenerators(cols=cols, vals=vals, n_edges=n_edges)
+    gens = SparseGenerators(cols=cols, vals=vals, n_edges=n_edges)
     mat = dense_generators(gens)
 
     try:
-        st._check_commutation(gens, p)
+        _check_commutation(gens, p)
         commute = True
     except RankDeficiency:
         commute = False
@@ -275,7 +380,7 @@ def test_commutation_message_names_the_oracle_first_pair(width, height, p, n_mix
     # edited toric generators, plus rows that mix X and Z entries and pile
     # several entries into one column: the message names the first pair of
     # the dense form's upper triangle
-    gens = ground(width, height, p).gens
+    gens = state_supports(ground(width, height, p))
     E = gens.n_edges
     cols, vals = gens.cols.copy(), gens.vals.copy()
     for _ in range(data.draw(hst.integers(1, 3))):
@@ -289,13 +394,13 @@ def test_commutation_message_names_the_oracle_first_pair(width, height, p, n_mix
         for k, c in enumerate(chosen):  # columns 0..3 and E..E+3: X and Z on the first four edges
             cols[i, k] = c if c < 4 else E + c - 4
             vals[i, k] = data.draw(hst.integers(1, p - 1))
-    edited = st.SparseGenerators(cols=cols, vals=vals, n_edges=E)
+    edited = SparseGenerators(cols=cols, vals=vals, n_edges=E)
     want = dense_first_noncommuting(dense_generators(edited), p)
     if want is None:
-        st._check_commutation(edited, p)
+        _check_commutation(edited, p)
     else:
         with pytest.raises(RankDeficiency, match=rf"do not commute: rows {want[0]} and {want[1]}$"):
-            st._check_commutation(edited, p)
+            _check_commutation(edited, p)
 
 
 def _components_oracle(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -350,7 +455,7 @@ def test_forest_joins_match_union_find(n, stride, data):
 
 def test_forest_joins_on_a_shuffled_lattice_column_graph():
     state = ground(13, 11, 3)
-    u, v = state.gens.column_graph(3)
+    u, v = state.gens.u, state.gens.v
     order = np.random.default_rng(20261019).permutation(len(u))
     joined = st._forest_joins(u[order], v[order])
     np.testing.assert_array_equal(joined, forest_joins_union_find(u[order], v[order]))
@@ -427,21 +532,28 @@ def test_column_index_reads_match_scans(part, data):
     for name, region in regions.items():
         edges = np.asarray(region, dtype=np.int64)
         cols = np.concatenate([edges, edges + lat.n_edges])
-        want = dense_generators(state.gens)[np.ix_(rows_on_scan(state.gens, edges), cols)]
-        np.testing.assert_array_equal(state.gens.region_block(edges), want, err_msg=name)
+        want = dense_generators(state)[np.ix_(rows_on_scan(state, edges), cols)]
+        np.testing.assert_array_equal(state.gens.region_block(edges, lat.prime), want, err_msg=name)
         assert st.region_rank(state, region) == region_rank_elimination(state, region), name
 
 
-def packed(lat: st.Lattice, mat: np.ndarray) -> st.StabilizerState:
-    """A state whose generator rows are the rows of the dense matrix, packed
-    into local supports as wide as its fullest row."""
+def packed_supports(lat: st.Lattice, mat: np.ndarray) -> SparseGenerators:
+    """The rows of the dense matrix packed into local supports as wide as
+    its fullest row."""
     n_rows = len(mat)
     rows, cols = np.nonzero(mat)
     width = np.bincount(rows, minlength=n_rows).max(initial=0)
     slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
     gc, gv = np.zeros((n_rows, width), dtype=np.int64), np.zeros((n_rows, width), dtype=np.int64)
     gc[rows, slot], gv[rows, slot] = cols, mat[rows, cols]
-    gens = st.SparseGenerators(cols=gc, vals=gv, n_edges=lat.n_edges)
+    return SparseGenerators(cols=gc, vals=gv, n_edges=lat.n_edges)
+
+
+def packed(lat: st.Lattice, mat: np.ndarray) -> st.StabilizerState:
+    """A state whose generator rows are the rows of the dense matrix, stored
+    as the column graph that the oracle reads from their supports
+    (`_column_graph`), which refuses a column of another shape."""
+    gens = _column_graph(packed_supports(lat, mat), lat.prime)
     return st.StabilizerState(lattice=lat, gens=gens, frame=np.zeros(2 * lat.n_edges, dtype=np.int64))
 
 
@@ -469,7 +581,7 @@ def test_graph_rank_matches_elimination_on_random_graphs(p, n_rows, data):
         assert 2 * len(region) - st.region_rank(state, region) == rank
     # the build's full-rank check is exact: it passes iff the rows are independent
     try:
-        st._check_independent(state.gens, p)
+        st._check_graph_rank(state.gens)
         independent = True
     except RankDeficiency:
         independent = False
@@ -487,7 +599,7 @@ def test_graph_rank_refuses_columns_of_another_shape():
     state = ground(6, 6, 3)
     e = state.lattice.h_edge(2, 3)
     with pytest.raises(MalformedInput, match="at most two"):
-        st.region_rank(sheared(state, [e]), (e,))
+        st.region_rank(packed(state.lattice, dense_generators(sheared(state, [e]))), (e,))
     assert st.region_rank(state, (e,)) == 0
 
 
@@ -520,12 +632,13 @@ def framed(lat: st.Lattice, data) -> st.StabilizerState:
 
 def sheared(state: st.StabilizerState, edges) -> st.StabilizerState:
     """The state after a phase gate (x, z) -> (x, z + x) on each of the edges:
-    still pure, but its generators mix X and Z (not CSS)."""
+    still pure, but its generators mix X and Z (not CSS), so they are held
+    as local supports, which no column graph encodes."""
     E, p = state.n, state.lattice.prime
-    mat = dense_generators(state.gens)
+    mat = dense_generators(state)
     edges = np.asarray(sorted(set(edges)), dtype=np.int64)
     mat[:, E + edges] = (mat[:, E + edges] + mat[:, edges]) % p
-    return replace(packed(state.lattice, mat), frame=state.frame.copy())
+    return replace(state, gens=packed_supports(state.lattice, mat))
 
 
 @settings(max_examples=25, deadline=None)
@@ -534,7 +647,7 @@ def test_local_restricted_basis_matches_dense_oracle(part, data):
     lat = part.lattice
     p, E = lat.prime, lat.n_edges
     state = framed(lat, data)
-    gens = dense_generators(state.gens)
+    gens = dense_generators(state)
     t = state.frame
     regions = {name: part.region_edges(name) for name in ("AB", "BC", "B", "ABC")}
     for i, edges in enumerate(_edge_sets(data.draw, E, 2)):
@@ -650,15 +763,15 @@ def test_witness_phases_biject_sectors(part):
 def test_rows_and_detectors_match_label_oracle(part, data):
     lat = part.lattice
     E = lat.n_edges
-    gens = ground(lat.width, lat.height, lat.prime).gens
+    all_cols, all_vals = st._fill(lat, np.arange(E))
     # every row: distinct nonzero columns, padding (0, 0), X columns only in
     # vertex rows and Z columns only in plaquette rows
     labels = row_labels(lat)
-    assert len(labels) == gens.n_rows
+    assert len(labels) == len(all_vals)
     for i, (kind, _, _) in enumerate(labels):
-        live = gens.vals[i] != 0
-        cols = gens.cols[i, live]
-        assert not gens.cols[i, ~live].any(), i
+        live = all_vals[i] != 0
+        cols = all_cols[i, live]
+        assert not all_cols[i, ~live].any(), i
         assert len(cols) and len(np.unique(cols)) == len(cols), i
         assert ((cols < E) if kind == "vertex" else (cols >= E)).all(), i
     # the detectors, built from the rows found by scanning the labels, stay
@@ -811,7 +924,7 @@ def test_cluster_count_matches_region_rank(part, data):
     lat = part.lattice
     E, p = lat.n_edges, lat.prime
     state = ground(lat.width, lat.height, p)
-    gens = dense_generators(state.gens)
+    gens = dense_generators(state)
 
     def outside(edges, within=None):
         mask = np.ones(2 * E, dtype=bool) if within is None else within.copy()
@@ -821,7 +934,8 @@ def test_cluster_count_matches_region_rank(part, data):
     abc = part.region_edges("ABC")
     in_abc = np.zeros(2 * E, dtype=bool)
     in_abc[np.concatenate([abc, abc + E])] = True
-    root_abc = cluster_roots(state.gens, outside(abc), p)
+    supports = state_supports(state)
+    root_abc = cluster_roots(supports, outside(abc), p)
     inner = {name: part.region_edges(name) for name in ("A", "B", "C", "AB", "BC", "ABC")}
     if part.thin_steps + 1 <= part.a_width - 1:
         inner["A'BC"] = part.thin(1).region_edges("ABC")
@@ -831,9 +945,9 @@ def test_cluster_count_matches_region_rank(part, data):
     for name, region in regions.items():
         edges = st._edges(state, region)
         g = st.region_rank(state, edges)
-        roots = [cluster_roots(state.gens, outside(edges), p)]
+        roots = [cluster_roots(supports, outside(edges), p)]
         if name in inner:
-            roots.append(cluster_roots(state.gens, outside(edges, in_abc), p, root_abc))
+            roots.append(cluster_roots(supports, outside(edges, in_abc), p, root_abc))
         for root in roots:
             rows, cluster, k = st._clusters(root)
             assert k == g, name
@@ -860,12 +974,6 @@ def test_region_ranks_and_clusters_match_per_region_oracles(part, data):
     rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
     inner["random"] = np.sort(rng.choice(abc, size=data.draw(hst.integers(0, len(abc))), replace=False))
     outer = {f"anywhere{i}": np.asarray(r, dtype=np.int64) for i, r in enumerate(_edge_sets(data.draw, E, 2))}
-
-    u, v = state.gens.column_graph(p)
-    want_u, want_v, kept = column_graph_per_region(state.gens, np.arange(2 * E), p)
-    assert len(kept) == 2 * E  # no toric-code column is empty
-    np.testing.assert_array_equal(u, want_u)
-    np.testing.assert_array_equal(v, want_v)
 
     ranks = dict(zip([*inner, *outer], st._edge_ranks(state, [*inner.values(), *outer.values()])))
     for name, edges in {**inner, **outer}.items():

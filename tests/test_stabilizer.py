@@ -101,14 +101,14 @@ class TestLattice:
             st.check_dense_cap(4140, 2 * 4140)
         state = st.build_ground_state(st.Lattice(width=45, height=45, prime=2))
         with pytest.raises(DimensionCap):
-            dense_generators(state.gens)
+            dense_generators(state)
 
 
 class TestGroundState:
     def test_generator_count_equals_edges(self):
         lat = st.Lattice(width=4, height=4, prime=2)
         state = st.build_ground_state(lat)
-        assert dense_generators(state.gens).shape == (40, 80)
+        assert dense_generators(state).shape == (40, 80)
 
     def test_build_grows_no_forest(self, monkeypatch):
         # the full-rank check needs component labels, never a join order
@@ -120,16 +120,17 @@ class TestGroundState:
         assert state.gens.n_rows == state.n
 
     def test_fill_temporaries_released_before_the_checks(self, monkeypatch):
-        # the checks set the build's peak, so only the supports may be held
-        # when they start; the fill's index arrays would add 25 bytes per vertex
+        # the checks set the build's peak, so only the column graph may be
+        # held when they start; the closed form's index arrays would add 8
+        # bytes per edge
         lat = st.Lattice(width=100, height=100, prime=3)
-        check, held = st._check_commutation, []
+        check, held = st._check_graph_commutation, []
 
         def measured(gens, p):
             held.append(tracemalloc.get_traced_memory()[0] - gens.nbytes)
             check(gens, p)
 
-        monkeypatch.setattr(st, "_check_commutation", measured)
+        monkeypatch.setattr(st, "_check_graph_commutation", measured)
         tracemalloc.start()
         try:
             st.build_ground_state(lat)
@@ -427,7 +428,7 @@ def _phased_canonical(state, region):
     """Oracle: canonical form of the phased restricted group, built element by element."""
     p, n = state.lattice.prime, state.n
     outside = np.setdiff1d(np.arange(n), region)
-    gens = dense_generators(state.gens)
+    gens = dense_generators(state)
     coeffs = gfp.left_nullspace_mod_p(gens[:, np.concatenate([outside, outside + n])], p)
     return gfp.phased_rref([gfp.combine_rows(gens, frame_phases(state), c, n, p) for c in coeffs], n, p)
 
@@ -651,10 +652,10 @@ class TestWitnessBlockCap:
     def test_region_block_over_the_cap_refused_before_allocation(self, toric12, monkeypatch):
         # restricted_canonical reads a dense (rows touching R) x 2|R| int64
         # block; at one byte under its size the cap refuses it unallocated
-        _, ground, part = toric12
+        lat, ground, part = toric12
         region = part.region_edges("ABC")
         edges, vecs = st.restricted_canonical(ground, region)
-        block = ground.gens.region_block(edges)
+        block = ground.gens.region_block(edges, lat.prime)
         zeros = np.zeros
 
         def no_block(shape, *args, **kwargs):
@@ -717,7 +718,9 @@ class TestNestedTable:
             lat = st.Lattice(width=14, height=12, prime=p)
             # the build certifies full rank by a graph rank, so it runs before the patch
             cases.append((st.build_ground_state(lat), st.centered_annulus(lat, width=2, a_width=5), n, error))
-        monkeypatch.setattr(st.SparseGenerators, "column_graph", no_rank)  # every graph rank reads it
+        # every graph rank labels components or grows a forest
+        monkeypatch.setattr(st, "_components", no_rank)
+        monkeypatch.setattr(st, "_forest_joins", no_rank)
         for state, part, n, error in cases:
             with pytest.raises(error):
                 st.check_nested_levels(part, n)

@@ -58,6 +58,6 @@ def test_counters_count_real_calls():
     counts = {t.names[span[0]]: span[5] for span in t.spans}  # (name index, ..., count)
     assert all(isinstance(c, int) and c > 0 for c in counts.values()), counts
     metrics = t.layer_metrics()
-    assert metrics["stabilizer.gens_mb"] == 2 * 8 * stabilizer.MAX_SUPPORT * 40 / 2**20
+    assert metrics["stabilizer.gens_mb"] == 16 * 40 / 2**20  # the 4 x 4 lattice's column graph
     for name in calls:
         assert metrics[f"{name}.calls"] == 1, name
