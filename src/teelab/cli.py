@@ -111,6 +111,16 @@ def _stage(timings: dict, name: str):
 # scenarios
 
 
+def _spectra(cat: fu.FusionCategory):
+    """The category's dimensions, fusion probabilities, iterated and
+    closed-form fixed points, and the largest difference between the two."""
+    dims = fu.quantum_dimensions(cat)
+    fp = fu.fusion_probabilities(cat)
+    fixed = fu.fixed_point_iterative(fp)
+    closed = fu.closed_form_fixed_point(dims)
+    return dims, fp, fixed, closed, float(np.abs(fixed.distribution.probs - closed.probs).max())
+
+
 def _fusion_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     name = cfg.get("category")
     path = cfg.get("category_file")
@@ -118,11 +128,7 @@ def _fusion_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
         raise ConfigError("fusion needs exactly one of 'category' or 'category_file'")
     cat = fu.bundled_category(name) if name else fu.load_category(Path(path))
     with _stage(timings, "spectra"):
-        dims = fu.quantum_dimensions(cat)
-        fp = fu.fusion_probabilities(cat)
-        fixed = fu.fixed_point_iterative(fp)
-        closed = fu.closed_form_fixed_point(dims)
-        agreement = float(np.abs(fixed.distribution.probs - closed.probs).max())
+        dims, fp, fixed, closed, agreement = _spectra(cat)
         identity = fu.verify_fixed_point_identity(fp, closed)
     K = fu.bound_constant(closed)
     a0 = cfg.get("a0", cat.unit)
@@ -216,26 +222,32 @@ def _ring_enumeration_agrees(spec: ring.RingSpec) -> bool:
     """Exhaustive enumeration oracle: marginals of every region are uniform
     with the counting multiplicity, so entropies equal the closed forms.
 
-    Each region's projection is read as a base-q number and counted over
-    all q^|R| values, so a value that never occurs counts 0.  The caller
-    admits q^n <= 4,000,000 with n >= 4, so q <= 44 and the digits are int8;
-    a projection is summed site by site in int64, with no int64 copy of the
-    region's digits."""
+    Configurations are the cells of a (q,)*n uint8 array of their sectors,
+    site k on axis k (the caller admits q^n <= 4,000,000 with n >= 4, so
+    q <= 44).  Each region, the empty one for the sectors, counts sector *
+    q^|R| + projection (its sites as a base-q int32 number) over all
+    q^(|R|+1) values, so a value that never occurs counts 0, one block of
+    q^(n-1) configurations per first-site digit at a time."""
     q, n = spec.q, spec.n_sites
-    digits = np.indices((q,) * n, dtype=np.int8).reshape(n, -1).T  # all q^n configurations
-    for sector in range(q):
-        support = digits[digits.sum(axis=1) % q == sector]
-        if len(support) != q ** (n - 1):
-            return False
-        for tag in ("A", "B", "C"):
-            sites = list(spec.region_sites(tag))
-            value = np.zeros(len(support), dtype=np.int64)
-            for site in reversed(sites):  # Horner: sites[k] is digit k
-                value = value * q + support[:, site]
-            counts = np.bincount(value, minlength=q ** len(sites))
-            if not (counts == q ** (n - 1 - len(sites))).all():
-                return False
-    return True
+    sector = np.zeros((), dtype=np.uint8)
+    for _ in range(n):
+        sector = sector[..., None] + np.arange(q, dtype=np.uint8)
+        sector %= q
+    digit = np.arange(q, dtype=np.int32)
+    regions = [()] + [spec.region_sites(tag) for tag in ("A", "B", "C")]
+    projections = [  # sites[k] is digit k, on axis sites[k]
+        np.broadcast_to(sum(digit.reshape((q,) + (1,) * (n - 1 - site)) * q**k for k, site in enumerate(sites)),
+                        sector.shape)
+        for sites in regions
+    ]
+    counts = [np.zeros(q ** (len(sites) + 1), dtype=np.int64) for sites in regions]
+    for first in range(q):
+        block = sector[first].reshape(-1).astype(np.intp)
+        for sites, projection, count in zip(regions, projections, counts):
+            key = block * q ** len(sites)
+            key += projection[first].reshape(-1)
+            count += np.bincount(key, minlength=len(count))
+    return all((count == q ** (n - 1 - len(sites))).all() for sites, count in zip(regions, counts))
 
 
 def _stabilizer_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
@@ -323,11 +335,7 @@ def _audit_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
 def _selftest_scenario(cfg: dict, timings: dict) -> tuple[list[dict], dict]:
     checks = []
     for name in fu.bundled_category_names():
-        cat = fu.bundled_category(name)
-        dims = fu.quantum_dimensions(cat)
-        fp = fu.fusion_probabilities(cat)
-        fixed = fu.fixed_point_iterative(fp)
-        agree = float(np.abs(fixed.distribution.probs - fu.closed_form_fixed_point(dims).probs).max())
+        *_, fixed, _, agree = _spectra(fu.bundled_category(name))
         checks.append(_check(f"fusion_{name}", fixed.residual < 1e-12 and agree < 1e-10,
                              residual=fixed.residual, agreement=agree))
     for q in (2, 3):

@@ -97,8 +97,11 @@ class FusionCategory:
     def n_labels(self) -> int:
         return len(self.labels)
 
-    def dual_index(self, i: int) -> int:
-        return self.labels.index(self.dual[self.labels[i]])
+    @property
+    def dual_indices(self) -> np.ndarray:
+        """dual_indices[a] = index of the dual of label a."""
+        index = {lab: i for i, lab in enumerate(self.labels)}
+        return np.array([index[self.dual[lab]] for lab in self.labels], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -367,24 +370,23 @@ def _associativity_failure(N: np.ndarray) -> tuple[int, int, int, int, int, int]
     return a, b, c, d, int(lhs[a, b, c, d]), int(rhs[a, b, c, d])
 
 
-def group_category(labels, multiply, name="group") -> FusionCategory:
-    """Fusion category of a finite group: N[a,b,c] = 1 iff a*b = c."""
+def group_category(labels, product, name="group") -> FusionCategory:
+    """Fusion category of a finite group from its (n, n) index table:
+    N[a, b, product[a, b]] = 1, every other entry 0."""
     labels = tuple(labels)
     n = len(labels)
     _charge_labels(n)
-    idx = {lab: i for i, lab in enumerate(labels)}
     N = np.zeros((n, n, n), dtype=np.int64)
-    for a in labels:
-        for b in labels:
-            N[idx[a], idx[b], idx[multiply(a, b)]] = 1
+    a, b = np.indices((n, n))
+    N[a, b, product] = 1
     return _validate_category(labels, N, None, name)
 
 
 @functools.cache
 def zn_category(n: int) -> FusionCategory:
     """Cyclic group Z_n with labels '0'..'n-1'; built once per n."""
-    labels = tuple(str(k) for k in range(n))
-    return group_category(labels, lambda a, b: str((int(a) + int(b)) % n), name=f"z{n}")
+    k = np.arange(n)
+    return group_category(tuple(str(x) for x in k), np.add.outer(k, k) % n, name=f"z{n}")
 
 
 def check_double_zn_order(p: int) -> None:
@@ -395,14 +397,12 @@ def check_double_zn_order(p: int) -> None:
 
 @functools.cache
 def double_zn_category(p: int) -> FusionCategory:
-    """Z_p x Z_p with labels 'cf' (charge digit, flux digit); p <= 9; built once per p."""
+    """Z_p x Z_p with labels 'cf' (charge digit, flux digit); p <= 9; built once per p.
+    Label k is c = k // p, f = k % p, and each digit adds mod p."""
     check_double_zn_order(p)
-    labels = tuple(f"{c}{f}" for c in range(p) for f in range(p))
-
-    def mul(a, b):
-        return f"{(int(a[0]) + int(b[0])) % p}{(int(a[1]) + int(b[1])) % p}"
-
-    return group_category(labels, mul, name=f"double_z{p}")
+    c, f = np.divmod(np.arange(p * p), p)
+    product = np.add.outer(c, c) % p * p + np.add.outer(f, f) % p
+    return group_category(tuple(f"{x}{y}" for x, y in zip(c, f)), product, name=f"double_z{p}")
 
 
 _DATA_PACKAGE = "teelab.data.categories"
@@ -436,70 +436,44 @@ def _load_bundled_category(name: str) -> FusionCategory:
 # quantum dimensions
 
 
-def _perron_radius(mat: np.ndarray) -> tuple[float, int]:
-    """Spectral radius of a non-negative integer matrix by shifted power iteration.
-
-    Iterates with (mat + I), whose dominant eigenvalue r+1 is strictly
-    separated in modulus from the rest of the spectrum, so the Rayleigh
-    quotient converges even when mat itself has several eigenvalues on the
-    spectral circle (an imprimitive matrix, such as a cyclic block beside a
-    smaller one).  The result can be off by a few ulps (it gave
-    1.0000000000000004 for the permutation matrices of z2), so
-    `_perron_root` calls it only where the row sums do not give the radius.
-    """
-    n = mat.shape[0]
-    shifted = mat.astype(float) + np.eye(n)
-    v = np.full(n, 1.0 / math.sqrt(n))
-    prev = 0.0
-    for it in range(1, ITERATION_CAP + 1):
-        w = shifted @ v
-        norm = float(np.linalg.norm(w))
-        v = w / norm
-        rayleigh = float(v @ shifted @ v)
-        if abs(rayleigh - prev) < FIXED_POINT_STEP_TOL:
-            return rayleigh - 1.0, it
-        prev = rayleigh
-    raise NonConvergence(f"power iteration did not converge within {ITERATION_CAP} iterations")
-
-
-def _perron_root(mat: np.ndarray) -> float:
-    """Spectral radius of a non-negative integer matrix.
+def _perron_root(mat: np.ndarray, rows: np.ndarray) -> float:
+    """Spectral radius of a non-negative integer matrix, given its row sums.
 
     When every row sums to the same integer r it is r, exactly: the row sums
     of a non-negative matrix bound its spectral radius from below and above
     (Horn & Johnson, Matrix Analysis, Thm 8.1.22).  Every label of a group
     category (a permutation matrix, r = 1) and the unit of any category take
-    this path.  Other matrices (Fibonacci tau, Ising sigma) take
-    `_perron_radius`.
+    this path.  Other matrices (Fibonacci tau, Ising sigma) take the largest
+    modulus of their eigenvalues, which for a non-negative matrix is its
+    Perron root: (1 + sqrt 5)/2 and sqrt 2 come out correctly rounded.
     """
-    rows = mat.sum(axis=1)
     if (rows == rows[0]).all():
         return float(rows[0])
-    return _perron_radius(mat)[0]
+    return float(np.abs(np.linalg.eigvals(mat)).max())
 
 
 def quantum_dimensions(cat: FusionCategory) -> QuantumDims:
     """Quantum dimension d_a = spectral radius of the fusion matrix (N_a)_{bc} = N[a,b,c].
 
     d_a is N_a's common row sum, exactly, when its rows all have one sum (so
-    d_a = 1.0 for every abelian anyon), and its shifted power iteration
-    otherwise (`_perron_root`).  Every label, either way, is then checked:
-    sum_c N[a,b,c] d_c = d_a d_b to 1e-10 and d_a = d_{dual a}.
+    d_a = 1.0 for every abelian anyon), and the largest eigenvalue modulus
+    of N_a otherwise (`_perron_root`).  Every label, either way, is then
+    checked: sum_c N[a,b,c] d_c = d_a d_b to 1e-10 and d_a = d_{dual a}.
     Computed once per category object; later calls return the same dims.
     """
     return _memo(cat, "dims", lambda: _quantum_dimensions(cat))
 
 
 def _quantum_dimensions(cat: FusionCategory) -> QuantumDims:
-    n = cat.n_labels
-    d = np.array([_perron_root(cat.N[a]) for a in range(n)])
+    rows = cat.N.sum(axis=2)  # rows[a, b] = sum_c N[a, b, c]
+    d = np.array([_perron_root(mat, row) for mat, row in zip(cat.N, rows)])
     check = np.einsum("abc,c->ab", cat.N, d)
     residual = float(np.abs(check - np.outer(d, d)).max())
     if residual > SPECTRAL_TOL:
         raise InvalidCategory(f"dimension identity sum_c N[a,b,c] d_c = d_a d_b fails by {residual:g}")
-    for a in range(n):
-        if abs(d[a] - d[cat.dual_index(a)]) > SPECTRAL_TOL:
-            raise InvalidCategory(f"d_a != d_dual(a) at {cat.labels[a]!r}")
+    unequal = np.flatnonzero(np.abs(d - d[cat.dual_indices]) > SPECTRAL_TOL)
+    if len(unequal):
+        raise InvalidCategory(f"d_a != d_dual(a) at {cat.labels[unequal[0]]!r}")
     total = float(math.sqrt(float((d * d).sum())))
     return QuantumDims(labels=cat.labels, d=d, total=total)
 

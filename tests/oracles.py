@@ -32,15 +32,21 @@ from teelab.errors import (
     EpsilonOutOfRange,
     InvalidGeometry,
     MalformedInput,
+    NonConvergence,
     PremiseViolated,
     RankDeficiency,
 )
 from teelab.fusion import (
+    FIXED_POINT_STEP_TOL,
+    ITERATION_CAP,
     STRUCT_TOL,
     AnyonDistribution,
+    FusionCategory,
     FusionProbabilities,
+    _charge_labels,
     _label_index,
     _power_iterate,
+    _validate_category,
     bound_constant,
 )
 from teelab.gfp import rank_mod_p
@@ -474,6 +480,62 @@ def associativity_residual_einsum(p: np.ndarray) -> float:
     lhs = np.einsum("stu,uac->stac", p, p)
     rhs = np.einsum("tab,sbc->stac", p, p)
     return float(np.abs(lhs - rhs).max())
+
+
+def _perron_radius(mat: np.ndarray) -> tuple[float, int]:
+    """Oracle for `fusion._perron_root`: the spectral radius of a non-negative
+    integer matrix by shifted power iteration, with the step count.
+
+    Iterates with (mat + I), whose dominant eigenvalue r+1 is strictly
+    separated in modulus from the rest of the spectrum, so the Rayleigh
+    quotient converges even when mat itself has several eigenvalues on the
+    spectral circle (an imprimitive matrix, such as a cyclic block beside a
+    smaller one).  The result can be off by a few ulps (1.0000000000000004
+    for the permutation matrices of z2, 1.6180339887498953 for Fibonacci tau).
+    """
+    n = mat.shape[0]
+    shifted = mat.astype(float) + np.eye(n)
+    v = np.full(n, 1.0 / math.sqrt(n))
+    prev = 0.0
+    for it in range(1, ITERATION_CAP + 1):
+        w = shifted @ v
+        norm = float(np.linalg.norm(w))
+        v = w / norm
+        rayleigh = float(v @ shifted @ v)
+        if abs(rayleigh - prev) < FIXED_POINT_STEP_TOL:
+            return rayleigh - 1.0, it
+        prev = rayleigh
+    raise NonConvergence(f"power iteration did not converge within {ITERATION_CAP} iterations")
+
+
+def group_category_multiply(labels, multiply, name="group") -> FusionCategory:
+    """Oracle for `fusion.group_category`: N[a,b,c] = 1 iff multiply(a, b) = c,
+    written label pair by label pair from a product on the label strings."""
+    labels = tuple(labels)
+    n = len(labels)
+    _charge_labels(n)
+    idx = {lab: i for i, lab in enumerate(labels)}
+    N = np.zeros((n, n, n), dtype=np.int64)
+    for a in labels:
+        for b in labels:
+            N[idx[a], idx[b], idx[multiply(a, b)]] = 1
+    return _validate_category(labels, N, None, name)
+
+
+def zn_category_multiply(n: int) -> FusionCategory:
+    """Z_n by `group_category_multiply`, adding the parsed labels mod n."""
+    labels = tuple(str(k) for k in range(n))
+    return group_category_multiply(labels, lambda a, b: str((int(a) + int(b)) % n), name=f"z{n}")
+
+
+def double_zn_category_multiply(p: int) -> FusionCategory:
+    """Z_p x Z_p by `group_category_multiply`, adding each digit of 'cf' mod p."""
+    labels = tuple(f"{c}{f}" for c in range(p) for f in range(p))
+
+    def mul(a, b):
+        return f"{(int(a[0]) + int(b[0])) % p}{(int(a[1]) + int(b[1])) % p}"
+
+    return group_category_multiply(labels, mul, name=f"double_z{p}")
 
 
 def label_index(table, label: str) -> int:
@@ -1241,3 +1303,24 @@ def fusion_step_loop(table: np.ndarray, moved: np.ndarray, p: int) -> np.ndarray
     for s in labels[1:]:
         bad[s] = ((table + moved[:, [s - 1]] - table[:, _fused(s, labels, p)]) % p).any(axis=0)
     return bad
+
+
+def ring_enumeration_per_sector(spec: RingSpec) -> bool:
+    """Oracle for `cli._ring_enumeration_agrees`: all q^n configurations as
+    int8 digits, filtered once per sector, each region's projection summed
+    site by site in int64 and counted over all q^|R| values."""
+    q, n = spec.q, spec.n_sites
+    digits = np.indices((q,) * n, dtype=np.int8).reshape(n, -1).T  # all q^n configurations
+    for sector in range(q):
+        support = digits[digits.sum(axis=1) % q == sector]
+        if len(support) != q ** (n - 1):
+            return False
+        for tag in ("A", "B", "C"):
+            sites = list(spec.region_sites(tag))
+            value = np.zeros(len(support), dtype=np.int64)
+            for site in reversed(sites):  # Horner: sites[k] is digit k
+                value = value * q + support[:, site]
+            counts = np.bincount(value, minlength=q ** len(sites))
+            if not (counts == q ** (n - 1 - len(sites))).all():
+                return False
+    return True

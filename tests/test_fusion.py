@@ -20,13 +20,16 @@ from teelab.fusion import AnyonDistribution
 
 from oracles import (
     DefectFusionSystem,
+    _perron_radius,
     associativity_residual_einsum,
     brute_force_associative,
     defect_fixed_point,
+    double_zn_category_multiply,
     label_index,
     point_mass,
     prob,
     star,
+    zn_category_multiply,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -151,6 +154,21 @@ class TestLoadCategory:
         # before its table (or the (63^2, 63^2) products) is allocated
         with pytest.raises(DimensionCap, match="63 labels"):
             fusion.zn_category(63)
+
+    @pytest.mark.parametrize(
+        "built, oracle",
+        [pytest.param(partial(fusion.zn_category, n), partial(zn_category_multiply, n), id=f"z{n}")
+         for n in [*range(1, 25), 53]]
+        + [pytest.param(partial(fusion.double_zn_category, p), partial(double_zn_category_multiply, p),
+                        id=f"double_z{p}") for p in (2, 3, 5, 7)],
+    )
+    def test_addition_tables_match_the_label_product_oracle(self, built, oracle):
+        # the (n, n) addition table writes the N that the per-pair product on
+        # parsed label strings wrote, with the same labels, unit, dual and name
+        cat, expected = built(), oracle()
+        assert cat.N.dtype == expected.N.dtype and cat.N.tobytes() == expected.N.tobytes()
+        assert (cat.labels, cat.unit, dict(cat.dual), cat.name) == (
+            expected.labels, expected.unit, dict(expected.dual), expected.name)
 
     def test_json_text_and_file(self, tmp_path):
         doc = {"labels": ["0", "1"], "N": {"0": {"0": {"0": 1}, "1": {"1": 1}},
@@ -309,13 +327,16 @@ class TestQuantumDimensions:
         assert (C, terms) == (L, [])
         assert np.array_equal(cls[:L], np.arange(L))
 
-    def test_units_exact_and_other_labels_by_power_iteration(self, categories):
-        for name, iterated in (("fibonacci", ("tau",)), ("ising", ("sigma",))):
+    def test_units_exact_and_other_labels_by_eigenvalue_solve(self, categories):
+        # the eigenvalue solve rounds (1 + sqrt 5)/2 and sqrt 2 correctly,
+        # and the shifted power iteration oracle agrees to SPECTRAL_TOL
+        for name, solved in (("fibonacci", {"tau": GOLDEN}), ("ising", {"sigma": math.sqrt(2)})):
             cat, dims, _ = categories[name]
             for label in cat.labels:
-                a = label_index(cat, label)
-                if label in iterated:
-                    assert dims.of(label) == fusion._perron_radius(cat.N[a])[0], (name, label)
+                if label in solved:
+                    assert dims.of(label) == solved[label], (name, label)
+                    radius, _ = _perron_radius(cat.N[label_index(cat, label)])
+                    assert abs(dims.of(label) - radius) <= fusion.SPECTRAL_TOL, (name, label)
                 else:
                     assert dims.of(label) == 1.0, (name, label)
 
@@ -333,7 +354,7 @@ class TestQuantumDimensions:
     def test_frobenius_symmetry_all_bundled(self, categories):
         # N[s,a,b] == N[b, dual(a), s]
         for name, (cat, _, _) in categories.items():
-            dual = [cat.dual_index(i) for i in range(cat.n_labels)]
+            dual = cat.dual_indices
             for s in range(cat.n_labels):
                 for a in range(cat.n_labels):
                     for b in range(cat.n_labels):

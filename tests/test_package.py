@@ -170,8 +170,9 @@ def test_every_definition_is_reached_by_the_cli_or_a_traced_name():
 # Fast paths of src/teelab and the slow paths in tests/oracles.py that the
 # tests compare them against.  The cluster labelling over every row, the
 # label product that only the per-label fusion loop reads, and the supports'
-# column index with the graph and the checks read from it moved to the
-# oracles; the names in MOVED are gone from src/teelab.
+# column index with the graph and the checks read from it, and the shifted
+# power iteration for quantum dimensions, moved to the oracles; the names in
+# MOVED are gone from src/teelab.
 ORACLES = {
     "stabilizer.build_ground_state": "_column_graph",
     "stabilizer._fill": "ground_supports_per_slot",
@@ -183,6 +184,9 @@ ORACLES = {
     "stabilizer._fusion_step": "fusion_step_loop",
     "stabilizer._components": "components_union_find",
     "stabilizer._forest_joins": "forest_joins_union_find",
+    "fusion._perron_root": "_perron_radius",
+    "fusion.group_category": "group_category_multiply",
+    "cli._ring_enumeration_agrees": "ring_enumeration_per_sector",
 }
 MOVED = {
     "stabilizer._cluster_roots": "cluster_roots",
@@ -192,6 +196,7 @@ MOVED = {
     "stabilizer._check_commutation": "_check_commutation",
     "stabilizer._check_independent": "_check_independent",
     "stabilizer._ranges": "_ranges",
+    "fusion._perron_radius": "_perron_radius",
 }
 
 

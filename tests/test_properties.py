@@ -11,8 +11,10 @@ scan, restricted bases, frame phases and dense reductions against the
 dense-matrix oracles on random valid annulus geometries and primes, the frame-difference assumption
 checks against their per-pair loop oracle, the built rows against the
 label-list oracle, rank_mod_p against a brute-force
-span count, the row-sum Perron root of permutation sums against the
-power iteration, the array Taylor sweep against its loop oracle on random
+span count, the row-sum Perron root of permutation sums and the
+eigenvalue-solved quantum dimensions of random fusion rings against the
+power iteration, the blocked ring enumeration against its per-sector
+filter, the array Taylor sweep against its loop oracle on random
 row-stochastic tensors and against its per-pair program on random
 categories of up to 12 labels, its sparse fused distributions against the
 dense einsum, the array audit premises against the per-point
@@ -35,7 +37,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as hst  # noqa: E402
 
-from teelab import audit, fusion, gfp, stabilizer as st  # noqa: E402
+from teelab import audit, cli, fusion, gfp, ring, stabilizer as st  # noqa: E402
 from teelab.errors import InvalidCategory, MalformedInput, PremiseViolated, RankDeficiency  # noqa: E402
 
 import dense_oracles as dense  # noqa: E402
@@ -45,6 +47,7 @@ from oracles import (  # noqa: E402
     _check_commutation,
     _check_independent,
     _column_graph,
+    _perron_radius,
     _union_find,
     assemble_bound_loop,
     cluster_roots,
@@ -65,6 +68,7 @@ from oracles import (  # noqa: E402
     region_phases_per_region,
     region_rank_elimination,
     region_rank_per_region,
+    ring_enumeration_per_sector,
     row_labels,
     rows_on_scan,
     sector_family,
@@ -1063,8 +1067,8 @@ def test_row_sum_root_of_permutation_sums_is_exact(n, k, data):
     mat = np.zeros((n, n), dtype=np.int64)
     for _ in range(k):
         mat[np.arange(n), data.draw(hst.permutations(range(n)))] += 1
-    assert fusion._perron_root(mat) == float(k)
-    assert abs(fusion._perron_radius(mat)[0] - k) <= fusion.SPECTRAL_TOL
+    assert fusion._perron_root(mat, mat.sum(axis=1)) == float(k)
+    assert abs(_perron_radius(mat)[0] - k) <= fusion.SPECTRAL_TOL
 
 
 @settings(max_examples=60, deadline=None)
@@ -1348,12 +1352,13 @@ def _rank_two_table(k: int) -> np.ndarray:
 
 
 @hst.composite
-def integer_tables(draw) -> np.ndarray:
+def integer_tables(draw, edits=("none", "entry", "random"), scales=(1, 3**16)) -> np.ndarray:
     """Integer tables up to 25 labels: associative ones (cyclic groups and
     x^2 = 1 + k x rings, their tensor products, relabelled), the same with
     one entry edited, and random ones.  Some are scaled by 3^16, an odd
     scale, which puts most of them past the float64 exactness bound
-    n * max(N)^2 < 2^53 (float64 products would round there)."""
+    n * max(N)^2 < 2^53 (float64 products would round there).  With
+    `edits=("none",), scales=(1,)` every table is a fusion ring."""
 
     def factor(orders):
         if draw(hst.booleans()):
@@ -1368,13 +1373,27 @@ def integer_tables(draw) -> np.ndarray:
     n = len(N)
     perm = np.array(draw(hst.permutations(range(n))))
     N = N[np.ix_(perm, perm, perm)]
-    edit = draw(hst.sampled_from(("none", "entry", "random")))
+    edit = draw(hst.sampled_from(edits))
     if edit == "entry":
         a, b, c = draw(hst.tuples(*[hst.integers(0, n - 1)] * 3))
         N[a, b, c] = draw(hst.integers(0, 3).filter(lambda v: v != N[a, b, c]))
     elif edit == "random":
         N = np.random.default_rng(draw(hst.integers(0, 2**32 - 1))).integers(0, 3, (n, n, n))
-    return N * draw(hst.sampled_from((1, 3**16)))
+    return N * draw(hst.sampled_from(scales))
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=integer_tables(edits=("none",), scales=(1,)))
+def test_quantum_dimensions_match_power_iteration_oracle(N):
+    # every label's eigenvalue solve is the shifted power iteration's radius
+    # to SPECTRAL_TOL, and a label whose rows share one sum r gets r exactly
+    cat = fusion._validate_category(tuple(f"l{k}" for k in range(len(N))), N, None, "ring")
+    d = fusion.quantum_dimensions(cat).d
+    rows = N.sum(axis=2)
+    for a in range(len(N)):
+        assert abs(d[a] - _perron_radius(N[a])[0]) <= fusion.SPECTRAL_TOL, a
+        if (rows[a] == rows[a, 0]).all():
+            assert d[a] == float(rows[a, 0]), a
 
 
 @settings(max_examples=300, deadline=None)
@@ -1395,3 +1414,27 @@ def test_associativity_products_match_einsum_oracle(N):
     }
     with pytest.raises(MalformedInput, match="exact float64 bound"):
         fusion.load_category(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=hst.integers(2, 9), repeat=hst.booleans(), data=hst.data())
+def test_ring_enumeration_matches_per_sector_oracle(q, repeat, data):
+    # the blocked sector-and-projection counts give the per-sector filter's
+    # verdict; a region that names one of its sites twice fails both
+    n_max = max(n for n in range(4, 18) if q**n <= 200_000)
+    n = data.draw(hst.integers(4, n_max))
+    a = data.draw(hst.integers(1, n - 3))
+    b1 = data.draw(hst.integers(1, n - a - 2))
+    c = data.draw(hst.integers(1, n - a - b1 - 1))
+    spec = ring.RingSpec(q=q, sites_a=a, sites_b1=b1, sites_c=c, sites_b2=n - a - b1 - c)
+    with pytest.MonkeyPatch.context() as patch:
+        if repeat:
+            tag = data.draw(hst.sampled_from("ABC"))
+            sites = spec.region_sites(tag)
+            twice = sites + (data.draw(hst.sampled_from(sites)),)
+            region_sites = ring.RingSpec.region_sites
+            patch.setattr(ring.RingSpec, "region_sites",
+                          lambda self, name: twice if name == tag else region_sites(self, name))
+        verdict = cli._ring_enumeration_agrees(spec)
+        assert verdict == ring_enumeration_per_sector(spec)
+    assert verdict is not repeat

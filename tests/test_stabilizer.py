@@ -86,8 +86,9 @@ class TestLattice:
                 st.Lattice(width=4, height=4, prime=p)
 
     def test_oversize_lattice_rejected_at_construction(self):
-        # the sparse generators take 64 E bytes: 1447 x 1447 fits under the
-        # cap, 1448 x 1448 and 5000 x 5000 (about 3 GB) do not
+        # the cap charges LATTICE_BYTES_PER_EDGE = 64 bytes per edge, while a
+        # built state holds 32 (its column graph and its frame): 1447 x 1447
+        # fits under the cap, 1448 x 1448 and 5000 x 5000 (about 3 GB) do not
         for size in (5000, 1448):
             with pytest.raises(DimensionCap):
                 st.Lattice(width=size, height=size, prime=2)
